@@ -1,9 +1,9 @@
 """The numerical kernel underneath the analytics.
 
-Demonstrates the three special functions the closed forms rest on, each next
-to its independent check: Bessel J0 against its defining integral, the
-regularized incomplete gamma against tail quadrature, and the Meijer G kernel
-against a Mellin-Barnes contour integration.
+Demonstrates the three special functions the closed forms rest on: Bessel J0
+against its defining integral, the regularized incomplete gamma, and the
+Meijer G kernel through its closed reduction (the test suite checks that
+reduction against a Mellin-Barnes contour integration in tests/oracles.py).
 """
 
 import math
@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from frisec import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
-                    meijer_g_2122, meijer_g_2122_oracle, reg_lower_inc_gamma)
+                    meijer_g_2122, reg_lower_inc_gamma)
 
 # --- Bessel J0: series / recurrence / asymptotic branches all agree with the
 #     cosine-integral representation
@@ -29,19 +29,14 @@ print(f"  P(1, ln 2)   = {reg_lower_inc_gamma(1.0, math.log(2)):.12f}  (exponent
 print(f"  P(2.5, 2.5)  = {reg_lower_inc_gamma(2.5, 2.5):.12f}")
 print(f"  P(50, 45)    = {reg_lower_inc_gamma(50.0, 45.0):.12f}")
 
-# --- the Meijer G kernel behind the outage closed form; the analytic
-#     reduction Gamma(k) z^-1 (1+z)^-k is validated against the contour oracle
-print("\nMeijer G kernel, reduction vs contour oracle:")
+# --- the Meijer G kernel behind the outage closed form, through the analytic
+#     reduction Gamma(k) z^-1 (1+z)^-k
+print("\nMeijer G kernel:")
 for z, k in ((1.0, 1.0), (10.0, 0.5), (250.0, 4.0), (1e-4, 8.0)):
-    red = meijer_g_2122(z, k)
-    orc = meijer_g_2122_oracle(z, k, 4096)
-    print(f"  z={z:8.4g} k={k:4.1f}: {red:.10e}  (oracle {orc:.10e}, "
-          f"rel diff {abs(red - orc) / orc:.1e})")
+    print(f"  z={z:8.4g} k={k:4.1f}: {meijer_g_2122(z, k):.10e}")
 
-# --- generic quadrature on [0, inf), used by every oracle above
+# --- generic quadrature on [0, inf), used by the closed forms' oracles
 print("\nquadrature sanity:")
 spec = QuadratureSpec()
 print(f"  int e^-x dx        = {integrate_semi_infinite(lambda x: np.exp(-x), spec):.12f}")
 print(f"  int x e^-x dx      = {integrate_semi_infinite(lambda x: x * np.exp(-x), spec):.12f}")
-gl = QuadratureSpec(scheme='gauss-laguerre', nodes=48)
-print(f"  same, Gauss-Laguerre: {integrate_semi_infinite(lambda x: x * np.exp(-x), gl):.12f}")

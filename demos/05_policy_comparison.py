@@ -16,9 +16,11 @@ both receivers share the feed-leg fading, so selecting elements where the
 feed is strong hands the eavesdropper a gain boost too.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from frisec import ChannelStream, conventional_ris_config
+from frisec import ChannelStream
 from frisec.harness import (ExperimentConfig, db_to_linear, estimate_asc,
                             estimate_sop, records_for_budget, simulate_gains)
 from frisec.surface import build_correlation
@@ -30,7 +32,7 @@ fris_corr = build_correlation(cfg.fris_geometry())  # 400 elements in 3 waveleng
 fris = simulate_gains(fris_corr, "greedy", cfg.m_on, TRIALS, ChannelStream(42, 0))
 baselines = {}
 for m_conv in (cfg.conventional_m, 100):  # 6x6 over 3x3 wavelengths; 10x10 over 5x5
-    conv_geom, _ = conventional_ris_config(m_conv, cfg.wavelength)
+    conv_geom = replace(cfg, conventional_m=m_conv).conventional_geometry()
     baselines[m_conv] = simulate_gains(build_correlation(conv_geom), "conventional",
                                        m_conv, TRIALS, ChannelStream(42, 1))
 

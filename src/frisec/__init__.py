@@ -11,12 +11,7 @@ numerical oracle.
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelRealization, ChannelStream, LinkBudget,
-                      channel_gain, draw_channels, equivalent_channel,
-                      path_loss, received_snr)
-from .control import (FrisConfiguration, conventional_ris_config,
-                      fixed_statistical_config, select_exhaustive,
-                      select_greedy_cophase)
+from .channel import ChannelStream, LinkBudget, path_loss
 from .errors import ConfigError, ConvergenceError, DomainError, FrisecError
 from .harness import (ExperimentConfig, GainSamples, MetricEstimate,
                       TrialRecords, estimate_asc, estimate_sop, ks_statistic,
@@ -28,8 +23,7 @@ from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
                       fit_eve_exponential, gamma_cdf, gamma_pdf,
                       secrecy_capacity, sop_lower_bound, sop_lower_oracle)
 from .specfun import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
-                      meijer_g_2122, meijer_g_2122_oracle,
-                      reg_lower_inc_gamma)
+                      meijer_g_2122, reg_lower_inc_gamma)
 from .surface import (CorrelationMatrix, SelectionSet, SurfaceGeometry,
                       build_correlation, element_distance, index_to_coords,
                       reduce_correlation, trace_power)

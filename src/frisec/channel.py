@@ -1,4 +1,4 @@
-"""Fading generation, path loss, cascaded equivalent channel, and SNR.
+"""Fading generation, spatial coloring, path loss, and the link budget.
 
 The three per-trial fading vectors (feed link, legitimate link, eavesdropper
 link) are i.i.d. circular complex Gaussian with unit per-entry variance; the
@@ -46,37 +46,6 @@ class ChannelStream:
         """
         raw = self._raw_block(m, block)
         return (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One trial's fading vectors and their correlated images."""
-
-    h_feed: np.ndarray
-    h_bob: np.ndarray
-    h_eve: np.ndarray
-    v_feed: np.ndarray  # J^{1/2} h_feed
-    u_bob: np.ndarray   # J^{1/2} h_bob
-    u_eve: np.ndarray   # J^{1/2} h_eve
-
-
-def draw_channels(stream: ChannelStream, trial: int, j_sqrt: np.ndarray) -> ChannelRealization:
-    """Draw one trial's channels, deterministically in (seed, stream, trial)."""
-    j_sqrt = np.asarray(j_sqrt, dtype=float)
-    if j_sqrt.ndim != 2 or j_sqrt.shape[0] != j_sqrt.shape[1]:
-        raise DomainError("correlation square root must be a square matrix")
-    m = j_sqrt.shape[0]
-    trial = int(trial)
-    if trial < 0:
-        raise DomainError("trial index must be >= 0")
-    block, row = divmod(trial, TRIALS_PER_BLOCK)
-    draws = stream.draw_block(m, block)
-    # Whole-block product so the result is bitwise identical to batched runs.
-    images = correlated_images_batch(draws, j_sqrt)[row]
-    return ChannelRealization(
-        h_feed=draws[row, 0], h_bob=draws[row, 1], h_eve=draws[row, 2],
-        v_feed=images[0], u_bob=images[1], u_eve=images[2],
-    )
 
 
 def correlated_images_batch(draws: np.ndarray, j_sqrt_rows: np.ndarray) -> np.ndarray:
@@ -168,36 +137,3 @@ class LinkBudget:
             dist_eve_m=self.dist_eve_m, tx_power_w=self.tx_power_w,
             noise_bob_w=self.tx_power_w / snr_linear, noise_eve_w=self.noise_eve_w,
         )
-
-
-def equivalent_channel(realization: ChannelRealization, config, receiver: str) -> complex:
-    """Cascaded scalar channel through the configured surface.
-
-    Sum over active elements of conj(u[m]) * exp(j phase_m) * v[m]; the OFF
-    elements contribute nothing, so an empty selection yields exactly 0.
-    """
-    if receiver == "bob":
-        u = realization.u_bob
-    elif receiver == "eve":
-        u = realization.u_eve
-    else:
-        raise DomainError(f"receiver must be 'bob' or 'eve', got {receiver!r}")
-    idx = config.selection.as_array()
-    if idx.size == 0:
-        return 0j
-    if idx.max() >= u.shape[0]:
-        raise DomainError("configuration selects elements beyond this realization")
-    phases = np.exp(1j * np.asarray(config.phases, dtype=float))
-    return complex(np.sum(np.conj(u[idx]) * phases * realization.v_feed[idx]))
-
-
-def channel_gain(h_eq: complex) -> float:
-    """Power gain |H|^2 of the scalar equivalent channel."""
-    return abs(h_eq) ** 2
-
-
-def received_snr(gain: float, budget: LinkBudget, receiver: str) -> float:
-    """Instantaneous received SNR for a given equivalent power gain."""
-    if gain < 0:
-        raise DomainError("gain must be >= 0")
-    return budget.snr_scale(receiver) * gain

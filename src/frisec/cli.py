@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import ConfigError, FrisecError
-from .harness import (SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
+from .harness import (POLICIES, SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                       VALIDATE_FIT_COLUMNS, ExperimentConfig,
                       config_from_mapping, dump_correlation_csv, sweep_size,
                       sweep_snr, validate_bounds, validate_fits,
@@ -30,8 +30,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="64-bit experiment seed")
     sub.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     sub.add_argument("--workers", type=int, help="parallel workers over trial blocks")
-    sub.add_argument("--policy", choices=("greedy", "fixed-uniform", "fixed-random",
-                                          "conventional"))
+    sub.add_argument("--policy", choices=POLICIES)
     sub.add_argument("--m-on", type=int, dest="m_on", help="active element count")
     sub.add_argument("--out", required=True, help="output CSV path")
 

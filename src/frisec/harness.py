@@ -19,7 +19,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,16 +27,16 @@ import numpy as np
 from . import __version__
 from .channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget,
                       correlated_images_batch)
-from .control import conventional_ris_config, fixed_statistical_config
 from .errors import ConfigError, DomainError, FrisecError
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_upper_bound,
                       exp_cdf, fit_bob_gamma, fit_eve_exponential, gamma_cdf,
-                      sop_lower_bound)
+                      secrecy_capacity, sop_lower_bound)
 from .surface import (CorrelationMatrix, SelectionSet, SurfaceGeometry,
                       build_correlation, reduce_correlation)
 
 SPEED_OF_LIGHT = 299792458.0
 _Z95 = 1.959963984540054
+_TWO_PI = 2.0 * math.pi
 
 #: fixed stream-id registry so every statistical computation is addressable.
 STREAM_FRIS_SNR = 0
@@ -106,6 +106,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
         if not 1 <= self.m_on <= self.m_x * self.m_z:
             raise ConfigError("m_on must lie in [1, m_x * m_z]")
+        conv = self.conventional_m
+        if conv < 1 or math.isqrt(int(conv)) ** 2 != conv:
+            raise ConfigError(f"conventional_m must be a perfect square >= 1, got {conv}")
+        object.__setattr__(self, "conventional_m", int(conv))
 
     @property
     def wavelength(self) -> float:
@@ -114,6 +118,12 @@ class ExperimentConfig:
     def fris_geometry(self) -> SurfaceGeometry:
         return SurfaceGeometry(m_x=self.m_x, m_z=self.m_z, width_x=self.aperture_x,
                                width_z=self.aperture_z, wavelength=self.wavelength)
+
+    def conventional_geometry(self) -> SurfaceGeometry:
+        """The baseline: a square half-wavelength grid of `conventional_m` elements."""
+        side = math.isqrt(self.conventional_m)
+        return SurfaceGeometry(m_x=side, m_z=side, width_x=side / 2.0, width_z=side / 2.0,
+                               wavelength=self.wavelength)
 
     def budget(self) -> LinkBudget:
         return LinkBudget(
@@ -128,15 +138,9 @@ class ExperimentConfig:
         return SecrecyTarget(self.target_rate_bits)
 
 
-_CONFIG_FIELDS = None
-
-
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build a config from a flat key-value mapping (e.g. a parsed JSON file)."""
-    global _CONFIG_FIELDS
-    if _CONFIG_FIELDS is None:
-        _CONFIG_FIELDS = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-    unknown = set(mapping) - _CONFIG_FIELDS
+    unknown = set(mapping) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     coerced = {}
@@ -212,7 +216,10 @@ class GainSamples:
 
 def _adaptive_block(images: np.ndarray, m_on: int) -> tuple[np.ndarray, np.ndarray]:
     # Per-trial strongest-subset selection, co-phased toward the legitimate
-    # receiver; the eavesdropper sees the same selection and phases.
+    # receiver; the eavesdropper sees the same selection and phases.  The
+    # co-phased objective sum |u_bob[m]| |v[m]| is separable over elements,
+    # so the m_on largest terms are the best subset of that size.  Returns
+    # both equivalent channels; the legitimate one is real and nonnegative.
     v, u_bob, u_eve = images[:, 0], images[:, 1], images[:, 2]
     casc = np.conj(u_bob) * v
     mags = np.abs(casc)
@@ -223,59 +230,68 @@ def _adaptive_block(images: np.ndarray, m_on: int) -> tuple[np.ndarray, np.ndarr
         casc = np.take_along_axis(casc, sel, axis=1)
         v = np.take_along_axis(v, sel, axis=1)
         u_eve = np.take_along_axis(u_eve, sel, axis=1)
-    h_bob = mags.sum(axis=1)
     align = np.divide(np.conj(casc), mags, out=np.ones_like(casc), where=mags > 0)
-    h_eve = (np.conj(u_eve) * v * align).sum(axis=1)
-    return h_bob * h_bob, np.abs(h_eve) ** 2
+    return mags.sum(axis=1), (np.conj(u_eve) * v * align).sum(axis=1)
 
 
 def _fixed_block(images: np.ndarray, phase_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Both equivalent channels through one frozen selection, whose elements
+    # are the columns of `images`, with per-element phase factors.
     v, u_bob, u_eve = images[:, 0], images[:, 1], images[:, 2]
-    h_bob = (np.conj(u_bob) * phase_factors * v).sum(axis=1)
-    h_eve = (np.conj(u_eve) * phase_factors * v).sum(axis=1)
-    return np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
+    return ((np.conj(u_bob) * phase_factors * v).sum(axis=1),
+            (np.conj(u_eve) * phase_factors * v).sum(axis=1))
+
+
+def _fixed_selection(m: int, m_on: int, policy: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Element indices and phases frozen for a whole fixed-policy run.
+
+    fixed-uniform: the first m_on elements at zero phase, the regime in which
+    the trace identities behind the distribution fits hold exactly.
+    fixed-random: a uniformly random subset with i.i.d. uniform phases, drawn
+    from a Philox stream keyed by the seed alone.
+    """
+    if policy == "fixed-uniform":
+        return np.arange(m_on), np.zeros(m_on)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xF1CED], dtype=np.uint64)))
+    indices = np.sort(rng.choice(m, size=m_on, replace=False))
+    return indices, rng.uniform(0.0, _TWO_PI, size=m_on)
 
 
 def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
-                   stream: ChannelStream, workers: int = 1,
-                   fixed_config=None) -> GainSamples:
+                   stream: ChannelStream, workers: int = 1) -> GainSamples:
     """Simulate per-trial power gains under the given policy.
 
     Results are a pure function of (corr, policy, m_on, trials, stream) and in
-    particular do not depend on `workers`.
+    particular do not depend on `workers`; trial t of a run equals the last
+    trial of a run of t + 1 trials.  The conventional policy co-phases every
+    element and ignores `m_on`.
     """
+    if policy not in POLICIES:
+        raise DomainError(f"unknown policy {policy!r}")
     m = corr.n_elements
+    active = m if policy == "conventional" else m_on
+    if not 1 <= active <= m:
+        raise DomainError(f"m_on must be in [1, {m}], got {m_on}")
     if policy in ("greedy", "conventional"):
         rows = corr.sqrt
-        active = m if policy == "conventional" else m_on
-        if not 1 <= active <= m:
-            raise DomainError(f"m_on must be in [1, {m}]")
 
         def kernel(images):
             return _adaptive_block(images, active)
 
-    elif policy in ("fixed-uniform", "fixed-random"):
-        if fixed_config is None:
-            mode = "uniform-phase" if policy == "fixed-uniform" else "random-phase"
-            rng = np.random.Generator(np.random.Philox(key=np.array(
-                [stream.seed, 0xF1CED], dtype=np.uint64)))
-            fixed_config = fixed_statistical_config(m, m_on, mode=mode, rng=rng)
-        idx = fixed_config.selection.as_array()
-        rows = corr.sqrt[idx, :]
-        phase_factors = np.exp(1j * np.asarray(fixed_config.phases))[None, :]
+    else:
+        indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
+        rows = corr.sqrt[indices, :]
+        phase_factors = np.exp(1j * phases)[None, :]
 
         def kernel(images):
             return _fixed_block(images, phase_factors)
-
-    else:
-        raise DomainError(f"unknown policy {policy!r}")
 
     n_blocks = -(-trials // TRIALS_PER_BLOCK)
 
     def work(block: int):
         draws = stream.draw_block(m, block)
-        images = correlated_images_batch(draws, rows)
-        return kernel(images)
+        h_bob, h_eve = kernel(correlated_images_batch(draws, rows))
+        return np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -301,20 +317,16 @@ class TrialRecords:
 def records_for_budget(gains: GainSamples, budget: LinkBudget) -> TrialRecords:
     snr_b = budget.snr_scale("bob") * gains.g_bob
     snr_e = budget.snr_scale("eve") * gains.g_eve
-    capacity = np.maximum(0.0, (np.log1p(snr_b) - np.log1p(snr_e)) / math.log(2.0))
-    return TrialRecords(g_bob=gains.g_bob, g_eve=gains.g_eve,
-                        snr_bob=snr_b, snr_eve=snr_e, capacity=capacity)
+    return TrialRecords(g_bob=gains.g_bob, g_eve=gains.g_eve, snr_bob=snr_b, snr_eve=snr_e,
+                        capacity=secrecy_capacity(snr_b, snr_e))
 
 
 def run_trials(config: ExperimentConfig) -> TrialRecords:
     """Simulate the configured scenario at its base budget."""
     if config.policy == "conventional":
-        geometry, _ = conventional_ris_config(config.conventional_m, config.wavelength)
-        corr = build_correlation(geometry)
-        m_on = config.conventional_m
+        corr, m_on = build_correlation(config.conventional_geometry()), config.conventional_m
     else:
-        corr = build_correlation(config.fris_geometry())
-        m_on = config.m_on
+        corr, m_on = build_correlation(config.fris_geometry()), config.m_on
     stream = ChannelStream(seed=config.seed, stream=STREAM_FRIS_SNR)
     gains = simulate_gains(corr, config.policy, m_on, config.trials, stream,
                            workers=config.workers)
@@ -363,6 +375,42 @@ def reference_fits(corr: CorrelationMatrix, m_on: int) -> tuple[GammaFit, ExpFit
     return fit_bob_gamma(reduced), fit_eve_exponential(reduced)
 
 
+def _gain_ks(gains: GainSamples, fit_b: GammaFit, fit_e: ExpFit) -> tuple[float, float]:
+    ks_b = ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b))
+    ks_e = ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e))
+    return ks_b, ks_e
+
+
+@dataclass(frozen=True)
+class _Point:
+    """One evaluated grid point: what its rows report, its fits, gains and KS."""
+
+    policy: str
+    m_total: int
+    m_on: int
+    fits: tuple
+    gains: GainSamples
+    ks: tuple | None
+
+
+def _evaluate_point(config: ExperimentConfig, surface: SurfaceGeometry | CorrelationMatrix,
+                    policy: str, m_on: int, stream: int, fits: tuple | None = None,
+                    ks: bool = True) -> _Point:
+    """Simulate one grid point on its named stream, the step every sweep maps.
+
+    `surface` is a geometry, or its correlation when several points share
+    it.  `fits` defaults to the reference fits of the first m_on elements;
+    `ks` adds the KS distances of the gains from those fits.
+    """
+    corr = surface if isinstance(surface, CorrelationMatrix) else build_correlation(surface)
+    if fits is None:
+        fits = reference_fits(corr, m_on)
+    gains = simulate_gains(corr, policy, m_on, config.trials,
+                           ChannelStream(config.seed, stream), workers=config.workers)
+    return _Point(policy, corr.n_elements, m_on, fits, gains,
+                  _gain_ks(gains, *fits) if ks else None)
+
+
 def _nan_row(sweep_var, value, config, m_total, m_on, status) -> dict:
     row = {name: float("nan") for name in SWEEP_COLUMNS}
     row.update(sweep_var=sweep_var, sweep_value=value, policy=config.policy,
@@ -371,14 +419,17 @@ def _nan_row(sweep_var, value, config, m_total, m_on, status) -> dict:
     return row
 
 
-def _metric_row(sweep_var, value, config, budget, gains, fits, ks_pair,
-                m_total, m_on, policy) -> dict:
-    fit_b, fit_e = fits
-    records = records_for_budget(gains, budget)
-    asc = estimate_asc(records)
-    sop = estimate_sop(records, config.target())
-    asc_bound = asc_upper_bound(fit_b, fit_e, budget)
-    sop_bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
+def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
+    """The metrics of one point at one budget, or a nan row naming the error."""
+    fit_b, fit_e = point.fits
+    try:
+        records = records_for_budget(point.gains, budget)
+        asc = estimate_asc(records)
+        sop = estimate_sop(records, config.target())
+        asc_bound = asc_upper_bound(fit_b, fit_e, budget)
+        sop_bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
+    except FrisecError as exc:
+        return _nan_row(sweep_var, value, config, point.m_total, point.m_on, f"error: {exc}")
     return {
         "sweep_var": sweep_var, "sweep_value": value,
         "asc_mc": asc.point, "asc_se": asc.std_error,
@@ -388,71 +439,30 @@ def _metric_row(sweep_var, value, config, budget, gains, fits, ks_pair,
         "sop_ci_low": sop.ci_low, "sop_ci_high": sop.ci_high,
         "sop_bound": sop_bound,
         "gamma_shape": fit_b.shape, "gamma_scale": fit_b.scale,
-        "exp_rate": fit_e.rate, "ks_bob": ks_pair[0], "ks_eve": ks_pair[1],
-        "policy": policy, "m_total": m_total, "m_on": m_on,
+        "exp_rate": fit_e.rate, "ks_bob": point.ks[0], "ks_eve": point.ks[1],
+        "policy": point.policy, "m_total": point.m_total, "m_on": point.m_on,
         "trials": config.trials, "seed": config.seed, "status": "ok",
     }
 
 
-def _gain_ks(gains: GainSamples, fit_b: GammaFit, fit_e: ExpFit) -> tuple[float, float]:
-    ks_b = ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b))
-    ks_e = ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e))
-    return ks_b, ks_e
-
-
-def _conventional_baseline(config: ExperimentConfig) -> tuple[CorrelationMatrix, tuple]:
-    """The `conventional_m`-element half-wavelength surface and its fits."""
-    geometry, _ = conventional_ris_config(config.conventional_m, config.wavelength)
-    corr = build_correlation(geometry)
-    return corr, (fit_bob_gamma(corr.matrix), fit_eve_exponential(corr.matrix))
-
-
-def sweep_snr(config: ExperimentConfig, include_conventional: bool = True) -> list[dict]:
+def sweep_snr(config: ExperimentConfig) -> list[dict]:
     """Metrics versus the legitimate receiver's average SNR (dB grid).
 
-    One row per grid point for the configured policy, plus baseline rows for
-    the conventional surface when requested.  The eavesdropper's budget stays
-    at its configured value throughout the sweep.
+    At each grid point, one row for the configured policy and one for the
+    conventional baseline.  The eavesdropper's budget stays at its configured
+    value throughout the sweep.
     """
-    rows = []
     base_budget = config.budget()
-    corr = build_correlation(config.fris_geometry())
-    fits = reference_fits(corr, config.m_on)
-    gains = simulate_gains(corr, config.policy, config.m_on, config.trials,
-                           ChannelStream(config.seed, STREAM_FRIS_SNR),
-                           workers=config.workers)
-    ks_pair = _gain_ks(gains, *fits)
-
-    conv = None
-    if include_conventional:
-        conv_corr, conv_fits = _conventional_baseline(config)
-        conv_gains = simulate_gains(conv_corr, "conventional", config.conventional_m,
-                                    config.trials,
-                                    ChannelStream(config.seed, STREAM_CONV_SNR),
-                                    workers=config.workers)
-        conv_ks = _gain_ks(conv_gains, *conv_fits)
-        conv = (conv_corr, conv_fits, conv_gains, conv_ks)
-
+    points = (
+        _evaluate_point(config, config.fris_geometry(), config.policy, config.m_on,
+                        STREAM_FRIS_SNR),
+        _evaluate_point(config, config.conventional_geometry(), "conventional",
+                        config.conventional_m, STREAM_CONV_SNR),
+    )
+    rows = []
     for snr_db in config.snr_sweep_db:
         budget = base_budget.with_avg_snr_bob(db_to_linear(snr_db))
-        try:
-            rows.append(_metric_row("avg_snr_bob_db", snr_db, config, budget, gains,
-                                    fits, ks_pair, corr.n_elements, config.m_on,
-                                    config.policy))
-        except FrisecError as exc:
-            rows.append(_nan_row("avg_snr_bob_db", snr_db, config, corr.n_elements,
-                                 config.m_on, f"error: {exc}"))
-        if conv is not None:
-            conv_corr, conv_fits, conv_gains, conv_ks = conv
-            try:
-                rows.append(_metric_row("avg_snr_bob_db", snr_db, config, budget,
-                                        conv_gains, conv_fits, conv_ks,
-                                        conv_corr.n_elements, conv_corr.n_elements,
-                                        "conventional"))
-            except FrisecError as exc:
-                rows.append(_nan_row("avg_snr_bob_db", snr_db, config,
-                                     conv_corr.n_elements, conv_corr.n_elements,
-                                     f"error: {exc}"))
+        rows.extend(_sweep_row("avg_snr_bob_db", snr_db, config, budget, p) for p in points)
     return rows
 
 
@@ -467,8 +477,8 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
     """
     rows = []
     budget = config.budget()
-    conv_corr, conv_fits = _conventional_baseline(config)
-    conv_m = conv_corr.n_elements
+    conv_corr = build_correlation(config.conventional_geometry())
+    conv_fits = reference_fits(conv_corr, config.conventional_m)
     for point, m_total in enumerate(config.size_sweep):
         side = math.isqrt(int(m_total))
         if side * side != m_total:
@@ -478,29 +488,16 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
         geometry = SurfaceGeometry(m_x=side, m_z=side, width_x=config.aperture_x,
                                    width_z=config.aperture_z,
                                    wavelength=config.wavelength)
-        try:
-            corr = build_correlation(geometry)
-            fits = reference_fits(corr, config.m_on)
-            gains = simulate_gains(corr, "greedy", config.m_on, config.trials,
-                                   ChannelStream(config.seed, STREAM_SIZE_BASE + 2 * point),
-                                   workers=config.workers)
-            ks_pair = _gain_ks(gains, *fits)
-            rows.append(_metric_row("m_total", m_total, config, budget, gains, fits,
-                                    ks_pair, m_total, config.m_on, "greedy"))
-        except FrisecError as exc:
-            rows.append(_nan_row("m_total", m_total, config, m_total, config.m_on,
-                                 f"error: {exc}"))
-        try:
-            conv_gains = simulate_gains(conv_corr, "conventional", conv_m, config.trials,
-                                        ChannelStream(config.seed,
-                                                      STREAM_SIZE_BASE + 2 * point + 1),
-                                        workers=config.workers)
-            conv_ks = _gain_ks(conv_gains, *conv_fits)
-            rows.append(_metric_row("m_total", m_total, config, budget, conv_gains,
-                                    conv_fits, conv_ks, conv_m, conv_m, "conventional"))
-        except FrisecError as exc:
-            rows.append(_nan_row("m_total", m_total, config, conv_m, conv_m,
-                                 f"error: {exc}"))
+        base = STREAM_SIZE_BASE + 2 * point
+        for surface, policy, m_on, stream, fits in (
+                (geometry, "greedy", config.m_on, base, None),
+                (conv_corr, "conventional", config.conventional_m, base + 1, conv_fits)):
+            try:
+                rows.append(_sweep_row("m_total", m_total, config, budget, _evaluate_point(
+                    config, surface, policy, m_on, stream, fits)))
+            except FrisecError as exc:
+                rows.append(_nan_row("m_total", m_total, config, surface.n_elements, m_on,
+                                     f"error: {exc}"))
     return rows
 
 
@@ -525,27 +522,26 @@ def validate_fits(config: ExperimentConfig, m_on_list: Sequence[int] | None = No
     rows = []
     for index, m_on in enumerate(m_on_list):
         try:
-            fit_b, fit_e = reference_fits(corr, m_on)
-            gains = simulate_gains(corr, "fixed-uniform", m_on, config.trials,
-                                   ChannelStream(config.seed, STREAM_VALIDATE_BASE + index),
-                                   workers=config.workers)
-            mean_b = float(gains.g_bob.mean())
-            mean_e = float(gains.g_eve.mean())
-            expected = fit_b.mean  # equals the eavesdropper mean 1/rate as well
-            ks_b, ks_e = _gain_ks(gains, fit_b, fit_e)
-            rows.append({
-                "m_on": m_on, "trials": config.trials, "mean_g_bob": mean_b,
-                "expected_mean": expected,
-                "rel_err_bob": abs(mean_b - expected) / expected,
-                "mean_g_eve": mean_e,
-                "rel_err_eve": abs(mean_e - fit_e.mean) / fit_e.mean,
-                "ks_bob": ks_b, "ks_eve": ks_e, "gamma_shape": fit_b.shape,
-                "gamma_scale": fit_b.scale, "exp_rate": fit_e.rate,
-                "seed": config.seed, "status": "ok",
-            })
+            point = _evaluate_point(config, corr, "fixed-uniform", m_on,
+                                    STREAM_VALIDATE_BASE + index)
         except FrisecError as exc:
             rows.append({name: float("nan") for name in VALIDATE_FIT_COLUMNS}
                         | {"m_on": m_on, "seed": config.seed, "status": f"error: {exc}"})
+            continue
+        fit_b, fit_e = point.fits
+        mean_b = float(point.gains.g_bob.mean())
+        mean_e = float(point.gains.g_eve.mean())
+        expected = fit_b.mean  # equals the eavesdropper mean 1/rate as well
+        rows.append({
+            "m_on": m_on, "trials": config.trials, "mean_g_bob": mean_b,
+            "expected_mean": expected,
+            "rel_err_bob": abs(mean_b - expected) / expected,
+            "mean_g_eve": mean_e,
+            "rel_err_eve": abs(mean_e - fit_e.mean) / fit_e.mean,
+            "ks_bob": point.ks[0], "ks_eve": point.ks[1], "gamma_shape": fit_b.shape,
+            "gamma_scale": fit_b.scale, "exp_rate": fit_e.rate,
+            "seed": config.seed, "status": "ok",
+        })
     return rows
 
 
@@ -565,16 +561,14 @@ def validate_bounds(config: ExperimentConfig) -> list[dict]:
     need not in general (its second term is not a true bound), so violations
     are flagged rather than fatal.
     """
-    corr = build_correlation(config.fris_geometry())
-    fit_b, fit_e = reference_fits(corr, config.m_on)
-    gains = simulate_gains(corr, "fixed-uniform", config.m_on, config.trials,
-                           ChannelStream(config.seed, STREAM_BOUNDS),
-                           workers=config.workers)
     base_budget = config.budget()
+    point = _evaluate_point(config, config.fris_geometry(), "fixed-uniform", config.m_on,
+                            STREAM_BOUNDS, ks=False)
+    fit_b, fit_e = point.fits
     rows = []
     for snr_db in config.snr_sweep_db:
         budget = base_budget.with_avg_snr_bob(db_to_linear(snr_db))
-        records = records_for_budget(gains, budget)
+        records = records_for_budget(point.gains, budget)
         sop = estimate_sop(records, config.target())
         asc = estimate_asc(records)
         bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
@@ -586,7 +580,7 @@ def validate_bounds(config: ExperimentConfig) -> list[dict]:
             "asc_mc": asc.point, "asc_se": asc.std_error, "asc_bound": asc_ub,
             "asc_bound_negative": int(asc_ub < 0.0),
             "asc_bound_ok": int(asc_ub >= asc.point),
-            "policy": "fixed-uniform", "m_total": corr.n_elements,
+            "policy": "fixed-uniform", "m_total": point.m_total,
             "m_on": config.m_on, "trials": config.trials, "seed": config.seed,
             "status": "ok",
         })

@@ -126,11 +126,11 @@ def exp_pdf(g: float, fit: ExpFit) -> float:
     return fit.rate * math.exp(-fit.rate * g)
 
 
-def secrecy_capacity(snr_bob: float, snr_eve: float) -> float:
-    """Nonnegative instantaneous secrecy rate in bits/s/Hz."""
-    if snr_bob < 0 or snr_eve < 0:
+def secrecy_capacity(snr_bob: np.ndarray, snr_eve: np.ndarray) -> np.ndarray:
+    """Nonnegative instantaneous secrecy rate in bits/s/Hz, elementwise."""
+    if np.any(np.less(snr_bob, 0)) or np.any(np.less(snr_eve, 0)):
         raise DomainError("SNRs must be >= 0")
-    return max(0.0, (math.log1p(snr_bob) - math.log1p(snr_eve)) / _LN2)
+    return np.maximum(0.0, (np.log1p(snr_bob) - np.log1p(snr_eve)) / _LN2)
 
 
 def asc_upper_bound(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget) -> float:
@@ -182,12 +182,23 @@ def sop_oracle_from_ratio(shape: float, z: float, quad: QuadratureSpec | None = 
 
     Integrates the Gamma CDF of the legitimate SNR at the scaled eavesdropper
     SNR against the exponential density, after normalizing the eavesdropper
-    scale out: integral over u >= 0 of P(shape, u / z) e^(-u) du.
+    scale out: integral over u >= 0 of P(shape, u / z) e^(-u) du.  When
+    shape * z < 1 the integrand is e^(-u) except in a layer of width about
+    shape * z at u = 0, which the quadrature cannot resolve; there the
+    complement 1 - z * (integral over t >= 0 of Q(shape, t) e^(-z t) dt) is
+    integrated instead, with t = u / z on the scale of the Gamma law itself.
     """
     if z <= 0:
         raise DomainError("ratio must be > 0")
     if quad is None:
         quad = QuadratureSpec(abs_tol=1e-320, rel_tol=1e-9, max_subdivisions=2000)
+
+    if shape * z < 1.0:
+        def tail(t: np.ndarray) -> np.ndarray:
+            return np.array([(1.0 - reg_lower_inc_gamma(shape, ti)) * math.exp(-z * ti)
+                             for ti in np.atleast_1d(t)])
+
+        return 1.0 - z * integrate_semi_infinite(tail, quad)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         u = np.atleast_1d(u)

@@ -2,9 +2,9 @@
 
 Everything here is pure double-precision Python/numpy, with no dependency on
 scipy: Bessel J0, the regularized lower incomplete gamma function, the one
-Meijer G-function this library needs, a Mellin-Barnes contour integrator used
-as its independent numerical oracle, and generic adaptive quadrature on
-[0, inf).  All functions are pure and reentrant.
+Meijer G-function this library needs (its Mellin-Barnes contour oracle lives
+with the test suite), and adaptive quadrature on [0, inf).  All functions
+are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -20,23 +20,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 _EPS = 1e-15
-_LN_SQRT_2PI = 0.9189385332046727417803297364056176
-
-# Lanczos approximation, g = 7, 9 coefficients (double-precision standard set).
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -191,8 +174,8 @@ def reg_lower_inc_gamma(k: float, x: float) -> float:
 def meijer_g_2122(z: float, k: float) -> float:
     """The Meijer G^{2,1}_{2,2} kernel with parameters (-k, 0; 0, -1).
 
-    Evaluates the closed reduction Gamma(k) * z^(-1) * (1+z)^(-k), which the
-    Mellin-Barnes oracle below confirms: the Gamma(-s) factors cancel between
+    Evaluates the closed reduction Gamma(k) * z^(-1) * (1+z)^(-k), which a
+    Mellin-Barnes contour oracle in the test suite confirms: the Gamma(-s) factors cancel between
     numerator and denominator of the contour integrand, leaving a beta-type
     integral.  Computed in log space so large shapes do not overflow early.
     """
@@ -209,161 +192,25 @@ def meijer_g_2122(z: float, k: float) -> float:
         return math.inf
 
 
-def _digamma(x: float) -> float:
-    # Real digamma for x > 0: recurrence lift to x >= 8, then asymptotic series.
-    r = 0.0
-    while x < 8.0:
-        r -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = inv2 * (
-        1.0 / 12.0
-        - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
-    )
-    return r + math.log(x) - 0.5 * inv - tail
-
-
-def _log_sin_pi(w: np.ndarray) -> np.ndarray:
-    # log(sin(pi w)) for complex arrays, stable for large |Im w|.  Branch is
-    # irrelevant downstream because results are only ever exponentiated.
-    w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
-    y = w.imag
-    small = np.abs(y) <= 25.0
-    out[small] = np.log(np.sin(np.pi * w[small]))
-    big_pos = (~small) & (y > 0)
-    big_neg = (~small) & (y < 0)
-    out[big_pos] = -1j * np.pi * w[big_pos] + (np.log(0.5) + 1j * np.pi / 2.0)
-    out[big_neg] = 1j * np.pi * w[big_neg] + (np.log(0.5) - 1j * np.pi / 2.0)
-    return out
-
-
-def _clgamma(w: np.ndarray) -> np.ndarray:
-    """Principal-branch-agnostic complex log-gamma (Lanczos, g=7)."""
-    w = np.asarray(w, dtype=complex)
-    refl = w.real < 0.5
-    ws = np.where(refl, 1.0 - w, w)
-    zz = ws - 1.0
-    s = np.full_like(ws, _LANCZOS_C[0])
-    for i in range(1, 9):
-        s = s + _LANCZOS_C[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    lg = _LN_SQRT_2PI + (zz + 0.5) * np.log(t) - t + np.log(s)
-    if np.any(refl):
-        lg = np.where(refl, math.log(math.pi) - _log_sin_pi(w) - lg, lg)
-    return lg
-
-
-def _saddle_abscissa(z: float, k: float) -> float:
-    # Real saddle of log|integrand| inside the pole-separating strip
-    # (-1-k, -1); the log-magnitude is strictly convex there, so bisection on
-    # its derivative converges.  Passing the contour through the saddle keeps
-    # the trapezoid sum cancellation-free even for extreme z and k.
-    lnz = math.log(z)
-
-    def slope(sigma: float) -> float:
-        return -_digamma(-1.0 - sigma) + _digamma(1.0 + k + sigma) + lnz
-
-    pad = 1e-6 * min(1.0, k)
-    lo = -1.0 - k + pad
-    hi = -1.0 - pad
-    if slope(lo) >= 0.0:
-        return lo
-    if slope(hi) <= 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * (1.0 + abs(lo)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def meijer_g_2122_oracle(z: float, k: float, contour_points: int = 4096) -> float:
-    """Mellin-Barnes contour evaluation of the same Meijer G kernel.
-
-    Integrates Gamma(-1-s) Gamma(1+k+s) z^s / (2 pi i) along a vertical line
-    through the saddle point of the integrand magnitude, strictly between the
-    right pole set {-1, 0, 1, ...} and the left pole set {-1-k, -2-k, ...}.
-    Trapezoid in Im(s) over a symmetric range truncated where the integrand
-    has decayed below 1e-20 of its peak; the achieved error is estimated by
-    comparing against the half-resolution sum and the residual imaginary part.
-    Relative error target 1e-8; test-only oracle, not a production path.
-    """
-    z = _require_finite("z", z)
-    k = _require_finite("k", k)
-    if z <= 0.0 or k <= 0.0:
-        raise DomainError(f"need z > 0 and k > 0, got z={z}, k={k}")
-    contour_points = int(contour_points)
-    if contour_points < 1000:
-        raise DomainError(f"contour_points must be >= 1000, got {contour_points}")
-
-    lnz = math.log(z)
-    c = _saddle_abscissa(z, k)
-
-    def log_integrand(t: np.ndarray) -> np.ndarray:
-        s = c + 1j * t
-        return _clgamma(-1.0 - s) + _clgamma(1.0 + k + s) + s * lnz
-
-    peak = float(log_integrand(np.array([0.0]))[0].real)
-    # March outward until the integrand magnitude drops 20 decades below peak.
-    half_width = max(2.0, math.sqrt(k))
-    for _ in range(200):
-        decay = float(log_integrand(np.array([half_width]))[0].real) - peak
-        if decay < -46.0:
-            break
-        half_width *= 1.5
-    t = np.linspace(-half_width, half_width, contour_points)
-    h = t[1] - t[0]
-    vals = np.exp(log_integrand(t) - peak)
-    total = vals.sum()
-    coarse = 2.0 * vals[::2].sum()
-    real_part = float(total.real)
-    if real_part <= 0.0:
-        raise ConvergenceError(
-            "contour sum lost positivity", estimate=0.0, error_bound=math.inf
-        )
-    rel_err = abs(total - coarse) / abs(real_part) + abs(total.imag) / abs(real_part)
-    value = math.exp(peak + math.log(h / (2.0 * math.pi)) + math.log(real_part))
-    if rel_err > 1e-8:
-        raise ConvergenceError(
-            f"contour accuracy not reached (relative error estimate {rel_err:.3e})",
-            estimate=value,
-            error_bound=rel_err * value,
-        )
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Quadrature on [0, inf)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate a decaying function over [0, inf).
+    """Tolerances and budget for integrating a decaying function over [0, inf).
 
-    scheme 'adaptive' maps [0, inf) onto (0, 1] and subdivides globally with a
-    15/7-point Gauss pair; 'gauss-laguerre' uses a fixed exponential-weight
-    rule with `nodes` points and performs no convergence check.
+    The integrator maps [0, inf) onto (0, 1] and subdivides globally with a
+    15/7-point Gauss pair until the summed error estimate meets a tolerance.
     """
 
-    scheme: str = "adaptive"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 512
-    nodes: int = 64
 
     def __post_init__(self):
-        if self.scheme not in ("adaptive", "gauss-laguerre"):
-            raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("quadrature tolerances must be > 0")
-        if self.nodes < 16:
-            raise DomainError("gauss-laguerre node count must be >= 16")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
 
@@ -396,9 +243,6 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], spec: Quadrat
     """
     if spec is None:
         spec = QuadratureSpec()
-    if spec.scheme == "gauss-laguerre":
-        x, w = np.polynomial.laguerre.laggauss(spec.nodes)
-        return float(np.dot(w * np.exp(x), np.asarray(f(x), dtype=float)))
 
     def g(u: np.ndarray) -> np.ndarray:
         x = (1.0 - u) / u

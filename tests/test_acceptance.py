@@ -26,9 +26,10 @@ from frisec.harness import (SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                             write_results)
 from frisec.secrecy import (asc_oracle, asc_upper_bound, sop_bound_from_ratio,
                             sop_lower_bound, sop_oracle_from_ratio)
-from frisec.specfun import meijer_g_2122, meijer_g_2122_oracle
+from frisec.specfun import meijer_g_2122
 from frisec.surface import build_correlation
-from frisec.control import conventional_ris_config
+
+from oracles import meijer_g_2122_oracle
 
 SEED = 1234
 TRIALS = 100_000
@@ -153,9 +154,8 @@ def trend_gains(reference_config):
     fris = simulate_gains(corr, "greedy", 100, TRIALS, ChannelStream(SEED, 0))
     # baseline: the half-wavelength all-ON grid over the same 3x3 aperture
     m_conv = reference_config.conventional_m
-    conv_geom, _ = conventional_ris_config(m_conv, reference_config.wavelength)
-    conv = simulate_gains(build_correlation(conv_geom), "conventional", m_conv, TRIALS,
-                          ChannelStream(SEED, 1))
+    conv = simulate_gains(build_correlation(reference_config.conventional_geometry()),
+                          "conventional", m_conv, TRIALS, ChannelStream(SEED, 1))
     return fris, conv
 
 

@@ -1,16 +1,14 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from frisec.channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget,
-                            channel_gain, correlated_images_batch,
-                            draw_channels, equivalent_channel, path_loss,
-                            received_snr)
-from frisec.control import FrisConfiguration
+                            correlated_images_batch, path_loss)
 from frisec.errors import DomainError
-from frisec.surface import SelectionSet, SurfaceGeometry, build_correlation
+from frisec.harness import (POLICIES, GainSamples, _adaptive_block, _fixed_block,
+                            records_for_budget, simulate_gains)
+from frisec.surface import SurfaceGeometry, build_correlation
 
 
 def small_corr(side=4, aperture=2.0):
@@ -18,28 +16,31 @@ def small_corr(side=4, aperture=2.0):
     return build_correlation(g)
 
 
+def block_images(corr, seed, block=0):
+    return correlated_images_batch(ChannelStream(seed, 0).draw_block(corr.n_elements, block),
+                                   corr.sqrt)
+
+
 class TestDraws:
     def test_deterministic(self):
         corr = small_corr()
         st = ChannelStream(seed=42, stream=3)
-        r1 = draw_channels(st, 17, corr.sqrt)
-        r2 = draw_channels(st, 17, corr.sqrt)
-        assert np.array_equal(r1.h_feed, r2.h_feed)
-        assert np.array_equal(r1.u_bob, r2.u_bob)
-        assert np.array_equal(r1.u_eve, r2.u_eve)
+        d1, d2 = st.draw_block(corr.n_elements, 17), st.draw_block(corr.n_elements, 17)
+        assert np.array_equal(d1, d2)
+        assert np.array_equal(correlated_images_batch(d1, corr.sqrt),
+                              correlated_images_batch(d2, corr.sqrt))
 
     def test_different_trials_differ(self):
         corr = small_corr()
-        st = ChannelStream(seed=42, stream=3)
-        r1 = draw_channels(st, 0, corr.sqrt)
-        r2 = draw_channels(st, 1, corr.sqrt)
-        assert not np.array_equal(r1.h_feed, r2.h_feed)
+        blk = ChannelStream(seed=42, stream=3).draw_block(corr.n_elements, 0)
+        assert not np.array_equal(blk[0, 0], blk[1, 0])
 
     def test_identity_passthrough(self):
         corr = build_correlation(SurfaceGeometry(1, 1, 0.5, 0.5, 0.1))
-        r = draw_channels(ChannelStream(1, 0), 5, corr.sqrt)
-        assert r.u_bob[0] == r.h_bob[0]
-        assert r.v_feed[0] == r.h_feed[0]
+        blk = ChannelStream(1, 0).draw_block(1, 0)
+        images = correlated_images_batch(blk, corr.sqrt)
+        assert images[5, 1, 0] == blk[5, 1, 0]
+        assert images[5, 0, 0] == blk[5, 0, 0]
 
     def test_unit_power(self):
         # law-of-large-numbers check on the per-entry variance
@@ -53,14 +54,16 @@ class TestDraws:
         assert acc / count == pytest.approx(1.0, abs=0.02)
 
     def test_batch_matches_single_trial(self):
+        # trial t on its own (the last of a run of t + 1 trials) equals trial t
+        # of a longer batched run, for a t in the second counter block
         corr = small_corr()
         st = ChannelStream(seed=5, stream=2)
-        blk = st.draw_block(corr.n_elements, 0)
-        images = correlated_images_batch(blk, corr.sqrt)
-        one = draw_channels(st, 7, corr.sqrt)
-        assert np.array_equal(images[7, 0], one.v_feed)
-        assert np.array_equal(images[7, 1], one.u_bob)
-        assert np.array_equal(images[7, 2], one.u_eve)
+        t = TRIALS_PER_BLOCK + 7
+        for policy in POLICIES:
+            batch = simulate_gains(corr, policy, 5, 3 * TRIALS_PER_BLOCK, st)
+            one = simulate_gains(corr, policy, 5, t + 1, st)
+            assert one.g_bob[-1] == batch.g_bob[t]
+            assert one.g_eve[-1] == batch.g_eve[t]
 
     def test_covariance_matches_correlation(self):
         corr = small_corr(side=3, aperture=1.0)  # M = 9, strongly correlated
@@ -75,11 +78,6 @@ class TestDraws:
             n += u.shape[0]
         emp = (acc / n).real
         assert np.max(np.abs(emp - corr.matrix)) <= 0.02
-
-    def test_dimension_mismatch(self):
-        corr = small_corr()
-        with pytest.raises(DomainError):
-            draw_channels(ChannelStream(1, 0), 0, corr.sqrt[:3])
 
 
 class TestPathLoss:
@@ -131,67 +129,78 @@ class TestBudget:
 class TestEquivalentChannel:
     def test_single_element_identity(self):
         corr = build_correlation(SurfaceGeometry(1, 1, 0.5, 0.5, 0.1))
-        r = draw_channels(ChannelStream(3, 0), 0, corr.sqrt)
-        cfg = FrisConfiguration(SelectionSet((0,)), (0.0,), mode="fixed-uniform")
-        h = equivalent_channel(r, cfg, "bob")
-        assert h == pytest.approx(complex(np.conj(r.u_bob[0]) * r.v_feed[0]))
+        images = block_images(corr, 3)
+        h_bob, h_eve = _fixed_block(images, np.ones((1, 1)))
+        assert np.array_equal(h_bob, np.conj(images[:, 1, 0]) * images[:, 0, 0])
+        assert np.array_equal(h_eve, np.conj(images[:, 2, 0]) * images[:, 0, 0])
 
     def test_empty_selection_contract(self):
-        # not constructible through SelectionSet, but the operation is defined
-        corr = small_corr()
-        r = draw_channels(ChannelStream(3, 0), 0, corr.sqrt)
-        empty = SimpleNamespace(selection=SimpleNamespace(
-            as_array=lambda: np.array([], dtype=np.intp)), phases=())
-        assert equivalent_channel(r, empty, "bob") == 0j
+        # no element ON: the sum over active elements is exactly 0
+        images = block_images(small_corr(), 3)[:, :, :0]
+        h_bob, h_eve = _fixed_block(images, np.ones((1, 0)))
+        assert np.all(h_bob == 0) and np.all(h_eve == 0)
 
     def test_cophased_is_real_sum_of_magnitudes(self):
         corr = small_corr()
-        r = draw_channels(ChannelStream(8, 0), 1, corr.sqrt)
-        terms = np.conj(r.u_bob) * r.v_feed
-        phases = (-np.angle(terms)) % (2 * math.pi)
-        cfg = FrisConfiguration(SelectionSet(tuple(range(corr.n_elements))),
-                                tuple(phases), mode="adaptive")
-        h = equivalent_channel(r, cfg, "bob")
-        assert abs(h.imag) <= 1e-10 * abs(h.real)
-        assert h.real == pytest.approx(float(np.sum(np.abs(terms))), rel=1e-12)
+        images = block_images(corr, 8)
+        h_bob, h_eve = _adaptive_block(images, corr.n_elements)
+        terms = np.conj(images[:, 1]) * images[:, 0]
+        assert np.isrealobj(h_bob)
+        assert h_bob == pytest.approx(np.abs(terms).sum(axis=1), rel=1e-12)
+        # the same co-phasing written as explicit per-element phase factors,
+        # which the eavesdropper's channel sees as well
+        h_fixed, h_fixed_eve = _fixed_block(images[:1], np.exp(-1j * np.angle(terms[:1])))
+        assert abs(h_fixed[0].imag) <= 1e-10 * abs(h_fixed[0].real)
+        assert h_fixed[0].real == pytest.approx(h_bob[0], rel=1e-12)
+        assert h_fixed_eve[0] == pytest.approx(h_eve[0], rel=1e-9)
 
     def test_all_selected_zero_phase_is_direct_triple_product(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             corr = small_corr(side=int(rng.integers(2, 4)), aperture=1.5)
             m = corr.n_elements
-            r = draw_channels(ChannelStream(21, 0), int(rng.integers(100)), corr.sqrt)
-            cfg = FrisConfiguration(SelectionSet(tuple(range(m))),
-                                    tuple(0.0 for _ in range(m)), mode="fixed-uniform")
-            h = equivalent_channel(r, cfg, "bob")
-            direct = complex(np.conj(r.h_bob) @ corr.matrix @ r.h_feed)
-            assert h == pytest.approx(direct, rel=1e-9)
+            blk = ChannelStream(21, 0).draw_block(m, 0)
+            t = int(rng.integers(100))
+            images = correlated_images_batch(blk[t:t + 1], corr.sqrt)
+            h_bob, h_eve = _fixed_block(images, np.ones((1, m)))
+            h_feed = blk[t, 0]
+            assert h_bob[0] == pytest.approx(complex(np.conj(blk[t, 1]) @ corr.matrix @ h_feed),
+                                             rel=1e-9)
+            assert h_eve[0] == pytest.approx(complex(np.conj(blk[t, 2]) @ corr.matrix @ h_feed),
+                                             rel=1e-9)
 
     def test_receiver_validation(self):
-        corr = small_corr()
-        r = draw_channels(ChannelStream(3, 0), 0, corr.sqrt)
-        cfg = FrisConfiguration(SelectionSet((0,)), (0.0,), mode="fixed-uniform")
         with pytest.raises(DomainError):
-            equivalent_channel(r, cfg, "mallory")
+            unit_budget().snr_scale("mallory")
 
 
 class TestGainAndSnr:
     def test_channel_gain(self):
-        assert channel_gain(0j) == 0.0
-        assert channel_gain(3 + 4j) == pytest.approx(25.0)
-        assert channel_gain(3 - 4j) == pytest.approx(25.0)
+        # the simulated power gain is |H|^2 of the kernel's equivalent channel
+        corr = small_corr()
+        for policy, kernel in (("greedy", lambda im: _adaptive_block(im, 5)),
+                               ("fixed-uniform", lambda im: _fixed_block(
+                                   im[:, :, :5], np.ones((1, 5))))):
+            gains = simulate_gains(corr, policy, 5, 100, ChannelStream(6, 0))
+            rows = corr.sqrt if policy == "greedy" else corr.sqrt[:5]
+            images = correlated_images_batch(ChannelStream(6, 0).draw_block(16, 0), rows)
+            h_bob, h_eve = kernel(images)
+            assert np.array_equal(gains.g_bob, np.abs(h_bob[:100]) ** 2)
+            assert np.array_equal(gains.g_eve, np.abs(h_eve[:100]) ** 2)
 
     def test_snr_examples(self):
-        assert received_snr(0.0, unit_budget(), "bob") == 0.0
-        assert received_snr(1.0, unit_budget(), "bob") == pytest.approx(1.0)
+        rec = records_for_budget(GainSamples(np.array([0.0, 1.0]), np.zeros(2)), unit_budget())
+        assert rec.snr_bob[0] == 0.0
+        assert rec.snr_bob[1] == pytest.approx(1.0)
 
     def test_snr_linear_in_gain_and_power(self):
-        b = unit_budget(snr_bob=5.0)
-        assert received_snr(2.0, b, "bob") == pytest.approx(2 * received_snr(1.0, b, "bob"))
+        gains = GainSamples(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        snr = records_for_budget(gains, unit_budget(snr_bob=5.0)).snr_bob
+        assert snr[1] == pytest.approx(2 * snr[0])
         b2 = LinkBudget(ref_gain=1.0, pl_exponent=1.0, dist_feed_m=1.0, dist_bob_m=1.0,
                         dist_eve_m=1.0, tx_power_w=2.0, noise_bob_w=0.2, noise_eve_w=1.0)
-        assert received_snr(1.0, b2, "bob") == pytest.approx(2 * 5.0)
+        assert records_for_budget(gains, b2).snr_bob[0] == pytest.approx(2 * 5.0)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(DomainError):
-            received_snr(-1.0, unit_budget(), "bob")
+            records_for_budget(GainSamples(np.array([-1.0]), np.array([1.0])), unit_budget())

@@ -89,7 +89,8 @@ def test_non_square_conventional_exits_1(tmp_path, tiny_config):
     cfgmap["conventional_m"] = 6
     bad = tmp_path / "c.json"
     bad.write_text(json.dumps(cfgmap))
-    for command in ("sweep-asc", "sweep-size"):
+    for command in ("sweep-asc", "sweep-sop", "sweep-size", "validate-fits",
+                    "validate-bounds", "dump-correlation"):
         assert main([command, "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
 
 

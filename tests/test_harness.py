@@ -215,10 +215,12 @@ class TestSweeps:
         assert a == b
 
     def test_worker_count_invariance(self):
-        base = small_config()
-        multi = small_config(workers=3)
-        assert rows_to_csv(sweep_snr(base), SWEEP_COLUMNS) == \
-            rows_to_csv(sweep_snr(multi), SWEEP_COLUMNS)
+        base = small_config(size_sweep=(4, 9), trials=3000)
+        multi = small_config(size_sweep=(4, 9), trials=3000, workers=3)
+        for sweep, columns in ((sweep_snr, SWEEP_COLUMNS), (sweep_size, SWEEP_COLUMNS),
+                               (lambda cfg: validate_fits(cfg, (2, 4)), VALIDATE_FIT_COLUMNS),
+                               (validate_bounds, VALIDATE_BOUND_COLUMNS)):
+            assert rows_to_csv(sweep(base), columns) == rows_to_csv(sweep(multi), columns)
 
     def test_size_sweep_rows(self):
         cfg = small_config(size_sweep=(4, 9), m_on=4, conventional_m=9)

@@ -99,6 +99,11 @@ class TestSecrecyCapacity:
         assert secrecy_capacity(3.0, 1.0) == pytest.approx(1.0, rel=1e-14)
         assert secrecy_capacity(5.5, 5.5) == 0.0
         assert secrecy_capacity(1.0, 3.0) == 0.0  # clamped
+        # elementwise over arrays, as the per-budget records use it
+        assert secrecy_capacity(np.array([3.0, 1.0]), np.array([1.0, 3.0])) == \
+            pytest.approx([1.0, 0.0], rel=1e-14)
+        with pytest.raises(DomainError):
+            secrecy_capacity(np.array([1.0, -1.0]), np.zeros(2))
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(12)
@@ -196,6 +201,14 @@ class TestSopBound:
         lo = sop_lower_bound(GammaFit(2.0, 1.0), fit_e, unit_budget(), SecrecyTarget(0.5))
         hi = sop_lower_bound(GammaFit(2.0, 1.0), fit_e, unit_budget(), SecrecyTarget(2.0))
         assert hi > lo
+
+    def test_oracle_resolves_small_ratios(self):
+        # for z << 1/k the outage is 1 - k z to first order; the oracle must
+        # resolve that deficit rather than round the outage up to 1
+        for k in (0.5, 1.0, 3.0, 16.08, 50.0):
+            for z in np.logspace(-7.0, -4.0, 7):
+                exact = -math.expm1(-k * math.log1p(z))
+                assert 1.0 - sop_oracle_from_ratio(k, z) == pytest.approx(exact, rel=1e-6)
 
     def test_closed_form_oracle_grid(self):
         rng = np.random.default_rng(8)
