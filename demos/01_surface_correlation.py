@@ -2,7 +2,7 @@
 
 Builds the correlation matrix of a dense reflective surface, shows how the
 inter-element spacing drives the correlation profile, and inspects the
-eigenvalue spectrum that the channel generator's square root is built from.
+eigenvalue spectrum that the channel generator's eigen-factor is built from.
 """
 
 import numpy as np
@@ -35,9 +35,12 @@ print(f"\neigenvalues: largest {eigvals[0]:.2f}, "
 print(f"numerical clamping diagnostics: floor {corr.eigen_floor:.3e}, "
       f"clamped mass {corr.clamped_mass:.3e}")
 
-# the square root reproduces the matrix
-residual = np.linalg.norm(corr.sqrt @ corr.sqrt - corr.matrix)
-print(f"square-root reconstruction residual: {residual:.2e}")
+# the kept eigenpairs form the M x r factor that colors the fading draws:
+# each link needs r normals per trial instead of M, and the factor
+# reproduces the matrix
+residual = np.linalg.norm(corr.factor @ corr.factor.T - corr.matrix)
+print(f"sampler rank: {corr.rank} normals per link for {corr.n_elements} elements")
+print(f"factor reconstruction residual: {residual:.2e}")
 
 # widen the aperture at the same element count and correlation collapses
 wide = build_correlation(SurfaceGeometry(10, 10, 5.0, 5.0, WAVELENGTH))

@@ -80,11 +80,11 @@ blocks = 10
 shared, independent = [], []
 m = fris_corr.n_elements
 for blk in range(blocks):
-    d = st.draw_block(m, blk)
-    d2 = st2.draw_block(m, blk)
-    im = correlated_images_batch(d, fris_corr.sqrt)
+    d = st.draw_block(fris_corr.rank, blk)
+    d2 = st2.draw_block(fris_corr.rank, blk)
+    im = correlated_images_batch(d, fris_corr.factor)
     v, ub, ue = im[:, 0], im[:, 1], im[:, 2]
-    v_indep = correlated_images_batch(d2, fris_corr.sqrt)[:, 0]
+    v_indep = correlated_images_batch(d2, fris_corr.factor)[:, 0]
     c = np.conj(ub) * v
     mags = np.abs(c)
     sel = np.sort(np.argpartition(-mags, cfg.m_on - 1, axis=1)[:, :cfg.m_on], axis=1)

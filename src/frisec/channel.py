@@ -1,10 +1,14 @@
 """Fading generation, spatial coloring, path loss, and the link budget.
 
-The three per-trial fading vectors (feed link, legitimate link, eavesdropper
-link) are i.i.d. circular complex Gaussian with unit per-entry variance; the
-spatially correlated images are their products with the correlation square
-root.  Randomness is counter-based (Philox): a draw depends only on
-(seed, stream, trial index), never on how trials are batched across workers.
+Each trial has three links (feed, legitimate, eavesdropper).  A link draws r
+i.i.d. circular complex Gaussians with unit variance, one per kept eigenpair
+of the M-element correlation matrix J, and its spatially correlated image is
+the product with the M x r eigen-factor F = U_r Lambda_r^{1/2}.  Since
+F F^T = J up to the dropped rounding-noise eigenvalues, the image has
+exactly the law of J^{1/2} h with h of length M, at r/M of the draws and of
+the coloring work (Karhunen-Loeve expansion).  Randomness is counter-based
+(Philox): a draw depends only on (seed, stream, trial index), never on how
+trials are batched across workers.
 """
 
 from __future__ import annotations
@@ -42,25 +46,31 @@ class ChannelStream:
     def draw_block(self, m: int, block: int) -> np.ndarray:
         """(TRIALS_PER_BLOCK, 3, m) complex fading draws for one counter block.
 
-        Axis 1 orders the links as (feed, bob, eve).
+        `m` is the number of normals per link, the rank of the factor that
+        colors them.  Axis 1 orders the links as (feed, bob, eve).
         """
         raw = self._raw_block(m, block)
-        return (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2.0)
+        raw /= math.sqrt(2.0)
+        return raw.view(np.complex128)[..., 0]
 
 
-def correlated_images_batch(draws: np.ndarray, j_sqrt_rows: np.ndarray) -> np.ndarray:
-    """Batched J^{1/2} @ h for a (trials, 3, m) draw block.
+def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Batched F @ w for a (trials, 3, r) draw block and an (elements, r) factor.
 
-    `j_sqrt_rows` may be a row slice of the square root when only a subset of
-    output entries is needed.  Returns (trials, 3, rows) complex.  The matrix
-    is real, so the product is formed as two real GEMMs on contiguous parts.
+    `rows` may be a row slice of the factor when only a subset of elements
+    is needed.  Returns (trials, 3, elements) complex.  The factor is real,
+    so a single real GEMM maps the interleaved (re, im) pairs of the draws
+    through a block matrix that applies `rows` to each part, and its output
+    already is the complex result.
     """
-    n, three, m = draws.shape
-    stacked = draws.reshape(n * three, m)
-    re = np.ascontiguousarray(stacked.real)
-    im = np.ascontiguousarray(stacked.imag)
-    out = re @ j_sqrt_rows.T + 1j * (im @ j_sqrt_rows.T)
-    return out.reshape(n, three, j_sqrt_rows.shape[0])
+    n, three, r = draws.shape
+    e = rows.shape[0]
+    pairs = np.ascontiguousarray(draws, dtype=np.complex128).reshape(n * three, r)
+    pairs = pairs.view(np.float64)  # (trials * 3, 2r): re, im of each draw
+    block = np.zeros((2 * r, 2 * e))
+    block[0::2, 0::2] = rows.T
+    block[1::2, 1::2] = rows.T
+    return (pairs @ block).view(np.complex128).reshape(n, three, e)
 
 
 def path_loss(ref_gain: float, exponent: float, distance_m: float) -> float:

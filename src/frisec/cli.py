@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "dump-correlation":
             diag = dump_correlation_csv(config, args.out)
             print(f"wrote {diag['n_elements']}x{diag['n_elements']} matrix; "
-                  f"eigen floor {diag['eigen_floor']:.3e}, "
+                  f"rank {diag['rank']}, eigen floor {diag['eigen_floor']:.3e}, "
                   f"clamped mass {diag['clamped_mass']:.3e}")
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -31,8 +32,8 @@ from .errors import ConfigError, DomainError, FrisecError
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_upper_bound,
                       exp_cdf, fit_bob_gamma, fit_eve_exponential, gamma_cdf,
                       secrecy_capacity, sop_lower_bound)
-from .surface import (CorrelationMatrix, SelectionSet, SurfaceGeometry,
-                      build_correlation, reduce_correlation)
+from .surface import (EIGEN_CLAMP, CorrelationMatrix, SelectionSet,
+                      SurfaceGeometry, build_correlation, reduce_correlation)
 
 SPEED_OF_LIGHT = 299792458.0
 _Z95 = 1.959963984540054
@@ -46,6 +47,8 @@ STREAM_SIZE_BASE = 100         # + 2*point (FRIS), + 2*point + 1 (conventional)
 STREAM_BOUNDS = 3
 
 POLICIES = ("greedy", "fixed-uniform", "fixed-random", "conventional")
+
+_INT_FIELDS = ("m_x", "m_z", "conventional_m", "m_on", "trials", "seed", "workers")
 
 
 def db_to_linear(db: float) -> float:
@@ -89,6 +92,15 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        carrier = self.carrier_hz
+        if isinstance(carrier, bool) or not (isinstance(carrier, numbers.Real)
+                                             and math.isfinite(carrier) and carrier > 0):
+            raise ConfigError(f"carrier_hz must be a finite number > 0, got {carrier!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -107,9 +119,14 @@ class ExperimentConfig:
         if not 1 <= self.m_on <= self.m_x * self.m_z:
             raise ConfigError("m_on must lie in [1, m_x * m_z]")
         conv = self.conventional_m
-        if conv < 1 or math.isqrt(int(conv)) ** 2 != conv:
+        if conv < 1 or math.isqrt(conv) ** 2 != conv:
             raise ConfigError(f"conventional_m must be a perfect square >= 1, got {conv}")
-        object.__setattr__(self, "conventional_m", int(conv))
+        try:  # the link and both surfaces must be buildable before anything runs
+            self.budget()
+            self.fris_geometry()
+            self.conventional_geometry()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def wavelength(self) -> float:
@@ -273,14 +290,14 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     if not 1 <= active <= m:
         raise DomainError(f"m_on must be in [1, {m}], got {m_on}")
     if policy in ("greedy", "conventional"):
-        rows = corr.sqrt
+        rows = corr.factor
 
         def kernel(images):
             return _adaptive_block(images, active)
 
     else:
         indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
-        rows = corr.sqrt[indices, :]
+        rows = corr.factor[indices]
         phase_factors = np.exp(1j * phases)[None, :]
 
         def kernel(images):
@@ -289,7 +306,7 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     n_blocks = -(-trials // TRIALS_PER_BLOCK)
 
     def work(block: int):
-        draws = stream.draw_block(m, block)
+        draws = stream.draw_block(corr.rank, block)
         h_bob, h_eve = kernel(correlated_images_batch(draws, rows))
         return np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
 
@@ -411,9 +428,9 @@ def _evaluate_point(config: ExperimentConfig, surface: SurfaceGeometry | Correla
                   _gain_ks(gains, *fits) if ks else None)
 
 
-def _nan_row(sweep_var, value, config, m_total, m_on, status) -> dict:
+def _nan_row(sweep_var, value, config, policy, m_total, m_on, status) -> dict:
     row = {name: float("nan") for name in SWEEP_COLUMNS}
-    row.update(sweep_var=sweep_var, sweep_value=value, policy=config.policy,
+    row.update(sweep_var=sweep_var, sweep_value=value, policy=policy,
                m_total=m_total, m_on=m_on, trials=config.trials,
                seed=config.seed, status=status)
     return row
@@ -429,7 +446,8 @@ def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
         asc_bound = asc_upper_bound(fit_b, fit_e, budget)
         sop_bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
     except FrisecError as exc:
-        return _nan_row(sweep_var, value, config, point.m_total, point.m_on, f"error: {exc}")
+        return _nan_row(sweep_var, value, config, point.policy, point.m_total, point.m_on,
+                        f"error: {exc}")
     return {
         "sweep_var": sweep_var, "sweep_value": value,
         "asc_mc": asc.point, "asc_se": asc.std_error,
@@ -482,7 +500,7 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
     for point, m_total in enumerate(config.size_sweep):
         side = math.isqrt(int(m_total))
         if side * side != m_total:
-            rows.append(_nan_row("m_total", m_total, config, m_total, config.m_on,
+            rows.append(_nan_row("m_total", m_total, config, "greedy", m_total, config.m_on,
                                  "error: size grid values must be perfect squares"))
             continue
         geometry = SurfaceGeometry(m_x=side, m_z=side, width_x=config.aperture_x,
@@ -496,8 +514,8 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
                 rows.append(_sweep_row("m_total", m_total, config, budget, _evaluate_point(
                     config, surface, policy, m_on, stream, fits)))
             except FrisecError as exc:
-                rows.append(_nan_row("m_total", m_total, config, surface.n_elements, m_on,
-                                     f"error: {exc}"))
+                rows.append(_nan_row("m_total", m_total, config, policy, surface.n_elements,
+                                     m_on, f"error: {exc}"))
     return rows
 
 
@@ -622,6 +640,12 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
         "notes": {
             "element_distance": "both grid coordinate differences enter squared "
                                 "(true planar Euclidean separation)",
+            "sampler": {
+                "method": "rank-reduced (Karhunen-Loeve): r normals per link colored by "
+                          "the M x r eigen-factor U_r Lambda_r^(1/2); r counts the "
+                          "eigenvalues >= eigen_clamp * lambda_max",
+                "eigen_clamp": EIGEN_CLAMP,
+            },
             "stream_registry": {
                 "fris_snr": STREAM_FRIS_SNR, "conventional_snr": STREAM_CONV_SNR,
                 "bounds": STREAM_BOUNDS, "validate_base": STREAM_VALIDATE_BASE,
@@ -644,7 +668,7 @@ def dump_correlation_csv(config: ExperimentConfig, path: str) -> dict:
             fh.write(",".join(format(v, ".17e") for v in row))
             fh.write("\n")
     diag = {"eigen_floor": corr.eigen_floor, "clamped_mass": corr.clamped_mass,
-            "n_elements": corr.n_elements}
+            "n_elements": corr.n_elements, "rank": corr.rank}
     with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump({"config": asdict(config), "version": __version__,
                    "written_unix_time": time.time(), "diagnostics": diag},

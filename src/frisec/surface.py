@@ -4,8 +4,11 @@ Elements sit on a uniform rectangular grid indexed row-major (0-based): index
 i maps to column i mod M_x and row floor(i / M_x).  Correlation between two
 elements follows the isotropic rich-scattering model J0(2 pi d / lambda),
 which is a positive-definite function of the planar separation d, so the
-matrix is PSD up to rounding noise; tiny negative eigenvalues are clamped
-before the symmetric square root is formed.
+matrix is PSD up to rounding noise.  Eigenvalues below a relative floor are
+dropped, and the kept eigenpairs form the M x r factor U_r Lambda_r^{1/2}
+that colors r i.i.d. normals into the correlated field (Karhunen-Loeve).
+The rank r is set by the aperture area rather than by M, so a dense pool
+needs far fewer normals than elements.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import bessel_j0
+
+#: eigenvalues below this fraction of the largest are treated as rounding noise
+EIGEN_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,21 +60,28 @@ class SurfaceGeometry:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Spatial correlation matrix with its PSD symmetric square root.
+    """Spatial correlation matrix with its eigen-factor.
 
-    `clamped_mass` records the total magnitude of negative eigenvalues that
-    were clamped to zero (a numerical-rank diagnostic), `eigen_floor` the
-    smallest eigenvalue kept as-is.
+    `factor` is the C-contiguous M x r matrix U_r Lambda_r^{1/2} of the kept
+    eigenpairs, largest first, so `factor @ factor.T` is the matrix with the
+    dropped eigenvalues set to zero.  `clamped_mass` records the total
+    magnitude of negative eigenvalues (a numerical-rank diagnostic),
+    `eigen_floor` the smallest eigenvalue kept.
     """
 
     matrix: np.ndarray
-    sqrt: np.ndarray
+    factor: np.ndarray
     eigen_floor: float
     clamped_mass: float
 
     @property
     def n_elements(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def rank(self) -> int:
+        """Number of kept eigenpairs: the normals one link draws per trial."""
+        return self.factor.shape[1]
 
 
 @dataclass(frozen=True)
@@ -115,12 +128,12 @@ def element_distance(i: int, l: int, geometry: SurfaceGeometry) -> float:
     return math.hypot(dx, dz)
 
 
-def build_correlation(geometry: SurfaceGeometry, eigen_clamp: float = 1e-12) -> CorrelationMatrix:
-    """Correlation matrix J[i,l] = J0(2 pi d_il / lambda) and its PSD root.
+def build_correlation(geometry: SurfaceGeometry,
+                      eigen_clamp: float = EIGEN_CLAMP) -> CorrelationMatrix:
+    """Correlation matrix J[i,l] = J0(2 pi d_il / lambda) and its eigen-factor.
 
-    The square root comes from a symmetric eigendecomposition; eigenvalues
-    below eigen_clamp times the largest are treated as rounding noise and
-    clamped to zero.
+    The factor comes from a symmetric eigendecomposition; eigenvalues below
+    eigen_clamp times the largest are treated as rounding noise and dropped.
     """
     m = geometry.n_elements
     cols = np.arange(m) % geometry.m_x
@@ -141,12 +154,10 @@ def build_correlation(geometry: SurfaceGeometry, eigen_clamp: float = 1e-12) -> 
         raise DomainError(f"eigendecomposition failed: {exc}") from exc
     floor = eigen_clamp * float(eigvals.max())
     clamped_mass = float(-eigvals[eigvals < 0.0].sum())
-    kept = eigvals[eigvals >= floor]
-    eigen_floor = float(kept.min()) if kept.size else 0.0
-    lam = np.where(eigvals < floor, 0.0, eigvals)
-    root = (eigvecs * np.sqrt(lam)) @ eigvecs.T
-    root = 0.5 * (root + root.T)
-    return CorrelationMatrix(matrix=corr, sqrt=root, eigen_floor=eigen_floor,
+    keep = np.flatnonzero(eigvals >= floor)[::-1]  # eigh sorts ascending
+    eigen_floor = float(eigvals[keep[-1]]) if keep.size else 0.0
+    factor = np.ascontiguousarray(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
+    return CorrelationMatrix(matrix=corr, factor=factor, eigen_floor=eigen_floor,
                              clamped_mass=clamped_mass)
 
 
@@ -155,7 +166,8 @@ def reduce_correlation(corr: CorrelationMatrix | np.ndarray, sel: SelectionSet) 
     matrix = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=float)
     idx = sel.as_array()
     if idx.max() >= matrix.shape[0]:
-        raise IndexError("selection index out of range for this matrix")
+        raise DomainError(f"selection index {idx.max()} out of range for a "
+                          f"{matrix.shape[0]}-element surface")
     return matrix[np.ix_(idx, idx)].copy()
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the algorithms used by the library code they check:
 the Bessel oracle integrates the defining cosine integral, the incomplete
 gamma oracle integrates the complementary tail, the Meijer G oracle
-integrates the Mellin-Barnes contour, and the selection oracle enumerates
-subsets.
+integrates the Mellin-Barnes contour, the selection oracle enumerates
+subsets, and the full-root sampler colors M normals per link with the
+symmetric square root instead of r normals with the eigen-factor.
 """
 
 import math
@@ -13,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from frisec.errors import ConvergenceError, DomainError
+from frisec.harness import _adaptive_block, _fixed_block, _fixed_selection
 from frisec.specfun import _require_finite
 
 
@@ -239,3 +241,43 @@ def meijer_g_2122_oracle(z: float, k: float, contour_points: int = 4096) -> floa
             error_bound=rel_err * value,
         )
     return value
+
+
+def full_root_gains(matrix: np.ndarray, policy: str, m_on: int, trials: int,
+                    selection_seed: int, rng: np.random.Generator) -> tuple:
+    """(g_bob, g_eve) of one policy under the full-root sampler.
+
+    Each link draws M unit complex normals and is colored by the symmetric
+    PSD root J^{1/2} (eigenvalues below 1e-12 of the largest set to zero),
+    the generator the eigen-factor replaced.  The policy kernels and the
+    frozen fixed-policy selection are the library's; only the sampler
+    differs, and its randomness comes from `rng`, not from a Philox stream.
+    """
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    lam = np.where(eigvals < 1e-12 * eigvals.max(), 0.0, eigvals)
+    root = (eigvecs * np.sqrt(lam)) @ eigvecs.T
+    root = 0.5 * (root + root.T)
+    m = matrix.shape[0]
+    if policy == "greedy":
+        rows, kernel = root, lambda images: _adaptive_block(images, m_on)
+    else:
+        indices, phases = _fixed_selection(m, m_on, policy, selection_seed)
+        phase_factors = np.exp(1j * phases)[None, :]
+        rows, kernel = root[indices], lambda images: _fixed_block(images, phase_factors)
+    g_bob, g_eve = [], []
+    for start in range(0, trials, 1024):
+        shape = (min(1024, trials - start), 3, m)
+        h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        h_bob, h_eve = kernel(h @ rows.T)
+        g_bob.append(np.abs(h_bob) ** 2)
+        g_eve.append(np.abs(h_eve) ** 2)
+    return np.concatenate(g_bob), np.concatenate(g_eve)
+
+
+def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))

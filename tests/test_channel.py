@@ -7,8 +7,10 @@ from frisec.channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget,
                             correlated_images_batch, path_loss)
 from frisec.errors import DomainError
 from frisec.harness import (POLICIES, GainSamples, _adaptive_block, _fixed_block,
-                            records_for_budget, simulate_gains)
+                            _fixed_selection, records_for_budget, simulate_gains)
 from frisec.surface import SurfaceGeometry, build_correlation
+
+from oracles import full_root_gains, ks_two_sample
 
 
 def small_corr(side=4, aperture=2.0):
@@ -17,28 +19,28 @@ def small_corr(side=4, aperture=2.0):
 
 
 def block_images(corr, seed, block=0):
-    return correlated_images_batch(ChannelStream(seed, 0).draw_block(corr.n_elements, block),
-                                   corr.sqrt)
+    return correlated_images_batch(ChannelStream(seed, 0).draw_block(corr.rank, block),
+                                   corr.factor)
 
 
 class TestDraws:
     def test_deterministic(self):
         corr = small_corr()
         st = ChannelStream(seed=42, stream=3)
-        d1, d2 = st.draw_block(corr.n_elements, 17), st.draw_block(corr.n_elements, 17)
+        d1, d2 = st.draw_block(corr.rank, 17), st.draw_block(corr.rank, 17)
         assert np.array_equal(d1, d2)
-        assert np.array_equal(correlated_images_batch(d1, corr.sqrt),
-                              correlated_images_batch(d2, corr.sqrt))
+        assert np.array_equal(correlated_images_batch(d1, corr.factor),
+                              correlated_images_batch(d2, corr.factor))
 
     def test_different_trials_differ(self):
         corr = small_corr()
-        blk = ChannelStream(seed=42, stream=3).draw_block(corr.n_elements, 0)
+        blk = ChannelStream(seed=42, stream=3).draw_block(corr.rank, 0)
         assert not np.array_equal(blk[0, 0], blk[1, 0])
 
     def test_identity_passthrough(self):
         corr = build_correlation(SurfaceGeometry(1, 1, 0.5, 0.5, 0.1))
         blk = ChannelStream(1, 0).draw_block(1, 0)
-        images = correlated_images_batch(blk, corr.sqrt)
+        images = correlated_images_batch(blk, corr.factor)
         assert images[5, 1, 0] == blk[5, 1, 0]
         assert images[5, 0, 0] == blk[5, 0, 0]
 
@@ -73,11 +75,32 @@ class TestDraws:
         acc = np.zeros((m, m), dtype=complex)
         n = 0
         for b in range(n_blocks):
-            u = correlated_images_batch(st.draw_block(m, b), corr.sqrt)[:, 1]
+            u = correlated_images_batch(st.draw_block(corr.rank, b), corr.factor)[:, 1]
             acc += u.T @ u.conj()
             n += u.shape[0]
         emp = (acc / n).real
         assert np.max(np.abs(emp - corr.matrix)) <= 0.02
+
+
+class TestSamplerLaw:
+    # The eigen-factor sampler draws r < M normals per link; its gains must
+    # have the law of the full-root sampler's, which draws M.  Independent
+    # streams on each side, fixed seeds, 20480 trials per side.  Critical
+    # value of the two-sample KS distance at level 0.001:
+    # 1.949 * sqrt(2 / n) = 0.0193.
+    TRIALS = 20 * TRIALS_PER_BLOCK
+    CRITICAL = 1.949 * math.sqrt(2.0 / TRIALS)
+
+    @pytest.mark.parametrize("policy", ["greedy", "fixed-uniform", "fixed-random"])
+    def test_matches_full_root_sampler(self, policy):
+        corr = small_corr(side=10, aperture=3.0)  # M = 100, rank 43
+        assert corr.rank < corr.n_elements
+        new = simulate_gains(corr, policy, 25, self.TRIALS, ChannelStream(2024, 5))
+        old_bob, old_eve = full_root_gains(corr.matrix, policy, 25, self.TRIALS,
+                                           selection_seed=2024,
+                                           rng=np.random.default_rng(31337))
+        assert ks_two_sample(new.g_bob, old_bob) <= self.CRITICAL
+        assert ks_two_sample(new.g_eve, old_eve) <= self.CRITICAL
 
 
 class TestPathLoss:
@@ -159,14 +182,16 @@ class TestEquivalentChannel:
         for _ in range(10):
             corr = small_corr(side=int(rng.integers(2, 4)), aperture=1.5)
             m = corr.n_elements
-            blk = ChannelStream(21, 0).draw_block(m, 0)
+            blk = ChannelStream(21, 0).draw_block(corr.rank, 0)
             t = int(rng.integers(100))
-            images = correlated_images_batch(blk[t:t + 1], corr.sqrt)
+            images = correlated_images_batch(blk[t:t + 1], corr.factor)
             h_bob, h_eve = _fixed_block(images, np.ones((1, m)))
+            # h^H F^T F h_feed in the r draws; F^T F is the kept eigenvalues
+            gram = corr.factor.T @ corr.factor
             h_feed = blk[t, 0]
-            assert h_bob[0] == pytest.approx(complex(np.conj(blk[t, 1]) @ corr.matrix @ h_feed),
+            assert h_bob[0] == pytest.approx(complex(np.conj(blk[t, 1]) @ gram @ h_feed),
                                              rel=1e-9)
-            assert h_eve[0] == pytest.approx(complex(np.conj(blk[t, 2]) @ corr.matrix @ h_feed),
+            assert h_eve[0] == pytest.approx(complex(np.conj(blk[t, 2]) @ gram @ h_feed),
                                              rel=1e-9)
 
     def test_receiver_validation(self):
@@ -176,15 +201,18 @@ class TestEquivalentChannel:
 
 class TestGainAndSnr:
     def test_channel_gain(self):
-        # the simulated power gain is |H|^2 of the kernel's equivalent channel
+        # the simulated power gain is |H|^2 of the kernel's equivalent channel,
+        # with a fixed policy's frozen elements colored by their factor rows
         corr = small_corr()
-        for policy, kernel in (("greedy", lambda im: _adaptive_block(im, 5)),
-                               ("fixed-uniform", lambda im: _fixed_block(
-                                   im[:, :, :5], np.ones((1, 5))))):
+        for policy in ("greedy", "fixed-uniform", "fixed-random"):
             gains = simulate_gains(corr, policy, 5, 100, ChannelStream(6, 0))
-            rows = corr.sqrt if policy == "greedy" else corr.sqrt[:5]
-            images = correlated_images_batch(ChannelStream(6, 0).draw_block(16, 0), rows)
-            h_bob, h_eve = kernel(images)
+            draws = ChannelStream(6, 0).draw_block(corr.rank, 0)
+            if policy == "greedy":
+                h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, corr.factor), 5)
+            else:
+                indices, phases = _fixed_selection(corr.n_elements, 5, policy, seed=6)
+                images = correlated_images_batch(draws, corr.factor[indices])
+                h_bob, h_eve = _fixed_block(images, np.exp(1j * phases)[None, :])
             assert np.array_equal(gains.g_bob, np.abs(h_bob[:100]) ** 2)
             assert np.array_equal(gains.g_eve, np.abs(h_eve[:100]) ** 2)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -61,6 +62,9 @@ def test_dump_correlation(tmp_path, tiny_config, capsys):
     grid = np.loadtxt(str(out), delimiter=",")
     assert grid.shape == (16, 16)
     assert np.allclose(np.diag(grid), 1.0)
+    rank = json.loads((tmp_path / "corr.csv.manifest.json").read_text())["diagnostics"]["rank"]
+    assert 1 <= rank <= 16
+    assert f"rank {rank}," in capsys.readouterr().out
 
 
 def test_flag_overrides(tmp_path, tiny_config):
@@ -70,6 +74,8 @@ def test_flag_overrides(tmp_path, tiny_config):
     manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
     assert manifest["config"]["trials"] == 512
     assert manifest["config"]["seed"] == 77
+    assert "Karhunen-Loeve" in manifest["notes"]["sampler"]["method"]
+    assert manifest["notes"]["sampler"]["eigen_clamp"] == 1e-12
 
 
 def test_unknown_config_key_exits_1(tmp_path):
@@ -98,3 +104,61 @@ def test_missing_out_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-asc"])
     assert exc.value.code == 1
+
+
+def csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture()
+def pool_8x8(tmp_path):
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps({
+        "m_x": 8, "m_z": 8, "m_on": 16, "conventional_m": 16, "trials": 1024,
+        "seed": 77, "snr_sweep_db": [80.0, 100.0], "size_sweep": [16, 36, 64],
+    }))
+    return path
+
+
+def test_active_count_above_pool_writes_error_rows(tmp_path, pool_8x8, capsys):
+    # an active count larger than the surface is an error row, not a traceback
+    out = tmp_path / "fits.csv"
+    assert main(["validate-fits", "--config", str(pool_8x8), "--out", str(out),
+                 "--m-on-list", "1,500"]) == 0
+    rows = csv_rows(out)
+    assert [r["status"] for r in rows][0] == "ok"
+    assert rows[1]["m_on"] == "500" and rows[1]["status"].startswith("error: ")
+
+    out = tmp_path / "size.csv"
+    assert main(["sweep-size", "--config", str(pool_8x8), "--out", str(out),
+                 "--m-on", "30"]) == 0
+    greedy = [r for r in csv_rows(out) if r["policy"] == "greedy"]
+    assert [r["status"] == "ok" for r in greedy] == [False, True, True]  # 16 < 30 elements
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_error_rows_name_their_policy(tmp_path, pool_8x8):
+    # 50 trials are too few for the KS column, so every row is an error row
+    out = tmp_path / "size.csv"
+    assert main(["sweep-size", "--config", str(pool_8x8), "--out", str(out),
+                 "--trials", "50"]) == 0
+    rows = csv_rows(out)
+    assert all(r["status"].startswith("error: ") for r in rows)
+    # each size writes the pool's row, then the 4x4 baseline's row
+    assert [r["policy"] for r in rows] == ["greedy", "conventional"] * 3
+    assert [r["m_total"] for r in rows[1::2]] == ["16"] * 3
+
+
+@pytest.mark.parametrize("override", [
+    {"seed": 1.5}, {"carrier_hz": 0}, {"dist_bob_m": -1}, {"trials": True},
+    {"carrier_hz": float("inf")}, {"m_on": 4.0},
+])
+def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
+    cfgmap = json.loads(tiny_config.read_text()) | override
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfgmap))
+    assert main(["sweep-sop", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("frisec: config error: ") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()

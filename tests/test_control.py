@@ -21,8 +21,8 @@ WAVELENGTH = 0.12491352
 def realization(side=3, aperture=1.5, trial=0, seed=2):
     """One trial's correlated images as a batch of one: (1, 3, M)."""
     corr = build_correlation(SurfaceGeometry(side, side, aperture, aperture, WAVELENGTH))
-    draws = ChannelStream(seed, 0).draw_block(corr.n_elements, 0)[trial:trial + 1]
-    return corr, correlated_images_batch(draws, corr.sqrt)
+    draws = ChannelStream(seed, 0).draw_block(corr.rank, 0)[trial:trial + 1]
+    return corr, correlated_images_batch(draws, corr.factor)
 
 
 def cophased_gains(images, subset):
@@ -101,17 +101,17 @@ class TestEveNonAlignment:
         # adaptive configs align only the legitimate channel; the eavesdropper
         # equivalent channel must stay zero-mean
         corr = build_correlation(SurfaceGeometry(4, 4, 2.0, 2.0, WAVELENGTH))
-        m = corr.n_elements
         st = ChannelStream(77, 0)
         total = 0j
         n = 0
         for b in range(98):
-            _, he = _adaptive_block(correlated_images_batch(st.draw_block(m, b), corr.sqrt), 6)
+            _, he = _adaptive_block(correlated_images_batch(st.draw_block(corr.rank, b),
+                                                            corr.factor), 6)
             total += he.sum()
             n += he.size
         mean = total / n
         # standard error of each component is sigma/sqrt(n) with sigma^2 ~ E|he|^2/2
-        images = correlated_images_batch(st.draw_block(m, 0), corr.sqrt)
+        images = correlated_images_batch(st.draw_block(corr.rank, 0), corr.factor)
         sigma = math.sqrt(float(np.mean(np.abs(images[:, 2]) ** 2)) * 6)
         assert abs(mean) <= 3.0 * sigma / math.sqrt(n)
 
@@ -148,9 +148,9 @@ class TestFixedConfigs:
 
     def test_uniform_full_mask_trace_identity(self):
         # with every element on and equal phases, the effective reflection
-        # operator satisfies tr(A A^H) = tr(J^2) exactly
+        # operator F^T P F on the draws satisfies tr(A A^H) = tr(J^2) exactly
         corr = build_correlation(SurfaceGeometry(3, 3, 1.0, 1.0, WAVELENGTH))
-        a = corr.sqrt @ np.eye(9) @ corr.sqrt
+        a = corr.factor.T @ np.eye(9) @ corr.factor
         assert np.trace(a @ a.conj().T).real == pytest.approx(
             trace_power(corr.matrix, 2), rel=1e-10)
 
@@ -159,7 +159,7 @@ class TestFixedConfigs:
         idx, _ = _fixed_selection(9, 4, "fixed-uniform", seed=1)
         mask = np.zeros((9, 9))
         mask[idx, idx] = 1.0
-        a = corr.sqrt @ mask @ corr.sqrt
+        a = corr.factor.T @ mask @ corr.factor
         reduced = reduce_correlation(corr, SelectionSet(tuple(idx)))
         assert np.trace(a @ a.conj().T).real == pytest.approx(
             trace_power(reduced, 2), rel=1e-10)

@@ -72,18 +72,28 @@ class TestCorrelation:
         corr = build_correlation(g)
         assert corr.matrix.shape == (1, 1)
         assert corr.matrix[0, 0] == 1.0
-        assert corr.sqrt[0, 0] == pytest.approx(1.0)
+        assert np.array_equal(corr.factor, np.array([[1.0]]))
+        assert corr.rank == 1
 
-    def test_sqrt_reconstructs(self):
+    def test_factor_reconstructs(self):
         corr = build_correlation(square_geometry(6, 1.2))
         m = corr.n_elements
-        residual = np.linalg.norm(corr.sqrt @ corr.sqrt - corr.matrix)
+        residual = np.linalg.norm(corr.factor @ corr.factor.T - corr.matrix)
         assert residual <= 1e-8 * m
 
-    def test_sqrt_psd(self):
+    def test_factor_rank(self):
         corr = build_correlation(square_geometry(8, 1.0))  # dense packing
-        eigvals = np.linalg.eigvalsh(corr.sqrt)
-        assert eigvals.min() >= -1e-10
+        m = corr.n_elements
+        assert corr.factor.shape[0] == m and corr.factor.flags.c_contiguous
+        assert corr.rank == corr.factor.shape[1] < m
+        # the kept columns are orthogonal eigen-directions, largest first
+        gram = corr.factor.T @ corr.factor
+        lam = np.diag(gram)
+        assert np.all(np.diff(lam) <= 1e-12 * lam[0]) and lam[-1] >= 1e-12 * lam[0]
+        assert np.max(np.abs(gram - np.diag(lam))) <= 1e-10 * lam[0]
+        # what the rank leaves out is rounding noise of the eigendecomposition
+        eigvals = np.linalg.eigvalsh(corr.matrix)
+        assert np.sum(np.abs(eigvals[:m - corr.rank])) <= 1e-9 * m
 
     def test_clamped_mass_small(self):
         corr = build_correlation(square_geometry(8, 1.0))
@@ -106,6 +116,11 @@ class TestSelectionAndTraces:
         assert np.array_equal(full, corr.matrix)
         single = reduce_correlation(corr, SelectionSet((4,)))
         assert np.array_equal(single, np.array([[1.0]]))
+
+    def test_reduce_out_of_range(self):
+        corr = build_correlation(square_geometry(3, 1.0))
+        with pytest.raises(DomainError):
+            reduce_correlation(corr, SelectionSet(tuple(range(10))))
 
     def test_reduce_2x2(self):
         j = np.array([[1.0, 0.5], [0.5, 1.0]])
