@@ -28,6 +28,8 @@ print("\nP(k, x) examples:")
 print(f"  P(1, ln 2)   = {reg_lower_inc_gamma(1.0, math.log(2)):.12f}  (exponential median)")
 print(f"  P(2.5, 2.5)  = {reg_lower_inc_gamma(2.5, 2.5):.12f}")
 print(f"  P(50, 45)    = {reg_lower_inc_gamma(50.0, 45.0):.12f}")
+print(f"  P(2.5, [1, 2.5, 6]) = {reg_lower_inc_gamma(2.5, np.array([1.0, 2.5, 6.0]))}"
+      "  (elementwise over arrays)")
 
 # --- the Meijer G kernel behind the outage closed form, through the analytic
 #     reduction Gamma(k) z^-1 (1+z)^-k
@@ -40,3 +42,5 @@ print("\nquadrature sanity:")
 spec = QuadratureSpec()
 print(f"  int e^-x dx        = {integrate_semi_infinite(lambda x: np.exp(-x), spec):.12f}")
 print(f"  int x e^-x dx      = {integrate_semi_infinite(lambda x: x * np.exp(-x), spec):.12f}")
+moments = integrate_semi_infinite(lambda x: np.exp(-x)[:, None] * x[:, None] ** np.arange(4), spec)
+print(f"  int x^n e^-x dx, n = 0..3, on one shared mesh = {moments}  (n!)")

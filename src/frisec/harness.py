@@ -48,6 +48,8 @@ STREAM_BOUNDS = 3
 
 POLICIES = ("greedy", "fixed-uniform", "fixed-random", "conventional")
 
+KS_MIN_SAMPLES = 100
+
 _INT_FIELDS = ("m_x", "m_z", "conventional_m", "m_on", "trials", "seed", "workers")
 
 
@@ -109,11 +111,18 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
-        for name in ("snr_sweep_db", "size_sweep"):
+        for name, kind, valid in (
+                ("snr_sweep_db", "finite numbers",
+                 lambda v: isinstance(v, numbers.Real) and math.isfinite(v)),
+                ("size_sweep", "integers >= 1",
+                 lambda v: isinstance(v, numbers.Integral) and v >= 1)):
             grid = tuple(getattr(self, name))
             object.__setattr__(self, name, grid)
             if len(grid) == 0:
                 raise ConfigError(f"{name} must be nonempty")
+            bad = [v for v in grid if isinstance(v, bool) or not valid(v)]
+            if bad:
+                raise ConfigError(f"{name} entries must be {kind}, got {bad[0]!r}")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
         if not 1 <= self.m_on <= self.m_x * self.m_z:
@@ -361,13 +370,17 @@ def estimate_asc(records: TrialRecords) -> MetricEstimate:
     return MetricEstimate.for_mean(records.capacity)
 
 
-def ks_statistic(samples: np.ndarray, cdf: Callable[[float], float]) -> float:
-    """Sup-norm distance between the empirical CDF and an analytic CDF."""
+def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Sup-norm distance between the empirical CDF and an analytic CDF.
+
+    `cdf` is called once, on the sorted sample array, and must return the
+    CDF elementwise.
+    """
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
-    if n < 100:
-        raise DomainError("KS diagnostic needs at least 100 samples")
-    theo = np.array([cdf(s) for s in samples])
+    if n < KS_MIN_SAMPLES:
+        raise DomainError(f"KS diagnostic needs at least {KS_MIN_SAMPLES} samples")
+    theo = np.asarray(cdf(samples), dtype=float)
     upper = np.max(np.arange(1, n + 1) / n - theo)
     lower = np.max(theo - np.arange(0, n) / n)
     return float(max(upper, lower))
@@ -393,6 +406,8 @@ def reference_fits(corr: CorrelationMatrix, m_on: int) -> tuple[GammaFit, ExpFit
 
 
 def _gain_ks(gains: GainSamples, fit_b: GammaFit, fit_e: ExpFit) -> tuple[float, float]:
+    if len(gains) < KS_MIN_SAMPLES:  # too few trials for the diagnostic, not for the row
+        return float("nan"), float("nan")
     ks_b = ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b))
     ks_e = ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e))
     return ks_b, ks_e
@@ -417,7 +432,8 @@ def _evaluate_point(config: ExperimentConfig, surface: SurfaceGeometry | Correla
 
     `surface` is a geometry, or its correlation when several points share
     it.  `fits` defaults to the reference fits of the first m_on elements;
-    `ks` adds the KS distances of the gains from those fits.
+    `ks` adds the KS distances of the gains from those fits, nan when there
+    are fewer than KS_MIN_SAMPLES trials.
     """
     corr = surface if isinstance(surface, CorrelationMatrix) else build_correlation(surface)
     if fits is None:

@@ -90,9 +90,10 @@ def fit_eve_exponential(j_reduced: np.ndarray) -> ExpFit:
     return ExpFit(rate=1.0 / tr2)
 
 
-def gamma_cdf(g: float, fit: GammaFit) -> float:
-    """CDF of the fitted Gamma gain law."""
-    if g < 0:
+def gamma_cdf(g, fit: GammaFit):
+    """CDF of the fitted Gamma gain law, elementwise over an array of gains."""
+    g = np.asarray(g, dtype=float)
+    if np.any(g < 0):
         raise DomainError("gain must be >= 0")
     return reg_lower_inc_gamma(fit.shape, g / fit.scale)
 
@@ -112,11 +113,12 @@ def gamma_pdf(g: float, fit: GammaFit) -> float:
     return math.exp(log_pdf) if log_pdf > -745.0 else 0.0
 
 
-def exp_cdf(g: float, fit: ExpFit) -> float:
-    """CDF of the fitted exponential gain law."""
-    if g < 0:
+def exp_cdf(g, fit: ExpFit):
+    """CDF of the fitted exponential gain law, elementwise over an array of gains."""
+    g = np.asarray(g, dtype=float)
+    if np.any(g < 0):
         raise DomainError("gain must be >= 0")
-    return -math.expm1(-fit.rate * g)
+    return -np.expm1(-fit.rate * g)
 
 
 def exp_pdf(g: float, fit: ExpFit) -> float:
@@ -194,20 +196,10 @@ def sop_oracle_from_ratio(shape: float, z: float, quad: QuadratureSpec | None = 
         quad = QuadratureSpec(abs_tol=1e-320, rel_tol=1e-9, max_subdivisions=2000)
 
     if shape * z < 1.0:
-        def tail(t: np.ndarray) -> np.ndarray:
-            return np.array([(1.0 - reg_lower_inc_gamma(shape, ti)) * math.exp(-z * ti)
-                             for ti in np.atleast_1d(t)])
-
-        return 1.0 - z * integrate_semi_infinite(tail, quad)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(u)
-        out = np.empty_like(u, dtype=float)
-        for i, ui in enumerate(u):
-            out[i] = reg_lower_inc_gamma(shape, ui / z) * math.exp(-ui) if ui / z > 0 else 0.0
-        return out
-
-    return integrate_semi_infinite(integrand, quad)
+        return 1.0 - z * integrate_semi_infinite(
+            lambda t: (1.0 - reg_lower_inc_gamma(shape, t)) * np.exp(-z * t), quad)
+    return integrate_semi_infinite(
+        lambda u: reg_lower_inc_gamma(shape, u / z) * np.exp(-u), quad)
 
 
 def sop_lower_oracle(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget,
@@ -225,6 +217,11 @@ def asc_oracle(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget,
     legitimate SNR above it (the positive-part clamp makes the inner domain
     start at the eavesdropper's draw).  This is the reference value that the
     closed-form capacity bound approximates.
+
+    The outer abscissae are in units of the smaller of the two mean SNRs.
+    In units of the eavesdropper's mean, a legitimate mean SNR smaller by a
+    factor r confines the integrand to a layer of width about r at 0, which
+    the quadrature misses for r below about 1e-3 (it returned 0).
     """
     if quad is None:
         quad = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-8, max_subdivisions=800)
@@ -235,28 +232,23 @@ def asc_oracle(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget,
         return 0.0
     shape = fit_b.shape
     lgam = math.lgamma(shape)
-
-    def inner(y: float) -> float:
-        # excess of bob's SNR above y, in units of the Gamma scale, so the
-        # abscissae match the density's own spread regardless of magnitudes
-        def f(w: np.ndarray) -> np.ndarray:
-            w = np.asarray(w, dtype=float)
-            x = y + scale_b * w
-            out = np.zeros_like(w)
-            pos = x > 0.0
-            log_pdf = ((shape - 1.0) * np.log(x[pos] / scale_b) - x[pos] / scale_b
-                       - lgam)  # pdf times the scale from dx = scale_b dw
-            out[pos] = np.log1p(scale_b * w[pos] / (1.0 + y)) / _LN2 * np.exp(log_pdf)
-            return out
-
-        return integrate_semi_infinite(f, inner_quad)
+    unit = min(mean_e, shape * scale_b)
+    rate = unit / mean_e  # eve's SNR density in units of `unit`, rate * e^(-rate t)
 
     def outer(t: np.ndarray) -> np.ndarray:
-        # eve's SNR in units of its mean
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = np.empty_like(t)
-        for i, ti in enumerate(t):
-            vals[i] = math.exp(-ti) * inner(mean_e * ti)
-        return vals
+        # t is eve's SNR in units of `unit`; the inner integrals for all its
+        # abscissae y share one mesh, one column per y
+        y = unit * t
+
+        def inner(w: np.ndarray) -> np.ndarray:
+            # excess of bob's SNR above y, in units of the Gamma scale, so the
+            # abscissae match the density's own spread regardless of magnitudes
+            w = w[:, None]
+            x = y + scale_b * w
+            log_pdf = ((shape - 1.0) * np.log(x / scale_b) - x / scale_b
+                       - lgam)  # pdf times the scale from dx = scale_b dw
+            return np.log1p(scale_b * w / (1.0 + y)) / _LN2 * np.exp(log_pdf)
+
+        return rate * np.exp(-rate * t) * integrate_semi_infinite(inner, inner_quad)
 
     return integrate_semi_infinite(outer, quad)

@@ -1,10 +1,11 @@
 """Self-contained special-function kernel.
 
 Everything here is pure double-precision Python/numpy, with no dependency on
-scipy: Bessel J0, the regularized lower incomplete gamma function, the one
-Meijer G-function this library needs (its Mellin-Barnes contour oracle lives
-with the test suite), and adaptive quadrature on [0, inf).  All functions
-are pure and reentrant.
+scipy: Bessel J0, the regularized lower incomplete gamma function (elementwise
+over arrays), the one Meijer G-function this library needs (its
+Mellin-Barnes contour oracle lives with the test suite), and adaptive
+quadrature on [0, inf) of one or several integrands.  All functions are pure
+and reentrant.
 """
 
 from __future__ import annotations
@@ -116,55 +117,86 @@ def bessel_j0(x: float) -> float:
 # Regularized lower incomplete gamma
 # ---------------------------------------------------------------------------
 
-def reg_lower_inc_gamma(k: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(k, x), in [0, 1].
+def _inc_gamma_series(k: float, x: np.ndarray) -> np.ndarray:
+    # Sum of x^n / (k (k+1) ... (k+n)) for 0 < x < k + 1; each element stops
+    # at its own first term below _EPS of its running total.
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
+    total = np.full(x.shape, 1.0 / k)
+    term = total.copy()
+    ap = k
+    for _ in range(10000):
+        if todo.size == 0:
+            return out
+        ap += 1.0
+        term *= x / ap
+        total += term
+        done = term < total * _EPS  # both positive
+        if done.any():
+            out[todo[done]] = total[done]
+            keep = ~done
+            todo, x, term, total = todo[keep], x[keep], term[keep], total[keep]
+    raise ConvergenceError("incomplete gamma series did not converge")
 
-    Series expansion for x < k + 1, Lentz continued fraction for x >= k + 1
-    (the classic convergence-region split); relative error <= 1e-12.
-    """
-    k = _require_finite("k", k)
-    x = _require_finite("x", x)
-    if k <= 0.0:
-        raise DomainError(f"shape k must be > 0, got {k}")
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    log_front = k * math.log(x) - x - math.lgamma(k)
-    if x < k + 1.0:
-        ap = k
-        total = 1.0 / k
-        term = total
-        for _ in range(10000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                front = math.exp(log_front) if log_front > -745.0 else 0.0
-                return min(1.0, front * total)
-        raise ConvergenceError("incomplete gamma series did not converge")
-    # Continued fraction for Q(k, x), then P = 1 - Q.
+
+def _inc_gamma_fraction(k: float, x: np.ndarray) -> np.ndarray:
+    # Modified Lentz evaluation of the continued fraction for
+    # Q(k, x) e^x x^-k Gamma(k), x >= k + 1, stopped per element.
     tiny = 1e-300
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
     b = x + 1.0 - k
-    c = 1.0 / tiny
+    c = np.full(x.shape, 1.0 / tiny)
     d = 1.0 / b
-    h = d
+    h = d.copy()
     for i in range(1, 10000):
+        if todo.size == 0:
+            return out
         an = -i * (i - k)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
-            front = math.exp(log_front) if log_front > -745.0 else 0.0
-            return max(0.0, 1.0 - front * h)
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            out[todo[done]] = h[done]
+            keep = ~done
+            todo, b, c, d, h = todo[keep], b[keep], c[keep], d[keep], h[keep]
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
+
+
+def reg_lower_inc_gamma(k: float, x):
+    """Regularized lower incomplete gamma P(k, x), in [0, 1], elementwise in x.
+
+    Series expansion for x < k + 1, Lentz continued fraction for x >= k + 1
+    (the classic convergence-region split); relative error <= 1e-12.  Each
+    element stops on its own convergence test.  A scalar or 0-d x gives a
+    float, an array x an array of its shape.
+    """
+    k = _require_finite("k", k)
+    if k <= 0.0:
+        raise DomainError(f"shape k must be > 0, got {k}")
+    x_in = np.asarray(x, dtype=float)
+    xs = x_in.ravel()
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("x must be finite")
+    if np.any(xs < 0.0):
+        raise DomainError(f"x must be >= 0, got {xs[xs < 0.0][0]}")
+
+    def front(x: np.ndarray) -> np.ndarray:  # x^k e^-x / Gamma(k)
+        log_front = k * np.log(x) - x - math.lgamma(k)
+        return np.where(log_front > -745.0, np.exp(log_front), 0.0)
+
+    out = np.zeros(xs.shape)
+    low = (xs > 0.0) & (xs < k + 1.0)
+    high = xs >= k + 1.0
+    out[low] = np.minimum(1.0, front(xs[low]) * _inc_gamma_series(k, xs[low]))
+    out[high] = np.maximum(0.0, 1.0 - front(xs[high]) * _inc_gamma_fraction(k, xs[high]))
+    return float(out[0]) if x_in.ndim == 0 else out.reshape(x_in.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +233,8 @@ class QuadratureSpec:
     """Tolerances and budget for integrating a decaying function over [0, inf).
 
     The integrator maps [0, inf) onto (0, 1] and subdivides globally with a
-    15/7-point Gauss pair until the summed error estimate meets a tolerance.
+    15/7-point Gauss pair until the summed error estimate of every integrand
+    meets its tolerance.
     """
 
     abs_tol: float = 1e-12
@@ -222,52 +255,64 @@ def _gauss_rule(n: int):
 
 
 def _gauss_pair(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    # 15-point estimate with a 7-point companion for the error estimate.
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    # 15-point estimate with a 7-point companion for the error estimate; g
+    # gets all 22 abscissae in one call and returns one row per abscissa.
     x15, w15 = _gauss_rule(15)
     x7, w7 = _gauss_rule(7)
-    f15 = g(mid + half * x15)
-    f7 = g(mid + half * x7)
-    i15 = half * float(np.dot(w15, f15))
-    i7 = half * float(np.dot(w7, f7))
-    return i15, abs(i15 - i7)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = g(mid + half * np.concatenate((x15, x7)))
+    i15 = half * (w15 @ vals[:15])
+    i7 = half * (w7 @ vals[15:])
+    return i15, np.abs(i15 - i7)
 
 
-def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec | None = None) -> float:
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
+                            spec: QuadratureSpec | None = None) -> float | np.ndarray:
     """Integrate f over [0, inf); f must decay at least exponentially.
 
-    f is called with numpy arrays of abscissae and must return values
-    elementwise.  Raises ConvergenceError (carrying the last estimate and the
-    error bound) if the subdivision budget is exhausted first.
+    f is called with a numpy array of p abscissae and returns either p values
+    (one integrand) or a (p, n) array (n integrands, one per column).  All
+    components share one adaptive mesh: the interval with the largest
+    component error is split next, and the loop stops once every component
+    meets max(abs_tol, rel_tol * |its total|).  Returns a float, or an array
+    of the n integrals.  Raises ConvergenceError (carrying the last estimate
+    and the error bound, arrays for n integrands) if the subdivision budget
+    is exhausted first.
     """
     if spec is None:
         spec = QuadratureSpec()
 
     def g(u: np.ndarray) -> np.ndarray:
         x = (1.0 - u) / u
-        return np.asarray(f(x), dtype=float) / (u * u)
+        return (np.asarray(f(x), dtype=float).T / (u * u)).T  # rows are abscissae
+
+    def result(value):
+        return float(value) if np.ndim(value) == 0 else value
+
+    def converged() -> bool:
+        return bool(np.all(total_err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))))
 
     est, err = _gauss_pair(g, 0.0, 1.0)
-    heap = [(-err, 0, 0.0, 1.0, est)]
+    heap = [(-np.max(err), 0, 0.0, 1.0, est, err)]
     total, total_err = est, err
     counter = 1
     for _ in range(spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total
-        neg_err, _, a, b, piece = heapq.heappop(heap)
+        if converged():
+            return result(total)
+        _, _, a, b, piece, piece_err = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         left, left_err = _gauss_pair(g, a, mid)
         right, right_err = _gauss_pair(g, mid, b)
-        total += left + right - piece
-        total_err += left_err + right_err + neg_err  # neg_err is -old error
-        heapq.heappush(heap, (-left_err, counter, a, mid, left))
-        heapq.heappush(heap, (-right_err, counter + 1, mid, b, right))
+        total = total + (left + right - piece)
+        total_err = total_err + (left_err + right_err - piece_err)
+        heapq.heappush(heap, (-np.max(left_err), counter, a, mid, left, left_err))
+        heapq.heappush(heap, (-np.max(right_err), counter + 1, mid, b, right, right_err))
         counter += 2
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-        return total
+    if converged():
+        return result(total)
     raise ConvergenceError(
         f"quadrature not converged after {spec.max_subdivisions} subdivisions",
-        estimate=total,
-        error_bound=total_err,
+        estimate=result(total),
+        error_bound=result(total_err),
     )

@@ -59,6 +59,46 @@ def reg_gamma_tail_quadrature(k: float, x: float) -> float:
     return 1.0 - total / math.gamma(k)
 
 
+def reg_lower_inc_gamma_loop(k: float, x: float) -> float:
+    """The scalar loop the library's elementwise P(k, x) replaced: the same
+    series / continued-fraction split and per-element stopping rules, with
+    math.log and math.exp in place of their numpy counterparts."""
+    k, x = float(k), float(x)
+    if x == 0.0:
+        return 0.0
+    log_front = k * math.log(x) - x - math.lgamma(k)
+    front = math.exp(log_front) if log_front > -745.0 else 0.0
+    if x < k + 1.0:
+        ap, total = k, 1.0 / k
+        term = total
+        for _ in range(10000):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * 1e-15:
+                return min(1.0, front * total)
+        raise ConvergenceError("series did not converge")
+    tiny = 1e-300
+    b, c = x + 1.0 - k, 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 10000):
+        an = -i * (i - k)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return max(0.0, 1.0 - front * h)
+    raise ConvergenceError("continued fraction did not converge")
+
+
 def trace_power_direct(a: np.ndarray, p: int) -> float:
     """Trace of a matrix power via explicit repeated multiplication."""
     a = np.asarray(a, dtype=float)

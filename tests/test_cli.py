@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from frisec import harness
 from frisec.cli import main
+from frisec.errors import DomainError
 
 
 @pytest.fixture()
@@ -138,11 +140,14 @@ def test_active_count_above_pool_writes_error_rows(tmp_path, pool_8x8, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_error_rows_name_their_policy(tmp_path, pool_8x8):
-    # 50 trials are too few for the KS column, so every row is an error row
+def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch):
+    # every point's simulation fails, so every row is an error row
+    def failing_simulation(*args, **kwargs):
+        raise DomainError("simulation failed")
+
+    monkeypatch.setattr(harness, "simulate_gains", failing_simulation)
     out = tmp_path / "size.csv"
-    assert main(["sweep-size", "--config", str(pool_8x8), "--out", str(out),
-                 "--trials", "50"]) == 0
+    assert main(["sweep-size", "--config", str(pool_8x8), "--out", str(out)]) == 0
     rows = csv_rows(out)
     assert all(r["status"].startswith("error: ") for r in rows)
     # each size writes the pool's row, then the 4x4 baseline's row
@@ -153,6 +158,9 @@ def test_error_rows_name_their_policy(tmp_path, pool_8x8):
 @pytest.mark.parametrize("override", [
     {"seed": 1.5}, {"carrier_hz": 0}, {"dist_bob_m": -1}, {"trials": True},
     {"carrier_hz": float("inf")}, {"m_on": 4.0},
+    {"size_sweep": [-4, 4]}, {"size_sweep": [0, 4]}, {"size_sweep": [4.0, 9]},
+    {"snr_sweep_db": ["a", "b"]}, {"snr_sweep_db": [True, 100]},
+    {"snr_sweep_db": [80, float("nan")]}, {"snr_sweep_db": [80, float("inf")]},
 ])
 def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     cfgmap = json.loads(tiny_config.read_text()) | override
@@ -162,3 +170,17 @@ def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("frisec: config error: ") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_few_trials_blank_the_ks_columns(tmp_path, pool_8x8):
+    # fewer than 100 trials leave the KS diagnostic undefined, not the row
+    out = tmp_path / "sop.csv"
+    assert main(["sweep-sop", "--config", str(pool_8x8), "--out", str(out),
+                 "--trials", "50"]) == 0
+    fits = tmp_path / "fits.csv"
+    assert main(["validate-fits", "--config", str(pool_8x8), "--out", str(fits),
+                 "--trials", "50", "--m-on-list", "4,16"]) == 0
+    for rows in (csv_rows(out), csv_rows(fits)):
+        assert [r["status"] for r in rows] == ["ok"] * len(rows)
+        assert all(r["ks_bob"] == r["ks_eve"] == "nan" for r in rows)
+    assert all(r["sop_mc"] != "nan" for r in csv_rows(out))

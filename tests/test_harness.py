@@ -188,8 +188,24 @@ class TestKs:
 
     def test_degenerate_samples(self):
         samples = np.full(200, 0.3)
-        stat = ks_statistic(samples, lambda x: min(1.0, max(0.0, x)))  # uniform CDF
+        stat = ks_statistic(samples, lambda x: np.clip(x, 0.0, 1.0))  # uniform CDF
         assert stat == pytest.approx(0.7)
+
+    def test_cdf_called_once_on_sorted_samples(self):
+        samples = np.random.default_rng(31).uniform(size=500)
+        calls = []
+
+        def cdf(x):
+            calls.append(x.copy())
+            return x
+
+        stat = ks_statistic(samples, cdf)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.sort(samples))
+        n = samples.size
+        expected = max(np.max(np.arange(1, n + 1) / n - calls[0]),
+                       np.max(calls[0] - np.arange(n) / n))
+        assert stat == expected
 
     def test_needs_enough_samples(self):
         with pytest.raises(DomainError):

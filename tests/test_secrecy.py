@@ -238,24 +238,34 @@ class TestAscOracle:
         assert val == pytest.approx(single, rel=1e-6)
 
     def test_matches_independent_identity(self):
-        # E[(g(X) - g(Y))^+] = integral of F_Y (1 - F_X) g' for independent X, Y
+        # E[(g(X) - g(Y))^+] = integral of F_Y (1 - F_X) g' for independent X, Y,
+        # on a unit case and on the 13 budgets of the reference 10x10 pool's
+        # validation grid (60 to 120 dB)
+        from frisec.harness import (config_from_mapping, db_to_linear,
+                                    reference_fits)
         from frisec.specfun import reg_lower_inc_gamma
-        fit_b = GammaFit(shape=3.0, scale=2.0)
-        fit_e = ExpFit(rate=0.5)
-        budget = unit_budget(snr_bob=5.0, snr_eve=1.0)
-        val = asc_oracle(fit_b, fit_e, budget)
-        a = budget.snr_scale("bob") * fit_b.scale
-        be = budget.snr_scale("eve") * fit_e.mean
+        from frisec.surface import build_correlation
+        cases = [(GammaFit(shape=3.0, scale=2.0), ExpFit(rate=0.5),
+                  unit_budget(snr_bob=5.0, snr_eve=1.0))]
+        config = config_from_mapping({"m_x": 10, "m_z": 10, "aperture_x": 3.0,
+                                      "aperture_z": 3.0, "m_on": 100})
+        fit_b, fit_e = reference_fits(build_correlation(config.fris_geometry()), config.m_on)
+        cases += [(fit_b, fit_e, config.budget().with_avg_snr_bob(db_to_linear(snr_db)))
+                  for snr_db in range(60, 125, 5)]
+        assert len(cases) == 14
+        for fit_b, fit_e, budget in cases:
+            val = asc_oracle(fit_b, fit_e, budget)
+            a = budget.snr_scale("bob") * fit_b.scale
+            be = budget.snr_scale("eve") * fit_e.mean
 
-        def ident(t):
-            t = np.atleast_1d(t)
-            fy = 1.0 - np.exp(-t / be)
-            sx = np.array([1.0 - reg_lower_inc_gamma(fit_b.shape, ti / a) for ti in t])
-            return fy * sx / (1.0 + t) / math.log(2.0)
+            def ident(t):
+                fy = -np.expm1(-t / be)
+                sx = 1.0 - reg_lower_inc_gamma(fit_b.shape, t / a)
+                return fy * sx / (1.0 + t) / math.log(2.0)
 
-        ref = integrate_semi_infinite(ident, QuadratureSpec(rel_tol=1e-10,
-                                                            max_subdivisions=2000))
-        assert val == pytest.approx(ref, rel=1e-6)
+            ref = integrate_semi_infinite(ident, QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10,
+                                                                max_subdivisions=2000))
+            assert val == pytest.approx(ref, rel=1e-6)
 
     def test_bound_vs_oracle_direction_reported(self):
         # the closed form is not a certified bound; just confirm both evaluate

@@ -8,7 +8,7 @@ from frisec.specfun import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
                             meijer_g_2122, reg_lower_inc_gamma)
 
 from oracles import (bessel_j0_integral, bessel_j0_series, meijer_g_2122_oracle,
-                     reg_gamma_tail_quadrature)
+                     reg_gamma_tail_quadrature, reg_lower_inc_gamma_loop)
 
 
 class TestBesselJ0:
@@ -74,6 +74,54 @@ class TestRegLowerIncGamma:
             reg_lower_inc_gamma(-2.0, 1.0)
         with pytest.raises(DomainError):
             reg_lower_inc_gamma(1.0, -0.5)
+
+    @staticmethod
+    def branch_grid(k):
+        # zero, the series branch, both sides of the switch at k + 1, and the
+        # continued-fraction branch
+        kp1 = k + 1.0
+        return np.array([0.0, 0.1 * k, 0.5 * k, 0.9 * k, np.nextafter(kp1, 0.0), kp1,
+                         np.nextafter(kp1, np.inf), 1.2 * kp1, 2.0 * kp1, 4.0 * kp1])
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0, 16.6, 50.0, 200.0])
+    def test_against_scipy(self, k):
+        special = pytest.importorskip("scipy.special")
+        x = self.branch_grid(k)
+        np.testing.assert_allclose(reg_lower_inc_gamma(k, x), special.gammainc(k, x),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_array_matches_per_element_calls(self):
+        for k in (0.5, 16.6, 200.0):
+            x = np.concatenate([self.branch_grid(k),
+                                np.random.default_rng(5).gamma(k, 1.0, size=300)])
+            vals = reg_lower_inc_gamma(k, x.reshape(2, -1))
+            assert vals.shape == (2, x.size // 2)
+            assert np.array_equal(vals.ravel(), [reg_lower_inc_gamma(k, xi) for xi in x])
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0, 16.6, 50.0, 200.0])
+    def test_matches_scalar_loop(self, k):
+        # same arithmetic except numpy's log and exp for math's: the front
+        # factor x^k e^-x / Gamma(k) may move by a few roundings of its
+        # exponent, relative in P on the series side and in 1 - P beyond k + 1
+        x = np.concatenate([self.branch_grid(k)[1:],
+                            np.random.default_rng(6).gamma(k, 1.0, size=2000)])
+        vals = reg_lower_inc_gamma(k, x)
+        loop = np.array([reg_lower_inc_gamma_loop(k, xi) for xi in x])
+        exponent = k * np.abs(np.log(x)) + x + abs(math.lgamma(k)) + 1.0
+        tol = 4.0 * np.finfo(float).eps * exponent * np.where(x < k + 1.0, loop, 1.0 - loop)
+        assert np.all(np.abs(vals - loop) <= tol)
+        assert reg_lower_inc_gamma(k, 0.0) == reg_lower_inc_gamma_loop(k, 0.0) == 0.0
+
+    def test_scalar_and_0d_inputs_give_floats(self):
+        for x in (2.5, np.float64(2.5), np.array(2.5), 0.0, np.array(0.0)):
+            assert type(reg_lower_inc_gamma(2.5, x)) is float
+        assert reg_lower_inc_gamma(2.5, np.array(2.5)) == reg_lower_inc_gamma(2.5, 2.5)
+        assert reg_lower_inc_gamma(2.5, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, float("nan"), float("inf"), -float("inf")])
+    def test_bad_entry_in_array_raises(self, bad):
+        with pytest.raises(DomainError):
+            reg_lower_inc_gamma(2.0, np.array([0.5, 1.0, bad, 3.0]))
 
 
 class TestMeijerG:
@@ -141,21 +189,22 @@ class TestQuadrature:
     def test_with_inc_gamma_factor(self):
         # closed form (1 + 1/r)^-k with r = 1, k = 2
         def f(x):
-            x = np.atleast_1d(x)
-            return np.exp(-x) * np.array([reg_lower_inc_gamma(2.0, xi) for xi in x])
+            return np.exp(-x) * reg_lower_inc_gamma(2.0, x)
 
         assert integrate_semi_infinite(f) == pytest.approx(0.25, rel=1e-9)
 
-    def test_sharp_peak_far_out(self):
-        # Gamma(51) mass sits near x = 50; the subdivision must find it
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            pos = x > 0
-            out[pos] = np.exp(50.0 * np.log(x[pos]) - x[pos] - math.lgamma(51.0))
-            return out
+    @staticmethod
+    def peak(x):
+        # the Gamma(51) density, whose mass sits near x = 50
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        pos = x > 0
+        out[pos] = np.exp(50.0 * np.log(x[pos]) - x[pos] - math.lgamma(51.0))
+        return out
 
-        assert integrate_semi_infinite(f) == pytest.approx(1.0, rel=1e-9)
+    def test_sharp_peak_far_out(self):
+        # the subdivision must find the peak's mass
+        assert integrate_semi_infinite(self.peak) == pytest.approx(1.0, rel=1e-9)
 
     def test_budget_exhaustion_reports_estimate(self):
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
@@ -163,6 +212,51 @@ class TestQuadrature:
             integrate_semi_infinite(lambda x: np.cos(x) ** 2 * np.exp(-0.01 * x), spec)
         assert err.value.estimate is not None
         assert err.value.error_bound > 0
+
+    def test_vector_components_match_scalar_integrals(self):
+        rates = np.array([0.5, 1.0, 3.0, 20.0])
+
+        def f(x):
+            return np.exp(-np.outer(x, rates)) * np.array([1.0, 1e-6, 1e6, 1.0])
+
+        spec = QuadratureSpec(rel_tol=1e-10)
+        vals = integrate_semi_infinite(f, spec)
+        assert isinstance(vals, np.ndarray) and vals.shape == (4,)
+        for i, rate in enumerate(rates):
+            alone = integrate_semi_infinite(lambda x: f(x)[:, i], spec)
+            assert isinstance(alone, float)
+            assert vals[i] == pytest.approx(alone, rel=1e-10)
+            assert vals[i] == pytest.approx(f(np.zeros(1))[0, i] / rate, rel=1e-10)
+
+    def test_hard_component_keeps_mesh_subdividing(self):
+        # the easy component alone converges at once; sharing the mesh with
+        # the peak, the loop must run until the peak has converged too
+        counts = {}
+
+        def counted(name, f):
+            def wrapped(x):
+                counts[name] = counts.get(name, 0) + 1
+                return f(x)
+            return wrapped
+
+        easy = counted("easy", lambda x: np.exp(-x))
+        both = counted("both", lambda x: np.stack([np.exp(-x), self.peak(x)], axis=1))
+        assert integrate_semi_infinite(easy) == pytest.approx(1.0, rel=1e-10)
+        vals = integrate_semi_infinite(both)
+        assert vals[0] == pytest.approx(1.0, rel=1e-10)
+        assert vals[1] == pytest.approx(1.0, rel=1e-9)
+        assert counts["both"] > 2 * counts["easy"]
+
+    def test_vector_budget_exhaustion_reports_arrays(self):
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
+        with pytest.raises(ConvergenceError) as err:
+            integrate_semi_infinite(
+                lambda x: np.stack([np.exp(-x), np.cos(x) ** 2 * np.exp(-0.01 * x)], axis=1),
+                spec)
+        estimate, bound = err.value.estimate, err.value.error_bound
+        assert isinstance(estimate, np.ndarray) and estimate.shape == (2,)
+        assert isinstance(bound, np.ndarray) and bound.shape == (2,)
+        assert np.all(bound > 0) and np.all(np.isfinite(estimate))
 
     def test_gauss_rules_integrate_polynomials_exactly(self):
         # guards the quadrature backbone: leggauss(15) is exact to degree 29
