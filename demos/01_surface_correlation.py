@@ -7,7 +7,7 @@ eigenvalue spectrum that the channel generator's eigen-factor is built from.
 
 import numpy as np
 
-from frisec import SurfaceGeometry, build_correlation, element_distance
+from frisec import SurfaceGeometry, build_correlation
 
 WAVELENGTH = 299792458.0 / 2.4e9  # 2.4 GHz carrier
 
@@ -22,9 +22,10 @@ print(f"correlation of horizontal neighbors: {corr.matrix[0, 1]:+.4f}")
 print(f"correlation of diagonal neighbors:   {corr.matrix[0, 11]:+.4f}")
 print(f"correlation across the aperture:     {corr.matrix[0, 99]:+.4f}")
 
-# distance profile along one row
-row = [element_distance(0, i, geometry) / WAVELENGTH for i in range(5)]
+# distance and correlation profile along one row
+row = geometry.spacing_x * np.arange(5) / WAVELENGTH
 print("distances along a row (wavelengths):", np.round(row, 3))
+print("correlation along a row:            ", np.round(corr.matrix[0, :5], 3))
 
 # the spectrum decays fast for dense packing: most of the energy lives in a
 # few spatial modes, which is exactly what limits the diversity a selection

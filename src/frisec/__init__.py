@@ -15,17 +15,15 @@ from .channel import ChannelStream, LinkBudget, path_loss
 from .errors import ConfigError, ConvergenceError, DomainError, FrisecError
 from .harness import (ExperimentConfig, GainSamples, MetricEstimate,
                       TrialRecords, estimate_asc, estimate_sop, ks_statistic,
-                      records_for_budget, reference_fits, run_trials,
-                      simulate_gains, sweep_size, sweep_snr, validate_bounds,
-                      validate_fits)
+                      records_for_budget, reference_fits, simulate_gains,
+                      sweep_size, sweep_snr, validate_bounds, validate_fits)
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
-                      asc_upper_bound, exp_cdf, exp_pdf, fit_bob_gamma,
-                      fit_eve_exponential, gamma_cdf, gamma_pdf,
-                      secrecy_capacity, sop_lower_bound, sop_lower_oracle)
+                      asc_upper_bound, exp_cdf, fit_bob_gamma,
+                      fit_eve_exponential, gamma_cdf, secrecy_capacity,
+                      sop_lower_bound, sop_lower_oracle)
 from .specfun import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
                       meijer_g_2122, reg_lower_inc_gamma)
 from .surface import (CorrelationMatrix, SelectionSet, SurfaceGeometry,
-                      build_correlation, element_distance, index_to_coords,
-                      reduce_correlation, trace_power)
+                      build_correlation, reduce_correlation, trace_power)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -77,7 +77,11 @@ def path_loss(ref_gain: float, exponent: float, distance_m: float) -> float:
     """Distance-power-law gain: ref_gain * d^(-exponent)."""
     if not distance_m > 0.0:
         raise DomainError(f"distance must be > 0 m, got {distance_m}")
-    return ref_gain * distance_m ** (-exponent)
+    try:
+        return ref_gain * distance_m ** (-exponent)
+    except OverflowError:
+        raise DomainError(f"path loss over {distance_m} m with exponent {exponent} "
+                          "overflows") from None
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,8 @@ class LinkBudget:
     noise_eve_w: float
 
     def __post_init__(self):
+        if not self.ref_gain > 0:
+            raise DomainError("path-loss reference gain must be > 0")
         for name in ("dist_feed_m", "dist_bob_m", "dist_eve_m"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0")
@@ -107,6 +113,11 @@ class LinkBudget:
             raise DomainError("transmit power must be > 0")
         if not (self.noise_bob_w > 0 and self.noise_eve_w > 0):
             raise DomainError("noise powers must be > 0")
+        for receiver in ("bob", "eve"):
+            scale = self.snr_scale(receiver)
+            if not 0.0 < scale < math.inf:
+                raise DomainError(f"{receiver}'s SNR per unit channel gain is {scale!r}, "
+                                  "outside the floating-point range")
 
     @property
     def loss_feed(self) -> float:

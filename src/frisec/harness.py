@@ -51,6 +51,9 @@ POLICIES = ("greedy", "fixed-uniform", "fixed-random", "conventional")
 KS_MIN_SAMPLES = 100
 
 _INT_FIELDS = ("m_x", "m_z", "conventional_m", "m_on", "trials", "seed", "workers")
+_FLOAT_FIELDS = ("aperture_x", "aperture_z", "carrier_hz", "ref_gain", "pl_exponent",
+                 "dist_feed_m", "dist_bob_m", "dist_eve_m", "tx_power_dbm", "noise_bob_dbm",
+                 "noise_eve_dbm", "target_rate_bits")
 
 
 def db_to_linear(db: float) -> float:
@@ -99,10 +102,13 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        carrier = self.carrier_hz
-        if isinstance(carrier, bool) or not (isinstance(carrier, numbers.Real)
-                                             and math.isfinite(carrier) and carrier > 0):
-            raise ConfigError(f"carrier_hz must be a finite number > 0, got {carrier!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not self.carrier_hz > 0:
+            raise ConfigError(f"carrier_hz must be > 0, got {self.carrier_hz!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -130,12 +136,17 @@ class ExperimentConfig:
         conv = self.conventional_m
         if conv < 1 or math.isqrt(conv) ** 2 != conv:
             raise ConfigError(f"conventional_m must be a perfect square >= 1, got {conv}")
-        try:  # the link and both surfaces must be buildable before anything runs
-            self.budget()
+        try:  # the link at every grid point, the target and both surfaces come first
+            base = self.budget()
+            for snr_db in self.snr_sweep_db:
+                base.with_avg_snr_bob(db_to_linear(snr_db))
+            self.target()
             self.fris_geometry()
             self.conventional_geometry()
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
+        except OverflowError as exc:  # from a dB to linear conversion
+            raise ConfigError(f"a dB or dBm value is out of floating-point range: {exc}") from exc
 
     @property
     def wavelength(self) -> float:
@@ -345,18 +356,6 @@ def records_for_budget(gains: GainSamples, budget: LinkBudget) -> TrialRecords:
     snr_e = budget.snr_scale("eve") * gains.g_eve
     return TrialRecords(g_bob=gains.g_bob, g_eve=gains.g_eve, snr_bob=snr_b, snr_eve=snr_e,
                         capacity=secrecy_capacity(snr_b, snr_e))
-
-
-def run_trials(config: ExperimentConfig) -> TrialRecords:
-    """Simulate the configured scenario at its base budget."""
-    if config.policy == "conventional":
-        corr, m_on = build_correlation(config.conventional_geometry()), config.conventional_m
-    else:
-        corr, m_on = build_correlation(config.fris_geometry()), config.m_on
-    stream = ChannelStream(seed=config.seed, stream=STREAM_FRIS_SNR)
-    gains = simulate_gains(corr, config.policy, m_on, config.trials, stream,
-                           workers=config.workers)
-    return records_for_budget(gains, config.budget())
 
 
 def estimate_sop(records: TrialRecords, target: SecrecyTarget) -> MetricEstimate:

@@ -69,8 +69,8 @@ class SecrecyTarget:
     rate_bits: float
 
     def __post_init__(self):
-        if self.rate_bits < 0:
-            raise DomainError("target secrecy rate must be >= 0")
+        if not 0 <= self.rate_bits < 1024:  # 2^rate must be a finite float
+            raise DomainError("target secrecy rate must lie in [0, 1024) bits/s/Hz")
 
 
 def fit_bob_gamma(j_reduced: np.ndarray) -> GammaFit:
@@ -98,34 +98,12 @@ def gamma_cdf(g, fit: GammaFit):
     return reg_lower_inc_gamma(fit.shape, g / fit.scale)
 
 
-def gamma_pdf(g: float, fit: GammaFit) -> float:
-    """Density of the fitted Gamma gain law."""
-    if g < 0:
-        raise DomainError("gain must be >= 0")
-    if g == 0.0:
-        if fit.shape > 1.0:
-            return 0.0
-        if fit.shape == 1.0:
-            return 1.0 / fit.scale
-        return math.inf
-    log_pdf = ((fit.shape - 1.0) * math.log(g) - g / fit.scale
-               - fit.shape * math.log(fit.scale) - math.lgamma(fit.shape))
-    return math.exp(log_pdf) if log_pdf > -745.0 else 0.0
-
-
 def exp_cdf(g, fit: ExpFit):
     """CDF of the fitted exponential gain law, elementwise over an array of gains."""
     g = np.asarray(g, dtype=float)
     if np.any(g < 0):
         raise DomainError("gain must be >= 0")
     return -np.expm1(-fit.rate * g)
-
-
-def exp_pdf(g: float, fit: ExpFit) -> float:
-    """Density of the fitted exponential gain law."""
-    if g < 0:
-        raise DomainError("gain must be >= 0")
-    return fit.rate * math.exp(-fit.rate * g)
 
 
 def secrecy_capacity(snr_bob: np.ndarray, snr_eve: np.ndarray) -> np.ndarray:
@@ -179,7 +157,11 @@ def sop_lower_bound(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget,
     return sop_bound_from_ratio(fit_b.shape, sop_ratio(fit_b, fit_e, budget, target))
 
 
-def sop_oracle_from_ratio(shape: float, z: float, quad: QuadratureSpec | None = None) -> float:
+_SOP_QUAD = QuadratureSpec(abs_tol=1e-320, rel_tol=1e-9, max_subdivisions=2000)
+_ASC_QUAD = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=2000)
+
+
+def sop_oracle_from_ratio(shape: float, z: float) -> float:
     """Outage bound via direct quadrature of the defining integral.
 
     Integrates the Gamma CDF of the legitimate SNR at the scaled eavesdropper
@@ -192,63 +174,43 @@ def sop_oracle_from_ratio(shape: float, z: float, quad: QuadratureSpec | None = 
     """
     if z <= 0:
         raise DomainError("ratio must be > 0")
-    if quad is None:
-        quad = QuadratureSpec(abs_tol=1e-320, rel_tol=1e-9, max_subdivisions=2000)
-
     if shape * z < 1.0:
         return 1.0 - z * integrate_semi_infinite(
-            lambda t: (1.0 - reg_lower_inc_gamma(shape, t)) * np.exp(-z * t), quad)
+            lambda t: (1.0 - reg_lower_inc_gamma(shape, t)) * np.exp(-z * t), _SOP_QUAD)
     return integrate_semi_infinite(
-        lambda u: reg_lower_inc_gamma(shape, u / z) * np.exp(-u), quad)
+        lambda u: reg_lower_inc_gamma(shape, u / z) * np.exp(-u), _SOP_QUAD)
 
 
 def sop_lower_oracle(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget,
-                     target: SecrecyTarget, quad: QuadratureSpec | None = None) -> float:
+                     target: SecrecyTarget) -> float:
     """Quadrature oracle for sop_lower_bound, in physical SNR units."""
-    z = sop_ratio(fit_b, fit_e, budget, target)
-    return sop_oracle_from_ratio(fit_b.shape, z, quad)
+    return sop_oracle_from_ratio(fit_b.shape, sop_ratio(fit_b, fit_e, budget, target))
 
 
-def asc_oracle(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget,
-               quad: QuadratureSpec | None = None) -> float:
-    """Average secrecy capacity of the fitted laws by iterated quadrature.
+def asc_oracle(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget) -> float:
+    """Average secrecy capacity of the fitted laws, by one quadrature.
 
-    Outer integral over the eavesdropper SNR, inner over the excess of the
-    legitimate SNR above it (the positive-part clamp makes the inner domain
-    start at the eavesdropper's draw).  This is the reference value that the
+    For independent SNRs X (legitimate, Gamma) and Y (eavesdropper,
+    exponential) and the increasing g(t) = log2(1 + t),
+    E[(g(X) - g(Y))^+] is the integral over t >= 0 of
+    g'(t) F_Y(t) (1 - F_X(t)).  This is the reference value that the
     closed-form capacity bound approximates.
 
-    The outer abscissae are in units of the smaller of the two mean SNRs.
-    In units of the eavesdropper's mean, a legitimate mean SNR smaller by a
+    The abscissae are in units of the smaller of the two mean SNRs.  In
+    units of the eavesdropper's mean, a legitimate mean SNR smaller by a
     factor r confines the integrand to a layer of width about r at 0, which
-    the quadrature misses for r below about 1e-3 (it returned 0).
+    the quadrature misses for r below about 1e-3 (it returns 0).
     """
-    if quad is None:
-        quad = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-8, max_subdivisions=800)
-    inner_quad = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-7, max_subdivisions=800)
     scale_b = budget.snr_scale("bob") * fit_b.scale  # Gamma scale of bob's SNR
     mean_e = budget.snr_scale("eve") * fit_e.mean    # mean of eve's SNR
     if scale_b == 0.0:
         return 0.0
-    shape = fit_b.shape
-    lgam = math.lgamma(shape)
-    unit = min(mean_e, shape * scale_b)
-    rate = unit / mean_e  # eve's SNR density in units of `unit`, rate * e^(-rate t)
+    unit = min(mean_e, fit_b.shape * scale_b)
 
-    def outer(t: np.ndarray) -> np.ndarray:
-        # t is eve's SNR in units of `unit`; the inner integrals for all its
-        # abscissae y share one mesh, one column per y
-        y = unit * t
+    def integrand(s: np.ndarray) -> np.ndarray:
+        # s is the SNR in units of `unit`; dt = unit ds
+        f_eve = -np.expm1(-(unit / mean_e) * s)
+        tail_bob = 1.0 - reg_lower_inc_gamma(fit_b.shape, (unit / scale_b) * s)
+        return unit / (1.0 + unit * s) * f_eve * tail_bob
 
-        def inner(w: np.ndarray) -> np.ndarray:
-            # excess of bob's SNR above y, in units of the Gamma scale, so the
-            # abscissae match the density's own spread regardless of magnitudes
-            w = w[:, None]
-            x = y + scale_b * w
-            log_pdf = ((shape - 1.0) * np.log(x / scale_b) - x / scale_b
-                       - lgam)  # pdf times the scale from dx = scale_b dw
-            return np.log1p(scale_b * w / (1.0 + y)) / _LN2 * np.exp(log_pdf)
-
-        return rate * np.exp(-rate * t) * integrate_semi_infinite(inner, inner_quad)
-
-    return integrate_semi_infinite(outer, quad)
+    return integrate_semi_infinite(integrand, _ASC_QUAD) / _LN2

@@ -40,8 +40,8 @@ class SurfaceGeometry:
             raise DomainError("element counts must be >= 1")
         if not (self.width_x > 0 and self.width_z > 0):
             raise DomainError("aperture extents must be > 0")
-        if not self.wavelength > 0:
-            raise DomainError("wavelength must be > 0")
+        if not 0 < self.wavelength < math.inf:
+            raise DomainError("wavelength must be finite and > 0")
 
     @property
     def n_elements(self) -> int:
@@ -105,27 +105,6 @@ class SelectionSet:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)
-
-
-def index_to_coords(i: int, geometry: SurfaceGeometry) -> tuple[int, int]:
-    """Map a flat element index to (column, row) on the grid."""
-    i = int(i)
-    if not 0 <= i < geometry.n_elements:
-        raise IndexError(f"element index {i} out of range [0, {geometry.n_elements})")
-    return i % geometry.m_x, i // geometry.m_x
-
-
-def element_distance(i: int, l: int, geometry: SurfaceGeometry) -> float:
-    """Euclidean distance in meters between two grid elements.
-
-    Both coordinate differences enter squared; the distance is the true
-    planar separation regardless of indexing direction.
-    """
-    ix_i, iz_i = index_to_coords(i, geometry)
-    ix_l, iz_l = index_to_coords(l, geometry)
-    dx = geometry.spacing_x * (ix_i - ix_l)
-    dz = geometry.spacing_z * (iz_i - iz_l)
-    return math.hypot(dx, dz)
 
 
 def build_correlation(geometry: SurfaceGeometry,

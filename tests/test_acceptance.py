@@ -243,14 +243,14 @@ def test_c8_capacity_bound_checked_and_violations_surfaced(reference_config, bou
             print(f"  surfaced: capacity closed form {r['asc_bound']:+.3f} below "
                   f"MC mean {r['asc_mc']:.3f} at {r['avg_snr_bob_db']:.0f} dB"
                   + (" (negative)" if r["asc_bound_negative"] else ""))
-    # reference value: the iterated-quadrature capacity of the fitted laws
+    # reference value: the quadrature capacity of the fitted laws
     corr = build_correlation(reference_config.fris_geometry())
     fit_b, fit_e = reference_fits(corr, reference_config.m_on)
     nominal = reference_config.budget()
     ub = asc_upper_bound(fit_b, fit_e, nominal)
     ref = asc_oracle(fit_b, fit_e, nominal)
     print(f"  fitted-law reference at nominal budget: closed form {ub:.3f} vs "
-          f"iterated quadrature {ref:.3f} (sign of difference: "
+          f"quadrature {ref:.3f} (sign of difference: "
           f"{'+' if ub >= ref else '-'})")
     ok = len(surfaced) == len(violations)
     report("C8", "capacity closed form checked at every point, violations surfaced",

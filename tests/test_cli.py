@@ -161,6 +161,9 @@ def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch):
     {"size_sweep": [-4, 4]}, {"size_sweep": [0, 4]}, {"size_sweep": [4.0, 9]},
     {"snr_sweep_db": ["a", "b"]}, {"snr_sweep_db": [True, 100]},
     {"snr_sweep_db": [80, float("nan")]}, {"snr_sweep_db": [80, float("inf")]},
+    {"ref_gain": "a"}, {"target_rate_bits": "x"}, {"ref_gain": 0},
+    {"noise_eve_dbm": float("inf")}, {"target_rate_bits": float("nan")},
+    {"dist_bob_m": float("inf")}, {"ref_gain": True}, {"target_rate_bits": -1},
 ])
 def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     cfgmap = json.loads(tiny_config.read_text()) | override
@@ -184,3 +187,38 @@ def test_few_trials_blank_the_ks_columns(tmp_path, pool_8x8):
         assert [r["status"] for r in rows] == ["ok"] * len(rows)
         assert all(r["ks_bob"] == r["ks_eve"] == "nan" for r in rows)
     assert all(r["sop_mc"] != "nan" for r in csv_rows(out))
+
+
+def test_fuzzed_configs_exit_cleanly(tmp_path):
+    # a small valid configuration with up to two fields replaced by wrong
+    # types, NaN/inf or out-of-range values either runs (0), is rejected (1)
+    # or fails numerically (2); no exception escapes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small_sizes = st.sampled_from([1, 4, 9, 16])
+    valid = {  # every size field is given, so no default builds a large surface
+        "m_x": st.integers(1, 4), "m_z": st.integers(1, 4), "m_on": st.integers(1, 4),
+        "conventional_m": small_sizes, "trials": st.integers(1, 256),
+        "snr_sweep_db": st.lists(st.floats(-50.0, 200.0), min_size=1, max_size=3,
+                                 unique=True).map(sorted),
+        "size_sweep": st.lists(small_sizes, min_size=1, max_size=3, unique=True).map(sorted),
+        "seed": st.integers(0, 2 ** 64 - 1), "workers": st.integers(1, 2),
+        "policy": st.sampled_from(harness.POLICIES),
+    }
+    edges = st.sampled_from([0, -1, 1e300, -1e300, 1e-300, float("nan"), float("inf"),
+                             -float("inf"), None, True, "x"])
+    bad = st.one_of(edges, st.floats(), st.integers(-2, 2),
+                    st.lists(st.one_of(edges, st.floats()), max_size=3))
+    overrides = st.dictionaries(st.sampled_from(sorted(valid) + list(harness._FLOAT_FIELDS)),
+                                bad, min_size=1, max_size=2)
+    commands = ("sweep-asc", "sweep-sop", "sweep-size", "validate-fits",
+                "validate-bounds", "dump-correlation")
+
+    @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.sampled_from(commands), st.fixed_dictionaries(valid), overrides)
+    def check(command, base, override):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(base | override))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) in (0, 1, 2)
+
+    check()

@@ -12,9 +12,9 @@ from frisec.harness import (SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                             config_from_mapping, db_to_linear, dbm_to_watts,
                             dump_correlation_csv, estimate_asc, estimate_sop,
                             ks_statistic, records_for_budget, reference_fits,
-                            rows_to_csv, run_trials, simulate_gains,
-                            sweep_size, sweep_snr, validate_bounds,
-                            validate_fits, write_results)
+                            rows_to_csv, simulate_gains, sweep_size,
+                            sweep_snr, validate_bounds, validate_fits,
+                            write_results)
 from frisec.secrecy import GammaFit, SecrecyTarget, asc_oracle, sop_bound_from_ratio
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
@@ -25,6 +25,13 @@ def small_config(**overrides):
                     snr_sweep_db=(60.0, 90.0, 120.0))
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def base_records(cfg, geometry, m_on):
+    """Per-trial records of the configured policy on `geometry` at the base budget."""
+    gains = simulate_gains(build_correlation(geometry), cfg.policy, m_on, cfg.trials,
+                           ChannelStream(cfg.seed))
+    return records_for_budget(gains, cfg.budget())
 
 
 class TestConfig:
@@ -89,24 +96,24 @@ class TestEstimates:
 
 
 class TestEngine:
-    def test_run_trials_reproducible(self):
+    def test_records_reproducible(self):
         cfg = small_config(trials=1)
-        r1 = run_trials(cfg)
-        r2 = run_trials(cfg)
+        r1 = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        r2 = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
         assert np.array_equal(r1.g_bob, r2.g_bob)
         assert np.array_equal(r1.capacity, r2.capacity)
         assert r1.g_bob.size == 1
 
     def test_silenced_eavesdropper_gives_nonnegative_log_capacity(self):
         cfg = small_config(noise_eve_dbm=300.0, trials=512)  # huge noise power
-        rec = run_trials(cfg)
+        rec = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
         expected = np.log1p(rec.snr_bob) / math.log(2.0)
         assert np.allclose(rec.capacity, expected, rtol=1e-9)
         assert np.all(rec.capacity >= 0.0)
 
     def test_conventional_policy_geometry(self):
         cfg = small_config(policy="conventional", conventional_m=4)
-        rec = run_trials(cfg)
+        rec = base_records(cfg, cfg.conventional_geometry(), cfg.conventional_m)
         assert rec.g_bob.size == cfg.trials
 
     def test_worker_independence(self):

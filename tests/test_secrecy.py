@@ -5,13 +5,16 @@ import pytest
 
 from frisec.channel import LinkBudget
 from frisec.errors import DomainError
+from frisec.harness import config_from_mapping, db_to_linear, reference_fits
 from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
-                            asc_upper_bound, exp_cdf, exp_pdf, fit_bob_gamma,
-                            fit_eve_exponential, gamma_cdf, gamma_pdf,
-                            secrecy_capacity, sop_bound_from_ratio,
-                            sop_lower_bound, sop_lower_oracle,
-                            sop_oracle_from_ratio, sop_ratio)
+                            asc_upper_bound, exp_cdf, fit_bob_gamma,
+                            fit_eve_exponential, gamma_cdf, secrecy_capacity,
+                            sop_bound_from_ratio, sop_lower_bound,
+                            sop_lower_oracle, sop_oracle_from_ratio, sop_ratio)
 from frisec.specfun import QuadratureSpec, integrate_semi_infinite
+from frisec.surface import build_correlation
+
+from oracles import asc_oracle_nested
 
 
 def unit_budget(snr_bob=1.0, snr_eve=1.0):
@@ -70,28 +73,16 @@ class TestDistributions:
         fit = GammaFit(shape=1.0, scale=1.0)
         assert gamma_cdf(math.log(2.0), fit) == pytest.approx(0.5, rel=1e-12)
 
-    def test_gamma_pdf_normalizes(self):
-        fit = GammaFit(shape=3.7, scale=0.6)
-        total = integrate_semi_infinite(
-            lambda x: np.array([gamma_pdf(xi, fit) for xi in np.atleast_1d(x)]))
-        assert total == pytest.approx(1.0, abs=1e-8)
-
     def test_exp_cdf_examples(self):
         fit = ExpFit(rate=0.25)
         assert exp_cdf(0.0, fit) == 0.0
         assert exp_cdf(math.log(2.0) / 0.25, fit) == pytest.approx(0.5, rel=1e-12)
 
-    def test_exp_mean_via_quadrature(self):
-        fit = ExpFit(rate=0.8)
-        mean = integrate_semi_infinite(
-            lambda x: np.asarray(x) * np.array([exp_pdf(xi, fit) for xi in np.atleast_1d(x)]))
-        assert mean == pytest.approx(1 / 0.8, rel=1e-9)
-
     def test_negative_gain_rejected(self):
         with pytest.raises(DomainError):
             gamma_cdf(-1.0, GammaFit(1.0, 1.0))
         with pytest.raises(DomainError):
-            exp_pdf(-1.0, ExpFit(1.0))
+            exp_cdf(-1.0, ExpFit(1.0))
 
 
 class TestSecrecyCapacity:
@@ -220,6 +211,15 @@ class TestSopBound:
             assert abs(closed - oracle) / oracle <= 1e-6
 
 
+def validate_grid_cases(snr_grid_db):
+    """(fits, budget) of the reference 10x10 pool at each average SNR in dB."""
+    config = config_from_mapping({"m_x": 10, "m_z": 10, "aperture_x": 3.0,
+                                  "aperture_z": 3.0, "m_on": 100})
+    fit_b, fit_e = reference_fits(build_correlation(config.fris_geometry()), config.m_on)
+    return [(fit_b, fit_e, config.budget().with_avg_snr_bob(db_to_linear(snr_db)))
+            for snr_db in snr_grid_db]
+
+
 class TestAscOracle:
     def test_vanishing_bob(self):
         fit_b = GammaFit(shape=2.0, scale=1.0)
@@ -238,34 +238,37 @@ class TestAscOracle:
         assert val == pytest.approx(single, rel=1e-6)
 
     def test_matches_independent_identity(self):
-        # E[(g(X) - g(Y))^+] = integral of F_Y (1 - F_X) g' for independent X, Y,
-        # on a unit case and on the 13 budgets of the reference 10x10 pool's
-        # validation grid (60 to 120 dB)
-        from frisec.harness import (config_from_mapping, db_to_linear,
-                                    reference_fits)
-        from frisec.specfun import reg_lower_inc_gamma
-        from frisec.surface import build_correlation
+        # the one-integral identity against the iterated quadrature of the
+        # same expectation, on a unit case and on the 13 budgets of the
+        # reference 10x10 pool's validation grid (60 to 120 dB)
         cases = [(GammaFit(shape=3.0, scale=2.0), ExpFit(rate=0.5),
                   unit_budget(snr_bob=5.0, snr_eve=1.0))]
-        config = config_from_mapping({"m_x": 10, "m_z": 10, "aperture_x": 3.0,
-                                      "aperture_z": 3.0, "m_on": 100})
-        fit_b, fit_e = reference_fits(build_correlation(config.fris_geometry()), config.m_on)
-        cases += [(fit_b, fit_e, config.budget().with_avg_snr_bob(db_to_linear(snr_db)))
-                  for snr_db in range(60, 125, 5)]
+        cases += validate_grid_cases(range(60, 125, 5))
         assert len(cases) == 14
         for fit_b, fit_e, budget in cases:
-            val = asc_oracle(fit_b, fit_e, budget)
-            a = budget.snr_scale("bob") * fit_b.scale
-            be = budget.snr_scale("eve") * fit_e.mean
+            assert asc_oracle(fit_b, fit_e, budget) == pytest.approx(
+                asc_oracle_nested(fit_b, fit_e, budget), rel=1e-9)
 
-            def ident(t):
-                fy = -np.expm1(-t / be)
-                sx = 1.0 - reg_lower_inc_gamma(fit_b.shape, t / a)
-                return fy * sx / (1.0 + t) / math.log(2.0)
+    def test_against_mpmath(self):
+        # 20-digit quadrature of the defining integral of F_Y (1 - F_X) g',
+        # with breakpoints at both mean SNRs
+        mpmath = pytest.importorskip("mpmath")
+        for fit_b, fit_e, budget in validate_grid_cases((60, 90, 120)):
+            with mpmath.workdps(20):
+                shape = mpmath.mpf(fit_b.shape)
+                scale_b = mpmath.mpf(budget.snr_scale("bob") * fit_b.scale)
+                mean_e = mpmath.mpf(budget.snr_scale("eve") * fit_e.mean)
 
-            ref = integrate_semi_infinite(ident, QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10,
-                                                                max_subdivisions=2000))
-            assert val == pytest.approx(ref, rel=1e-6)
+                def integrand(t):
+                    return (-mpmath.expm1(-t / mean_e)
+                            * mpmath.gammainc(shape, t / scale_b, mpmath.inf, regularized=True)
+                            / ((1 + t) * mpmath.log(2)))
+
+                points = sorted({mpmath.mpf(0), mean_e, 10 * mean_e, scale_b,
+                                 shape * scale_b, 4 * shape * scale_b})
+                ref, err = mpmath.quad(integrand, points + [mpmath.inf], error=True)
+                assert err <= 1e-12 * ref
+            assert asc_oracle(fit_b, fit_e, budget) == pytest.approx(float(ref), rel=1e-9)
 
     def test_bound_vs_oracle_direction_reported(self):
         # the closed form is not a certified bound; just confirm both evaluate

@@ -33,6 +33,15 @@ class TestBesselJ0:
     def test_against_integral_oracle(self, x):
         assert abs(bessel_j0(x) - bessel_j0_integral(x)) <= 1e-12
 
+    def test_against_scipy(self):
+        # a dense grid plus both sides of the switches between the series,
+        # the backward recurrence and the asymptotic expansion
+        special = pytest.importorskip("scipy.special")
+        x = np.concatenate([np.linspace(0.0, 200.0, 4001),
+                            np.nextafter([8.0, 8.0, 17.0, 17.0], [0.0, 9.0, 0.0, 18.0])])
+        np.testing.assert_allclose([bessel_j0(v) for v in x], special.j0(x),
+                                   rtol=0.0, atol=1e-14)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             bessel_j0(float("nan"))
@@ -163,6 +172,13 @@ class TestMeijerG:
             red = meijer_g_2122(z, k)
             orc = meijer_g_2122_oracle(z, k, 4096)
             assert abs(red - orc) / orc <= 1e-7
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for k in (0.25, 1.0, 3.7, 16.6):
+            for z in np.logspace(-6.0, 6.0, 7):
+                ref = float(mpmath.meijerg([[-k], [0]], [[0, -1], []], z))
+                assert meijer_g_2122(z, k) == pytest.approx(ref, rel=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from frisec.errors import DomainError
-from frisec.surface import (CorrelationMatrix, SelectionSet, SurfaceGeometry,
-                            build_correlation, element_distance,
-                            index_to_coords, reduce_correlation, trace_power)
+from frisec.specfun import bessel_j0
+from frisec.surface import (SelectionSet, SurfaceGeometry, build_correlation,
+                            reduce_correlation, trace_power)
 
-from oracles import bessel_j0_series, trace_power_direct
+from oracles import (bessel_j0_series, element_distance, index_to_coords,
+                     trace_power_direct)
 
 WAVELENGTH = 0.12491352  # 2.4 GHz carrier
 
@@ -59,6 +60,16 @@ class TestCorrelation:
         assert np.all(np.diag(corr.matrix) == 1.0)
         assert np.array_equal(corr.matrix, corr.matrix.T)
         assert np.all(np.abs(corr.matrix) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("m_x, m_z, width_x, width_z",
+                             [(5, 3, 2.0, 1.3), (3, 5, 1.3, 2.0), (7, 4, 0.9, 3.1)])
+    def test_matrix_equals_pairwise_distances(self, m_x, m_z, width_x, width_z):
+        # every entry, bit for bit, against J0 of the scalar pairwise distance
+        g = SurfaceGeometry(m_x, m_z, width_x, width_z, WAVELENGTH)
+        m = g.n_elements
+        expected = np.array([[bessel_j0(2.0 * math.pi * element_distance(i, l, g) / WAVELENGTH)
+                              for l in range(m)] for i in range(m)])
+        assert np.array_equal(build_correlation(g).matrix, expected)
 
     def test_half_wavelength_neighbors(self):
         # spacing exactly half a wavelength: neighbor correlation is J0(pi)
