@@ -23,7 +23,7 @@ from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
                       sop_lower_bound, sop_lower_oracle)
 from .specfun import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
                       meijer_g_2122, reg_lower_inc_gamma)
-from .surface import (CorrelationMatrix, SelectionSet, SurfaceGeometry,
-                      build_correlation, reduce_correlation, trace_power)
+from .surface import (CorrelationMatrix, SurfaceGeometry, build_correlation,
+                      trace_power)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

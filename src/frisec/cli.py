@@ -52,7 +52,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = value
-    mapping["out_path"] = args.out
     return config_from_mapping(mapping)
 
 

@@ -32,8 +32,7 @@ from .errors import ConfigError, DomainError, FrisecError
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_upper_bound,
                       exp_cdf, fit_bob_gamma, fit_eve_exponential, gamma_cdf,
                       secrecy_capacity, sop_lower_bound)
-from .surface import (EIGEN_CLAMP, CorrelationMatrix, SelectionSet,
-                      SurfaceGeometry, build_correlation, reduce_correlation)
+from .surface import EIGEN_CLAMP, CorrelationMatrix, SurfaceGeometry, build_correlation
 
 SPEED_OF_LIGHT = 299792458.0
 _Z95 = 1.959963984540054
@@ -94,7 +93,6 @@ class ExperimentConfig:
     workers: int = 1
     snr_sweep_db: tuple = tuple(float(v) for v in range(60, 125, 5))
     size_sweep: tuple = (100, 144, 196, 256, 324, 400)
-    out_path: str | None = None
 
     def __post_init__(self):
         for name in _INT_FIELDS:
@@ -136,13 +134,15 @@ class ExperimentConfig:
         conv = self.conventional_m
         if conv < 1 or math.isqrt(conv) ** 2 != conv:
             raise ConfigError(f"conventional_m must be a perfect square >= 1, got {conv}")
-        try:  # the link at every grid point, the target and both surfaces come first
+        try:  # the link at every grid point, the target and every surface come first
             base = self.budget()
             for snr_db in self.snr_sweep_db:
                 base.with_avg_snr_bob(db_to_linear(snr_db))
             self.target()
             self.fris_geometry()
             self.conventional_geometry()
+            for m_total in self.size_sweep:
+                self.size_geometry(m_total)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         except OverflowError as exc:  # from a dB to linear conversion
@@ -161,6 +161,12 @@ class ExperimentConfig:
         side = math.isqrt(self.conventional_m)
         return SurfaceGeometry(m_x=side, m_z=side, width_x=side / 2.0, width_z=side / 2.0,
                                wavelength=self.wavelength)
+
+    def size_geometry(self, m_total: int) -> SurfaceGeometry:
+        """The sweep-size pool: a square grid of isqrt(m_total) per side over the aperture."""
+        side = math.isqrt(m_total)
+        return SurfaceGeometry(m_x=side, m_z=side, width_x=self.aperture_x,
+                               width_z=self.aperture_z, wavelength=self.wavelength)
 
     def budget(self) -> LinkBudget:
         return LinkBudget(
@@ -206,7 +212,6 @@ class MetricEstimate:
     std_error: float
     ci_low: float
     ci_high: float
-    n_trials: int
 
     @staticmethod
     def for_proportion(successes: int, n: int) -> "MetricEstimate":
@@ -222,7 +227,7 @@ class MetricEstimate:
         # rounding must never push the interval off the point estimate
         return MetricEstimate(point=p, std_error=se,
                               ci_low=min(p, max(0.0, center - half)),
-                              ci_high=max(p, min(1.0, center + half)), n_trials=n)
+                              ci_high=max(p, min(1.0, center + half)))
 
     @staticmethod
     def for_mean(samples: np.ndarray) -> "MetricEstimate":
@@ -233,7 +238,7 @@ class MetricEstimate:
         mean = float(samples.mean())
         se = float(samples.std(ddof=1) / math.sqrt(n))
         return MetricEstimate(point=mean, std_error=se, ci_low=mean - _Z95 * se,
-                              ci_high=mean + _Z95 * se, n_trials=n)
+                              ci_high=mean + _Z95 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +403,13 @@ SWEEP_COLUMNS = (
 
 
 def reference_fits(corr: CorrelationMatrix, m_on: int) -> tuple[GammaFit, ExpFit]:
-    """Fits from the frozen first-m_on selection of this surface."""
-    sel = SelectionSet(tuple(range(m_on)))
-    reduced = reduce_correlation(corr, sel)
+    """Fits from the frozen first-m_on selection: the leading block of J."""
+    m = corr.n_elements
+    if m_on < 1:
+        raise DomainError("selection must contain at least one element")
+    if m_on > m:
+        raise DomainError(f"selection index {m_on - 1} out of range for a {m}-element surface")
+    reduced = corr.matrix[:m_on, :m_on].copy()
     return fit_bob_gamma(reduced), fit_eve_exponential(reduced)
 
 
@@ -513,14 +522,11 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
     conv_corr = build_correlation(config.conventional_geometry())
     conv_fits = reference_fits(conv_corr, config.conventional_m)
     for point, m_total in enumerate(config.size_sweep):
-        side = math.isqrt(int(m_total))
-        if side * side != m_total:
+        geometry = config.size_geometry(m_total)
+        if geometry.n_elements != m_total:
             rows.append(_nan_row("m_total", m_total, config, "greedy", m_total, config.m_on,
                                  "error: size grid values must be perfect squares"))
             continue
-        geometry = SurfaceGeometry(m_x=side, m_z=side, width_x=config.aperture_x,
-                                   width_z=config.aperture_z,
-                                   wavelength=config.wavelength)
         base = STREAM_SIZE_BASE + 2 * point
         for surface, policy, m_on, stream, fits in (
                 (geometry, "greedy", config.m_on, base, None),

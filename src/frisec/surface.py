@@ -1,12 +1,16 @@
-"""Surface geometry, spatial correlation, and reduced-correlation traces.
+"""Surface geometry, spatial correlation, and correlation traces.
 
 Elements sit on a uniform rectangular grid indexed row-major (0-based): index
 i maps to column i mod M_x and row floor(i / M_x).  Correlation between two
 elements follows the isotropic rich-scattering model J0(2 pi d / lambda),
 which is a positive-definite function of the planar separation d, so the
-matrix is PSD up to rounding noise.  Eigenvalues below a relative floor are
-dropped, and the kept eigenpairs form the M x r factor U_r Lambda_r^{1/2}
-that colors r i.i.d. normals into the correlated field (Karhunen-Loeve).
+matrix is PSD up to rounding noise.  On the grid, d depends only on the
+absolute row and column offsets, so J is block-Toeplitz with Toeplitz
+blocks: J0 is evaluated on the M_z x M_x table of offsets and the matrix
+indexes that table, with no M x M distance array.  Eigenvalues below a
+relative floor are dropped, and the kept eigenpairs form the M x r factor
+U_r Lambda_r^{1/2} that colors r i.i.d. normals into the correlated field
+(Karhunen-Loeve).
 The rank r is set by the aperture area rather than by M, so a dense pool
 needs far fewer normals than elements.
 """
@@ -42,6 +46,11 @@ class SurfaceGeometry:
             raise DomainError("aperture extents must be > 0")
         if not 0 < self.wavelength < math.inf:
             raise DomainError("wavelength must be finite and > 0")
+        widest = 2.0 * math.pi * math.hypot(self.spacing_x * (self.m_x - 1),
+                                            self.spacing_z * (self.m_z - 1)) / self.wavelength
+        if not all(map(math.isfinite, (self.spacing_x, self.spacing_z, widest))):
+            raise DomainError(f"aperture extents {self.width_x!r} x {self.width_z!r} "
+                              "wavelengths overflow the element spacing or the J0 argument")
 
     @property
     def n_elements(self) -> int:
@@ -84,70 +93,37 @@ class CorrelationMatrix:
         return self.factor.shape[1]
 
 
-@dataclass(frozen=True)
-class SelectionSet:
-    """Ordered set of distinct active-element indices."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if len(idx) < 1:
-            raise DomainError("selection must contain at least one element")
-        if len(set(idx)) != len(idx):
-            raise DomainError("selection indices must be distinct")
-        if min(idx) < 0:
-            raise DomainError("selection indices must be >= 0")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.intp)
-
-
-def build_correlation(geometry: SurfaceGeometry,
-                      eigen_clamp: float = EIGEN_CLAMP) -> CorrelationMatrix:
+def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
     """Correlation matrix J[i,l] = J0(2 pi d_il / lambda) and its eigen-factor.
 
-    The factor comes from a symmetric eigendecomposition; eigenvalues below
-    eigen_clamp times the largest are treated as rounding noise and dropped.
+    J0 is evaluated once per distinct value of the m_z x m_x table of
+    absolute (row, column) offsets and broadcast into the matrix.  The factor
+    comes from a symmetric eigendecomposition; eigenvalues below EIGEN_CLAMP
+    times the largest are treated as rounding noise and dropped.
     """
     m = geometry.n_elements
-    cols = np.arange(m) % geometry.m_x
-    rows = np.arange(m) // geometry.m_x
-    dx = geometry.spacing_x * (cols[:, None] - cols[None, :])
-    dz = geometry.spacing_z * (rows[:, None] - rows[None, :])
-    dist = np.hypot(dx, dz)
+    rows = np.arange(geometry.m_z)
+    cols = np.arange(geometry.m_x)
+    dist = np.hypot(geometry.spacing_x * cols[None, :], geometry.spacing_z * rows[:, None])
     args = 2.0 * math.pi * dist / geometry.wavelength
     flat, inverse = np.unique(args, return_inverse=True)
     j0_vals = np.array([bessel_j0(a) for a in flat])
-    corr = j0_vals[inverse].reshape(m, m)
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
+    table = j0_vals[inverse].reshape(args.shape)
+    row_offset = np.abs(rows[:, None] - rows[None, :])
+    col_offset = np.abs(cols[:, None] - cols[None, :])
+    corr = table[row_offset[:, None, :, None], col_offset[None, :, None, :]].reshape(m, m)
 
     try:
         eigvals, eigvecs = np.linalg.eigh(corr)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"eigendecomposition failed: {exc}") from exc
-    floor = eigen_clamp * float(eigvals.max())
+    floor = EIGEN_CLAMP * float(eigvals.max())
     clamped_mass = float(-eigvals[eigvals < 0.0].sum())
     keep = np.flatnonzero(eigvals >= floor)[::-1]  # eigh sorts ascending
     eigen_floor = float(eigvals[keep[-1]]) if keep.size else 0.0
     factor = np.ascontiguousarray(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
     return CorrelationMatrix(matrix=corr, factor=factor, eigen_floor=eigen_floor,
                              clamped_mass=clamped_mass)
-
-
-def reduce_correlation(corr: CorrelationMatrix | np.ndarray, sel: SelectionSet) -> np.ndarray:
-    """Principal submatrix of J on the selected indices."""
-    matrix = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=float)
-    idx = sel.as_array()
-    if idx.max() >= matrix.shape[0]:
-        raise DomainError(f"selection index {idx.max()} out of range for a "
-                          f"{matrix.shape[0]}-element surface")
-    return matrix[np.ix_(idx, idx)].copy()
 
 
 def trace_power(a: np.ndarray, p: int) -> float:

@@ -80,10 +80,13 @@ def test_flag_overrides(tmp_path, tiny_config):
     assert manifest["notes"]["sampler"]["eigen_clamp"] == 1e-12
 
 
-def test_unknown_config_key_exits_1(tmp_path):
+def test_unknown_config_key_exits_1(tmp_path, capsys):
+    # the output path comes from --out only, so a config cannot name one
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"m_q": 4}))
-    assert main(["sweep-asc", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    for mapping in ({"m_q": 4}, {"out_path": str(tmp_path / "y.csv")}):
+        bad.write_text(json.dumps(mapping))
+        assert main(["sweep-asc", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "unknown configuration keys" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_1(tmp_path):
@@ -164,6 +167,11 @@ def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch):
     {"ref_gain": "a"}, {"target_rate_bits": "x"}, {"ref_gain": 0},
     {"noise_eve_dbm": float("inf")}, {"target_rate_bits": float("nan")},
     {"dist_bob_m": float("inf")}, {"ref_gain": True}, {"target_rate_bits": -1},
+    {"aperture_x": 1e300, "carrier_hz": 1e-3},  # element spacing overflows
+    {"aperture_x": 1e307, "carrier_hz": 1.0, "m_x": 2, "m_z": 2, "m_on": 2},
+    # the 1x1 pool is fine; the 3x3 pool of the size grid overflows the J0 argument
+    {"aperture_x": 4e307, "aperture_z": 4e307, "carrier_hz": 3e8, "m_x": 1, "m_z": 1,
+     "m_on": 1},
 ])
 def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     cfgmap = json.loads(tiny_config.read_text()) | override

@@ -10,8 +10,7 @@ from frisec.channel import ChannelStream, correlated_images_batch
 from frisec.errors import ConfigError, DomainError
 from frisec.harness import (ExperimentConfig, _adaptive_block, _fixed_block,
                             _fixed_selection, simulate_gains)
-from frisec.surface import (SelectionSet, SurfaceGeometry, build_correlation,
-                            reduce_correlation, trace_power)
+from frisec.surface import SurfaceGeometry, build_correlation, trace_power
 
 from oracles import select_exhaustive
 
@@ -160,7 +159,7 @@ class TestFixedConfigs:
         mask = np.zeros((9, 9))
         mask[idx, idx] = 1.0
         a = corr.factor.T @ mask @ corr.factor
-        reduced = reduce_correlation(corr, SelectionSet(tuple(idx)))
+        reduced = corr.matrix[np.ix_(idx, idx)]
         assert np.trace(a @ a.conj().T).real == pytest.approx(
             trace_power(reduced, 2), rel=1e-10)
 
@@ -183,8 +182,8 @@ class TestFixedConfigs:
         # survive general unit-modulus phases; averaged over uniform phases
         # only the diagonal mass remains
         corr = build_correlation(SurfaceGeometry(3, 3, 1.0, 1.0, WAVELENGTH))
-        sel = SelectionSet(tuple(range(6)))
-        reduced = reduce_correlation(corr, sel)
+        idx = np.arange(6)
+        reduced = corr.matrix[np.ix_(idx, idx)]
         tr2 = trace_power(reduced, 2)
         rng = np.random.default_rng(19)
         vals = []

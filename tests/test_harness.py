@@ -15,7 +15,8 @@ from frisec.harness import (SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                             rows_to_csv, simulate_gains, sweep_size,
                             sweep_snr, validate_bounds, validate_fits,
                             write_results)
-from frisec.secrecy import GammaFit, SecrecyTarget, asc_oracle, sop_bound_from_ratio
+from frisec.secrecy import (GammaFit, SecrecyTarget, asc_oracle, fit_bob_gamma,
+                            fit_eve_exponential, sop_bound_from_ratio)
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
 
@@ -131,6 +132,21 @@ class TestEngine:
         gains = simulate_gains(corr, "fixed-uniform", 12, 60_000, ChannelStream(12, 1))
         assert gains.g_bob.mean() == pytest.approx(fit_b.mean, rel=0.04)
         assert gains.g_eve.mean() == pytest.approx(fit_e.mean, rel=0.04)
+
+    def test_reference_fits_leading_block(self):
+        corr = build_correlation(small_config().fris_geometry())
+        fit_b, fit_e = reference_fits(corr, 5)
+        idx = np.arange(5)
+        assert fit_b == fit_bob_gamma(corr.matrix[np.ix_(idx, idx)])
+        assert fit_e == fit_eve_exponential(corr.matrix[np.ix_(idx, idx)])
+        assert reference_fits(corr, 16)[0] == fit_bob_gamma(corr.matrix)
+        # these texts reach the status column of sweep-size and validate-fits rows
+        with pytest.raises(DomainError, match="^selection index 16 out of range for a "
+                                              "16-element surface$"):
+            reference_fits(corr, 17)
+        for m_on in (0, -1):
+            with pytest.raises(DomainError, match="^selection must contain at least one"):
+                reference_fits(corr, m_on)
 
 
 class TestEstimators:

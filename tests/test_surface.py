@@ -5,8 +5,8 @@ import pytest
 
 from frisec.errors import DomainError
 from frisec.specfun import bessel_j0
-from frisec.surface import (SelectionSet, SurfaceGeometry, build_correlation,
-                            reduce_correlation, trace_power)
+from frisec.harness import SPEED_OF_LIGHT
+from frisec.surface import SurfaceGeometry, build_correlation, trace_power
 
 from oracles import (bessel_j0_series, element_distance, index_to_coords,
                      trace_power_direct)
@@ -33,6 +33,11 @@ class TestGeometry:
             SurfaceGeometry(5, 5, -1.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             SurfaceGeometry(5, 5, 1.0, 1.0, 0.0)
+        # finite inputs whose spacing or widest J0 argument overflows
+        for args in ((2, 2, 1e307, 1.0, 3e8), (5, 5, 1.0, 1e300, 3e11),
+                     (5, 5, 1e306, 1e306, 1e2)):
+            with pytest.raises(DomainError, match="aperture extents"):
+                SurfaceGeometry(*args)
 
     def test_index_mapping(self):
         g = SurfaceGeometry(m_x=20, m_z=20, width_x=3.0, width_z=3.0, wavelength=0.125)
@@ -62,7 +67,8 @@ class TestCorrelation:
         assert np.all(np.abs(corr.matrix) <= 1.0 + 1e-12)
 
     @pytest.mark.parametrize("m_x, m_z, width_x, width_z",
-                             [(5, 3, 2.0, 1.3), (3, 5, 1.3, 2.0), (7, 4, 0.9, 3.1)])
+                             [(5, 3, 2.0, 1.3), (3, 5, 1.3, 2.0), (7, 4, 0.9, 3.1),
+                              (1, 7, 0.8, 2.2), (9, 1, 2.7, 0.6), (1, 1, 0.5, 0.5)])
     def test_matrix_equals_pairwise_distances(self, m_x, m_z, width_x, width_z):
         # every entry, bit for bit, against J0 of the scalar pairwise distance
         g = SurfaceGeometry(m_x, m_z, width_x, width_z, WAVELENGTH)
@@ -70,6 +76,28 @@ class TestCorrelation:
         expected = np.array([[bessel_j0(2.0 * math.pi * element_distance(i, l, g) / WAVELENGTH)
                               for l in range(m)] for i in range(m)])
         assert np.array_equal(build_correlation(g).matrix, expected)
+
+    def test_dense_pool_spot_check(self):
+        # the 40 x 40, 3-wavelength pool: the corners and seeded random
+        # entries against J0 of the scalar pairwise distance.  np.hypot, which
+        # the build uses, is 1 ulp off the correctly rounded math.hypot of
+        # element_distance on 10 of this grid's 1600 offsets, so the entry is
+        # bit-equal to J0 of np.hypot of the scalar offsets and within that
+        # ulp's effect of J0 of element_distance.
+        wavelength = SPEED_OF_LIGHT / 2.4e9
+        g = SurfaceGeometry(40, 40, 3.0, 3.0, wavelength)
+        m = g.n_elements
+        matrix = build_correlation(g).matrix
+        rng = np.random.default_rng(40)
+        pairs = [(0, 0), (0, m - 1), (m - 1, 0), (m - 1, m - 1), (39, m - 40), (m - 40, 39)]
+        pairs += [tuple(p) for p in rng.integers(0, m, size=(3000, 2)).tolist()]
+        for i, l in pairs:
+            (col_i, row_i), (col_l, row_l) = index_to_coords(i, g), index_to_coords(l, g)
+            dist = float(np.hypot(g.spacing_x * (col_i - col_l), g.spacing_z * (row_i - row_l)))
+            assert matrix[i, l] == bessel_j0(2.0 * math.pi * dist / wavelength), (i, l)
+            assert matrix[i, l] == pytest.approx(
+                bessel_j0(2.0 * math.pi * element_distance(i, l, g) / wavelength),
+                rel=0, abs=1e-14), (i, l)
 
     def test_half_wavelength_neighbors(self):
         # spacing exactly half a wavelength: neighbor correlation is J0(pi)
@@ -112,44 +140,6 @@ class TestCorrelation:
 
 
 class TestSelectionAndTraces:
-    def test_selection_validation(self):
-        with pytest.raises(DomainError):
-            SelectionSet(())
-        with pytest.raises(DomainError):
-            SelectionSet((1, 1))
-        with pytest.raises(DomainError):
-            SelectionSet((-1, 2))
-        assert len(SelectionSet((3, 1, 2))) == 3
-
-    def test_reduce_full_and_singleton(self):
-        corr = build_correlation(square_geometry(3, 1.0))
-        full = reduce_correlation(corr, SelectionSet(tuple(range(9))))
-        assert np.array_equal(full, corr.matrix)
-        single = reduce_correlation(corr, SelectionSet((4,)))
-        assert np.array_equal(single, np.array([[1.0]]))
-
-    def test_reduce_out_of_range(self):
-        corr = build_correlation(square_geometry(3, 1.0))
-        with pytest.raises(DomainError):
-            reduce_correlation(corr, SelectionSet(tuple(range(10))))
-
-    def test_reduce_2x2(self):
-        j = np.array([[1.0, 0.5], [0.5, 1.0]])
-        out = reduce_correlation(j, SelectionSet((0, 1)))
-        assert np.array_equal(out, j)
-
-    def test_reduce_equals_selection_matrix_product(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = int(rng.integers(2, 17))
-            a = rng.standard_normal((m, m))
-            j = (a + a.T) / 2
-            k = int(rng.integers(1, m + 1))
-            idx = tuple(sorted(rng.choice(m, size=k, replace=False).tolist()))
-            s = np.zeros((k, m))
-            s[np.arange(k), list(idx)] = 1.0
-            assert np.allclose(reduce_correlation(j, SelectionSet(idx)), s @ j @ s.T)
-
     def test_trace_power_examples(self):
         assert trace_power(np.eye(7), 2) == pytest.approx(7.0)
         a = np.array([[1.0, 0.5], [0.5, 1.0]])
