@@ -14,7 +14,7 @@ trials are batched across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,9 +152,4 @@ class LinkBudget:
         """Same budget with Bob's average SNR pinned (noise re-derived)."""
         if not snr_linear > 0:
             raise DomainError("average SNR must be > 0")
-        return LinkBudget(
-            ref_gain=self.ref_gain, pl_exponent=self.pl_exponent,
-            dist_feed_m=self.dist_feed_m, dist_bob_m=self.dist_bob_m,
-            dist_eve_m=self.dist_eve_m, tx_power_w=self.tx_power_w,
-            noise_bob_w=self.tx_power_w / snr_linear, noise_eve_w=self.noise_eve_w,
-        )
+        return replace(self, noise_bob_w=self.tx_power_w / snr_linear)

@@ -101,6 +101,8 @@ def main(argv: list[str] | None = None) -> int:
             rows = validate_bounds(config)
             write_results(args.out, rows, VALIDATE_BOUND_COLUMNS, config)
             for row in rows:
+                if row["status"] != "ok":
+                    continue
                 if not row["sop_bound_ok"]:
                     print(f"warning: outage bound violated at "
                           f"{row['avg_snr_bob_db']} dB", file=sys.stderr)

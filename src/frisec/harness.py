@@ -120,6 +120,8 @@ class ExperimentConfig:
                  lambda v: isinstance(v, numbers.Real) and math.isfinite(v)),
                 ("size_sweep", "integers >= 1",
                  lambda v: isinstance(v, numbers.Integral) and v >= 1)):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list")
             grid = tuple(getattr(self, name))
             object.__setattr__(self, name, grid)
             if len(grid) == 0:
@@ -186,16 +188,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     unknown = set(mapping) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    coerced = {}
-    for key, value in mapping.items():
-        if key in ("snr_sweep_db", "size_sweep"):
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{key} must be a list")
-            coerced[key] = tuple(value)
-        else:
-            coerced[key] = value
     try:
-        return ExperimentConfig(**coerced)
+        return ExperimentConfig(**mapping)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -413,14 +407,6 @@ def reference_fits(corr: CorrelationMatrix, m_on: int) -> tuple[GammaFit, ExpFit
     return fit_bob_gamma(reduced), fit_eve_exponential(reduced)
 
 
-def _gain_ks(gains: GainSamples, fit_b: GammaFit, fit_e: ExpFit) -> tuple[float, float]:
-    if len(gains) < KS_MIN_SAMPLES:  # too few trials for the diagnostic, not for the row
-        return float("nan"), float("nan")
-    ks_b = ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b))
-    ks_e = ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e))
-    return ks_b, ks_e
-
-
 @dataclass(frozen=True)
 class _Point:
     """One evaluated grid point: what its rows report, its fits, gains and KS."""
@@ -430,38 +416,35 @@ class _Point:
     m_on: int
     fits: tuple
     gains: GainSamples
-    ks: tuple | None
+    ks: tuple
 
 
-def _evaluate_point(config: ExperimentConfig, surface: SurfaceGeometry | CorrelationMatrix,
-                    policy: str, m_on: int, stream: int, fits: tuple | None = None,
-                    ks: bool = True) -> _Point:
-    """Simulate one grid point on its named stream, the step every sweep maps.
+def _evaluate_point(config: ExperimentConfig, corr: CorrelationMatrix, policy: str,
+                    m_on: int, stream: int) -> _Point:
+    """Simulate one grid point on its named stream, the step every table maps.
 
-    `surface` is a geometry, or its correlation when several points share
-    it.  `fits` defaults to the reference fits of the first m_on elements;
-    `ks` adds the KS distances of the gains from those fits, nan when there
-    are fewer than KS_MIN_SAMPLES trials.
+    The fits are the reference fits of the first m_on elements.  The KS
+    distances of the gains from them are nan when there are fewer than
+    KS_MIN_SAMPLES trials: too few for the diagnostic, not for the row.
     """
-    corr = surface if isinstance(surface, CorrelationMatrix) else build_correlation(surface)
-    if fits is None:
-        fits = reference_fits(corr, m_on)
+    fit_b, fit_e = reference_fits(corr, m_on)
     gains = simulate_gains(corr, policy, m_on, config.trials,
                            ChannelStream(config.seed, stream), workers=config.workers)
-    return _Point(policy, corr.n_elements, m_on, fits, gains,
-                  _gain_ks(gains, *fits) if ks else None)
+    ks = (float("nan"), float("nan"))
+    if len(gains) >= KS_MIN_SAMPLES:
+        ks = (ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
+              ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e)))
+    return _Point(policy, corr.n_elements, m_on, (fit_b, fit_e), gains, ks)
 
 
-def _nan_row(sweep_var, value, config, policy, m_total, m_on, status) -> dict:
-    row = {name: float("nan") for name in SWEEP_COLUMNS}
-    row.update(sweep_var=sweep_var, sweep_value=value, policy=policy,
-               m_total=m_total, m_on=m_on, trials=config.trials,
-               seed=config.seed, status=status)
-    return row
+def _error_row(columns: Sequence[str], config: ExperimentConfig, exc, **cells) -> dict:
+    """A row of nan cells whose status names the error, plus the cells known for it."""
+    return (dict.fromkeys(columns, float("nan")) | cells
+            | {"trials": config.trials, "seed": config.seed, "status": f"error: {exc}"})
 
 
 def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
-    """The metrics of one point at one budget, or a nan row naming the error."""
+    """The metrics of one point at one budget, or an error row naming the failure."""
     fit_b, fit_e = point.fits
     try:
         records = records_for_budget(point.gains, budget)
@@ -470,8 +453,8 @@ def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
         asc_bound = asc_upper_bound(fit_b, fit_e, budget)
         sop_bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
     except FrisecError as exc:
-        return _nan_row(sweep_var, value, config, point.policy, point.m_total, point.m_on,
-                        f"error: {exc}")
+        return _error_row(SWEEP_COLUMNS, config, exc, sweep_var=sweep_var, sweep_value=value,
+                          policy=point.policy, m_total=point.m_total, m_on=point.m_on)
     return {
         "sweep_var": sweep_var, "sweep_value": value,
         "asc_mc": asc.point, "asc_se": asc.std_error,
@@ -487,25 +470,31 @@ def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
     }
 
 
-def sweep_snr(config: ExperimentConfig) -> list[dict]:
-    """Metrics versus the legitimate receiver's average SNR (dB grid).
+def _snr_rows(config: ExperimentConfig, points: Sequence[_Point]) -> list[dict]:
+    """The row of each point at every average SNR of the grid, in grid order.
 
-    At each grid point, one row for the configured policy and one for the
-    conventional baseline.  The eavesdropper's budget stays at its configured
-    value throughout the sweep.
+    The eavesdropper's budget stays at its configured value throughout.
     """
     base_budget = config.budget()
-    points = (
-        _evaluate_point(config, config.fris_geometry(), config.policy, config.m_on,
-                        STREAM_FRIS_SNR),
-        _evaluate_point(config, config.conventional_geometry(), "conventional",
-                        config.conventional_m, STREAM_CONV_SNR),
-    )
     rows = []
     for snr_db in config.snr_sweep_db:
         budget = base_budget.with_avg_snr_bob(db_to_linear(snr_db))
         rows.extend(_sweep_row("avg_snr_bob_db", snr_db, config, budget, p) for p in points)
     return rows
+
+
+def sweep_snr(config: ExperimentConfig) -> list[dict]:
+    """Metrics versus the legitimate receiver's average SNR (dB grid).
+
+    At each grid point, one row for the configured policy and one for the
+    conventional baseline.
+    """
+    return _snr_rows(config, (
+        _evaluate_point(config, build_correlation(config.fris_geometry()), config.policy,
+                        config.m_on, STREAM_FRIS_SNR),
+        _evaluate_point(config, build_correlation(config.conventional_geometry()),
+                        "conventional", config.conventional_m, STREAM_CONV_SNR),
+    ))
 
 
 def sweep_size(config: ExperimentConfig) -> list[dict]:
@@ -519,24 +508,27 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
     """
     rows = []
     budget = config.budget()
-    conv_corr = build_correlation(config.conventional_geometry())
-    conv_fits = reference_fits(conv_corr, config.conventional_m)
+    conv_geometry = config.conventional_geometry()
+    conv_corr = build_correlation(conv_geometry)
     for point, m_total in enumerate(config.size_sweep):
+        cells = {"sweep_var": "m_total", "sweep_value": m_total}
         geometry = config.size_geometry(m_total)
         if geometry.n_elements != m_total:
-            rows.append(_nan_row("m_total", m_total, config, "greedy", m_total, config.m_on,
-                                 "error: size grid values must be perfect squares"))
+            error = "size grid values must be perfect squares"
+            rows.append(_error_row(SWEEP_COLUMNS, config, error, policy="greedy",
+                                   m_total=m_total, m_on=config.m_on, **cells))
             continue
         base = STREAM_SIZE_BASE + 2 * point
-        for surface, policy, m_on, stream, fits in (
-                (geometry, "greedy", config.m_on, base, None),
-                (conv_corr, "conventional", config.conventional_m, base + 1, conv_fits)):
+        for surface, policy, m_on, stream in (
+                (geometry, "greedy", config.m_on, base),
+                (conv_geometry, "conventional", config.conventional_m, base + 1)):
             try:
-                rows.append(_sweep_row("m_total", m_total, config, budget, _evaluate_point(
-                    config, surface, policy, m_on, stream, fits)))
+                corr = conv_corr if surface is conv_geometry else build_correlation(surface)
+                rows.append(_sweep_row("m_total", m_total, config, budget,
+                                       _evaluate_point(config, corr, policy, m_on, stream)))
             except FrisecError as exc:
-                rows.append(_nan_row("m_total", m_total, config, policy, surface.n_elements,
-                                     m_on, f"error: {exc}"))
+                rows.append(_error_row(SWEEP_COLUMNS, config, exc, policy=policy,
+                                       m_total=surface.n_elements, m_on=m_on, **cells))
     return rows
 
 
@@ -564,8 +556,7 @@ def validate_fits(config: ExperimentConfig, m_on_list: Sequence[int] | None = No
             point = _evaluate_point(config, corr, "fixed-uniform", m_on,
                                     STREAM_VALIDATE_BASE + index)
         except FrisecError as exc:
-            rows.append({name: float("nan") for name in VALIDATE_FIT_COLUMNS}
-                        | {"m_on": m_on, "seed": config.seed, "status": f"error: {exc}"})
+            rows.append(_error_row(VALIDATE_FIT_COLUMNS, config, exc, m_on=m_on))
             continue
         fit_b, fit_e = point.fits
         mean_b = float(point.gains.g_bob.mean())
@@ -594,35 +585,23 @@ VALIDATE_BOUND_COLUMNS = (
 def validate_bounds(config: ExperimentConfig) -> list[dict]:
     """Outage lower bound and capacity bound versus frozen-config Monte Carlo.
 
-    Runs the fixed-uniform regime (the one the fits describe).  For each grid
-    point the outage criterion is MC >= bound - 2 SE; the capacity comparison
-    records whether the closed form stayed above the simulated mean, which it
-    need not in general (its second term is not a true bound), so violations
-    are flagged rather than fatal.
+    Runs the fixed-uniform regime (the one the fits describe) through the
+    sweep rows of `sweep_snr`.  For each grid point the outage criterion is
+    MC >= bound - 2 SE; the capacity comparison records whether the closed
+    form stayed above the simulated mean, which it need not in general (its
+    second term is not a true bound), so violations are flagged rather than
+    fatal.  Both flags are nan on an error row.
     """
-    base_budget = config.budget()
-    point = _evaluate_point(config, config.fris_geometry(), "fixed-uniform", config.m_on,
-                            STREAM_BOUNDS, ks=False)
-    fit_b, fit_e = point.fits
+    point = _evaluate_point(config, build_correlation(config.fris_geometry()), "fixed-uniform",
+                            config.m_on, STREAM_BOUNDS)
     rows = []
-    for snr_db in config.snr_sweep_db:
-        budget = base_budget.with_avg_snr_bob(db_to_linear(snr_db))
-        records = records_for_budget(point.gains, budget)
-        sop = estimate_sop(records, config.target())
-        asc = estimate_asc(records)
-        bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
-        asc_ub = asc_upper_bound(fit_b, fit_e, budget)
-        rows.append({
-            "avg_snr_bob_db": snr_db,
-            "sop_mc": sop.point, "sop_se": sop.std_error, "sop_bound": bound,
-            "sop_bound_ok": int(sop.point >= bound - 2.0 * sop.std_error),
-            "asc_mc": asc.point, "asc_se": asc.std_error, "asc_bound": asc_ub,
-            "asc_bound_negative": int(asc_ub < 0.0),
-            "asc_bound_ok": int(asc_ub >= asc.point),
-            "policy": "fixed-uniform", "m_total": point.m_total,
-            "m_on": config.m_on, "trials": config.trials, "seed": config.seed,
-            "status": "ok",
-        })
+    for row in _snr_rows(config, (point,)):
+        row["avg_snr_bob_db"] = row["sweep_value"]
+        row["sop_bound_ok"] = row["asc_bound_ok"] = float("nan")
+        if row["status"] == "ok":
+            row["sop_bound_ok"] = int(row["sop_mc"] >= row["sop_bound"] - 2.0 * row["sop_se"])
+            row["asc_bound_ok"] = int(row["asc_bound"] >= row["asc_mc"])
+        rows.append({name: row[name] for name in VALIDATE_BOUND_COLUMNS})
     return rows
 
 
@@ -647,52 +626,44 @@ def rows_to_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_manifest(path: str, config: ExperimentConfig, **entries) -> None:
+    """Write `path`.manifest.json: the resolved config, versions, time and `entries`."""
+    manifest = {"config": asdict(config), "version": __version__,
+                "numpy_version": np.__version__, "written_unix_time": time.time(), **entries}
+    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_results(path: str, rows: list[dict], columns: Sequence[str],
                   config: ExperimentConfig, extra_manifest: dict | None = None) -> None:
     """Write the CSV (timestamp-free, byte-reproducible) plus a run manifest."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(rows_to_csv(rows, columns))
-    manifest = {
-        "config": asdict(config),
-        "version": __version__,
-        "numpy_version": np.__version__,
-        "written_unix_time": time.time(),
-        "rows": len(rows),
-        "notes": {
-            "element_distance": "both grid coordinate differences enter squared "
-                                "(true planar Euclidean separation)",
-            "sampler": {
-                "method": "rank-reduced (Karhunen-Loeve): r normals per link colored by "
-                          "the M x r eigen-factor U_r Lambda_r^(1/2); r counts the "
-                          "eigenvalues >= eigen_clamp * lambda_max",
-                "eigen_clamp": EIGEN_CLAMP,
-            },
-            "stream_registry": {
-                "fris_snr": STREAM_FRIS_SNR, "conventional_snr": STREAM_CONV_SNR,
-                "bounds": STREAM_BOUNDS, "validate_base": STREAM_VALIDATE_BASE,
-                "size_base": STREAM_SIZE_BASE,
-            },
+    notes = {
+        "element_distance": "both grid coordinate differences enter squared "
+                            "(true planar Euclidean separation)",
+        "sampler": {
+            "method": "rank-reduced (Karhunen-Loeve): r normals per link colored by "
+                      "the M x r eigen-factor U_r Lambda_r^(1/2); r counts the "
+                      "eigenvalues >= eigen_clamp * lambda_max",
+            "eigen_clamp": EIGEN_CLAMP,
+        },
+        "stream_registry": {
+            "fris_snr": STREAM_FRIS_SNR, "conventional_snr": STREAM_CONV_SNR,
+            "bounds": STREAM_BOUNDS, "validate_base": STREAM_VALIDATE_BASE,
+            "size_base": STREAM_SIZE_BASE,
         },
     }
-    if extra_manifest:
-        manifest["notes"].update(extra_manifest)
-    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(path, config, rows=len(rows), notes=notes | (extra_manifest or {}))
 
 
 def dump_correlation_csv(config: ExperimentConfig, path: str) -> dict:
     """Write the surface correlation matrix row-major at full precision."""
     corr = build_correlation(config.fris_geometry())
     with open(path, "w", encoding="utf-8") as fh:
-        for row in corr.matrix:
-            fh.write(",".join(format(v, ".17e") for v in row))
-            fh.write("\n")
+        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in corr.matrix)
     diag = {"eigen_floor": corr.eigen_floor, "clamped_mass": corr.clamped_mass,
             "n_elements": corr.n_elements, "rank": corr.rank}
-    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump({"config": asdict(config), "version": __version__,
-                   "written_unix_time": time.time(), "diagnostics": diag},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(path, config, diagnostics=diag)
     return diag

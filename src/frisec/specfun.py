@@ -2,10 +2,9 @@
 
 Everything here is pure double-precision Python/numpy, with no dependency on
 scipy: Bessel J0, the regularized lower incomplete gamma function (elementwise
-over arrays), the one Meijer G-function this library needs (its
-Mellin-Barnes contour oracle lives with the test suite), and adaptive
-quadrature on [0, inf) of one or several integrands.  All functions are pure
-and reentrant.
+over arrays), the Meijer G reduction that acceptance C2 checks against a
+Mellin-Barnes contour oracle in the test suite, and adaptive quadrature on
+[0, inf) of one or several integrands.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations

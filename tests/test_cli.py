@@ -164,6 +164,7 @@ def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch):
     {"size_sweep": [-4, 4]}, {"size_sweep": [0, 4]}, {"size_sweep": [4.0, 9]},
     {"snr_sweep_db": ["a", "b"]}, {"snr_sweep_db": [True, 100]},
     {"snr_sweep_db": [80, float("nan")]}, {"snr_sweep_db": [80, float("inf")]},
+    {"snr_sweep_db": 5}, {"size_sweep": None}, {"size_sweep": "abc"},
     {"ref_gain": "a"}, {"target_rate_bits": "x"}, {"ref_gain": 0},
     {"noise_eve_dbm": float("inf")}, {"target_rate_bits": float("nan")},
     {"dist_bob_m": float("inf")}, {"ref_gain": True}, {"target_rate_bits": -1},
@@ -181,6 +182,29 @@ def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("frisec: config error: ") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, columns, n_rows", [
+    ("sweep-asc", harness.SWEEP_COLUMNS, 4), ("sweep-sop", harness.SWEEP_COLUMNS, 4),
+    ("sweep-size", harness.SWEEP_COLUMNS, 4),
+    ("validate-fits", harness.VALIDATE_FIT_COLUMNS, 1),
+    ("validate-bounds", harness.VALIDATE_BOUND_COLUMNS, 2),
+])
+def test_one_trial_writes_rows(tmp_path, tiny_config, command, columns, n_rows):
+    # one trial is too few for a mean estimate; every table command still
+    # writes one row per point, with exactly its columns, and exits 0
+    out = tmp_path / "one.csv"
+    assert main([command, "--config", str(tiny_config), "--out", str(out),
+                 "--trials", "1"]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert tuple(lines[0].split(",")) == columns
+    assert len(lines) == 1 + n_rows
+    assert all(len(line.split(",")) == len(columns) for line in lines)
+    if command == "validate-bounds":
+        for row in csv_rows(out):
+            assert row["status"] == "error: need at least two samples for a mean estimate"
+            assert row["sop_bound_ok"] == row["asc_bound_ok"] == "nan"
+            assert row["trials"] == "1" and row["policy"] == "fixed-uniform"
 
 
 def test_few_trials_blank_the_ks_columns(tmp_path, pool_8x8):

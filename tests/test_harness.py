@@ -62,6 +62,10 @@ class TestConfig:
             small_config(seed=-1)
         with pytest.raises(ConfigError):
             small_config(m_on=17)
+        for grid in ({"snr_sweep_db": 5}, {"size_sweep": None}, {"size_sweep": "abc"}):
+            with pytest.raises(ConfigError, match="must be a list"):
+                small_config(**grid)
+        assert small_config(size_sweep=[4, 9]).size_sweep == (4, 9)
 
     def test_mapping_roundtrip(self):
         cfg = config_from_mapping({"m_x": 4, "m_z": 4, "m_on": 4, "trials": 100,
