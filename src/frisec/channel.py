@@ -1,14 +1,17 @@
 """Fading generation, spatial coloring, path loss, and the link budget.
 
-Each trial has three links (feed, legitimate, eavesdropper).  A link draws r
-i.i.d. circular complex Gaussians with unit variance, one per kept eigenpair
-of the M-element correlation matrix J, and its spatially correlated image is
-the product with the M x r eigen-factor F = U_r Lambda_r^{1/2}.  Since
-F F^T = J up to the dropped rounding-noise eigenvalues, the image has
+A trial has up to three links (feed, legitimate, eavesdropper).  A link draws
+r i.i.d. circular complex Gaussians with unit variance, one per kept
+eigenpair of the M-element correlation matrix J, and its spatially correlated
+image is the product with the M x r eigen-factor F = U_r Lambda_r^{1/2}.
+Since F F^T = J up to the dropped rounding-noise eigenvalues, the image has
 exactly the law of J^{1/2} h with h of length M, at r/M of the draws and of
-the coloring work (Karhunen-Loeve expansion).  Randomness is counter-based
-(Philox): a draw depends only on (seed, stream, trial index), never on how
-trials are batched across workers.
+the coloring work (Karhunen-Loeve expansion).  `draw_block` lays out
+`links` links of `m` normals per trial: the adaptive policies draw the three
+links of r normals, the frozen-configuration policies one link of r + 2
+normals (the feed's r and one per receiver, see `harness.simulate_gains`).
+Randomness is counter-based (Philox): a draw depends only on (seed, stream,
+trial index), never on how trials are batched across workers.
 """
 
 from __future__ import annotations
@@ -35,42 +38,44 @@ class ChannelStream:
     seed: int
     stream: int = 0
 
-    def _raw_block(self, m: int, block: int) -> np.ndarray:
+    def _raw_block(self, m: int, block: int, links: int) -> np.ndarray:
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
                        dtype=np.uint64)
         bitgen = np.random.Philox(key=key, counter=np.array([0, 0, block, 0], dtype=np.uint64))
         rng = np.random.Generator(bitgen)
-        flat = rng.standard_normal(TRIALS_PER_BLOCK * 3 * m * 2)
-        return flat.reshape(TRIALS_PER_BLOCK, 3, m, 2)
+        flat = rng.standard_normal(TRIALS_PER_BLOCK * links * m * 2)
+        return flat.reshape(TRIALS_PER_BLOCK, links, m, 2)
 
-    def draw_block(self, m: int, block: int) -> np.ndarray:
-        """(TRIALS_PER_BLOCK, 3, m) complex fading draws for one counter block.
+    def draw_block(self, m: int, block: int, links: int = 3) -> np.ndarray:
+        """(TRIALS_PER_BLOCK, links, m) complex fading draws for one counter block.
 
-        `m` is the number of normals per link, the rank of the factor that
-        colors them.  Axis 1 orders the links as (feed, bob, eve).
+        `m` is the number of normals per link.  With the default three links,
+        axis 1 orders them as (feed, bob, eve) and `m` is the rank of the
+        factor that colors them.
         """
-        raw = self._raw_block(m, block)
+        raw = self._raw_block(m, block, links)
         raw /= math.sqrt(2.0)
         return raw.view(np.complex128)[..., 0]
 
 
 def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Batched F @ w for a (trials, 3, r) draw block and an (elements, r) factor.
+    """Batched F @ w for a (trials, links, r) draw block and an (elements, r) factor.
 
     `rows` may be a row slice of the factor when only a subset of elements
-    is needed.  Returns (trials, 3, elements) complex.  The factor is real,
+    is needed, or any other real matrix with r columns.  Returns
+    (trials, links, elements) complex.  The factor is real,
     so a single real GEMM maps the interleaved (re, im) pairs of the draws
     through a block matrix that applies `rows` to each part, and its output
     already is the complex result.
     """
-    n, three, r = draws.shape
+    n, links, r = draws.shape
     e = rows.shape[0]
-    pairs = np.ascontiguousarray(draws, dtype=np.complex128).reshape(n * three, r)
-    pairs = pairs.view(np.float64)  # (trials * 3, 2r): re, im of each draw
+    pairs = np.ascontiguousarray(draws, dtype=np.complex128).reshape(n * links, r)
+    pairs = pairs.view(np.float64)  # (trials * links, 2r): re, im of each draw
     block = np.zeros((2 * r, 2 * e))
     block[0::2, 0::2] = rows.T
     block[1::2, 1::2] = rows.T
-    return (pairs @ block).view(np.complex128).reshape(n, three, e)
+    return (pairs @ block).view(np.complex128).reshape(n, links, e)
 
 
 def path_loss(ref_gain: float, exponent: float, distance_m: float) -> float:

@@ -270,14 +270,6 @@ def _adaptive_block(images: np.ndarray, m_on: int) -> tuple[np.ndarray, np.ndarr
     return mags.sum(axis=1), (np.conj(u_eve) * v * align).sum(axis=1)
 
 
-def _fixed_block(images: np.ndarray, phase_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Both equivalent channels through one frozen selection, whose elements
-    # are the columns of `images`, with per-element phase factors.
-    v, u_bob, u_eve = images[:, 0], images[:, 1], images[:, 2]
-    return ((np.conj(u_bob) * phase_factors * v).sum(axis=1),
-            (np.conj(u_eve) * phase_factors * v).sum(axis=1))
-
-
 def _fixed_selection(m: int, m_on: int, policy: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Element indices and phases frozen for a whole fixed-policy run.
 
@@ -301,6 +293,13 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     particular do not depend on `workers`; trial t of a run equals the last
     trial of a run of t + 1 trials.  The conventional policy co-phases every
     element and ignores `m_on`.
+
+    A fixed policy's frozen rows F_S and phases Phi make both equivalent
+    channels w^H F_S^T Phi F_S w_feed, so given the feed each is exactly
+    CN(0, sigma^2) with sigma^2 = ||F_S^T Phi F_S w_feed||^2, independently
+    of the other.  Those trials draw the feed's r normals and one unit normal
+    z per receiver, and return sigma^2 |z|^2: the law of coloring all three
+    links, at a third of the normals (conditional Monte Carlo).
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
@@ -308,26 +307,25 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     active = m if policy == "conventional" else m_on
     if not 1 <= active <= m:
         raise DomainError(f"m_on must be in [1, {m}], got {m_on}")
+    n_blocks = -(-trials // TRIALS_PER_BLOCK)
+    r = corr.rank
     if policy in ("greedy", "conventional"):
-        rows = corr.factor
-
-        def kernel(images):
-            return _adaptive_block(images, active)
+        def work(block: int):
+            images = correlated_images_batch(stream.draw_block(r, block), corr.factor)
+            h_bob, h_eve = _adaptive_block(images, active)
+            return np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
 
     else:
         indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
         rows = corr.factor[indices]
-        phase_factors = np.exp(1j * phases)[None, :]
+        phase_factors = np.exp(1j * phases)
 
-        def kernel(images):
-            return _fixed_block(images, phase_factors)
-
-    n_blocks = -(-trials // TRIALS_PER_BLOCK)
-
-    def work(block: int):
-        draws = stream.draw_block(corr.rank, block)
-        h_bob, h_eve = kernel(correlated_images_batch(draws, rows))
-        return np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
+        def work(block: int):
+            draws = stream.draw_block(r + 2, block, links=1)
+            feed = correlated_images_batch(draws[:, :, :r], rows) * phase_factors
+            variance = np.sum(np.abs(correlated_images_batch(feed, rows.T)[:, 0]) ** 2, axis=1)
+            return (variance * np.abs(draws[:, 0, r]) ** 2,
+                    variance * np.abs(draws[:, 0, r + 1]) ** 2)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -647,6 +645,9 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
             "method": "rank-reduced (Karhunen-Loeve): r normals per link colored by "
                       "the M x r eigen-factor U_r Lambda_r^(1/2); r counts the "
                       "eigenvalues >= eigen_clamp * lambda_max",
+            "frozen_configuration": "conditional: fixed policies color only the feed's r "
+                                    "normals; each gain is sigma^2 |z|^2, sigma^2 = "
+                                    "||F_S^T Phi F_S w_feed||^2, z one normal per receiver",
             "eigen_clamp": EIGEN_CLAMP,
         },
         "stream_registry": {

@@ -118,7 +118,7 @@ def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"eigendecomposition failed: {exc}") from exc
     floor = EIGEN_CLAMP * float(eigvals.max())
-    clamped_mass = float(-eigvals[eigvals < 0.0].sum())
+    clamped_mass = float(np.abs(eigvals[eigvals < 0.0]).sum())  # +0.0 when none
     keep = np.flatnonzero(eigvals >= floor)[::-1]  # eigh sorts ascending
     eigen_floor = float(eigvals[keep[-1]]) if keep.size else 0.0
     factor = np.ascontiguousarray(eigvecs[:, keep] * np.sqrt(eigvals[keep]))

@@ -6,9 +6,11 @@ gamma oracle integrates the complementary tail, the Meijer G oracle
 integrates the Mellin-Barnes contour, the capacity oracle nests an inner
 integral over the legitimate SNR inside an outer one over the
 eavesdropper's, the distance helpers place one pair of elements at a time,
-the selection oracle enumerates subsets, and the full-root sampler colors M
+the selection oracle enumerates subsets, the full-root sampler colors M
 normals per link with the symmetric square root instead of r normals with
-the eigen-factor.
+the eigen-factor, and the fixed-policy kernel forms both equivalent channels
+from three colored links instead of drawing each receiver from its law given
+the feed.
 """
 
 import math
@@ -17,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from frisec.errors import ConvergenceError, DomainError
-from frisec.harness import _adaptive_block, _fixed_block, _fixed_selection
+from frisec.harness import _adaptive_block, _fixed_selection
 from frisec.specfun import QuadratureSpec, _require_finite, integrate_semi_infinite
 
 
@@ -351,15 +353,28 @@ def meijer_g_2122_oracle(z: float, k: float, contour_points: int = 4096) -> floa
     return value
 
 
+def fixed_block(images: np.ndarray, phase_factors: np.ndarray) -> tuple:
+    """Both equivalent channels of a (trials, 3, elements) image block.
+
+    The three-link reference kernel of a frozen selection: the elements are
+    the columns of `images`, ordered (feed, bob, eve) along axis 1, each with
+    its phase factor.
+    """
+    v, u_bob, u_eve = images[:, 0], images[:, 1], images[:, 2]
+    return ((np.conj(u_bob) * phase_factors * v).sum(axis=1),
+            (np.conj(u_eve) * phase_factors * v).sum(axis=1))
+
+
 def full_root_gains(matrix: np.ndarray, policy: str, m_on: int, trials: int,
                     selection_seed: int, rng: np.random.Generator) -> tuple:
     """(g_bob, g_eve) of one policy under the full-root sampler.
 
     Each link draws M unit complex normals and is colored by the symmetric
     PSD root J^{1/2} (eigenvalues below 1e-12 of the largest set to zero),
-    the generator the eigen-factor replaced.  The policy kernels and the
-    frozen fixed-policy selection are the library's; only the sampler
-    differs, and its randomness comes from `rng`, not from a Philox stream.
+    the generator the eigen-factor replaced.  The greedy kernel and the
+    frozen fixed-policy selection are the library's; a fixed policy colors
+    all three links and runs them through `fixed_block`.  The randomness
+    comes from `rng`, not from a Philox stream.
     """
     eigvals, eigvecs = np.linalg.eigh(matrix)
     lam = np.where(eigvals < 1e-12 * eigvals.max(), 0.0, eigvals)
@@ -371,7 +386,7 @@ def full_root_gains(matrix: np.ndarray, policy: str, m_on: int, trials: int,
     else:
         indices, phases = _fixed_selection(m, m_on, policy, selection_seed)
         phase_factors = np.exp(1j * phases)[None, :]
-        rows, kernel = root[indices], lambda images: _fixed_block(images, phase_factors)
+        rows, kernel = root[indices], lambda images: fixed_block(images, phase_factors)
     g_bob, g_eve = [], []
     for start in range(0, trials, 1024):
         shape = (min(1024, trials - start), 3, m)

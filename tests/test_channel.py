@@ -6,11 +6,11 @@ import pytest
 from frisec.channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget,
                             correlated_images_batch, path_loss)
 from frisec.errors import DomainError
-from frisec.harness import (POLICIES, GainSamples, _adaptive_block, _fixed_block,
-                            _fixed_selection, records_for_budget, simulate_gains)
+from frisec.harness import (POLICIES, GainSamples, _adaptive_block, _fixed_selection,
+                            records_for_budget, simulate_gains)
 from frisec.surface import SurfaceGeometry, build_correlation
 
-from oracles import full_root_gains, ks_two_sample
+from oracles import fixed_block, full_root_gains, ks_two_sample
 
 
 def small_corr(side=4, aperture=2.0):
@@ -83,24 +83,38 @@ class TestDraws:
 
 
 class TestSamplerLaw:
-    # The eigen-factor sampler draws r < M normals per link; its gains must
-    # have the law of the full-root sampler's, which draws M.  Independent
-    # streams on each side, fixed seeds, 20480 trials per side.  Critical
-    # value of the two-sample KS distance at level 0.001:
+    # The eigen-factor sampler draws r < M normals per link, and a fixed
+    # policy draws only the feed's r and one normal per receiver; the gains
+    # must have the law of the full-root sampler's, which colors M normals on
+    # each of the three links.  The ratio g_bob / g_eve checks the joint law,
+    # which a fixed policy's receivers get through their shared sigma^2.
+    # Independent streams on each side, fixed seeds, 20480 trials per side.
+    # Critical value of the two-sample KS distance at level 0.001:
     # 1.949 * sqrt(2 / n) = 0.0193.
     TRIALS = 20 * TRIALS_PER_BLOCK
     CRITICAL = 1.949 * math.sqrt(2.0 / TRIALS)
+
+    def check_law(self, corr, policy, m_on, seed):
+        new = simulate_gains(corr, policy, m_on, self.TRIALS, ChannelStream(seed, 5))
+        old_bob, old_eve = full_root_gains(corr.matrix, policy, m_on, self.TRIALS,
+                                           selection_seed=seed,
+                                           rng=np.random.default_rng(31337))
+        assert ks_two_sample(new.g_bob, old_bob) <= self.CRITICAL
+        assert ks_two_sample(new.g_eve, old_eve) <= self.CRITICAL
+        assert ks_two_sample(new.g_bob / new.g_eve, old_bob / old_eve) <= self.CRITICAL
 
     @pytest.mark.parametrize("policy", ["greedy", "fixed-uniform", "fixed-random"])
     def test_matches_full_root_sampler(self, policy):
         corr = small_corr(side=10, aperture=3.0)  # M = 100, rank 43
         assert corr.rank < corr.n_elements
-        new = simulate_gains(corr, policy, 25, self.TRIALS, ChannelStream(2024, 5))
-        old_bob, old_eve = full_root_gains(corr.matrix, policy, 25, self.TRIALS,
-                                           selection_seed=2024,
-                                           rng=np.random.default_rng(31337))
-        assert ks_two_sample(new.g_bob, old_bob) <= self.CRITICAL
-        assert ks_two_sample(new.g_eve, old_eve) <= self.CRITICAL
+        self.check_law(corr, policy, 25, 2024)
+
+    @pytest.mark.parametrize("side, aperture, m_on", [(3, 1.0, 1), (3, 1.0, 9), (6, 2.5, 36)])
+    @pytest.mark.parametrize("policy", ["fixed-uniform", "fixed-random"])
+    def test_fixed_policies_across_selections(self, policy, side, aperture, m_on):
+        # one element, a whole strongly correlated pool, and a whole pool at
+        # nearly full rank
+        self.check_law(small_corr(side=side, aperture=aperture), policy, m_on, 77)
 
 
 class TestPathLoss:
@@ -153,14 +167,14 @@ class TestEquivalentChannel:
     def test_single_element_identity(self):
         corr = build_correlation(SurfaceGeometry(1, 1, 0.5, 0.5, 0.1))
         images = block_images(corr, 3)
-        h_bob, h_eve = _fixed_block(images, np.ones((1, 1)))
+        h_bob, h_eve = fixed_block(images, np.ones((1, 1)))
         assert np.array_equal(h_bob, np.conj(images[:, 1, 0]) * images[:, 0, 0])
         assert np.array_equal(h_eve, np.conj(images[:, 2, 0]) * images[:, 0, 0])
 
     def test_empty_selection_contract(self):
         # no element ON: the sum over active elements is exactly 0
         images = block_images(small_corr(), 3)[:, :, :0]
-        h_bob, h_eve = _fixed_block(images, np.ones((1, 0)))
+        h_bob, h_eve = fixed_block(images, np.ones((1, 0)))
         assert np.all(h_bob == 0) and np.all(h_eve == 0)
 
     def test_cophased_is_real_sum_of_magnitudes(self):
@@ -172,7 +186,7 @@ class TestEquivalentChannel:
         assert h_bob == pytest.approx(np.abs(terms).sum(axis=1), rel=1e-12)
         # the same co-phasing written as explicit per-element phase factors,
         # which the eavesdropper's channel sees as well
-        h_fixed, h_fixed_eve = _fixed_block(images[:1], np.exp(-1j * np.angle(terms[:1])))
+        h_fixed, h_fixed_eve = fixed_block(images[:1], np.exp(-1j * np.angle(terms[:1])))
         assert abs(h_fixed[0].imag) <= 1e-10 * abs(h_fixed[0].real)
         assert h_fixed[0].real == pytest.approx(h_bob[0], rel=1e-12)
         assert h_fixed_eve[0] == pytest.approx(h_eve[0], rel=1e-9)
@@ -185,7 +199,7 @@ class TestEquivalentChannel:
             blk = ChannelStream(21, 0).draw_block(corr.rank, 0)
             t = int(rng.integers(100))
             images = correlated_images_batch(blk[t:t + 1], corr.factor)
-            h_bob, h_eve = _fixed_block(images, np.ones((1, m)))
+            h_bob, h_eve = fixed_block(images, np.ones((1, m)))
             # h^H F^T F h_feed in the r draws; F^T F is the kept eigenvalues
             gram = corr.factor.T @ corr.factor
             h_feed = blk[t, 0]
@@ -201,20 +215,45 @@ class TestEquivalentChannel:
 
 class TestGainAndSnr:
     def test_channel_gain(self):
-        # the simulated power gain is |H|^2 of the kernel's equivalent channel,
-        # with a fixed policy's frozen elements colored by their factor rows
+        # greedy: the simulated power gain is |H|^2 of the kernel's equivalent
+        # channel.  Fixed: it is sigma^2 |z|^2, sigma^2 the power of the phased
+        # feed image of the frozen rows projected back through them, and z the
+        # normal after the feed's r in the trial's one link of r + 2
         corr = small_corr()
+        r = corr.rank
         for policy in ("greedy", "fixed-uniform", "fixed-random"):
             gains = simulate_gains(corr, policy, 5, 100, ChannelStream(6, 0))
-            draws = ChannelStream(6, 0).draw_block(corr.rank, 0)
             if policy == "greedy":
+                draws = ChannelStream(6, 0).draw_block(r, 0)
                 h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, corr.factor), 5)
+                g_bob, g_eve = np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
             else:
+                draws = ChannelStream(6, 0).draw_block(r + 2, 0, links=1)
                 indices, phases = _fixed_selection(corr.n_elements, 5, policy, seed=6)
-                images = correlated_images_batch(draws, corr.factor[indices])
-                h_bob, h_eve = _fixed_block(images, np.exp(1j * phases)[None, :])
-            assert np.array_equal(gains.g_bob, np.abs(h_bob[:100]) ** 2)
-            assert np.array_equal(gains.g_eve, np.abs(h_eve[:100]) ** 2)
+                rows = corr.factor[indices]
+                feed = correlated_images_batch(draws[:, :, :r], rows) * np.exp(1j * phases)
+                back = correlated_images_batch(feed, rows.T)[:, 0]
+                variance = np.sum(np.abs(back) ** 2, axis=1)
+                g_bob = variance * np.abs(draws[:, 0, r]) ** 2
+                g_eve = variance * np.abs(draws[:, 0, r + 1]) ** 2
+            assert np.array_equal(gains.g_bob, g_bob[:100])
+            assert np.array_equal(gains.g_eve, g_eve[:100])
+
+    def test_fixed_gain_is_triple_product_variance(self):
+        # sigma^2 is ||F_S^T Phi F_S w_feed||^2 written out with complex matrix
+        # products, and the receivers share it: g_bob / g_eve = |z_b|^2 / |z_e|^2
+        corr = small_corr(side=5, aperture=2.5)
+        r = corr.rank
+        for policy in ("fixed-uniform", "fixed-random"):
+            gains = simulate_gains(corr, policy, 7, 50, ChannelStream(8, 4))
+            draws = ChannelStream(8, 4).draw_block(r + 2, 0, links=1)[:50, 0]
+            indices, phases = _fixed_selection(corr.n_elements, 7, policy, seed=8)
+            rows = corr.factor[indices]
+            a = (draws[:, :r] @ rows.T.astype(complex)) * np.exp(1j * phases) @ rows
+            variance = np.linalg.norm(a, axis=1) ** 2
+            assert gains.g_bob == pytest.approx(variance * np.abs(draws[:, r]) ** 2, rel=1e-12)
+            assert gains.g_eve == pytest.approx(variance * np.abs(draws[:, r + 1]) ** 2,
+                                                rel=1e-12)
 
     def test_snr_examples(self):
         rec = records_for_budget(GainSamples(np.array([0.0, 1.0]), np.zeros(2)), unit_budget())

@@ -8,11 +8,11 @@ import pytest
 
 from frisec.channel import ChannelStream, correlated_images_batch
 from frisec.errors import ConfigError, DomainError
-from frisec.harness import (ExperimentConfig, _adaptive_block, _fixed_block,
-                            _fixed_selection, simulate_gains)
+from frisec.harness import (ExperimentConfig, _adaptive_block, _fixed_selection,
+                            simulate_gains)
 from frisec.surface import SurfaceGeometry, build_correlation, trace_power
 
-from oracles import select_exhaustive
+from oracles import fixed_block, select_exhaustive
 
 WAVELENGTH = 0.12491352
 
@@ -84,7 +84,7 @@ class TestGreedy:
         subset = list(select_exhaustive(images[0, 1], images[0, 0], 6))
         for _ in range(50):
             phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=(1, 6)))
-            h_bob, _ = _fixed_block(images[:, :, subset], phases)
+            h_bob, _ = fixed_block(images[:, :, subset], phases)
             assert abs(h_bob[0]) <= best[0] * (1 + 1e-12)
 
     def test_exhaustive_budget(self):
@@ -202,8 +202,8 @@ class TestFixedConfigs:
         _, images = realization()
         rng = np.random.default_rng(4)
         one = images[:, :, 3:4]
-        hb, _ = _fixed_block(one, np.ones((1, 1)))
-        hs, _ = _fixed_block(one, np.exp(1j * rng.uniform(0, 2 * math.pi, size=(1, 1))))
+        hb, _ = fixed_block(one, np.ones((1, 1)))
+        hs, _ = fixed_block(one, np.exp(1j * rng.uniform(0, 2 * math.pi, size=(1, 1))))
         assert abs(hb[0]) == pytest.approx(abs(hs[0]), rel=1e-12)
 
     def test_bad_mode(self):

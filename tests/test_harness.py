@@ -124,10 +124,11 @@ class TestEngine:
     def test_worker_independence(self):
         corr = build_correlation(small_config().fris_geometry())
         st = ChannelStream(5, 0)
-        g1 = simulate_gains(corr, "greedy", 4, 3000, st, workers=1)
-        g3 = simulate_gains(corr, "greedy", 4, 3000, st, workers=3)
-        assert np.array_equal(g1.g_bob, g3.g_bob)
-        assert np.array_equal(g1.g_eve, g3.g_eve)
+        for policy in ("greedy", "fixed-uniform", "fixed-random"):
+            g1 = simulate_gains(corr, policy, 4, 3000, st, workers=1)
+            g3 = simulate_gains(corr, policy, 4, 3000, st, workers=3)
+            assert np.array_equal(g1.g_bob, g3.g_bob)
+            assert np.array_equal(g1.g_eve, g3.g_eve)
 
     def test_fixed_uniform_mean_matches_traces(self):
         cfg = ExperimentConfig(m_x=6, m_z=6, m_on=12, trials=60_000, seed=12)

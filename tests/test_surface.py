@@ -138,6 +138,12 @@ class TestCorrelation:
         corr = build_correlation(square_geometry(8, 1.0))
         assert corr.clamped_mass <= 1e-6 * corr.n_elements
 
+    def test_clamped_mass_is_positive_zero_without_negative_eigenvalues(self):
+        # a 4x4 grid over 3 wavelengths has no negative eigenvalue
+        corr = build_correlation(square_geometry(4, 3.0))
+        assert np.linalg.eigvalsh(corr.matrix).min() > 0.0
+        assert corr.clamped_mass == 0.0 and math.copysign(1.0, corr.clamped_mass) == 1.0
+
 
 class TestSelectionAndTraces:
     def test_trace_power_examples(self):
