@@ -644,7 +644,10 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
         "sampler": {
             "method": "rank-reduced (Karhunen-Loeve): r normals per link colored by "
                       "the M x r eigen-factor U_r Lambda_r^(1/2); r counts the "
-                      "eigenvalues >= eigen_clamp * lambda_max",
+                      "eigenvalues >= eigen_clamp * lambda_max; the eigenpairs come "
+                      "from the four blocks of J that are even or odd under the "
+                      "row and column reflections of the grid, each decomposed "
+                      "on its own",
             "frozen_configuration": "conditional: fixed policies color only the feed's r "
                                     "normals; each gain is sigma^2 |z|^2, sigma^2 = "
                                     "||F_S^T Phi F_S w_feed||^2, z one normal per receiver",

@@ -8,9 +8,10 @@ integral over the legitimate SNR inside an outer one over the
 eavesdropper's, the distance helpers place one pair of elements at a time,
 the selection oracle enumerates subsets, the full-root sampler colors M
 normals per link with the symmetric square root instead of r normals with
-the eigen-factor, and the fixed-policy kernel forms both equivalent channels
+the eigen-factor, the fixed-policy kernel forms both equivalent channels
 from three colored links instead of drawing each receiver from its law given
-the feed.
+the feed, and the eigen-factor reference decomposes the whole correlation
+matrix at once instead of its four reflection-parity blocks.
 """
 
 import math
@@ -21,6 +22,7 @@ import numpy as np
 from frisec.errors import ConvergenceError, DomainError
 from frisec.harness import _adaptive_block, _fixed_selection
 from frisec.specfun import QuadratureSpec, _require_finite, integrate_semi_infinite
+from frisec.surface import EIGEN_CLAMP
 
 
 def bessel_j0_integral(x: float, nodes: int | None = None) -> float:
@@ -123,6 +125,22 @@ def element_distance(i: int, l: int, geometry) -> float:
     dx = geometry.spacing_x * (ix_i - ix_l)
     dz = geometry.spacing_z * (iz_i - iz_l)
     return math.hypot(dx, dz)
+
+
+def full_eigh_factor(matrix: np.ndarray) -> tuple:
+    """(eigenvalues, factor, eigen_floor, clamped_mass) from one symmetric
+    eigendecomposition of the whole M x M matrix.
+
+    The eigenvalues are all M, ascending.  The factor keeps the eigenpairs at
+    or above EIGEN_CLAMP times the largest, largest first, each column an
+    eigenvector times the root of its eigenvalue; `eigen_floor` is the
+    smallest kept eigenvalue and `clamped_mass` the magnitude of the
+    negative ones.
+    """
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    keep = np.flatnonzero(eigvals >= EIGEN_CLAMP * eigvals[-1])[::-1]
+    factor = eigvecs[:, keep] * np.sqrt(eigvals[keep])
+    return eigvals, factor, float(eigvals[keep[-1]]), float(np.abs(eigvals[eigvals < 0.0]).sum())
 
 
 def asc_oracle_nested(fit_b, fit_e, budget) -> float:

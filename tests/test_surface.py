@@ -8,7 +8,7 @@ from frisec.specfun import bessel_j0
 from frisec.harness import SPEED_OF_LIGHT
 from frisec.surface import SurfaceGeometry, build_correlation, trace_power
 
-from oracles import (bessel_j0_series, element_distance, index_to_coords,
+from oracles import (bessel_j0_series, element_distance, full_eigh_factor, index_to_coords,
                      trace_power_direct)
 
 WAVELENGTH = 0.12491352  # 2.4 GHz carrier
@@ -17,6 +17,42 @@ WAVELENGTH = 0.12491352  # 2.4 GHz carrier
 def square_geometry(side, aperture, wavelength=WAVELENGTH):
     return SurfaceGeometry(m_x=side, m_z=side, width_x=aperture, width_z=aperture,
                            wavelength=wavelength)
+
+
+def record_eigh(monkeypatch) -> list:
+    """Patch np.linalg.eigh to record (input shape, eigenvalues) of each call."""
+    calls, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        eigvals, eigvecs = eigh(a, *args, **kwargs)
+        calls.append((a.shape, eigvals))
+        return eigvals, eigvecs
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
+def check_against_full_eigh(geometry, monkeypatch):
+    """The parity-block build against one eigendecomposition of the whole J."""
+    with monkeypatch.context() as patch:
+        calls = record_eigh(patch)
+        corr = build_correlation(geometry)
+    eigvals, factor, eigen_floor, clamped_mass = full_eigh_factor(corr.matrix)
+    tol = 1e-13 * eigvals[-1]
+    # the four blocks together have J's spectrum
+    block_eigvals = np.sort(np.concatenate([vals for _, vals in calls]))
+    assert np.max(np.abs(block_eigvals - eigvals)) <= tol
+    assert corr.rank == factor.shape[1]
+    assert abs(corr.eigen_floor - eigen_floor) <= tol
+    assert corr.clamped_mass >= 0.0
+    assert abs(corr.clamped_mass - clamped_mass) <= corr.n_elements * tol
+    # orthogonal columns whose squared norms are the kept eigenvalues, largest first
+    gram = corr.factor.T @ corr.factor
+    lam = np.diag(gram)
+    assert np.max(np.abs(lam - eigvals[::-1][:corr.rank])) <= tol
+    assert np.max(np.abs(gram - np.diag(lam))) <= tol
+    assert corr.factor.flags.c_contiguous
+    assert np.max(np.abs(corr.factor @ corr.factor.T - factor @ factor.T)) <= 1e-12
 
 
 class TestGeometry:
@@ -79,11 +115,9 @@ class TestCorrelation:
 
     def test_dense_pool_spot_check(self):
         # the 40 x 40, 3-wavelength pool: the corners and seeded random
-        # entries against J0 of the scalar pairwise distance.  np.hypot, which
-        # the build uses, is 1 ulp off the correctly rounded math.hypot of
-        # element_distance on 10 of this grid's 1600 offsets, so the entry is
-        # bit-equal to J0 of np.hypot of the scalar offsets and within that
-        # ulp's effect of J0 of element_distance.
+        # entries, bit for bit, against J0 of the scalar pairwise distance.
+        # The seed's draw includes (1368, 392), one of the 10 offsets of this
+        # grid where np.hypot is 1 ulp off the correctly rounded distance.
         wavelength = SPEED_OF_LIGHT / 2.4e9
         g = SurfaceGeometry(40, 40, 3.0, 3.0, wavelength)
         m = g.n_elements
@@ -91,13 +125,10 @@ class TestCorrelation:
         rng = np.random.default_rng(40)
         pairs = [(0, 0), (0, m - 1), (m - 1, 0), (m - 1, m - 1), (39, m - 40), (m - 40, 39)]
         pairs += [tuple(p) for p in rng.integers(0, m, size=(3000, 2)).tolist()]
+        assert (1368, 392) in pairs
         for i, l in pairs:
-            (col_i, row_i), (col_l, row_l) = index_to_coords(i, g), index_to_coords(l, g)
-            dist = float(np.hypot(g.spacing_x * (col_i - col_l), g.spacing_z * (row_i - row_l)))
-            assert matrix[i, l] == bessel_j0(2.0 * math.pi * dist / wavelength), (i, l)
-            assert matrix[i, l] == pytest.approx(
-                bessel_j0(2.0 * math.pi * element_distance(i, l, g) / wavelength),
-                rel=0, abs=1e-14), (i, l)
+            assert matrix[i, l] == bessel_j0(
+                2.0 * math.pi * element_distance(i, l, g) / wavelength), (i, l)
 
     def test_half_wavelength_neighbors(self):
         # spacing exactly half a wavelength: neighbor correlation is J0(pi)
@@ -143,6 +174,49 @@ class TestCorrelation:
         corr = build_correlation(square_geometry(4, 3.0))
         assert np.linalg.eigvalsh(corr.matrix).min() > 0.0
         assert corr.clamped_mass == 0.0 and math.copysign(1.0, corr.clamped_mass) == 1.0
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("m_x, m_z, width_x, width_z", [
+        (6, 6, 3.0, 3.0), (7, 7, 2.0, 2.0), (8, 8, 1.0, 1.0),  # even, odd, dense
+        (7, 9, 3.0, 3.0), (8, 5, 2.5, 1.5), (5, 8, 1.5, 2.5),  # rectangular
+        (1, 5, 3.0, 3.0), (6, 1, 1.0, 2.0), (1, 1, 0.5, 0.5),  # 1 x n, 1 x 1
+        (10, 10, 5.0, 5.0), (40, 40, 3.0, 3.0),  # the baseline and the densest pool
+    ])
+    def test_matches_full_eigendecomposition(self, m_x, m_z, width_x, width_z, monkeypatch):
+        wavelength = SPEED_OF_LIGHT / 2.4e9
+        check_against_full_eigh(SurfaceGeometry(m_x, m_z, width_x, width_z, wavelength),
+                                monkeypatch)
+
+    def test_matches_full_eigendecomposition_on_small_grids(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        widths = st.floats(0.2, 4.0)
+
+        @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(st.integers(1, 9), st.integers(1, 9), widths, widths)
+        def check(m_x, m_z, width_x, width_z):
+            check_against_full_eigh(SurfaceGeometry(m_x, m_z, width_x, width_z, WAVELENGTH),
+                                    monkeypatch)
+
+        check()
+
+    @pytest.mark.parametrize("m_x, m_z", [(40, 40), (7, 9)])
+    def test_no_decomposition_exceeds_a_quarter(self, m_x, m_z, monkeypatch):
+        # structural, not timed: every eigh call is one parity block
+        calls = record_eigh(monkeypatch)
+        build_correlation(SurfaceGeometry(m_x, m_z, 3.0, 3.0, WAVELENGTH))
+        limit = math.ceil(m_z / 2) * math.ceil(m_x / 2)
+        assert len(calls) == 4
+        assert all(shape[0] <= limit for shape, _ in calls), [shape for shape, _ in calls]
+
+    def test_eigh_failure_is_domain_error(self, monkeypatch):
+        def fail(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(DomainError, match="eigendecomposition failed"):
+            build_correlation(square_geometry(4, 2.0))
 
 
 class TestSelectionAndTraces:
