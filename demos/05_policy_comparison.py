@@ -48,9 +48,9 @@ print(f"{'SNR dB':>7} {'ASC sel':>8} {'ASC 6x6':>8} {'ASC 10x10':>10} "
       f"{'SOP sel':>9} {'SOP 6x6':>9} {'SOP 10x10':>10}")
 for db in (95.0, 105.0, 115.0):
     b = base.with_avg_snr_bob(db_to_linear(db))
-    recs = [records_for_budget(g, b) for g in (fris, *baselines.values())]
-    asc = [estimate_asc(r).point for r in recs]
-    sop = [estimate_sop(r, cfg.target()).point for r in recs]
+    caps = [records_for_budget(g, b) for g in (fris, *baselines.values())]
+    asc = [estimate_asc(c).point for c in caps]
+    sop = [estimate_sop(c, cfg.target()).point for c in caps]
     print(f"{db:>7.0f} {asc[0]:>8.3f} {asc[1]:>8.3f} {asc[2]:>10.3f} "
           f"{sop[0]:>9.5f} {sop[1]:>9.5f} {sop[2]:>10.5f}")
 

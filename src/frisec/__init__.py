@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .channel import ChannelStream, LinkBudget, path_loss
 from .errors import ConfigError, ConvergenceError, DomainError, FrisecError
 from .harness import (ExperimentConfig, GainSamples, MetricEstimate,
-                      TrialRecords, estimate_asc, estimate_sop, ks_statistic,
+                      estimate_asc, estimate_sop, ks_statistic,
                       records_for_budget, reference_fits, simulate_gains,
                       sweep_size, sweep_snr, validate_bounds, validate_fits)
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
@@ -22,8 +22,7 @@ from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
                       fit_eve_exponential, gamma_cdf, secrecy_capacity,
                       sop_lower_bound, sop_lower_oracle)
 from .specfun import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
-                      meijer_g_2122, reg_lower_inc_gamma)
-from .surface import (CorrelationMatrix, SurfaceGeometry, build_correlation,
-                      trace_power)
+                      reg_lower_inc_gamma)
+from .surface import CorrelationMatrix, SurfaceGeometry, build_correlation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,14 +38,6 @@ class ChannelStream:
     seed: int
     stream: int = 0
 
-    def _raw_block(self, m: int, block: int, links: int) -> np.ndarray:
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-                       dtype=np.uint64)
-        bitgen = np.random.Philox(key=key, counter=np.array([0, 0, block, 0], dtype=np.uint64))
-        rng = np.random.Generator(bitgen)
-        flat = rng.standard_normal(TRIALS_PER_BLOCK * links * m * 2)
-        return flat.reshape(TRIALS_PER_BLOCK, links, m, 2)
-
     def draw_block(self, m: int, block: int, links: int = 3) -> np.ndarray:
         """(TRIALS_PER_BLOCK, links, m) complex fading draws for one counter block.
 
@@ -53,9 +45,12 @@ class ChannelStream:
         axis 1 orders them as (feed, bob, eve) and `m` is the rank of the
         factor that colors them.
         """
-        raw = self._raw_block(m, block, links)
+        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
+                       dtype=np.uint64)
+        bitgen = np.random.Philox(key=key, counter=np.array([0, 0, block, 0], dtype=np.uint64))
+        raw = np.random.Generator(bitgen).standard_normal(TRIALS_PER_BLOCK * links * m * 2)
         raw /= math.sqrt(2.0)
-        return raw.view(np.complex128)[..., 0]
+        return raw.view(np.complex128).reshape(TRIALS_PER_BLOCK, links, m)
 
 
 def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, FrisecError
@@ -55,6 +56,17 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config_from_mapping(mapping)
 
 
+def _check_out(out: str) -> None:
+    """Reject an --out that cannot become the CSV and its manifest, before any work."""
+    if not os.path.basename(out):
+        raise ConfigError(f"cannot write {out!r}: no file name")
+    for path in (out, out + ".manifest.json"):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"cannot write {out}: no directory {os.path.dirname(out)}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="frisec",
                      description="Fluid-RIS secrecy performance simulator")
@@ -76,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
+        _check_out(args.out)
         if args.command in ("sweep-asc", "sweep-sop"):
             rows = sweep_snr(config)
             write_results(args.out, rows, SWEEP_COLUMNS, config,
@@ -119,6 +132,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"frisec: config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the config is read by now: this is the CSV or manifest
+        print(f"frisec: config error: cannot write {exc.filename or args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 1
     except FrisecError as exc:
         print(f"frisec: numeric failure: {exc}", file=sys.stderr)

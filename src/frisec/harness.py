@@ -337,33 +337,21 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     return GainSamples(g_bob=g_bob, g_eve=g_eve)
 
 
-@dataclass(frozen=True)
-class TrialRecords:
-    """Per-trial gains, SNRs, and secrecy capacity for one budget."""
-
-    g_bob: np.ndarray
-    g_eve: np.ndarray
-    snr_bob: np.ndarray
-    snr_eve: np.ndarray
-    capacity: np.ndarray
+def records_for_budget(gains: GainSamples, budget: LinkBudget) -> np.ndarray:
+    """Per-trial secrecy capacity, bits/s/Hz, of the gains under one budget."""
+    return secrecy_capacity(budget.snr_scale("bob") * gains.g_bob,
+                            budget.snr_scale("eve") * gains.g_eve)
 
 
-def records_for_budget(gains: GainSamples, budget: LinkBudget) -> TrialRecords:
-    snr_b = budget.snr_scale("bob") * gains.g_bob
-    snr_e = budget.snr_scale("eve") * gains.g_eve
-    return TrialRecords(g_bob=gains.g_bob, g_eve=gains.g_eve, snr_bob=snr_b, snr_eve=snr_e,
-                        capacity=secrecy_capacity(snr_b, snr_e))
-
-
-def estimate_sop(records: TrialRecords, target: SecrecyTarget) -> MetricEstimate:
+def estimate_sop(capacity: np.ndarray, target: SecrecyTarget) -> MetricEstimate:
     """Fraction of trials whose secrecy capacity is at or below the target."""
-    outages = int(np.count_nonzero(records.capacity <= target.rate_bits))
-    return MetricEstimate.for_proportion(outages, records.capacity.size)
+    outages = int(np.count_nonzero(capacity <= target.rate_bits))
+    return MetricEstimate.for_proportion(outages, capacity.size)
 
 
-def estimate_asc(records: TrialRecords) -> MetricEstimate:
+def estimate_asc(capacity: np.ndarray) -> MetricEstimate:
     """Sample-mean secrecy capacity with a normal-approximation interval."""
-    return MetricEstimate.for_mean(records.capacity)
+    return MetricEstimate.for_mean(capacity)
 
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -445,9 +433,9 @@ def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
     """The metrics of one point at one budget, or an error row naming the failure."""
     fit_b, fit_e = point.fits
     try:
-        records = records_for_budget(point.gains, budget)
-        asc = estimate_asc(records)
-        sop = estimate_sop(records, config.target())
+        capacity = records_for_budget(point.gains, budget)
+        asc = estimate_asc(capacity)
+        sop = estimate_sop(capacity, config.target())
         asc_bound = asc_upper_bound(fit_b, fit_e, budget)
         sop_bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
     except FrisecError as exc:

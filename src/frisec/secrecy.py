@@ -22,7 +22,6 @@ import numpy as np
 from .channel import LinkBudget
 from .errors import DomainError
 from .specfun import QuadratureSpec, integrate_semi_infinite, reg_lower_inc_gamma
-from .surface import trace_power
 
 _LN2 = math.log(2.0)
 
@@ -73,10 +72,15 @@ class SecrecyTarget:
             raise DomainError("target secrecy rate must lie in [0, 1024) bits/s/Hz")
 
 
+def _traces(j: np.ndarray) -> tuple[float, float]:
+    """tr(J^2) and tr(J^4) of a symmetric J, as squared Frobenius norms."""
+    j2 = j @ j
+    return float(np.sum(j * j)), float(np.sum(j2 * j2))
+
+
 def fit_bob_gamma(j_reduced: np.ndarray) -> GammaFit:
     """Moment-matched Gamma fit from the reduced correlation matrix."""
-    tr2 = trace_power(j_reduced, 2)
-    tr4 = trace_power(j_reduced, 4)
+    tr2, tr4 = _traces(j_reduced)
     if tr2 <= 0.0 or tr4 <= 0.0:
         raise DomainError("reduced correlation matrix must be nonzero")
     return GammaFit(shape=tr2 * tr2 / tr4, scale=tr4 / tr2)
@@ -84,7 +88,7 @@ def fit_bob_gamma(j_reduced: np.ndarray) -> GammaFit:
 
 def fit_eve_exponential(j_reduced: np.ndarray) -> ExpFit:
     """Moment-matched exponential fit from the reduced correlation matrix."""
-    tr2 = trace_power(j_reduced, 2)
+    tr2 = float(np.sum(j_reduced * j_reduced))
     if tr2 <= 0.0:
         raise DomainError("reduced correlation matrix must be nonzero")
     return ExpFit(rate=1.0 / tr2)

@@ -2,9 +2,9 @@
 
 Everything here is pure double-precision Python/numpy, with no dependency on
 scipy: Bessel J0, the regularized lower incomplete gamma function (elementwise
-over arrays), the Meijer G reduction that acceptance C2 checks against a
-Mellin-Barnes contour oracle in the test suite, and adaptive quadrature on
-[0, inf) of one or several integrands.  All functions are pure and reentrant.
+over arrays), and adaptive quadrature on [0, inf) of one or several
+integrands.  All functions are pure and reentrant.  The outage closed form's
+Meijer G kernel is not here: `secrecy` evaluates its reduction directly.
 """
 
 from __future__ import annotations
@@ -196,31 +196,6 @@ def reg_lower_inc_gamma(k: float, x):
     out[low] = np.minimum(1.0, front(xs[low]) * _inc_gamma_series(k, xs[low]))
     out[high] = np.maximum(0.0, 1.0 - front(xs[high]) * _inc_gamma_fraction(k, xs[high]))
     return float(out[0]) if x_in.ndim == 0 else out.reshape(x_in.shape)
-
-
-# ---------------------------------------------------------------------------
-# Meijer G^{2,1}_{2,2}(z | -k, 0; 0, -1)
-# ---------------------------------------------------------------------------
-
-def meijer_g_2122(z: float, k: float) -> float:
-    """The Meijer G^{2,1}_{2,2} kernel with parameters (-k, 0; 0, -1).
-
-    Evaluates the closed reduction Gamma(k) * z^(-1) * (1+z)^(-k), which a
-    Mellin-Barnes contour oracle in the test suite confirms: the Gamma(-s) factors cancel between
-    numerator and denominator of the contour integrand, leaving a beta-type
-    integral.  Computed in log space so large shapes do not overflow early.
-    """
-    z = _require_finite("z", z)
-    k = _require_finite("k", k)
-    if z <= 0.0:
-        raise DomainError(f"z must be > 0, got {z}")
-    if k <= 0.0:
-        raise DomainError(f"k must be > 0, got {k}")
-    log_val = math.lgamma(k) - math.log(z) - k * math.log1p(z)
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Surface geometry, spatial correlation, and correlation traces.
+"""Surface geometry and spatial correlation.
 
 Elements sit on a uniform rectangular grid indexed row-major (0-based): index
 i maps to column i mod M_x and row floor(i / M_x).  Correlation between two
@@ -179,13 +179,3 @@ def _parity_blocks(corr: np.ndarray, m_z: int, m_x: int):
             orbit = ((1 + (2 * z != m_z - 1)) * (1 + (2 * c != m_x - 1))).ravel()
             yield block * (np.sqrt(np.outer(orbit, orbit)) / 4.0), images, 1.0 / np.sqrt(orbit)
 
-
-def trace_power(a: np.ndarray, p: int) -> float:
-    """Trace of A^2 or A^4 for symmetric A, via Frobenius norms."""
-    a = np.asarray(a, dtype=float)
-    if p == 2:
-        return float(np.sum(a * a))
-    if p == 4:
-        a2 = a @ a
-        return float(np.sum(a2 * a2))
-    raise DomainError(f"exponent must be 2 or 4, got {p}")

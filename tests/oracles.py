@@ -2,8 +2,8 @@
 
 These deliberately avoid the algorithms used by the library code they check:
 the Bessel oracle integrates the defining cosine integral, the incomplete
-gamma oracle integrates the complementary tail, the Meijer G oracle
-integrates the Mellin-Barnes contour, the capacity oracle nests an inner
+gamma oracle integrates the complementary tail, the Meijer G kernel's
+closed reduction is checked against its Mellin-Barnes contour, the capacity oracle nests an inner
 integral over the legitimate SNR inside an outer one over the
 eavesdropper's, the distance helpers place one pair of elements at a time,
 the selection oracle enumerates subsets, the full-root sampler colors M
@@ -314,6 +314,29 @@ def _saddle_abscissa(z: float, k: float) -> float:
         if hi - lo < 1e-13 * (1.0 + abs(lo)):
             break
     return 0.5 * (lo + hi)
+
+
+def meijer_g_2122(z: float, k: float) -> float:
+    """The Meijer G^{2,1}_{2,2} kernel with parameters (-k, 0; 0, -1).
+
+    Evaluates the closed reduction Gamma(k) * z^(-1) * (1+z)^(-k), which
+    `meijer_g_2122_oracle` confirms: the Gamma(-s) factors cancel between
+    numerator and denominator of the contour integrand, leaving a beta-type
+    integral.  Computed in log space so large shapes do not overflow early.
+    The library evaluates only the normalized form z G / Gamma(k) =
+    (1+z)^(-k), as `secrecy.sop_bound_from_ratio`.
+    """
+    z = _require_finite("z", z)
+    k = _require_finite("k", k)
+    if z <= 0.0:
+        raise DomainError(f"z must be > 0, got {z}")
+    if k <= 0.0:
+        raise DomainError(f"k must be > 0, got {k}")
+    log_val = math.lgamma(k) - math.log(z) - k * math.log1p(z)
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        return math.inf
 
 
 def meijer_g_2122_oracle(z: float, k: float, contour_points: int = 4096) -> float:

@@ -26,10 +26,9 @@ from frisec.harness import (SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                             write_results)
 from frisec.secrecy import (asc_oracle, asc_upper_bound, sop_bound_from_ratio,
                             sop_lower_bound, sop_oracle_from_ratio)
-from frisec.specfun import meijer_g_2122
 from frisec.surface import build_correlation
 
-from oracles import meijer_g_2122_oracle
+from oracles import meijer_g_2122, meijer_g_2122_oracle
 
 SEED = 1234
 TRIALS = 100_000
@@ -166,9 +165,9 @@ def test_c6_selective_surface_outperforms_conventional(reference_config, trend_g
     rows = []
     for db in [d for d in reference_config.snr_sweep_db if d >= 90.0]:
         budget = base.with_avg_snr_bob(db_to_linear(db))
-        rf, rc = records_for_budget(fris, budget), records_for_budget(conv, budget)
-        asc_f, asc_c = estimate_asc(rf), estimate_asc(rc)
-        sop_f, sop_c = estimate_sop(rf, target), estimate_sop(rc, target)
+        cap_f, cap_c = records_for_budget(fris, budget), records_for_budget(conv, budget)
+        asc_f, asc_c = estimate_asc(cap_f), estimate_asc(cap_c)
+        sop_f, sop_c = estimate_sop(cap_f, target), estimate_sop(cap_c, target)
         rows.append((db, asc_f, asc_c, sop_f, sop_c))
         print(f"  {db:5.0f} dB: ASC fris {asc_f.point:.3f} vs conv {asc_c.point:.3f} | "
               f"SOP fris {sop_f.point:.5f} vs conv {sop_c.point:.5f}")

@@ -256,17 +256,22 @@ class TestGainAndSnr:
                                                 rel=1e-12)
 
     def test_snr_examples(self):
-        rec = records_for_budget(GainSamples(np.array([0.0, 1.0]), np.zeros(2)), unit_budget())
-        assert rec.snr_bob[0] == 0.0
-        assert rec.snr_bob[1] == pytest.approx(1.0)
+        # a silent eavesdropper leaves capacity log2(1 + SNR_bob)
+        cap = records_for_budget(GainSamples(np.array([0.0, 1.0]), np.zeros(2)), unit_budget())
+        assert cap[0] == 0.0
+        assert cap[1] == pytest.approx(1.0)
 
     def test_snr_linear_in_gain_and_power(self):
-        gains = GainSamples(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        snr = records_for_budget(gains, unit_budget(snr_bob=5.0)).snr_bob
+        gains = GainSamples(np.array([1.0, 2.0]), np.zeros(2))
+
+        def snr_bob(budget):  # inverts log2(1 + SNR_bob)
+            return np.exp2(records_for_budget(gains, budget)) - 1.0
+
+        snr = snr_bob(unit_budget(snr_bob=5.0))
         assert snr[1] == pytest.approx(2 * snr[0])
         b2 = LinkBudget(ref_gain=1.0, pl_exponent=1.0, dist_feed_m=1.0, dist_bob_m=1.0,
                         dist_eve_m=1.0, tx_power_w=2.0, noise_bob_w=0.2, noise_eve_w=1.0)
-        assert records_for_budget(gains, b2).snr_bob[0] == pytest.approx(2 * 5.0)
+        assert snr_bob(b2)[0] == pytest.approx(2 * 5.0)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 
 import numpy as np
@@ -109,6 +110,40 @@ def test_missing_out_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-asc"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["sweep-sop", "dump-correlation"])
+@pytest.mark.parametrize("target", ["missing-parent", "directory", "no-file-name"])
+def test_unwritable_out_exits_1_before_any_work(tmp_path, tiny_config, monkeypatch, capsys,
+                                                command, target):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "simulate_gains", no_work)
+    monkeypatch.setattr(harness, "build_correlation", no_work)
+    out = tmp_path / "nonexistent" / "dir" / "x.csv"
+    if target == "directory":
+        out = tmp_path / "outdir"
+        out.mkdir()
+    out = "" if target == "no-file-name" else str(out)
+    assert main([command, "--config", str(tiny_config), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"frisec: config error: cannot write {out}") and "Traceback" not in err
+    assert list(tmp_path.rglob("*.csv*")) == []
+
+
+@pytest.mark.parametrize("command", ["sweep-sop", "dump-correlation"])
+def test_failed_write_exits_1(tmp_path, tiny_config, monkeypatch, capsys, command):
+    # a write the path check cannot foresee (here a refused open) is a config error too
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(harness, "open", refuse, raising=False)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(tiny_config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"frisec: config error: cannot write {out}: Permission denied\n"
+    assert list(tmp_path.rglob("*.csv*")) == []
 
 
 def csv_rows(path):

@@ -8,7 +8,7 @@ from frisec.channel import ChannelStream, LinkBudget
 from frisec.errors import ConfigError, DomainError
 from frisec.harness import (SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                             VALIDATE_FIT_COLUMNS, ExperimentConfig,
-                            GainSamples, MetricEstimate, TrialRecords,
+                            GainSamples, MetricEstimate,
                             config_from_mapping, db_to_linear, dbm_to_watts,
                             dump_correlation_csv, estimate_asc, estimate_sop,
                             ks_statistic, records_for_budget, reference_fits,
@@ -29,10 +29,10 @@ def small_config(**overrides):
 
 
 def base_records(cfg, geometry, m_on):
-    """Per-trial records of the configured policy on `geometry` at the base budget."""
+    """Gains of the configured policy on `geometry` and their capacity at the base budget."""
     gains = simulate_gains(build_correlation(geometry), cfg.policy, m_on, cfg.trials,
                            ChannelStream(cfg.seed))
-    return records_for_budget(gains, cfg.budget())
+    return gains, records_for_budget(gains, cfg.budget())
 
 
 class TestConfig:
@@ -103,23 +103,23 @@ class TestEstimates:
 class TestEngine:
     def test_records_reproducible(self):
         cfg = small_config(trials=1)
-        r1 = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
-        r2 = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
-        assert np.array_equal(r1.g_bob, r2.g_bob)
-        assert np.array_equal(r1.capacity, r2.capacity)
-        assert r1.g_bob.size == 1
+        g1, c1 = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        g2, c2 = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        assert np.array_equal(g1.g_bob, g2.g_bob)
+        assert np.array_equal(c1, c2)
+        assert g1.g_bob.size == c1.size == 1
 
     def test_silenced_eavesdropper_gives_nonnegative_log_capacity(self):
         cfg = small_config(noise_eve_dbm=300.0, trials=512)  # huge noise power
-        rec = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
-        expected = np.log1p(rec.snr_bob) / math.log(2.0)
-        assert np.allclose(rec.capacity, expected, rtol=1e-9)
-        assert np.all(rec.capacity >= 0.0)
+        gains, capacity = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        expected = np.log1p(cfg.budget().snr_scale("bob") * gains.g_bob) / math.log(2.0)
+        assert np.allclose(capacity, expected, rtol=1e-9)
+        assert np.all(capacity >= 0.0)
 
     def test_conventional_policy_geometry(self):
         cfg = small_config(policy="conventional", conventional_m=4)
-        rec = base_records(cfg, cfg.conventional_geometry(), cfg.conventional_m)
-        assert rec.g_bob.size == cfg.trials
+        gains, capacity = base_records(cfg, cfg.conventional_geometry(), cfg.conventional_m)
+        assert gains.g_bob.size == capacity.size == cfg.trials
 
     def test_worker_independence(self):
         corr = build_correlation(small_config().fris_geometry())
@@ -156,19 +156,17 @@ class TestEngine:
 
 class TestEstimators:
     def test_sop_all_outage(self):
-        rec = TrialRecords(*[np.zeros(10)] * 4, capacity=np.zeros(10))
-        est = estimate_sop(rec, SecrecyTarget(1.0))
+        est = estimate_sop(np.zeros(10), SecrecyTarget(1.0))
         assert est.point == 1.0
 
     def test_sop_none_below(self):
-        rec = TrialRecords(*[np.zeros(1000)] * 4, capacity=np.full(1000, 5.0))
-        est = estimate_sop(rec, SecrecyTarget(1.0))
+        est = estimate_sop(np.full(1000, 5.0), SecrecyTarget(1.0))
         assert est.point == 0.0
         assert est.ci_high <= 0.004
 
     def test_sop_boundary_counts_as_outage(self):
-        rec = TrialRecords(*[np.zeros(4)] * 4, capacity=np.array([1.0, 1.0, 2.0, 0.5]))
-        assert estimate_sop(rec, SecrecyTarget(1.0)).point == pytest.approx(0.75)
+        capacity = np.array([1.0, 1.0, 2.0, 0.5])
+        assert estimate_sop(capacity, SecrecyTarget(1.0)).point == pytest.approx(0.75)
 
     def test_sop_synthetic_matches_closed_form(self):
         # exponential bob gain (shape 1), exponential eve: closed form 1/(1+z)
@@ -178,14 +176,12 @@ class TestEstimators:
         snr_b = rng.exponential(a, size=n)
         snr_e = rng.exponential(b, size=n)
         cap = np.maximum(0.0, (np.log1p(snr_b) - np.log1p(snr_e)) / math.log(2.0))
-        rec = TrialRecords(snr_b / a, snr_e / b, snr_b, snr_e, cap)
-        est = estimate_sop(rec, SecrecyTarget(rs))
+        est = estimate_sop(cap, SecrecyTarget(rs))
         target = sop_bound_from_ratio(1.0, a / (b * 2.0 ** rs))
         assert est.ci_low <= target + 0.004 and target <= est.ci_high + 0.004
 
     def test_asc_degenerate(self):
-        rec = TrialRecords(*[np.zeros(100)] * 4, capacity=np.full(100, 2.0))
-        est = estimate_asc(rec)
+        est = estimate_asc(np.full(100, 2.0))
         assert est.point == pytest.approx(2.0)
         assert est.std_error == 0.0
 
@@ -197,8 +193,7 @@ class TestEstimators:
         snr_b = rng.gamma(2.0, 1.5, size=n)
         snr_e = rng.exponential(1.0 / 0.7, size=n)
         cap = np.maximum(0.0, (np.log1p(snr_b) - np.log1p(snr_e)) / math.log(2.0))
-        rec = TrialRecords(snr_b, snr_e, snr_b, snr_e, cap)
-        est = estimate_asc(rec)
+        est = estimate_asc(cap)
         from frisec.secrecy import ExpFit
         ref = asc_oracle(fit_b, ExpFit(rate=0.7), budget)
         assert abs(est.point - ref) <= 3.5 * est.std_error

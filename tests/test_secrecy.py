@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from frisec.channel import LinkBudget
 from frisec.errors import DomainError
 from frisec.harness import config_from_mapping, db_to_linear, reference_fits
-from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
+from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, _traces, asc_oracle,
                             asc_upper_bound, exp_cdf, fit_bob_gamma,
                             fit_eve_exponential, gamma_cdf, secrecy_capacity,
                             sop_bound_from_ratio, sop_lower_bound,
@@ -14,7 +15,7 @@ from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
 from frisec.specfun import QuadratureSpec, integrate_semi_infinite
 from frisec.surface import build_correlation
 
-from oracles import asc_oracle_nested
+from oracles import asc_oracle_nested, meijer_g_2122, trace_power_direct
 
 
 def unit_budget(snr_bob=1.0, snr_eve=1.0):
@@ -61,6 +62,33 @@ class TestFits:
             fit_bob_gamma(np.zeros((3, 3)))
         with pytest.raises(DomainError):
             fit_eve_exponential(np.zeros((3, 3)))
+
+    def test_traces_examples(self):
+        assert _traces(np.eye(7)) == pytest.approx((7.0, 7.0))
+        a = np.array([[1.0, 0.5], [0.5, 1.0]])
+        # frozen from the direct-multiplication oracle
+        assert trace_power_direct(a, 2) == pytest.approx(2.5)
+        assert trace_power_direct(a, 4) == pytest.approx(5.125)
+        assert _traces(a) == pytest.approx((2.5, 5.125), rel=1e-14)
+
+    def test_traces_random_vs_direct(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m = int(rng.integers(2, 12))
+            a = rng.standard_normal((m, m))
+            a = (a + a.T) / 2
+            assert _traces(a) == pytest.approx(
+                (trace_power_direct(a, 2), trace_power_direct(a, 4)), rel=1e-11)
+
+    def test_traces_cauchy_schwarz(self):
+        # tr(A^4) >= tr(A^2)^2 / n, so the fitted shape never exceeds n
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            m = int(rng.integers(1, 14))
+            a = rng.standard_normal((m, m))
+            a = (a + a.T) / 2
+            tr2, tr4 = _traces(a)
+            assert tr4 >= tr2 ** 2 / m - 1e-10
 
 
 class TestDistributions:
@@ -147,6 +175,22 @@ class TestSopBound:
     def test_certain_outage_limit(self):
         assert sop_bound_from_ratio(2.0, 0.0) == 1.0
         assert sop_bound_from_ratio(2.0, 1e-12) == pytest.approx(1.0, abs=1e-9)
+
+    def test_closed_form_is_reduced_meijer_kernel(self):
+        # The paper's bound is z G(z) / Gamma(k) with the Meijer kernel G that
+        # acceptance C2 checks against its contour oracle; on C2's grid the
+        # library's (1 + z)^-k must be that same number wherever it is a
+        # normal float.
+        compared = 0
+        for k in np.logspace(math.log10(0.25), math.log10(64.0), 6):
+            for z in np.logspace(-6.0, 6.0, 10):
+                k, z = float(k), float(z)
+                bound = sop_bound_from_ratio(k, z)
+                if bound < sys.float_info.min:
+                    continue
+                assert bound == pytest.approx(z * meijer_g_2122(z, k) / math.gamma(k), rel=1e-12)
+                compared += 1
+        assert compared >= 50
 
     def test_known_points_vs_oracle(self):
         # frozen from the defining-integral oracle

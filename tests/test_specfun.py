@@ -5,10 +5,11 @@ import pytest
 
 from frisec.errors import ConvergenceError, DomainError
 from frisec.specfun import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
-                            meijer_g_2122, reg_lower_inc_gamma)
+                            reg_lower_inc_gamma)
 
-from oracles import (bessel_j0_integral, bessel_j0_series, meijer_g_2122_oracle,
-                     reg_gamma_tail_quadrature, reg_lower_inc_gamma_loop)
+from oracles import (bessel_j0_integral, bessel_j0_series, meijer_g_2122,
+                     meijer_g_2122_oracle, reg_gamma_tail_quadrature,
+                     reg_lower_inc_gamma_loop)
 
 
 class TestBesselJ0:

@@ -6,10 +6,9 @@ import pytest
 from frisec.errors import DomainError
 from frisec.specfun import bessel_j0
 from frisec.harness import SPEED_OF_LIGHT
-from frisec.surface import SurfaceGeometry, build_correlation, trace_power
+from frisec.surface import SurfaceGeometry, build_correlation
 
-from oracles import (bessel_j0_series, element_distance, full_eigh_factor, index_to_coords,
-                     trace_power_direct)
+from oracles import bessel_j0_series, element_distance, full_eigh_factor, index_to_coords
 
 WAVELENGTH = 0.12491352  # 2.4 GHz carrier
 
@@ -218,36 +217,3 @@ class TestParityBlocks:
         with pytest.raises(DomainError, match="eigendecomposition failed"):
             build_correlation(square_geometry(4, 2.0))
 
-
-class TestSelectionAndTraces:
-    def test_trace_power_examples(self):
-        assert trace_power(np.eye(7), 2) == pytest.approx(7.0)
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        # frozen from the direct-multiplication oracle
-        assert trace_power_direct(a, 2) == pytest.approx(2.5)
-        assert trace_power_direct(a, 4) == pytest.approx(5.125)
-        assert trace_power(a, 2) == pytest.approx(2.5, rel=1e-14)
-        assert trace_power(a, 4) == pytest.approx(5.125, rel=1e-14)
-
-    def test_trace_power_random_vs_direct(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            m = int(rng.integers(2, 12))
-            a = rng.standard_normal((m, m))
-            a = (a + a.T) / 2
-            for p in (2, 4):
-                assert trace_power(a, p) == pytest.approx(
-                    trace_power_direct(a, p), rel=1e-11)
-
-    def test_trace_power_cauchy_schwarz(self):
-        # tr(A^4) >= tr(A^2)^2 / n, so the fitted shape never exceeds n
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            m = int(rng.integers(1, 14))
-            a = rng.standard_normal((m, m))
-            a = (a + a.T) / 2
-            assert trace_power(a, 4) >= trace_power(a, 2) ** 2 / m - 1e-10
-
-    def test_trace_power_bad_exponent(self):
-        with pytest.raises(DomainError):
-            trace_power(np.eye(2), 3)
