@@ -46,6 +46,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
+        except RecursionError:
+            raise ConfigError("config file nests JSON arrays or objects too deeply") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object of keys")
         mapping.update(loaded)

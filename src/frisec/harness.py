@@ -239,6 +239,11 @@ class MetricEstimate:
 # Gain simulation engine
 # ---------------------------------------------------------------------------
 
+#: trials colored and selected at a time within a Philox block by the adaptive
+#: policies; it bounds their images and kernel temporaries, not the draws.
+CHUNK_TRIALS = 128
+
+
 @dataclass(frozen=True)
 class GainSamples:
     """Equivalent channel power gains for both receivers, one entry per trial."""
@@ -294,6 +299,12 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     trial of a run of t + 1 trials.  The conventional policy co-phases every
     element and ignores `m_on`.
 
+    The adaptive policies draw each Philox block whole and color and select
+    it in chunks of CHUNK_TRIALS trials, so their images and kernel
+    temporaries stay a fraction of the block's; the last block colors only
+    the chunks that hold requested trials.  Every trial's kernel reads only
+    its own row, so the chunking changes no sample.
+
     A fixed policy's frozen rows F_S and phases Phi make both equivalent
     channels w^H F_S^T Phi F_S w_feed, so given the feed each is exactly
     CN(0, sigma^2) with sigma^2 = ||F_S^T Phi F_S w_feed||^2, independently
@@ -311,8 +322,12 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     r = corr.rank
     if policy in ("greedy", "conventional"):
         def work(block: int):
-            images = correlated_images_batch(stream.draw_block(r, block), corr.factor)
-            h_bob, h_eve = _adaptive_block(images, active)
+            draws = stream.draw_block(r, block)
+            wanted = min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
+            chunks = [_adaptive_block(correlated_images_batch(draws[start:start + CHUNK_TRIALS],
+                                                              corr.factor), active)
+                      for start in range(0, wanted, CHUNK_TRIALS)]
+            h_bob, h_eve = (np.concatenate(h) for h in zip(*chunks))
             return np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
 
     else:
@@ -640,6 +655,8 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
                                     "normals; each gain is sigma^2 |z|^2, sigma^2 = "
                                     "||F_S^T Phi F_S w_feed||^2, z one normal per receiver",
             "eigen_clamp": EIGEN_CLAMP,
+            "trials_per_block": TRIALS_PER_BLOCK,
+            "chunk_trials": CHUNK_TRIALS,
         },
         "stream_registry": {
             "fris_snr": STREAM_FRIS_SNR, "conventional_snr": STREAM_CONV_SNR,

@@ -10,8 +10,10 @@ the selection oracle enumerates subsets, the full-root sampler colors M
 normals per link with the symmetric square root instead of r normals with
 the eigen-factor, the fixed-policy kernel forms both equivalent channels
 from three colored links instead of drawing each receiver from its law given
-the feed, and the eigen-factor reference decomposes the whole correlation
-matrix at once instead of its four reflection-parity blocks.
+the feed, the eigen-factor reference decomposes the whole correlation
+matrix at once instead of its four reflection-parity blocks, and the
+whole-block engine colors and selects each Philox block in one piece
+instead of in chunks.
 """
 
 import math
@@ -19,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from frisec.channel import TRIALS_PER_BLOCK, correlated_images_batch
 from frisec.errors import ConvergenceError, DomainError
 from frisec.harness import _adaptive_block, _fixed_selection
 from frisec.specfun import QuadratureSpec, _require_finite, integrate_semi_infinite
@@ -436,6 +439,22 @@ def full_root_gains(matrix: np.ndarray, policy: str, m_on: int, trials: int,
         g_bob.append(np.abs(h_bob) ** 2)
         g_eve.append(np.abs(h_eve) ** 2)
     return np.concatenate(g_bob), np.concatenate(g_eve)
+
+
+def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tuple:
+    """(g_bob, g_eve) of an adaptive policy, each Philox block colored whole.
+
+    One GEMM colors all trials of a block and one kernel call selects them:
+    the reference that the chunked engine must match bit for bit.
+    """
+    active = corr.n_elements if policy == "conventional" else m_on
+    g_bob, g_eve = [], []
+    for block in range(-(-trials // TRIALS_PER_BLOCK)):
+        images = correlated_images_batch(stream.draw_block(corr.rank, block), corr.factor)
+        h_bob, h_eve = _adaptive_block(images, active)
+        g_bob.append(np.abs(h_bob) ** 2)
+        g_eve.append(np.abs(h_eve) ** 2)
+    return np.concatenate(g_bob)[:trials], np.concatenate(g_eve)[:trials]
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:

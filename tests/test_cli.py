@@ -96,6 +96,20 @@ def test_malformed_json_exits_1(tmp_path):
     assert main(["sweep-asc", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"seed": 1, "policy": "gr\xffedy"}', "not UTF-8 text"),
+    (b"[" * 100_000, "too deeply"),
+], ids=["non-utf8", "nested-100000-deep"])
+def test_undecodable_config_exits_1(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["sweep-sop", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("frisec: config error: config file") and message in err
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob("*.csv*")) == []
+
+
 def test_non_square_conventional_exits_1(tmp_path, tiny_config):
     cfgmap = json.loads(tiny_config.read_text())
     cfgmap["conventional_m"] = 6

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from frisec.secrecy import (GammaFit, SecrecyTarget, asc_oracle, fit_bob_gamma,
                             fit_eve_exponential, sop_bound_from_ratio)
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
+
+from oracles import whole_block_gains
 
 
 def small_config(**overrides):
@@ -74,6 +77,42 @@ class TestConfig:
         assert cfg.snr_sweep_db == (60, 70)
         with pytest.raises(ConfigError):
             config_from_mapping({"m_xx": 4})
+
+
+@pytest.fixture(scope="module")
+def aperture_pools():
+    """Correlations of the 20x20 and 40x40 pools and the 6x6 baseline in 3x3 wavelengths."""
+    cfg = ExperimentConfig()
+    return {400: build_correlation(cfg.size_geometry(400)),
+            1600: build_correlation(cfg.size_geometry(1600)),
+            36: build_correlation(cfg.conventional_geometry())}
+
+
+class TestChunkedEngine:
+    @pytest.mark.parametrize("policy, m_total, m_on", [
+        ("greedy", 400, 100), ("greedy", 1600, 64), ("conventional", 36, 36)])
+    @pytest.mark.parametrize("trials", [1, 130, 1025, 2048])
+    def test_matches_whole_block_engine(self, aperture_pools, policy, m_total, m_on, trials):
+        corr = aperture_pools[m_total]
+        stream = ChannelStream(7, 2)
+        g_bob, g_eve = whole_block_gains(corr, policy, m_on, trials, stream)
+        for workers in (1, 2):
+            gains = simulate_gains(corr, policy, m_on, trials, stream, workers=workers)
+            assert np.array_equal(gains.g_bob, g_bob)
+            assert np.array_equal(gains.g_eve, g_eve)
+
+    def test_dense_pool_peak_memory(self, aperture_pools):
+        # coloring whole 1024-trial blocks here holds about 240 MiB over two
+        # workers (three image links of 1600 elements each, and as much in
+        # kernel temporaries); 128-trial chunks peak near 40 MiB
+        corr = aperture_pools[1600]
+        tracemalloc.start()
+        try:
+            simulate_gains(corr, "greedy", 64, 2048, ChannelStream(1, 0), workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestEstimates:
@@ -318,6 +357,8 @@ class TestOutput:
         assert manifest["config"]["seed"] == cfg.seed
         assert "version" in manifest
         assert "element_distance" in manifest["notes"]
+        sampler = manifest["notes"]["sampler"]
+        assert (sampler["trials_per_block"], sampler["chunk_trials"]) == (1024, 128)
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
         cfg = small_config(trials=1024)
