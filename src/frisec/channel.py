@@ -3,7 +3,7 @@
 A trial has up to three links (feed, legitimate, eavesdropper).  A link draws
 r i.i.d. circular complex Gaussians with unit variance, one per kept
 eigenpair of the M-element correlation matrix J, and its spatially correlated
-image is the product with the M x r eigen-factor F = U_r Lambda_r^{1/2}.
+image is the complex product with the M x r eigen-factor F = U_r Lambda_r^{1/2}.
 Since F F^T = J up to the dropped rounding-noise eigenvalues, the image has
 exactly the law of J^{1/2} h with h of length M, at r/M of the draws and of
 the coloring work (Karhunen-Loeve expansion).  `draw_block` lays out
@@ -56,21 +56,14 @@ class ChannelStream:
 def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Batched F @ w for a (trials, links, r) draw block and an (elements, r) factor.
 
-    `rows` may be a row slice of the factor when only a subset of elements
-    is needed, or any other real matrix with r columns.  Returns
-    (trials, links, elements) complex.  The factor is real,
-    so a single real GEMM maps the interleaved (re, im) pairs of the draws
-    through a block matrix that applies `rows` to each part, and its output
-    already is the complex result.
+    `rows` is the factor or a row slice of it, or the transpose of a row
+    slice, which maps images of those elements back onto r coordinates.
+    Returns (trials, links, len(rows)) complex, one complex matrix product
+    for all trials and links; a caller that colors many blocks passes the
+    factor already cast to complex, so no product casts it again.
     """
     n, links, r = draws.shape
-    e = rows.shape[0]
-    pairs = np.ascontiguousarray(draws, dtype=np.complex128).reshape(n * links, r)
-    pairs = pairs.view(np.float64)  # (trials * links, 2r): re, im of each draw
-    block = np.zeros((2 * r, 2 * e))
-    block[0::2, 0::2] = rows.T
-    block[1::2, 1::2] = rows.T
-    return (pairs @ block).view(np.complex128).reshape(n, links, e)
+    return (draws.reshape(n * links, r) @ rows.T).reshape(n, links, rows.shape[0])
 
 
 def path_loss(ref_gain: float, exponent: float, distance_m: float) -> float:

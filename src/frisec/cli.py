@@ -132,8 +132,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {diag['n_elements']}x{diag['n_elements']} matrix; "
                   f"rank {diag['rank']}, eigen floor {diag['eigen_floor']:.3e}, "
                   f"clamped mass {diag['clamped_mass']:.3e}")
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"frisec: config error: {exc}", file=sys.stderr)
         return 1

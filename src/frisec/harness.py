@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -48,11 +49,6 @@ STREAM_BOUNDS = 3
 POLICIES = ("greedy", "fixed-uniform", "fixed-random", "conventional")
 
 KS_MIN_SAMPLES = 100
-
-_INT_FIELDS = ("m_x", "m_z", "conventional_m", "m_on", "trials", "seed", "workers")
-_FLOAT_FIELDS = ("aperture_x", "aperture_z", "carrier_hz", "ref_gain", "pl_exponent",
-                 "dist_feed_m", "dist_bob_m", "dist_eve_m", "tx_power_dbm", "noise_bob_dbm",
-                 "noise_eve_dbm", "target_rate_bits")
 
 
 def db_to_linear(db: float) -> float:
@@ -183,6 +179,11 @@ class ExperimentConfig:
         return SecrecyTarget(self.target_rate_bits)
 
 
+# the scalar fields by annotation, in declaration order
+_INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "int")
+_FLOAT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build a config from a flat key-value mapping (e.g. a parsed JSON file)."""
     unknown = set(mapping) - {f.name for f in fields(ExperimentConfig)}
@@ -239,8 +240,8 @@ class MetricEstimate:
 # Gain simulation engine
 # ---------------------------------------------------------------------------
 
-#: trials colored and selected at a time within a Philox block by the adaptive
-#: policies; it bounds their images and kernel temporaries, not the draws.
+#: trials colored and run through the policy's kernel at a time within a Philox
+#: block; it bounds the images and kernel temporaries, not the draws.
 CHUNK_TRIALS = 128
 
 
@@ -297,13 +298,15 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     Results are a pure function of (corr, policy, m_on, trials, stream) and in
     particular do not depend on `workers`; trial t of a run equals the last
     trial of a run of t + 1 trials.  The conventional policy co-phases every
-    element and ignores `m_on`.
+    element and ignores `m_on`.  The blocks run inline with one worker, and
+    otherwise on min(workers, blocks, usable CPUs) threads, each of which
+    holds a block's draws and a chunk's temporaries.
 
-    The adaptive policies draw each Philox block whole and color and select
-    it in chunks of CHUNK_TRIALS trials, so their images and kernel
-    temporaries stay a fraction of the block's; the last block colors only
-    the chunks that hold requested trials.  Every trial's kernel reads only
-    its own row, so the chunking changes no sample.
+    Every policy draws each Philox block whole and colors it and runs its
+    kernel in chunks of CHUNK_TRIALS trials, so the images and kernel
+    temporaries stay a fraction of the block's; the last block stops at the
+    chunk that holds the last requested trial.  Every trial's kernel reads
+    only its own row, so the chunking changes no sample.
 
     A fixed policy's frozen rows F_S and phases Phi make both equivalent
     channels w^H F_S^T Phi F_S w_feed, so given the feed each is exactly
@@ -320,28 +323,35 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
         raise DomainError(f"m_on must be in [1, {m}], got {m_on}")
     n_blocks = -(-trials // TRIALS_PER_BLOCK)
     r = corr.rank
+    factor = corr.factor.astype(complex)
     if policy in ("greedy", "conventional"):
-        def work(block: int):
-            draws = stream.draw_block(r, block)
-            wanted = min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
-            chunks = [_adaptive_block(correlated_images_batch(draws[start:start + CHUNK_TRIALS],
-                                                              corr.factor), active)
-                      for start in range(0, wanted, CHUNK_TRIALS)]
-            h_bob, h_eve = (np.concatenate(h) for h in zip(*chunks))
+        links, normals = 3, r
+
+        def kernel(draws: np.ndarray):
+            h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, factor), active)
             return np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
 
     else:
         indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
-        rows = corr.factor[indices]
+        rows = factor[indices]
         phase_factors = np.exp(1j * phases)
+        links, normals = 1, r + 2
 
-        def work(block: int):
-            draws = stream.draw_block(r + 2, block, links=1)
+        def kernel(draws: np.ndarray):
             feed = correlated_images_batch(draws[:, :, :r], rows) * phase_factors
             variance = np.sum(np.abs(correlated_images_batch(feed, rows.T)[:, 0]) ** 2, axis=1)
             return (variance * np.abs(draws[:, 0, r]) ** 2,
                     variance * np.abs(draws[:, 0, r + 1]) ** 2)
 
+    def work(block: int):
+        draws = stream.draw_block(normals, block, links)
+        wanted = min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
+        chunks = [kernel(draws[start:start + CHUNK_TRIALS])
+                  for start in range(0, wanted, CHUNK_TRIALS)]
+        return tuple(np.concatenate(g) for g in zip(*chunks))
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, n_blocks, cpus or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, range(n_blocks)))
@@ -611,8 +621,6 @@ def validate_bounds(config: ExperimentConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -623,7 +631,7 @@ def _format_cell(value) -> str:
 def rows_to_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_format_cell(row.get(col, float("nan"))) for col in columns))
+        lines.append(",".join(_format_cell(row[col]) for col in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -654,6 +662,8 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
             "frozen_configuration": "conditional: fixed policies color only the feed's r "
                                     "normals; each gain is sigma^2 |z|^2, sigma^2 = "
                                     "||F_S^T Phi F_S w_feed||^2, z one normal per receiver",
+            "coloring": "every policy colors chunk_trials trials of a Philox block at a "
+                        "time, by complex products with the factor or its selected rows",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,

@@ -143,15 +143,13 @@ def sop_ratio(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget, target: Secrec
 
 
 def sop_bound_from_ratio(shape: float, z: float) -> float:
-    """Closed-form outage lower bound (1 + z)^(-shape) for ratio z > 0.
+    """Closed-form outage lower bound (1 + z)^(-shape) for ratio z >= 0.
 
     Equals z / Gamma(shape) times the Meijer G kernel under the validated
     reduction; evaluated directly in log space for numerical range.
     """
     if z < 0:
         raise DomainError("ratio must be >= 0")
-    if z == 0.0:
-        return 1.0
     return math.exp(-shape * math.log1p(z))
 
 

@@ -11,9 +11,11 @@ normals per link with the symmetric square root instead of r normals with
 the eigen-factor, the fixed-policy kernel forms both equivalent channels
 from three colored links instead of drawing each receiver from its law given
 the feed, the eigen-factor reference decomposes the whole correlation
-matrix at once instead of its four reflection-parity blocks, and the
-whole-block engine colors and selects each Philox block in one piece
-instead of in chunks.
+matrix at once instead of its four reflection-parity blocks, the
+whole-block engine colors and runs each Philox block through its policy's
+kernel in one piece instead of in chunks, and the block-matrix coloring
+takes one real GEMM over interleaved (re, im) pairs instead of the complex
+product.
 """
 
 import math
@@ -441,19 +443,48 @@ def full_root_gains(matrix: np.ndarray, policy: str, m_on: int, trials: int,
     return np.concatenate(g_bob), np.concatenate(g_eve)
 
 
-def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tuple:
-    """(g_bob, g_eve) of an adaptive policy, each Philox block colored whole.
+def block_matrix_images(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`correlated_images_batch` as one real GEMM through a block matrix.
 
-    One GEMM colors all trials of a block and one kernel call selects them:
-    the reference that the chunked engine must match bit for bit.
+    The interleaved (re, im) pairs of the draws go through the (2r x 2E)
+    real matrix that applies `rows` to each part, so its output already is
+    the complex (trials, links, E) result; the library takes the complex
+    product instead.
     """
-    active = corr.n_elements if policy == "conventional" else m_on
-    g_bob, g_eve = [], []
-    for block in range(-(-trials // TRIALS_PER_BLOCK)):
-        images = correlated_images_batch(stream.draw_block(corr.rank, block), corr.factor)
-        h_bob, h_eve = _adaptive_block(images, active)
-        g_bob.append(np.abs(h_bob) ** 2)
-        g_eve.append(np.abs(h_eve) ** 2)
+    n, links, r = draws.shape
+    e = rows.shape[0]
+    pairs = np.ascontiguousarray(draws, dtype=np.complex128).reshape(n * links, r)
+    block = np.zeros((2 * r, 2 * e))
+    block[0::2, 0::2] = rows.T
+    block[1::2, 1::2] = rows.T
+    return (pairs.view(np.float64) @ block).view(np.complex128).reshape(n, links, e)
+
+
+def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tuple:
+    """(g_bob, g_eve) of any policy, each Philox block colored whole.
+
+    One product colors all trials of a block and one kernel call selects
+    them, or for a fixed policy one pair of products gives every trial's
+    conditional variance: the reference that the chunked engine must match
+    bit for bit.
+    """
+    r = corr.rank
+    if policy in ("greedy", "conventional"):
+        active = corr.n_elements if policy == "conventional" else m_on
+
+        def block_gains(block):
+            images = correlated_images_batch(stream.draw_block(r, block), corr.factor)
+            return [np.abs(h) ** 2 for h in _adaptive_block(images, active)]
+    else:
+        indices, phases = _fixed_selection(corr.n_elements, m_on, policy, stream.seed)
+        rows = corr.factor[indices]
+
+        def block_gains(block):
+            draws = stream.draw_block(r + 2, block, links=1)
+            feed = correlated_images_batch(draws[:, :, :r], rows) * np.exp(1j * phases)
+            variance = np.sum(np.abs(correlated_images_batch(feed, rows.T)[:, 0]) ** 2, axis=1)
+            return [variance * np.abs(draws[:, 0, r + k]) ** 2 for k in (0, 1)]
+    g_bob, g_eve = zip(*(block_gains(b) for b in range(-(-trials // TRIALS_PER_BLOCK))))
     return np.concatenate(g_bob)[:trials], np.concatenate(g_eve)[:trials]
 
 

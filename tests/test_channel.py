@@ -10,7 +10,7 @@ from frisec.harness import (POLICIES, GainSamples, _adaptive_block, _fixed_selec
                             records_for_budget, simulate_gains)
 from frisec.surface import SurfaceGeometry, build_correlation
 
-from oracles import fixed_block, full_root_gains, ks_two_sample
+from oracles import block_matrix_images, fixed_block, full_root_gains, ks_two_sample
 
 
 def small_corr(side=4, aperture=2.0):
@@ -80,6 +80,28 @@ class TestDraws:
             n += u.shape[0]
         emp = (acc / n).real
         assert np.max(np.abs(emp - corr.matrix)) <= 0.02
+
+
+class TestColoring:
+    # The complex product against the real block-matrix GEMM it replaced.
+    # Both sum the same r or E terms, in orders BLAS picks, so they can differ
+    # in the last bit (a 3x3 pool does).  Mapping images back onto the r
+    # coordinates cancels most of their magnitude in the weak eigen-directions,
+    # so the bound is on each (trial, link) vector relative to its norm.
+    @pytest.mark.parametrize("side, aperture", [(3, 1.5), (6, 3.0), (10, 5.0), (20, 3.0),
+                                                (40, 3.0)])
+    def test_matches_block_matrix_gemm(self, side, aperture):
+        corr = small_corr(side=side, aperture=aperture)
+        draws = ChannelStream(3, 1).draw_block(corr.rank, 0)[:200]
+        images = correlated_images_batch(draws, corr.factor)
+        assert images.shape == (200, 3, corr.n_elements)
+        back_draws = images[:, :1]
+        for got, want in ((images, block_matrix_images(draws, corr.factor)),
+                          (correlated_images_batch(back_draws, corr.factor.T),
+                           block_matrix_images(back_draws, corr.factor.T))):
+            assert got.dtype == np.complex128
+            error = np.linalg.norm(got - want, axis=-1)
+            assert np.all(error <= 1e-14 * np.linalg.norm(want, axis=-1))
 
 
 class TestSamplerLaw:

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from frisec import harness
 from frisec.channel import ChannelStream, LinkBudget
 from frisec.errors import ConfigError, DomainError
 from frisec.harness import (SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
@@ -70,6 +72,14 @@ class TestConfig:
                 small_config(**grid)
         assert small_config(size_sweep=[4, 9]).size_sweep == (4, 9)
 
+    def test_scalar_fields_follow_annotations(self):
+        assert harness._INT_FIELDS == ("m_x", "m_z", "conventional_m", "m_on", "trials",
+                                       "seed", "workers")
+        assert harness._FLOAT_FIELDS == (
+            "aperture_x", "aperture_z", "carrier_hz", "ref_gain", "pl_exponent",
+            "dist_feed_m", "dist_bob_m", "dist_eve_m", "tx_power_dbm", "noise_bob_dbm",
+            "noise_eve_dbm", "target_rate_bits")
+
     def test_mapping_roundtrip(self):
         cfg = config_from_mapping({"m_x": 4, "m_z": 4, "m_on": 4, "trials": 100,
                                    "snr_sweep_db": [60, 70]})
@@ -81,16 +91,20 @@ class TestConfig:
 
 @pytest.fixture(scope="module")
 def aperture_pools():
-    """Correlations of the 20x20 and 40x40 pools and the 6x6 baseline in 3x3 wavelengths."""
+    """Correlations of the 10x10, 20x20 and 40x40 pools and the 6x6 baseline in 3x3
+    wavelengths."""
     cfg = ExperimentConfig()
-    return {400: build_correlation(cfg.size_geometry(400)),
+    return {100: build_correlation(cfg.size_geometry(100)),
+            400: build_correlation(cfg.size_geometry(400)),
             1600: build_correlation(cfg.size_geometry(1600)),
             36: build_correlation(cfg.conventional_geometry())}
 
 
 class TestChunkedEngine:
     @pytest.mark.parametrize("policy, m_total, m_on", [
-        ("greedy", 400, 100), ("greedy", 1600, 64), ("conventional", 36, 36)])
+        ("greedy", 400, 100), ("greedy", 1600, 64), ("conventional", 36, 36),
+        ("fixed-uniform", 100, 10), ("fixed-uniform", 100, 100),
+        ("fixed-random", 100, 10), ("fixed-random", 100, 100)])
     @pytest.mark.parametrize("trials", [1, 130, 1025, 2048])
     def test_matches_whole_block_engine(self, aperture_pools, policy, m_total, m_on, trials):
         corr = aperture_pools[m_total]
@@ -113,6 +127,35 @@ class TestChunkedEngine:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    def test_pool_bounded_by_blocks_and_cpus(self, aperture_pools, monkeypatch):
+        # the stub runs the blocks inline, so no thread starts whatever the
+        # engine asks for; it records the pool size requested
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        corr = aperture_pools[100]
+        stream = ChannelStream(4, 0)
+        trials = 3 * 1024 + 5  # four blocks
+        serial = simulate_gains(corr, "greedy", 10, trials, stream)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        gains = simulate_gains(corr, "greedy", 10, trials, stream, workers=10 ** 6)
+        assert np.array_equal(gains.g_bob, serial.g_bob)
+        assert np.array_equal(gains.g_eve, serial.g_eve)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        cap = min(4, cpus)
+        assert requested == ([cap] if cap > 1 else [])
 
 
 class TestEstimates:
@@ -346,6 +389,10 @@ class TestOutput:
         assert cells[1] == format(0.5, ".17e")
         assert cells[2] == "nan"
         assert cells[3] == "ok"
+
+    def test_csv_row_missing_a_column_raises(self):
+        with pytest.raises(KeyError, match="'c'"):
+            rows_to_csv([{"a": 1, "b": 0.5}], ("a", "b", "c"))
 
     def test_write_results_and_manifest(self, tmp_path):
         cfg = small_config()
