@@ -54,13 +54,13 @@ class ChannelStream:
 
 
 def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Batched F @ w for a (trials, links, r) draw block and an (elements, r) factor.
+    """Batched F @ w for a (trials, links, r) draw block and an (outputs, r) matrix.
 
-    `rows` is the factor or a row slice of it, or the transpose of a row
-    slice, which maps images of those elements back onto r coordinates.
-    Returns (trials, links, len(rows)) complex, one complex matrix product
-    for all trials and links; a caller that colors many blocks passes the
-    factor already cast to complex, so no product casts it again.
+    Each row of `rows` gives one output: the M x r eigen-factor colors draws
+    into element images, a frozen configuration's r x r cascade F_S^T Phi F_S
+    into the r coordinates of its channel.  Returns (trials, links, len(rows))
+    complex by one product; a caller that colors many blocks passes the factor
+    already cast to complex, so no product casts it again.
     """
     n, links, r = draws.shape
     return (draws.reshape(n * links, r) @ rows.T).reshape(n, links, rows.shape[0])

@@ -309,11 +309,11 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     only its own row, so the chunking changes no sample.
 
     A fixed policy's frozen rows F_S and phases Phi make both equivalent
-    channels w^H F_S^T Phi F_S w_feed, so given the feed each is exactly
-    CN(0, sigma^2) with sigma^2 = ||F_S^T Phi F_S w_feed||^2, independently
-    of the other.  Those trials draw the feed's r normals and one unit normal
-    z per receiver, and return sigma^2 |z|^2: the law of coloring all three
-    links, at a third of the normals (conditional Monte Carlo).
+    channels w^H K w_feed, K = F_S^T Phi F_S (r x r, formed once per call), so
+    given the feed each is exactly CN(0, sigma^2), sigma^2 = ||K w_feed||^2,
+    independently of the other.  Those trials color the feed's r normals by K
+    and return sigma^2 |z|^2, z one unit normal per receiver: the law of
+    coloring all three links, at a third of the normals (conditional MC).
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
@@ -323,8 +323,8 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
         raise DomainError(f"m_on must be in [1, {m}], got {m_on}")
     n_blocks = -(-trials // TRIALS_PER_BLOCK)
     r = corr.rank
-    factor = corr.factor.astype(complex)
     if policy in ("greedy", "conventional"):
+        factor = corr.factor.astype(complex)
         links, normals = 3, r
 
         def kernel(draws: np.ndarray):
@@ -333,13 +333,13 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
 
     else:
         indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
-        rows = factor[indices]
-        phase_factors = np.exp(1j * phases)
+        rows = corr.factor[indices]
+        cascade = (rows.T * np.exp(1j * phases)) @ rows
         links, normals = 1, r + 2
 
         def kernel(draws: np.ndarray):
-            feed = correlated_images_batch(draws[:, :, :r], rows) * phase_factors
-            variance = np.sum(np.abs(correlated_images_batch(feed, rows.T)[:, 0]) ** 2, axis=1)
+            images = correlated_images_batch(draws[:, :, :r], cascade)[:, 0]
+            variance = np.sum(np.abs(images) ** 2, axis=1)
             return (variance * np.abs(draws[:, 0, r]) ** 2,
                     variance * np.abs(draws[:, 0, r + 1]) ** 2)
 
@@ -352,7 +352,7 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, n_blocks, cpus or 1)
-    if workers > 1:
+    if workers > 1:  # one worker stays inline: a one-thread pool ran sop-ref slower
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, range(n_blocks)))
     else:
@@ -660,10 +660,10 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
                       "row and column reflections of the grid, each decomposed "
                       "on its own",
             "frozen_configuration": "conditional: fixed policies color only the feed's r "
-                                    "normals; each gain is sigma^2 |z|^2, sigma^2 = "
-                                    "||F_S^T Phi F_S w_feed||^2, z one normal per receiver",
+                                    "normals, by K = F_S^T Phi F_S; gain sigma^2 |z|^2, "
+                                    "sigma^2 = ||K w_feed||^2, z one normal per receiver",
             "coloring": "every policy colors chunk_trials trials of a Philox block at a "
-                        "time, by complex products with the factor or its selected rows",
+                        "time, by one complex product with the M x r factor or with K",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,

@@ -447,16 +447,17 @@ def block_matrix_images(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """`correlated_images_batch` as one real GEMM through a block matrix.
 
     The interleaved (re, im) pairs of the draws go through the (2r x 2E)
-    real matrix that applies `rows` to each part, so its output already is
-    the complex (trials, links, E) result; the library takes the complex
-    product instead.
+    real matrix in which each entry a + ib of `rows` is the 2 x 2 block
+    [[a, b], [-b, a]], so its output already is the complex (trials, links,
+    E) result; the library takes the complex product instead.
     """
     n, links, r = draws.shape
     e = rows.shape[0]
     pairs = np.ascontiguousarray(draws, dtype=np.complex128).reshape(n * links, r)
     block = np.zeros((2 * r, 2 * e))
-    block[0::2, 0::2] = rows.T
-    block[1::2, 1::2] = rows.T
+    block[0::2, 0::2] = block[1::2, 1::2] = np.real(rows.T)
+    block[0::2, 1::2] = np.imag(rows.T)
+    block[1::2, 0::2] = -np.imag(rows.T)
     return (pairs.view(np.float64) @ block).view(np.complex128).reshape(n, links, e)
 
 
@@ -464,9 +465,9 @@ def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tupl
     """(g_bob, g_eve) of any policy, each Philox block colored whole.
 
     One product colors all trials of a block and one kernel call selects
-    them, or for a fixed policy one pair of products gives every trial's
-    conditional variance: the reference that the chunked engine must match
-    bit for bit.
+    them, or for a fixed policy one product by the r x r cascade
+    F_S^T Phi F_S gives every trial's conditional variance: the reference
+    that the chunked engine must match bit for bit.
     """
     r = corr.rank
     if policy in ("greedy", "conventional"):
@@ -478,11 +479,12 @@ def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tupl
     else:
         indices, phases = _fixed_selection(corr.n_elements, m_on, policy, stream.seed)
         rows = corr.factor[indices]
+        cascade = (rows.T * np.exp(1j * phases)) @ rows
 
         def block_gains(block):
             draws = stream.draw_block(r + 2, block, links=1)
-            feed = correlated_images_batch(draws[:, :, :r], rows) * np.exp(1j * phases)
-            variance = np.sum(np.abs(correlated_images_batch(feed, rows.T)[:, 0]) ** 2, axis=1)
+            images = correlated_images_batch(draws[:, :, :r], cascade)[:, 0]
+            variance = np.sum(np.abs(images) ** 2, axis=1)
             return [variance * np.abs(draws[:, 0, r + k]) ** 2 for k in (0, 1)]
     g_bob, g_eve = zip(*(block_gains(b) for b in range(-(-trials // TRIALS_PER_BLOCK))))
     return np.concatenate(g_bob)[:trials], np.concatenate(g_eve)[:trials]

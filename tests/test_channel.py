@@ -85,9 +85,10 @@ class TestDraws:
 class TestColoring:
     # The complex product against the real block-matrix GEMM it replaced.
     # Both sum the same r or E terms, in orders BLAS picks, so they can differ
-    # in the last bit (a 3x3 pool does).  Mapping images back onto the r
-    # coordinates cancels most of their magnitude in the weak eigen-directions,
-    # so the bound is on each (trial, link) vector relative to its norm.
+    # in the last bit (a 3x3 pool does).  The transposed factor and the
+    # complex symmetric r x r cascade F_S^T Phi F_S of a fixed-random
+    # selection cancel most of the magnitude in the weak eigen-directions, so
+    # the bound is on each (trial, link) vector relative to its norm.
     @pytest.mark.parametrize("side, aperture", [(3, 1.5), (6, 3.0), (10, 5.0), (20, 3.0),
                                                 (40, 3.0)])
     def test_matches_block_matrix_gemm(self, side, aperture):
@@ -96,9 +97,17 @@ class TestColoring:
         images = correlated_images_batch(draws, corr.factor)
         assert images.shape == (200, 3, corr.n_elements)
         back_draws = images[:, :1]
+        indices, phases = _fixed_selection(corr.n_elements, -(-corr.n_elements // 2),
+                                           "fixed-random", seed=3)
+        rows = corr.factor[indices]
+        cascade = (rows.T * np.exp(1j * phases)) @ rows
+        assert cascade.shape == (corr.rank, corr.rank)
+        assert np.allclose(cascade, cascade.T, rtol=0, atol=1e-14 * np.abs(cascade).max())
         for got, want in ((images, block_matrix_images(draws, corr.factor)),
                           (correlated_images_batch(back_draws, corr.factor.T),
-                           block_matrix_images(back_draws, corr.factor.T))):
+                           block_matrix_images(back_draws, corr.factor.T)),
+                          (correlated_images_batch(draws, cascade),
+                           block_matrix_images(draws, cascade))):
             assert got.dtype == np.complex128
             error = np.linalg.norm(got - want, axis=-1)
             assert np.all(error <= 1e-14 * np.linalg.norm(want, axis=-1))
@@ -238,9 +247,10 @@ class TestEquivalentChannel:
 class TestGainAndSnr:
     def test_channel_gain(self):
         # greedy: the simulated power gain is |H|^2 of the kernel's equivalent
-        # channel.  Fixed: it is sigma^2 |z|^2, sigma^2 the power of the phased
-        # feed image of the frozen rows projected back through them, and z the
-        # normal after the feed's r in the trial's one link of r + 2
+        # channel.  Fixed: it is sigma^2 |z|^2, sigma^2 the power of the feed's
+        # r normals colored by the r x r cascade F_S^T Phi F_S of the frozen
+        # rows and phases, and z the normal after the feed's r in the trial's
+        # one link of r + 2
         corr = small_corr()
         r = corr.rank
         for policy in ("greedy", "fixed-uniform", "fixed-random"):
@@ -253,9 +263,9 @@ class TestGainAndSnr:
                 draws = ChannelStream(6, 0).draw_block(r + 2, 0, links=1)
                 indices, phases = _fixed_selection(corr.n_elements, 5, policy, seed=6)
                 rows = corr.factor[indices]
-                feed = correlated_images_batch(draws[:, :, :r], rows) * np.exp(1j * phases)
-                back = correlated_images_batch(feed, rows.T)[:, 0]
-                variance = np.sum(np.abs(back) ** 2, axis=1)
+                cascade = (rows.T * np.exp(1j * phases)) @ rows
+                images = correlated_images_batch(draws[:, :, :r], cascade)[:, 0]
+                variance = np.sum(np.abs(images) ** 2, axis=1)
                 g_bob = variance * np.abs(draws[:, 0, r]) ** 2
                 g_eve = variance * np.abs(draws[:, 0, r + 1]) ** 2
             assert np.array_equal(gains.g_bob, g_bob[:100])

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from frisec import harness
-from frisec.channel import ChannelStream, LinkBudget
+from frisec.channel import ChannelStream, LinkBudget, correlated_images_batch
 from frisec.errors import ConfigError, DomainError
-from frisec.harness import (SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
+from frisec.harness import (POLICIES, SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                             VALIDATE_FIT_COLUMNS, ExperimentConfig,
                             GainSamples, MetricEstimate,
                             config_from_mapping, db_to_linear, dbm_to_watts,
@@ -114,6 +114,23 @@ class TestChunkedEngine:
             gains = simulate_gains(corr, policy, m_on, trials, stream, workers=workers)
             assert np.array_equal(gains.g_bob, g_bob)
             assert np.array_equal(gains.g_eve, g_eve)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_one_coloring_product_per_chunk(self, aperture_pools, monkeypatch, policy):
+        # 130 trials are two chunks of one block.  A fixed policy colors the
+        # feed by its r x r cascade F_S^T Phi F_S, the adaptive ones by the
+        # M x r factor; either way one product per chunk
+        corr = aperture_pools[36 if policy == "conventional" else 100]
+        shapes = []
+
+        def recording(draws, rows):
+            shapes.append(rows.shape)
+            return correlated_images_batch(draws, rows)
+
+        monkeypatch.setattr(harness, "correlated_images_batch", recording)
+        simulate_gains(corr, policy, 10, 130, ChannelStream(7, 2))
+        rows = corr.rank if policy.startswith("fixed") else corr.n_elements
+        assert shapes == [(rows, corr.rank)] * 2
 
     def test_dense_pool_peak_memory(self, aperture_pools):
         # coloring whole 1024-trial blocks here holds about 240 MiB over two
