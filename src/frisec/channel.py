@@ -7,9 +7,10 @@ image is the complex product with the M x r eigen-factor F = U_r Lambda_r^{1/2}.
 Since F F^T = J up to the dropped rounding-noise eigenvalues, the image has
 exactly the law of J^{1/2} h with h of length M, at r/M of the draws and of
 the coloring work (Karhunen-Loeve expansion).  `draw_block` lays out
-`links` links of `m` normals per trial: the adaptive policies draw the three
-links of r normals, the frozen-configuration policies one link of r + 2
-normals (the feed's r and one per receiver, see `harness.simulate_gains`).
+`links` links of `m` draws per trial: the adaptive policies draw the three
+links of r complex normals, the frozen-configuration policies one link of
+r + 2 real unit exponentials, the powers |w|^2 of the feed's r normals and
+of one normal per receiver (see `harness.simulate_gains`).
 Randomness is counter-based (Philox): a draw depends only on (seed, stream,
 trial index), never on how trials are batched across workers.
 """
@@ -38,16 +39,19 @@ class ChannelStream:
     seed: int
     stream: int = 0
 
-    def draw_block(self, m: int, block: int, links: int = 3) -> np.ndarray:
+    def draw_block(self, m: int, block: int, links: int = 3, power: bool = False) -> np.ndarray:
         """(TRIALS_PER_BLOCK, links, m) complex fading draws for one counter block.
 
         `m` is the number of normals per link.  With the default three links,
         axis 1 orders them as (feed, bob, eve) and `m` is the rank of the
-        factor that colors them.
+        factor that colors them.  With `power` the draws are instead real unit
+        exponentials, the law of |w|^2 of such a normal w.
         """
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
                        dtype=np.uint64)
         bitgen = np.random.Philox(key=key, counter=np.array([0, 0, block, 0], dtype=np.uint64))
+        if power:
+            return np.random.Generator(bitgen).standard_exponential((TRIALS_PER_BLOCK, links, m))
         raw = np.random.Generator(bitgen).standard_normal(TRIALS_PER_BLOCK * links * m * 2)
         raw /= math.sqrt(2.0)
         return raw.view(np.complex128).reshape(TRIALS_PER_BLOCK, links, m)
@@ -56,11 +60,12 @@ class ChannelStream:
 def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Batched F @ w for a (trials, links, r) draw block and an (outputs, r) matrix.
 
-    Each row of `rows` gives one output: the M x r eigen-factor colors draws
-    into element images, a frozen configuration's r x r cascade F_S^T Phi F_S
-    into the r coordinates of its channel.  Returns (trials, links, len(rows))
-    complex by one product; a caller that colors many blocks passes the factor
-    already cast to complex, so no product casts it again.
+    Each row of `rows` gives one output: the M x r eigen-factor colors complex
+    normals into element images, a frozen configuration's one row mu weights
+    real unit exponentials into its channel variance sum mu_i E_i.  Returns
+    (trials, links, len(rows)) by one product; a caller that colors many
+    blocks passes the factor already cast to complex, so no product casts it
+    again.
     """
     n, links, r = draws.shape
     return (draws.reshape(n * links, r) @ rows.T).reshape(n, links, rows.shape[0])

@@ -15,6 +15,7 @@ reference curves, not bounds on the simulated metrics.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -309,11 +310,14 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     only its own row, so the chunking changes no sample.
 
     A fixed policy's frozen rows F_S and phases Phi make both equivalent
-    channels w^H K w_feed, K = F_S^T Phi F_S (r x r, formed once per call), so
-    given the feed each is exactly CN(0, sigma^2), sigma^2 = ||K w_feed||^2,
-    independently of the other.  Those trials color the feed's r normals by K
-    and return sigma^2 |z|^2, z one unit normal per receiver: the law of
-    coloring all three links, at a third of the normals (conditional MC).
+    channels w^H K w_feed, K = F_S^T Phi F_S (r x r), so given the feed each
+    is exactly CN(0, sigma^2), sigma^2 = ||K w_feed||^2, independently of the
+    other.  K's singular vectors rotate the circular feed into another, so
+    sigma^2 has the law of sum_i mu_i E_i, mu the squared singular values of
+    K (one SVD per call) and E_i = |w_i|^2 unit exponentials (Imhof 1961).
+    Those trials draw r + 2 unit exponentials and return sigma^2 E_bob and
+    sigma^2 E_eve: the law of coloring all three links, at about a sixth of
+    the Philox draws (conditional MC).
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
@@ -325,7 +329,7 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     r = corr.rank
     if policy in ("greedy", "conventional"):
         factor = corr.factor.astype(complex)
-        links, normals = 3, r
+        draw = functools.partial(stream.draw_block, r)
 
         def kernel(draws: np.ndarray):
             h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, factor), active)
@@ -334,17 +338,15 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     else:
         indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
         rows = corr.factor[indices]
-        cascade = (rows.T * np.exp(1j * phases)) @ rows
-        links, normals = 1, r + 2
+        mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False) ** 2
+        draw = functools.partial(stream.draw_block, r + 2, links=1, power=True)
 
-        def kernel(draws: np.ndarray):
-            images = correlated_images_batch(draws[:, :, :r], cascade)[:, 0]
-            variance = np.sum(np.abs(images) ** 2, axis=1)
-            return (variance * np.abs(draws[:, 0, r]) ** 2,
-                    variance * np.abs(draws[:, 0, r + 1]) ** 2)
+        def kernel(powers: np.ndarray):
+            variance = correlated_images_batch(powers[:, :, :r], mu[None, :])[:, 0, 0]
+            return variance * powers[:, 0, r], variance * powers[:, 0, r + 1]
 
     def work(block: int):
-        draws = stream.draw_block(normals, block, links)
+        draws = draw(block)
         wanted = min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
         chunks = [kernel(draws[start:start + CHUNK_TRIALS])
                   for start in range(0, wanted, CHUNK_TRIALS)]
@@ -659,11 +661,11 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
                       "from the four blocks of J that are even or odd under the "
                       "row and column reflections of the grid, each decomposed "
                       "on its own",
-            "frozen_configuration": "conditional: fixed policies color only the feed's r "
-                                    "normals, by K = F_S^T Phi F_S; gain sigma^2 |z|^2, "
-                                    "sigma^2 = ||K w_feed||^2, z one normal per receiver",
+            "frozen_configuration": "conditional: fixed policies draw r + 2 unit exponentials "
+                                    "E; gain sigma^2 E_receiver, sigma^2 = sum_i mu_i E_i, mu "
+                                    "the squared singular values of K = F_S^T Phi F_S",
             "coloring": "every policy colors chunk_trials trials of a Philox block at a "
-                        "time, by one complex product with the M x r factor or with K",
+                        "time, by one product with the M x r factor or with the row mu",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,

@@ -465,9 +465,10 @@ def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tupl
     """(g_bob, g_eve) of any policy, each Philox block colored whole.
 
     One product colors all trials of a block and one kernel call selects
-    them, or for a fixed policy one product by the r x r cascade
-    F_S^T Phi F_S gives every trial's conditional variance: the reference
-    that the chunked engine must match bit for bit.
+    them, or for a fixed policy one product of the block's feed exponentials
+    by mu, the squared singular values of the r x r cascade F_S^T Phi F_S,
+    gives every trial's conditional variance: the reference that the chunked
+    engine must match bit for bit.
     """
     r = corr.rank
     if policy in ("greedy", "conventional"):
@@ -479,13 +480,12 @@ def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tupl
     else:
         indices, phases = _fixed_selection(corr.n_elements, m_on, policy, stream.seed)
         rows = corr.factor[indices]
-        cascade = (rows.T * np.exp(1j * phases)) @ rows
+        mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False) ** 2
 
         def block_gains(block):
-            draws = stream.draw_block(r + 2, block, links=1)
-            images = correlated_images_batch(draws[:, :, :r], cascade)[:, 0]
-            variance = np.sum(np.abs(images) ** 2, axis=1)
-            return [variance * np.abs(draws[:, 0, r + k]) ** 2 for k in (0, 1)]
+            powers = stream.draw_block(r + 2, block, links=1, power=True)
+            variance = correlated_images_batch(powers[:, :, :r], mu[None, :])[:, 0, 0]
+            return [variance * powers[:, 0, r + k] for k in (0, 1)]
     g_bob, g_eve = zip(*(block_gains(b) for b in range(-(-trials // TRIALS_PER_BLOCK))))
     return np.concatenate(g_bob)[:trials], np.concatenate(g_eve)[:trials]
 

@@ -7,7 +7,7 @@ from frisec.channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget,
                             correlated_images_batch, path_loss)
 from frisec.errors import DomainError
 from frisec.harness import (POLICIES, GainSamples, _adaptive_block, _fixed_selection,
-                            records_for_budget, simulate_gains)
+                            ks_statistic, records_for_budget, simulate_gains)
 from frisec.surface import SurfaceGeometry, build_correlation
 
 from oracles import block_matrix_images, fixed_block, full_root_gains, ks_two_sample
@@ -54,6 +54,25 @@ class TestDraws:
             acc += float(np.sum(np.abs(blk) ** 2))
             count += blk.size
         assert acc / count == pytest.approx(1.0, abs=0.02)
+
+    def test_power_draw(self):
+        st = ChannelStream(seed=42, stream=3)
+        first = st.draw_block(6, 17, links=2, power=True)
+        assert first.dtype == np.float64
+        assert first.shape == (TRIALS_PER_BLOCK, 2, 6)
+        assert np.array_equal(first, st.draw_block(6, 17, links=2, power=True))
+        assert not np.array_equal(first, st.draw_block(6, 18, links=2, power=True))
+
+    def test_power_draw_is_unit_exponential(self):
+        # |w|^2 of a unit circular normal is Exp(1): one-sample KS against
+        # 1 - exp(-x) at level 0.001 (1.949 / sqrt(n)) and the mean to
+        # law-of-large-numbers precision, on 102400 draws
+        st = ChannelStream(seed=9, stream=0)
+        powers = np.concatenate([st.draw_block(4, b, links=1, power=True).ravel()
+                                 for b in range(25)])
+        assert powers.size == 102_400
+        assert ks_statistic(powers, lambda x: -np.expm1(-x)) <= 1.949 / math.sqrt(powers.size)
+        assert powers.mean() == pytest.approx(1.0, abs=0.02)
 
     def test_batch_matches_single_trial(self):
         # trial t on its own (the last of a run of t + 1 trials) equals trial t
@@ -247,10 +266,10 @@ class TestEquivalentChannel:
 class TestGainAndSnr:
     def test_channel_gain(self):
         # greedy: the simulated power gain is |H|^2 of the kernel's equivalent
-        # channel.  Fixed: it is sigma^2 |z|^2, sigma^2 the power of the feed's
-        # r normals colored by the r x r cascade F_S^T Phi F_S of the frozen
-        # rows and phases, and z the normal after the feed's r in the trial's
-        # one link of r + 2
+        # channel.  Fixed: it is sigma^2 E, sigma^2 the feed's r unit
+        # exponentials weighted by the squared singular values of the r x r
+        # cascade F_S^T Phi F_S of the frozen rows and phases, and E the
+        # exponential after the feed's r in the trial's one link of r + 2
         corr = small_corr()
         r = corr.rank
         for policy in ("greedy", "fixed-uniform", "fixed-random"):
@@ -260,32 +279,44 @@ class TestGainAndSnr:
                 h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, corr.factor), 5)
                 g_bob, g_eve = np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
             else:
-                draws = ChannelStream(6, 0).draw_block(r + 2, 0, links=1)
+                powers = ChannelStream(6, 0).draw_block(r + 2, 0, links=1, power=True)
                 indices, phases = _fixed_selection(corr.n_elements, 5, policy, seed=6)
                 rows = corr.factor[indices]
                 cascade = (rows.T * np.exp(1j * phases)) @ rows
-                images = correlated_images_batch(draws[:, :, :r], cascade)[:, 0]
-                variance = np.sum(np.abs(images) ** 2, axis=1)
-                g_bob = variance * np.abs(draws[:, 0, r]) ** 2
-                g_eve = variance * np.abs(draws[:, 0, r + 1]) ** 2
+                mu = np.linalg.svd(cascade, compute_uv=False) ** 2
+                variance = correlated_images_batch(powers[:, :, :r], mu[None, :])[:, 0, 0]
+                g_bob = variance * powers[:, 0, r]
+                g_eve = variance * powers[:, 0, r + 1]
             assert np.array_equal(gains.g_bob, g_bob[:100])
             assert np.array_equal(gains.g_eve, g_eve[:100])
 
     def test_fixed_gain_is_triple_product_variance(self):
-        # sigma^2 is ||F_S^T Phi F_S w_feed||^2 written out with complex matrix
-        # products, and the receivers share it: g_bob / g_eve = |z_b|^2 / |z_e|^2
+        # mu are the eigenvalues of K^H K, K = F_S^T Phi F_S written out as the
+        # triple product, largest first; sigma^2 = sum_i mu_i E_i over the
+        # feed's drawn exponentials, and the receivers share it:
+        # g_bob / g_eve = E_b / E_e.
+        # For fixed-uniform K K^H = (F_S F_S^T)^2 = J_S^2 up to the clamped
+        # eigenvalues, so sum mu = tr(J_S^2) and sum mu^2 = tr(J_S^4), the
+        # traces behind the Gamma fit
         corr = small_corr(side=5, aperture=2.5)
         r = corr.rank
         for policy in ("fixed-uniform", "fixed-random"):
             gains = simulate_gains(corr, policy, 7, 50, ChannelStream(8, 4))
-            draws = ChannelStream(8, 4).draw_block(r + 2, 0, links=1)[:50, 0]
+            powers = ChannelStream(8, 4).draw_block(r + 2, 0, links=1, power=True)[:50, 0]
             indices, phases = _fixed_selection(corr.n_elements, 7, policy, seed=8)
-            rows = corr.factor[indices]
-            a = (draws[:, :r] @ rows.T.astype(complex)) * np.exp(1j * phases) @ rows
-            variance = np.linalg.norm(a, axis=1) ** 2
-            assert gains.g_bob == pytest.approx(variance * np.abs(draws[:, r]) ** 2, rel=1e-12)
-            assert gains.g_eve == pytest.approx(variance * np.abs(draws[:, r + 1]) ** 2,
-                                                rel=1e-12)
+            rows = corr.factor[indices].astype(complex)
+            cascade = rows.T @ np.diag(np.exp(1j * phases)) @ rows
+            mu = np.linalg.eigvalsh(cascade.conj().T @ cascade)[::-1]
+            variance = powers[:, :r] @ mu
+            assert gains.g_bob == pytest.approx(variance * powers[:, r], rel=1e-12)
+            assert gains.g_eve == pytest.approx(variance * powers[:, r + 1], rel=1e-12)
+            assert gains.g_bob / gains.g_eve == pytest.approx(powers[:, r] / powers[:, r + 1],
+                                                              rel=1e-12)
+            if policy == "fixed-uniform":
+                block = corr.matrix[:7, :7]
+                squared = block @ block
+                assert mu.sum() == pytest.approx(np.trace(squared), rel=1e-12)
+                assert (mu ** 2).sum() == pytest.approx(np.trace(squared @ squared), rel=1e-12)
 
     def test_snr_examples(self):
         # a silent eavesdropper leaves capacity log2(1 + SNR_bob)

@@ -117,9 +117,9 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_one_coloring_product_per_chunk(self, aperture_pools, monkeypatch, policy):
-        # 130 trials are two chunks of one block.  A fixed policy colors the
-        # feed by its r x r cascade F_S^T Phi F_S, the adaptive ones by the
-        # M x r factor; either way one product per chunk
+        # 130 trials are two chunks of one block.  A fixed policy weights the
+        # feed's exponentials by the one row mu, the adaptive ones color by
+        # the M x r factor; either way one product per chunk
         corr = aperture_pools[36 if policy == "conventional" else 100]
         shapes = []
 
@@ -129,8 +129,31 @@ class TestChunkedEngine:
 
         monkeypatch.setattr(harness, "correlated_images_batch", recording)
         simulate_gains(corr, policy, 10, 130, ChannelStream(7, 2))
-        rows = corr.rank if policy.startswith("fixed") else corr.n_elements
+        rows = 1 if policy.startswith("fixed") else corr.n_elements
         assert shapes == [(rows, corr.rank)] * 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_one_draw_per_block(self, aperture_pools, monkeypatch, policy, workers):
+        # 1024 + 130 trials are two blocks of eight and two chunks: two calls
+        # of ChannelStream.draw_block and ten of correlated_images_batch, the
+        # two layers a traced benchmark run expects to see
+        corr = aperture_pools[36 if policy == "conventional" else 100]
+        calls = {"draw": 0, "color": 0}
+        draw_block = ChannelStream.draw_block
+
+        def counting_draw(self, *args, **kwargs):
+            calls["draw"] += 1
+            return draw_block(self, *args, **kwargs)
+
+        def counting_color(draws, rows):
+            calls["color"] += 1
+            return correlated_images_batch(draws, rows)
+
+        monkeypatch.setattr(ChannelStream, "draw_block", counting_draw)
+        monkeypatch.setattr(harness, "correlated_images_batch", counting_color)
+        simulate_gains(corr, policy, 10, 1024 + 130, ChannelStream(7, 2), workers=workers)
+        assert calls == {"draw": 2, "color": 10}
 
     def test_dense_pool_peak_memory(self, aperture_pools):
         # coloring whole 1024-trial blocks here holds about 240 MiB over two
