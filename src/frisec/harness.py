@@ -511,7 +511,7 @@ def sweep_snr(config: ExperimentConfig) -> list[dict]:
 
 
 def sweep_size(config: ExperimentConfig) -> list[dict]:
-    """Metrics versus total element count at fixed active count.
+    """Metrics of the configured policy versus total element count at fixed active count.
 
     Every size keeps the configured aperture, so a larger count packs the
     same area more densely.  The conventional baseline is the
@@ -528,12 +528,12 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
         geometry = config.size_geometry(m_total)
         if geometry.n_elements != m_total:
             error = "size grid values must be perfect squares"
-            rows.append(_error_row(SWEEP_COLUMNS, config, error, policy="greedy",
+            rows.append(_error_row(SWEEP_COLUMNS, config, error, policy=config.policy,
                                    m_total=m_total, m_on=config.m_on, **cells))
             continue
         base = STREAM_SIZE_BASE + 2 * point
         for surface, policy, m_on, stream in (
-                (geometry, "greedy", config.m_on, base),
+                (geometry, config.policy, config.m_on, base),
                 (conv_geometry, "conventional", config.conventional_m, base + 1)):
             try:
                 corr = conv_corr if surface is conv_geometry else build_correlation(surface)
@@ -658,9 +658,10 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
             "method": "rank-reduced (Karhunen-Loeve): r normals per link colored by "
                       "the M x r eigen-factor U_r Lambda_r^(1/2); r counts the "
                       "eigenvalues >= eigen_clamp * lambda_max; the eigenpairs come "
-                      "from the four blocks of J that are even or odd under the "
-                      "row and column reflections of the grid, each decomposed "
-                      "on its own",
+                      "from one eigendecomposition: of the 2n x 2n Gram G^T G of n "
+                      "plane waves G = [cos(k u_j . p), sin(k u_j . p)] / sqrt(n) "
+                      "at angles pi j / n, G G^T = J to rounding, with factor G V_r, "
+                      "when 2n < M; of J itself otherwise",
             "frozen_configuration": "conditional: fixed policies draw r + 2 unit exponentials "
                                     "E; gain sigma^2 E_receiver, sigma^2 = sum_i mu_i E_i, mu "
                                     "the squared singular values of K = F_S^T Phi F_S",

@@ -9,14 +9,15 @@ absolute row and column offsets, so J is block-Toeplitz with Toeplitz
 blocks: J0 is evaluated on the M_z x M_x table of offsets and the matrix
 indexes that table, with no M x M distance array.
 
-J also commutes with both grid reflections, column c -> M_x - 1 - c and row
-z -> M_z - 1 - z.  In the basis of even and odd combinations of mirrored
-elements along each axis it is block-diagonal, with four parity blocks of
-about M/4 rows each, and each block is eigendecomposed on its own (about a
-sixteenth of the work of one M x M decomposition).  Eigenvalues below a
-relative floor are dropped, and the kept eigenpairs form the M x r factor
-U_r Lambda_r^{1/2} that colors r i.i.d. normals into the correlated field
-(Karhunen-Loeve).
+The factor that colors r i.i.d. normals into the correlated field
+(Karhunen-Loeve) is U_r Lambda_r^{1/2}, the eigenpairs of J above a relative
+floor.  By Bessel's integral, J0(k d) is the mean over directions u of
+cos(k u . (p_i - p_l)), so n plane waves at the angles pi j / n give
+J = G G^T to rounding, with G the M x 2n matrix of their cosines and sines
+(the trapezoidal rule on a periodic integrand converges exponentially:
+Trefethen & Weideman, SIAM Review 2014).  When 2n < M the eigenpairs come
+from the 2n x 2n Gram G^T G, otherwise from J itself: one symmetric
+eigendecomposition of min(2n, M) rows either way.
 The rank r is set by the aperture area rather than by M, so a dense pool
 needs far fewer normals than elements.
 """
@@ -80,8 +81,11 @@ class CorrelationMatrix:
     `factor` is the C-contiguous M x r matrix U_r Lambda_r^{1/2} of the kept
     eigenpairs, largest first, so `factor @ factor.T` is the matrix with the
     dropped eigenvalues set to zero.  `clamped_mass` records the total
-    magnitude of negative eigenvalues (a numerical-rank diagnostic),
-    `eigen_floor` the smallest eigenvalue kept.
+    magnitude of the negative eigenvalues of the decomposed matrix (a
+    numerical-rank diagnostic): of J when J is decomposed, and of the
+    plane-wave Gram otherwise, which is PSD by construction, so there it
+    measures only the rounding of the decomposition.  `eigen_floor` is the
+    smallest eigenvalue kept.
     """
 
     matrix: np.ndarray
@@ -104,12 +108,13 @@ def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
 
     J0 is evaluated once per distinct value of the m_z x m_x table of
     absolute (row, column) offsets, whose distances are correctly rounded
-    (`math.hypot`), and broadcast into the matrix.  The factor comes from
-    the symmetric eigendecompositions of the four parity blocks of J (see
-    `_parity_blocks`).  The eigenvalues of all four are floored together:
-    those below EIGEN_CLAMP times the largest are treated as rounding noise
-    and dropped.  Only the kept eigenvectors are mapped back to element
-    space, and the kept pairs are merged largest first, ties in block order.
+    (`math.hypot`), and broadcast into the matrix.  The factor comes from one
+    symmetric eigendecomposition: of the Gram G^T G of n plane waves G (see
+    the module docstring) when `_angle_count` finds n with 2n < M, the factor
+    then being G times the kept eigenvectors, and of J otherwise, the kept
+    eigenvectors times the roots of their eigenvalues.  Eigenvalues below
+    EIGEN_CLAMP times the largest are dropped, and the kept pairs are ordered
+    largest first.
     """
     m = geometry.n_elements
     rows = np.arange(geometry.m_z)
@@ -124,58 +129,42 @@ def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
     col_offset = np.abs(cols[:, None] - cols[None, :])
     corr = table[row_offset[:, None, :, None], col_offset[None, :, None, :]].reshape(m, m)
 
-    blocks = []
-    for block, images, scale in _parity_blocks(corr, geometry.m_z, geometry.m_x):
-        try:
-            lam, vecs = np.linalg.eigh(block)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(f"eigendecomposition failed: {exc}") from exc
-        blocks.append((lam, vecs, images, scale))
-    eigvals = np.concatenate([b[0] for b in blocks])
-    floor = EIGEN_CLAMP * float(eigvals.max())
-    clamped_mass = float(np.abs(eigvals[eigvals < 0.0]).sum())  # +0.0 when none
-    columns = []
-    for lam, vecs, images, scale in blocks:
-        keep = lam >= floor
-        kept = vecs[:, keep] * scale[:, None] * np.sqrt(lam[keep])
-        mapped = np.zeros((m, kept.shape[1]))
-        for image, sign in images:
-            mapped[image] = sign * kept
-        columns.append(mapped)
-    kept_vals = eigvals[eigvals >= floor]
-    order = np.argsort(-kept_vals, kind="stable")
-    eigen_floor = float(kept_vals[order[-1]]) if order.size else 0.0
-    factor = np.ascontiguousarray(np.hstack(columns)[:, order])
-    return CorrelationMatrix(matrix=corr, factor=factor, eigen_floor=eigen_floor,
-                             clamped_mass=clamped_mass)
+    n = _angle_count(float(flat[-1]), m)
+    if n is not None:
+        theta = math.pi * np.arange(n) / n
+        k = 2.0 * math.pi / geometry.wavelength
+        x = np.tile(k * geometry.spacing_x * cols, geometry.m_z)
+        z = np.repeat(k * geometry.spacing_z * rows, geometry.m_x)
+        phase = np.outer(x, np.cos(theta)) + np.outer(z, np.sin(theta))
+        waves = np.hstack([np.cos(phase), np.sin(phase)]) / math.sqrt(n)
+    try:
+        eigvals, eigvecs = np.linalg.eigh(corr if n is None else waves.T @ waves)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"eigendecomposition failed: {exc}") from exc
+    keep = np.flatnonzero(eigvals >= EIGEN_CLAMP * eigvals[-1])[::-1]
+    if n is None:
+        factor = eigvecs[:, keep] * np.sqrt(eigvals[keep])
+    else:
+        factor = waves @ eigvecs[:, keep]
+    return CorrelationMatrix(matrix=corr, factor=np.ascontiguousarray(factor),
+                             eigen_floor=float(eigvals[keep[-1]]),
+                             clamped_mass=float(np.abs(eigvals[eigvals < 0.0]).sum()))
 
 
-def _parity_blocks(corr: np.ndarray, m_z: int, m_x: int):
-    """Yield the reflection-parity blocks of J as (block, images, scale).
+def _angle_count(kd: float, m: int) -> int | None:
+    """Smallest plane-wave count n with 2n < m that meets J to rounding, or None.
 
-    Element (z, c) of the quarter z < ceil(m_z / 2), c < ceil(m_x / 2) stands
-    for its orbit under the two reflections, of k = 1, 2 or 4 distinct
-    elements.  For a parity (s_z, s_x) in {+1, -1}^2 its basis vector puts
-    s_z^a s_x^b / sqrt(k) on each orbit element, where a and b say whether
-    that element's row and column are mirrored; an odd parity skips the
-    middle row or column of an odd side, where that vector vanishes.  The
-    block entry (q, q') is sqrt(k k') / 4 times the sum over the reflections
-    rho of s(rho) J[q, rho q']: J's quarter plus its three reflected
-    quarters, gathered by index.  `images` lists each reflection's flat
-    element indices with its sign, and `scale` is 1 / sqrt(k), so an
-    eigenvector y of the block is the element-space vector whose entries
-    at `image` are sign * scale * y.  The odd parity of a side of length 1
-    has no rows, and its blocks are empty.
+    The n-angle trapezoidal sum of Bessel's integral differs from J0(x) by
+    about 2 |J_2n(x)|, and |J_2n(x)| <= (x/2)^2n / (2n)!, which grows with x,
+    so at the widest J0 argument `kd` it bounds every entry.  n is the first
+    count at which 2 m times that bound is below the double epsilon, so the
+    sum's error matrix is smaller in norm than J's own rounding.  The search
+    stops before 2n reaches m, after at most m / 2 steps whatever the aperture.
     """
-    for sign_z, n_z in ((1.0, (m_z + 1) // 2), (-1.0, m_z // 2)):
-        for sign_x, n_x in ((1.0, (m_x + 1) // 2), (-1.0, m_x // 2)):
-            z, c = np.arange(n_z)[:, None], np.arange(n_x)[None, :]
-            images = [((z_img * m_x + c_img).ravel(), s_row * s_col)
-                      for z_img, s_row in ((z, 1.0), (m_z - 1 - z, sign_z))
-                      for c_img, s_col in ((c, 1.0), (m_x - 1 - c, sign_x))]
-            quarter = images[0][0]
-            block = sum(sign * corr[np.ix_(quarter, image)] for image, sign in images)
-            # integer k keeps sqrt(k k) / 4 exact, so a 1 x 1 grid's block is [[1.0]]
-            orbit = ((1 + (2 * z != m_z - 1)) * (1 + (2 * c != m_x - 1))).ravel()
-            yield block * (np.sqrt(np.outer(orbit, orbit)) / 4.0), images, 1.0 / np.sqrt(orbit)
-
+    quarter = (kd / 2.0) * (kd / 2.0)  # inf for the widest apertures; never raises
+    bound = 1.0
+    for n in range(1, (m + 1) // 2):
+        bound *= quarter / ((2 * n - 1) * (2 * n))
+        if 2 * m * bound <= np.finfo(float).eps:
+            return n
+    return None

@@ -11,7 +11,7 @@ normals per link with the symmetric square root instead of r normals with
 the eigen-factor, the fixed-policy kernel forms both equivalent channels
 from three colored links instead of drawing each receiver from its law given
 the feed, the eigen-factor reference decomposes the whole correlation
-matrix at once instead of its four reflection-parity blocks, the
+matrix instead of the Gram of its plane-wave factor, the
 whole-block engine colors and runs each Philox block through its policy's
 kernel in one piece instead of in chunks, and the block-matrix coloring
 takes one real GEMM over interleaved (re, im) pairs instead of the complex

@@ -400,6 +400,19 @@ class TestSweeps:
         good = [r for r in rows if r["sweep_value"] == 4]
         assert all(r["status"] == "ok" for r in good)
 
+    def test_size_sweep_follows_policy(self):
+        sizes = dict(size_sweep=(4, 9, 10), m_on=4, conventional_m=9)
+        greedy = sweep_size(small_config(**sizes))
+        fixed = sweep_size(small_config(policy="fixed-uniform", **sizes))
+        pool = [r for r in fixed if r["policy"] != "conventional"]
+        assert [r["policy"] for r in pool] == ["fixed-uniform"] * 3
+        assert pool[-1]["sweep_value"] == 10 and "error" in pool[-1]["status"]
+        # the pool rows are simulated under the policy, the baseline rows are not
+        ok = [(a, b) for a, b in zip(greedy, fixed) if b["status"] == "ok"]
+        assert len(ok) == 4
+        for a, b in ok:
+            assert (a["asc_mc"] == b["asc_mc"]) == (b["policy"] == "conventional")
+
     def test_validate_fits_rows(self):
         cfg = ExperimentConfig(m_x=4, m_z=4, m_on=4, trials=20_000, seed=5)
         rows = validate_fits(cfg, (2, 4))

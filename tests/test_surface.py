@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +10,13 @@ import pytest
 from frisec.errors import DomainError
 from frisec.specfun import bessel_j0
 from frisec.harness import SPEED_OF_LIGHT
+from frisec import surface
 from frisec.surface import SurfaceGeometry, build_correlation
 
 from oracles import bessel_j0_series, element_distance, full_eigh_factor, index_to_coords
 
 WAVELENGTH = 0.12491352  # 2.4 GHz carrier
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def square_geometry(side, aperture, wavelength=WAVELENGTH):
@@ -19,28 +25,22 @@ def square_geometry(side, aperture, wavelength=WAVELENGTH):
 
 
 def record_eigh(monkeypatch) -> list:
-    """Patch np.linalg.eigh to record (input shape, eigenvalues) of each call."""
+    """Patch np.linalg.eigh to record a copy of the input of each call."""
     calls, eigh = [], np.linalg.eigh
 
     def recording(a, *args, **kwargs):
-        eigvals, eigvecs = eigh(a, *args, **kwargs)
-        calls.append((a.shape, eigvals))
-        return eigvals, eigvecs
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     return calls
 
 
-def check_against_full_eigh(geometry, monkeypatch):
-    """The parity-block build against one eigendecomposition of the whole J."""
-    with monkeypatch.context() as patch:
-        calls = record_eigh(patch)
-        corr = build_correlation(geometry)
+def check_against_full_eigh(geometry):
+    """The plane-wave build against one eigendecomposition of the whole J."""
+    corr = build_correlation(geometry)
     eigvals, factor, eigen_floor, clamped_mass = full_eigh_factor(corr.matrix)
     tol = 1e-13 * eigvals[-1]
-    # the four blocks together have J's spectrum
-    block_eigvals = np.sort(np.concatenate([vals for _, vals in calls]))
-    assert np.max(np.abs(block_eigvals - eigvals)) <= tol
     assert corr.rank == factor.shape[1]
     assert abs(corr.eigen_floor - eigen_floor) <= tol
     assert corr.clamped_mass >= 0.0
@@ -176,18 +176,23 @@ class TestCorrelation:
 
 
 class TestParityBlocks:
+    """The eigen-factor against one eigendecomposition of the whole J.
+
+    The class keeps the name of the reflection-parity build these checks were
+    first written for, so their test ids carry over to the plane-wave build.
+    """
+
     @pytest.mark.parametrize("m_x, m_z, width_x, width_z", [
         (6, 6, 3.0, 3.0), (7, 7, 2.0, 2.0), (8, 8, 1.0, 1.0),  # even, odd, dense
         (7, 9, 3.0, 3.0), (8, 5, 2.5, 1.5), (5, 8, 1.5, 2.5),  # rectangular
         (1, 5, 3.0, 3.0), (6, 1, 1.0, 2.0), (1, 1, 0.5, 0.5),  # 1 x n, 1 x 1
         (10, 10, 5.0, 5.0), (40, 40, 3.0, 3.0),  # the baseline and the densest pool
     ])
-    def test_matches_full_eigendecomposition(self, m_x, m_z, width_x, width_z, monkeypatch):
+    def test_matches_full_eigendecomposition(self, m_x, m_z, width_x, width_z):
         wavelength = SPEED_OF_LIGHT / 2.4e9
-        check_against_full_eigh(SurfaceGeometry(m_x, m_z, width_x, width_z, wavelength),
-                                monkeypatch)
+        check_against_full_eigh(SurfaceGeometry(m_x, m_z, width_x, width_z, wavelength))
 
-    def test_matches_full_eigendecomposition_on_small_grids(self, monkeypatch):
+    def test_matches_full_eigendecomposition_on_small_grids(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         widths = st.floats(0.2, 4.0)
@@ -195,25 +200,67 @@ class TestParityBlocks:
         @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
         @hypothesis.given(st.integers(1, 9), st.integers(1, 9), widths, widths)
         def check(m_x, m_z, width_x, width_z):
-            check_against_full_eigh(SurfaceGeometry(m_x, m_z, width_x, width_z, WAVELENGTH),
-                                    monkeypatch)
+            check_against_full_eigh(SurfaceGeometry(m_x, m_z, width_x, width_z, WAVELENGTH))
 
         check()
 
-    @pytest.mark.parametrize("m_x, m_z", [(40, 40), (7, 9)])
-    def test_no_decomposition_exceeds_a_quarter(self, m_x, m_z, monkeypatch):
-        # structural, not timed: every eigh call is one parity block
-        calls = record_eigh(monkeypatch)
-        build_correlation(SurfaceGeometry(m_x, m_z, 3.0, 3.0, WAVELENGTH))
-        limit = math.ceil(m_z / 2) * math.ceil(m_x / 2)
-        assert len(calls) == 4
-        assert all(shape[0] <= limit for shape, _ in calls), [shape for shape, _ in calls]
 
-    def test_eigh_failure_is_domain_error(self, monkeypatch):
+class TestPlaneWaveFactor:
+    @pytest.mark.parametrize("side, aperture, size", [
+        (40, 3.0, 66),  # the densest pool: the 66 x 66 Gram of 33 plane waves
+        (1, 0.5, 1), (6, 3.0, 36),  # 2n would reach M: J itself
+    ], ids=["40x40-gram", "1x1-matrix", "6x6-matrix"])
+    def test_one_eigh_per_build(self, side, aperture, size, monkeypatch):
+        # structural, not timed: one decomposition, of the Gram or of J
+        calls = record_eigh(monkeypatch)
+        corr = build_correlation(square_geometry(side, aperture, SPEED_OF_LIGHT / 2.4e9))
+        assert [a.shape for a in calls] == [(size, size)]
+        if size == corr.n_elements:
+            assert np.array_equal(calls[0], corr.matrix)
+
+    def test_angle_search_is_bounded_by_the_grid(self, monkeypatch):
+        # a 2x2 pool over 1e6 wavelengths would need millions of plane
+        # waves: the search gives up before 2n reaches M, and J is decomposed.
+        # Unbounded, the search never ends here: the bound overflows to inf.
+        counted, count = [], surface._angle_count
+
+        def recording(kd, m):
+            counted.append(count(kd, m))
+            return counted[-1]
+
+        monkeypatch.setattr(surface, "_angle_count", recording)
+        calls = record_eigh(monkeypatch)
+        corr = build_correlation(square_geometry(2, 1e6))
+        assert counted == [None]
+        assert [a.shape for a in calls] == [(4, 4)]
+        assert np.array_equal(calls[0], corr.matrix)
+
+    def test_factor_bytes_do_not_depend_on_blas_threads(self):
+        script = ("import hashlib, sys; from frisec.surface import SurfaceGeometry, "
+                  "build_correlation\n"
+                  "for side in (30, 40):\n"
+                  "    g = SurfaceGeometry(side, side, 3.0, 3.0, float(sys.argv[1]))\n"
+                  "    print(hashlib.sha256(build_correlation(g).factor.tobytes()).hexdigest())")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script, repr(SPEED_OF_LIGHT / 2.4e9)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+    @pytest.mark.parametrize("side, aperture, size", [(4, 2.0, 16), (20, 3.0, 66)],
+                             ids=["matrix", "gram"])
+    def test_eigh_failure_is_domain_error(self, side, aperture, size, monkeypatch):
+        shapes = []
+
         def fail(a, *args, **kwargs):
+            shapes.append(a.shape)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(DomainError, match="eigendecomposition failed"):
-            build_correlation(square_geometry(4, 2.0))
-
+            build_correlation(square_geometry(side, aperture))
+        assert shapes == [(size, size)]  # J on the 4x4 grid, the Gram on the 20x20 pool
