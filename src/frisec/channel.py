@@ -13,11 +13,17 @@ r + 2 real unit exponentials, the powers |w|^2 of the feed's r normals and
 of one normal per receiver (see `harness.simulate_gains`).
 Randomness is counter-based (Philox): a draw depends only on (seed, stream,
 trial index), never on how trials are batched across workers.
+The engine runs its matrix products inside `one_blas_thread`, so each runs
+on the thread that calls it and `workers` is the only source of threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +75,70 @@ def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     n, links, r = draws.shape
     return (draws.reshape(n * links, r) @ rows.T).reshape(n, links, rows.shape[0])
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions as numpy links them, or None.
+
+    The symbols are looked up through numpy's linear-algebra extension, so
+    they are those of the library that runs numpy's products, under the
+    names of numpy's bundled build and of a system OpenBLAS.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+        get = getattr(lib, name.format("get_num_threads"), None)
+        set_ = getattr(lib, name.format("set_num_threads"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count, or None where numpy links no OpenBLAS."""
+    pair = _openblas_threads()
+    return None if pair is None else pair[0]()
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 1
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run OpenBLAS on one thread, so each product runs on the thread calling it.
+
+    The count is process-wide: the first of nested or concurrent entries
+    saves it and sets 1, and the last exit, by return or by exception,
+    restores it.  Left to itself, OpenBLAS splits a product over the cores
+    and then lets its idle threads spin, which costs CPU and, under a pool
+    of workers, the cores the workers need.  Does nothing where numpy links
+    no OpenBLAS.
+    """
+    global _blas_depth, _blas_saved
+    pair = _openblas_threads()
+    if pair is None:
+        yield
+        return
+    get, set_ = pair
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
 
 
 def path_loss(ref_gain: float, exponent: float, distance_m: float) -> float:

@@ -2,8 +2,8 @@
 
 Subcommands map one-to-one onto the harness sweep and validation functions;
 every run writes a CSV result table plus a JSON manifest of the resolved
-configuration.  Exit codes: 0 success, 1 configuration error, 2 numeric or
-convergence failure.
+configuration.  Exit codes: 0 success, 1 configuration error (an out-of-memory
+pool included), 2 numeric or convergence failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file of configuration keys")
     sub.add_argument("--seed", type=int, help="64-bit experiment seed")
     sub.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-    sub.add_argument("--workers", type=int, help="parallel workers over trial blocks")
+    sub.add_argument("--workers", type=int,
+                     help="threads over trial blocks, the engine's only threads: "
+                          "each runs its own BLAS products")
     sub.add_argument("--policy", choices=POLICIES)
     sub.add_argument("--m-on", type=int, dest="m_on", help="active element count")
     sub.add_argument("--out", required=True, help="output CSV path")
@@ -90,6 +92,7 @@ def main(argv: list[str] | None = None) -> int:
                              help="comma-separated active counts, e.g. 10,50,100")
 
     args = parser.parse_args(argv)
+    config = None
     try:
         config = _load_config(args)
         _check_out(args.out)
@@ -142,6 +145,15 @@ def main(argv: list[str] | None = None) -> int:
     except FrisecError as exc:
         print(f"frisec: numeric failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        if config is None:
+            print("frisec: config error: out of memory reading the config", file=sys.stderr)
+            return 1
+        sizes = config.size_sweep if args.command == "sweep-size" else ()
+        pool = max(config.m_x * config.m_z, config.conventional_m, *sizes)
+        print(f"frisec: config error: out of memory on a pool of up to {pool} elements; "
+              "use a smaller pool", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget,
-                      correlated_images_batch)
+from .channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget, blas_threads,
+                      correlated_images_batch, one_blas_thread)
 from .errors import ConfigError, DomainError, FrisecError
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_upper_bound,
                       exp_cdf, fit_bob_gamma, fit_eve_exponential, gamma_cdf,
@@ -292,6 +292,7 @@ def _fixed_selection(m: int, m_on: int, policy: str, seed: int) -> tuple[np.ndar
     return indices, rng.uniform(0.0, _TWO_PI, size=m_on)
 
 
+@one_blas_thread()
 def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
                    stream: ChannelStream, workers: int = 1) -> GainSamples:
     """Simulate per-trial power gains under the given policy.
@@ -301,7 +302,9 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     trial of a run of t + 1 trials.  The conventional policy co-phases every
     element and ignores `m_on`.  The blocks run inline with one worker, and
     otherwise on min(workers, blocks, usable CPUs) threads, each of which
-    holds a block's draws and a chunk's temporaries.
+    holds a block's draws and a chunk's temporaries.  The call runs under
+    `one_blas_thread`, so each product runs on its worker's thread and the
+    workers are the only threads.
 
     Every policy draws each Philox block whole and colors it and runs its
     kernel in chunks of CHUNK_TRIALS trials, so the images and kernel
@@ -676,8 +679,24 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
             "bounds": STREAM_BOUNDS, "validate_base": STREAM_VALIDATE_BASE,
             "size_base": STREAM_SIZE_BASE,
         },
+        "blas": _blas_note(),
     }
     _write_manifest(path, config, rows=len(rows), notes=notes | (extra_manifest or {}))
+
+
+def _blas_note() -> dict:
+    """The BLAS build and thread counts that the CSV's last bits may depend on.
+
+    `threads` is OpenBLAS's count outside the engine, `engine_threads` the
+    count the engine's products ran at (None where numpy links no OpenBLAS).
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        blas = {}
+    threads = blas_threads()
+    return {"name": blas.get("name"), "version": blas.get("version"), "threads": threads,
+            "engine_threads": None if threads is None else 1}
 
 
 def dump_correlation_csv(config: ExperimentConfig, path: str) -> dict:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import one_blas_thread
 from .errors import DomainError
 from .specfun import bessel_j0
 
@@ -103,6 +104,7 @@ class CorrelationMatrix:
         return self.factor.shape[1]
 
 
+@one_blas_thread()
 def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
     """Correlation matrix J[i,l] = J0(2 pi d_il / lambda) and its eigen-factor.
 
@@ -114,7 +116,9 @@ def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
     then being G times the kept eigenvectors, and of J otherwise, the kept
     eigenvectors times the roots of their eigenvalues.  Eigenvalues below
     EIGEN_CLAMP times the largest are dropped, and the kept pairs are ordered
-    largest first.
+    largest first.  The products and the decomposition run on the calling
+    thread: `eigh` of more than 25 rows calls a matrix product, after which
+    a multithreaded OpenBLAS would spin its idle threads.
     """
     m = geometry.n_elements
     rows = np.arange(geometry.m_z)

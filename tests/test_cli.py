@@ -303,3 +303,19 @@ def test_fuzzed_configs_exit_cleanly(tmp_path):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) in (0, 1, 2)
 
     check()
+
+
+@pytest.mark.parametrize("command, pool", [("sweep-sop", 16), ("sweep-size", 36)])
+def test_out_of_memory_exits_1_naming_the_pool(tmp_path, monkeypatch, capsys, command, pool):
+    # the engine is stubbed to raise; nothing large is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m_x": 4, "m_z": 4, "m_on": 4, "conventional_m": 4,
+                                  "trials": 1024, "size_sweep": [9, 36]}))
+    monkeypatch.setattr(harness, "simulate_gains", out_of_memory)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("frisec: config error: out of memory")
+    assert f"pool of up to {pool} elements" in err and "Traceback" not in err

@@ -1,13 +1,15 @@
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from frisec import harness
-from frisec.channel import ChannelStream, LinkBudget, correlated_images_batch
+from frisec import channel, harness
+from frisec.channel import ChannelStream, LinkBudget, blas_threads, correlated_images_batch
 from frisec.errors import ConfigError, DomainError
 from frisec.harness import (POLICIES, SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                             VALIDATE_FIT_COLUMNS, ExperimentConfig,
@@ -431,6 +433,114 @@ class TestSweeps:
             assert set(VALIDATE_BOUND_COLUMNS) == set(r)
 
 
+@pytest.fixture()
+def two_blas_threads():
+    """OpenBLAS at two threads for the test, then at its count before it."""
+    if blas_threads() is None:
+        pytest.skip("numpy links no OpenBLAS whose thread count can be read")
+    _, set_threads = channel._openblas_threads()
+    before = blas_threads()
+    set_threads(2)
+    if blas_threads() != 2:
+        set_threads(before)
+        pytest.skip("this OpenBLAS build cannot run two threads")
+    yield
+    set_threads(before)
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kernel_products_run_on_one_thread(self, aperture_pools, monkeypatch,
+                                               two_blas_threads, workers):
+        seen = []
+
+        def recording(draws, rows):
+            seen.append(blas_threads())
+            return correlated_images_batch(draws, rows)
+
+        monkeypatch.setattr(harness, "correlated_images_batch", recording)
+        simulate_gains(aperture_pools[100], "greedy", 10, 2048, ChannelStream(7, 2),
+                       workers=workers)
+        assert seen == [1] * 16
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_count_restored_after_an_error(self, aperture_pools, monkeypatch,
+                                           two_blas_threads, workers):
+        def failing(draws, rows):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(harness, "correlated_images_batch", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            simulate_gains(aperture_pools[100], "greedy", 10, 2048, ChannelStream(7, 2),
+                           workers=workers)
+        assert blas_threads() == 2
+
+    def test_concurrent_calls_restore_the_count(self, aperture_pools, monkeypatch,
+                                                two_blas_threads):
+        # both calls wait inside their first chunk until the other is there
+        # too, so one enters while the other holds the guard and one exits first
+        corr, stream = aperture_pools[100], ChannelStream(7, 2)
+        serial = simulate_gains(corr, "greedy", 10, 1024, stream)
+        barrier, local, seen, results = threading.Barrier(2, timeout=60), threading.local(), [], []
+
+        def meeting(draws, rows):
+            if not getattr(local, "met", False):
+                local.met = True
+                barrier.wait()
+            seen.append(blas_threads())
+            return correlated_images_batch(draws, rows)
+
+        monkeypatch.setattr(harness, "correlated_images_batch", meeting)
+        threads = [threading.Thread(target=lambda: results.append(
+            simulate_gains(corr, "greedy", 10, 1024, stream))) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert len(results) == 2 and seen == [1] * 16
+        for gains in results:
+            assert np.array_equal(gains.g_bob, serial.g_bob)
+            assert np.array_equal(gains.g_eve, serial.g_eve)
+        assert blas_threads() == 2
+
+    def test_entries_from_many_threads(self, two_blas_threads):
+        # more threads than cores enter and leave the guard with a short switch
+        # interval; a lost update of its depth would leave the count at 1
+        inside, interval = [], sys.getswitchinterval()
+
+        def enter_often():
+            for _ in range(200):
+                with channel.one_blas_thread():
+                    inside.append(blas_threads())
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enter_often) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert inside == [1] * 1600
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_gains_do_not_depend_on_finding_openblas(self, aperture_pools, monkeypatch, policy):
+        corr = aperture_pools[36 if policy == "conventional" else 100]
+        stream = ChannelStream(7, 2)
+        found = simulate_gains(corr, policy, 10, 1300, stream, workers=2)
+        monkeypatch.setattr(channel, "_openblas_threads", lambda: None)
+        assert blas_threads() is None
+        for workers in (1, 2):
+            gains = simulate_gains(corr, policy, 10, 1300, stream, workers=workers)
+            assert np.array_equal(gains.g_bob, found.g_bob)
+            assert np.array_equal(gains.g_eve, found.g_eve)
+
+
 class TestOutput:
     def test_csv_formatting(self):
         rows = [{"a": 1, "b": 0.5, "c": float("nan"), "d": "ok"}]
@@ -459,6 +569,18 @@ class TestOutput:
         assert "element_distance" in manifest["notes"]
         sampler = manifest["notes"]["sampler"]
         assert (sampler["trials_per_block"], sampler["chunk_trials"]) == (1024, 128)
+        blas = manifest["notes"]["blas"]
+        assert set(blas) == {"name", "version", "threads", "engine_threads"}
+        assert blas["threads"] == blas_threads()
+        assert blas["engine_threads"] == (None if blas_threads() is None else 1)
+
+    def test_manifest_without_openblas(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(channel, "_openblas_threads", lambda: None)
+        cfg = small_config(trials=1024)
+        out = tmp_path / "res.csv"
+        write_results(str(out), sweep_snr(cfg), SWEEP_COLUMNS, cfg)
+        blas = json.loads((tmp_path / "res.csv.manifest.json").read_text())["notes"]["blas"]
+        assert (blas["threads"], blas["engine_threads"]) == (None, None)
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
         cfg = small_config(trials=1024)
