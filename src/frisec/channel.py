@@ -46,12 +46,12 @@ class ChannelStream:
     stream: int = 0
 
     def draw_block(self, m: int, block: int, links: int = 3, power: bool = False) -> np.ndarray:
-        """(TRIALS_PER_BLOCK, links, m) complex fading draws for one counter block.
+        """(TRIALS_PER_BLOCK, links, m) complex fading draws, or real unit exponentials.
 
-        `m` is the number of normals per link.  With the default three links,
-        axis 1 orders them as (feed, bob, eve) and `m` is the rank of the
-        factor that colors them.  With `power` the draws are instead real unit
-        exponentials, the law of |w|^2 of such a normal w.
+        `block` is the Philox counter block and `m` the draws per link.  With
+        the default three links, axis 1 orders them as (feed, bob, eve) and `m`
+        is the rank of the factor that colors them.  With `power` the draws are
+        float64 unit exponentials, the law of |w|^2 of such a complex normal w.
         """
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
                        dtype=np.uint64)

@@ -419,7 +419,7 @@ def reference_fits(corr: CorrelationMatrix, m_on: int) -> tuple[GammaFit, ExpFit
         raise DomainError("selection must contain at least one element")
     if m_on > m:
         raise DomainError(f"selection index {m_on - 1} out of range for a {m}-element surface")
-    reduced = corr.matrix[:m_on, :m_on].copy()
+    reduced = corr.block(np.arange(m_on))
     return fit_bob_gamma(reduced), fit_eve_exponential(reduced)
 
 
@@ -700,10 +700,11 @@ def _blas_note() -> dict:
 
 
 def dump_correlation_csv(config: ExperimentConfig, path: str) -> dict:
-    """Write the surface correlation matrix row-major at full precision."""
+    """Write J row-major at full precision, the one reader that forms all of J."""
     corr = build_correlation(config.fris_geometry())
+    matrix = corr.block(np.arange(corr.n_elements))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in corr.matrix)
+        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in matrix)
     diag = {"eigen_floor": corr.eigen_floor, "clamped_mass": corr.clamped_mass,
             "n_elements": corr.n_elements, "rank": corr.rank}
     _write_manifest(path, config, diagnostics=diag)

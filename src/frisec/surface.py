@@ -4,10 +4,10 @@ Elements sit on a uniform rectangular grid indexed row-major (0-based): index
 i maps to column i mod M_x and row floor(i / M_x).  Correlation between two
 elements follows the isotropic rich-scattering model J0(2 pi d / lambda),
 which is a positive-definite function of the planar separation d, so the
-matrix is PSD up to rounding noise.  On the grid, d depends only on the
+matrix J is PSD up to rounding noise.  On the grid, d depends only on the
 absolute row and column offsets, so J is block-Toeplitz with Toeplitz
-blocks: J0 is evaluated on the M_z x M_x table of offsets and the matrix
-indexes that table, with no M x M distance array.
+blocks: J0 is evaluated on the M_z x M_x table of offsets, and J is kept as
+that table, from which `CorrelationMatrix.block` gathers any block of J.
 
 The factor that colors r i.i.d. normals into the correlated field
 (Karhunen-Loeve) is U_r Lambda_r^{1/2}, the eigenpairs of J above a relative
@@ -77,8 +77,9 @@ class SurfaceGeometry:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Spatial correlation matrix with its eigen-factor.
+    """Spatial correlation J, kept as its offset table, with its eigen-factor.
 
+    `table[dz, dx]` is J0 at row and column offsets (dz, dx); `block` gathers J from it.
     `factor` is the C-contiguous M x r matrix U_r Lambda_r^{1/2} of the kept
     eigenpairs, largest first, so `factor @ factor.T` is the matrix with the
     dropped eigenvalues set to zero.  `clamped_mass` records the total
@@ -89,19 +90,30 @@ class CorrelationMatrix:
     smallest eigenvalue kept.
     """
 
-    matrix: np.ndarray
+    table: np.ndarray
     factor: np.ndarray
     eigen_floor: float
     clamped_mass: float
 
     @property
     def n_elements(self) -> int:
-        return self.matrix.shape[0]
+        return self.table.size
 
     @property
     def rank(self) -> int:
         """Number of kept eigenpairs: the normals one link draws per trial."""
         return self.factor.shape[1]
+
+    def block(self, indices) -> np.ndarray:
+        """J[i, l] for i and l in `indices`, gathered from the offset table.
+
+        An index off [0, M) raises DomainError: it lies in a row off the grid,
+        where the gather would read a plausible but wrong entry.
+        """
+        z, c = np.divmod(indices, self.table.shape[1])
+        if np.any((z < 0) | (z >= self.table.shape[0])):
+            raise DomainError(f"element indices must lie in [0, {self.n_elements})")
+        return self.table[np.abs(z[:, None] - z), np.abs(c[:, None] - c)]
 
 
 @one_blas_thread()
@@ -110,39 +122,36 @@ def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
 
     J0 is evaluated once per distinct value of the m_z x m_x table of
     absolute (row, column) offsets, whose distances are correctly rounded
-    (`math.hypot`), and broadcast into the matrix.  The factor comes from one
-    symmetric eigendecomposition: of the Gram G^T G of n plane waves G (see
-    the module docstring) when `_angle_count` finds n with 2n < M, the factor
-    then being G times the kept eigenvectors, and of J otherwise, the kept
-    eigenvectors times the roots of their eigenvalues.  Eigenvalues below
-    EIGEN_CLAMP times the largest are dropped, and the kept pairs are ordered
-    largest first.  The products and the decomposition run on the calling
-    thread: `eigh` of more than 25 rows calls a matrix product, after which
-    a multithreaded OpenBLAS would spin its idle threads.
+    (`math.hypot`); J is gathered from the table only when it is decomposed.
+    The factor comes from one symmetric eigendecomposition: of the Gram G^T G
+    of n plane waves G (see the module docstring) when `_angle_count` finds n
+    with 2n < M, the factor then being G times the kept eigenvectors, and of
+    J otherwise, the kept eigenvectors times the roots of their eigenvalues.
+    Eigenvalues below EIGEN_CLAMP times the largest are dropped, and the kept
+    pairs are ordered largest first.  The products and the decomposition run
+    on the calling thread: `eigh` of more than 25 rows calls a matrix product,
+    after which a multithreaded OpenBLAS would spin its idle threads.
     """
     m = geometry.n_elements
-    rows = np.arange(geometry.m_z)
-    cols = np.arange(geometry.m_x)
     dist = np.array([[math.hypot(geometry.spacing_x * c, geometry.spacing_z * z)
                       for c in range(geometry.m_x)] for z in range(geometry.m_z)])
     args = 2.0 * math.pi * dist / geometry.wavelength
     flat, inverse = np.unique(args, return_inverse=True)
-    j0_vals = np.array([bessel_j0(a) for a in flat])
-    table = j0_vals[inverse].reshape(args.shape)
-    row_offset = np.abs(rows[:, None] - rows[None, :])
-    col_offset = np.abs(cols[:, None] - cols[None, :])
-    corr = table[row_offset[:, None, :, None], col_offset[None, :, None, :]].reshape(m, m)
+    table = np.array([bessel_j0(a) for a in flat])[inverse].reshape(args.shape)
 
     n = _angle_count(float(flat[-1]), m)
-    if n is not None:
+    if n is None:  # J itself, through a view of the table that has no factor yet
+        decomposed = CorrelationMatrix(table, np.empty((m, 0)), 0.0, 0.0).block(np.arange(m))
+    else:
         theta = math.pi * np.arange(n) / n
         k = 2.0 * math.pi / geometry.wavelength
-        x = np.tile(k * geometry.spacing_x * cols, geometry.m_z)
-        z = np.repeat(k * geometry.spacing_z * rows, geometry.m_x)
+        x = np.tile(k * geometry.spacing_x * np.arange(geometry.m_x), geometry.m_z)
+        z = np.repeat(k * geometry.spacing_z * np.arange(geometry.m_z), geometry.m_x)
         phase = np.outer(x, np.cos(theta)) + np.outer(z, np.sin(theta))
         waves = np.hstack([np.cos(phase), np.sin(phase)]) / math.sqrt(n)
+        decomposed = waves.T @ waves
     try:
-        eigvals, eigvecs = np.linalg.eigh(corr if n is None else waves.T @ waves)
+        eigvals, eigvecs = np.linalg.eigh(decomposed)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"eigendecomposition failed: {exc}") from exc
     keep = np.flatnonzero(eigvals >= EIGEN_CLAMP * eigvals[-1])[::-1]
@@ -150,7 +159,7 @@ def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
         factor = eigvecs[:, keep] * np.sqrt(eigvals[keep])
     else:
         factor = waves @ eigvecs[:, keep]
-    return CorrelationMatrix(matrix=corr, factor=np.ascontiguousarray(factor),
+    return CorrelationMatrix(table=table, factor=np.ascontiguousarray(factor),
                              eigen_floor=float(eigvals[keep[-1]]),
                              clamped_mass=float(np.abs(eigvals[eigvals < 0.0]).sum()))
 

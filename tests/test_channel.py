@@ -98,7 +98,7 @@ class TestDraws:
             acc += u.T @ u.conj()
             n += u.shape[0]
         emp = (acc / n).real
-        assert np.max(np.abs(emp - corr.matrix)) <= 0.02
+        assert np.max(np.abs(emp - corr.block(np.arange(m)))) <= 0.02
 
 
 class TestColoring:
@@ -146,7 +146,8 @@ class TestSamplerLaw:
 
     def check_law(self, corr, policy, m_on, seed):
         new = simulate_gains(corr, policy, m_on, self.TRIALS, ChannelStream(seed, 5))
-        old_bob, old_eve = full_root_gains(corr.matrix, policy, m_on, self.TRIALS,
+        matrix = corr.block(np.arange(corr.n_elements))
+        old_bob, old_eve = full_root_gains(matrix, policy, m_on, self.TRIALS,
                                            selection_seed=seed,
                                            rng=np.random.default_rng(31337))
         assert ks_two_sample(new.g_bob, old_bob) <= self.CRITICAL
@@ -313,7 +314,7 @@ class TestGainAndSnr:
             assert gains.g_bob / gains.g_eve == pytest.approx(powers[:, r] / powers[:, r + 1],
                                                               rel=1e-12)
             if policy == "fixed-uniform":
-                block = corr.matrix[:7, :7]
+                block = corr.block(np.arange(7))
                 squared = block @ block
                 assert mu.sum() == pytest.approx(np.trace(squared), rel=1e-12)
                 assert (mu ** 2).sum() == pytest.approx(np.trace(squared @ squared), rel=1e-12)

@@ -126,7 +126,7 @@ class TestConventional:
 
     def test_single_element(self):
         corr = build_correlation(ExperimentConfig(conventional_m=1).conventional_geometry())
-        assert np.array_equal(corr.matrix, np.array([[1.0]]))
+        assert np.array_equal(corr.block([0]), np.array([[1.0]]))
 
     def test_aperture_scales_with_count(self):
         geom = ExperimentConfig(conventional_m=400).conventional_geometry()
@@ -151,7 +151,7 @@ class TestFixedConfigs:
         corr = build_correlation(SurfaceGeometry(3, 3, 1.0, 1.0, WAVELENGTH))
         a = corr.factor.T @ np.eye(9) @ corr.factor
         assert np.trace(a @ a.conj().T).real == pytest.approx(
-            trace_power_direct(corr.matrix, 2), rel=1e-10)
+            trace_power_direct(corr.block(np.arange(9)), 2), rel=1e-10)
 
     def test_masked_trace_identity(self):
         corr = build_correlation(SurfaceGeometry(3, 3, 1.0, 1.0, WAVELENGTH))
@@ -159,7 +159,7 @@ class TestFixedConfigs:
         mask = np.zeros((9, 9))
         mask[idx, idx] = 1.0
         a = corr.factor.T @ mask @ corr.factor
-        reduced = corr.matrix[np.ix_(idx, idx)]
+        reduced = corr.block(idx)
         assert np.trace(a @ a.conj().T).real == pytest.approx(
             trace_power_direct(reduced, 2), rel=1e-10)
 
@@ -183,7 +183,7 @@ class TestFixedConfigs:
         # only the diagonal mass remains
         corr = build_correlation(SurfaceGeometry(3, 3, 1.0, 1.0, WAVELENGTH))
         idx = np.arange(6)
-        reduced = corr.matrix[np.ix_(idx, idx)]
+        reduced = corr.block(idx)
         tr2 = trace_power_direct(reduced, 2)
         rng = np.random.default_rng(19)
         vals = []

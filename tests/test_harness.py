@@ -170,6 +170,18 @@ class TestChunkedEngine:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
+    def test_dense_pool_build_peak_memory(self):
+        # J of the 40x40 pool is 19.5 MiB; the build keeps its offset table and
+        # decomposes the 66 x 66 plane-wave Gram, so J is never formed
+        geometry = ExperimentConfig().size_geometry(1600)
+        tracemalloc.start()
+        try:
+            build_correlation(geometry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1600 * 1600 * 8 / 4
+
     def test_pool_bounded_by_blocks_and_cpus(self, aperture_pools, monkeypatch):
         # the stub runs the blocks inline, so no thread starts whatever the
         # engine asks for; it records the pool size requested
@@ -266,9 +278,9 @@ class TestEngine:
         corr = build_correlation(small_config().fris_geometry())
         fit_b, fit_e = reference_fits(corr, 5)
         idx = np.arange(5)
-        assert fit_b == fit_bob_gamma(corr.matrix[np.ix_(idx, idx)])
-        assert fit_e == fit_eve_exponential(corr.matrix[np.ix_(idx, idx)])
-        assert reference_fits(corr, 16)[0] == fit_bob_gamma(corr.matrix)
+        assert fit_b == fit_bob_gamma(corr.block(idx))
+        assert fit_e == fit_eve_exponential(corr.block(idx))
+        assert reference_fits(corr, 16)[0] == fit_bob_gamma(corr.block(np.arange(16)))
         # these texts reach the status column of sweep-size and validate-fits rows
         with pytest.raises(DomainError, match="^selection index 16 out of range for a "
                                               "16-element surface$"):
@@ -595,5 +607,5 @@ class TestOutput:
         diag = dump_correlation_csv(cfg, str(out))
         grid = np.loadtxt(str(out), delimiter=",")
         corr = build_correlation(cfg.fris_geometry())
-        assert np.array_equal(grid, corr.matrix)
+        assert np.array_equal(grid, corr.block(np.arange(16)))
         assert diag["n_elements"] == 16

@@ -36,10 +36,15 @@ def record_eigh(monkeypatch) -> list:
     return calls
 
 
+def whole(corr):
+    """All of J, gathered from the offset table."""
+    return corr.block(np.arange(corr.n_elements))
+
+
 def check_against_full_eigh(geometry):
     """The plane-wave build against one eigendecomposition of the whole J."""
     corr = build_correlation(geometry)
-    eigvals, factor, eigen_floor, clamped_mass = full_eigh_factor(corr.matrix)
+    eigvals, factor, eigen_floor, clamped_mass = full_eigh_factor(whole(corr))
     tol = 1e-13 * eigvals[-1]
     assert corr.rank == factor.shape[1]
     assert abs(corr.eigen_floor - eigen_floor) <= tol
@@ -96,21 +101,29 @@ class TestGeometry:
 
 class TestCorrelation:
     def test_unit_diagonal_and_symmetry(self):
-        corr = build_correlation(square_geometry(5, 1.5))
-        assert np.all(np.diag(corr.matrix) == 1.0)
-        assert np.array_equal(corr.matrix, corr.matrix.T)
-        assert np.all(np.abs(corr.matrix) <= 1.0 + 1e-12)
+        matrix = whole(build_correlation(square_geometry(5, 1.5)))
+        assert np.all(np.diag(matrix) == 1.0)
+        assert np.array_equal(matrix, matrix.T)
+        assert np.all(np.abs(matrix) <= 1.0 + 1e-12)
 
     @pytest.mark.parametrize("m_x, m_z, width_x, width_z",
                              [(5, 3, 2.0, 1.3), (3, 5, 1.3, 2.0), (7, 4, 0.9, 3.1),
                               (1, 7, 0.8, 2.2), (9, 1, 2.7, 0.6), (1, 1, 0.5, 0.5)])
     def test_matrix_equals_pairwise_distances(self, m_x, m_z, width_x, width_z):
-        # every entry, bit for bit, against J0 of the scalar pairwise distance
+        # every entry, bit for bit, against J0 of the scalar pairwise distance:
+        # all of J, and a shuffled selection that skips elements
         g = SurfaceGeometry(m_x, m_z, width_x, width_z, WAVELENGTH)
         m = g.n_elements
         expected = np.array([[bessel_j0(2.0 * math.pi * element_distance(i, l, g) / WAVELENGTH)
                               for l in range(m)] for i in range(m)])
-        assert np.array_equal(build_correlation(g).matrix, expected)
+        corr = build_correlation(g)
+        assert np.array_equal(whole(corr), expected)
+        chosen = np.random.default_rng(m).permutation(m)[:max(1, 2 * m // 3)]
+        assert np.array_equal(corr.block(chosen), expected[np.ix_(chosen, chosen)])
+        # an index of M would wrap into a row past the grid
+        for outside in ([m], [-1]):
+            with pytest.raises(DomainError, match="element indices"):
+                corr.block(outside)
 
     def test_dense_pool_spot_check(self):
         # the 40 x 40, 3-wavelength pool: the corners and seeded random
@@ -120,7 +133,7 @@ class TestCorrelation:
         wavelength = SPEED_OF_LIGHT / 2.4e9
         g = SurfaceGeometry(40, 40, 3.0, 3.0, wavelength)
         m = g.n_elements
-        matrix = build_correlation(g).matrix
+        matrix = whole(build_correlation(g))
         rng = np.random.default_rng(40)
         pairs = [(0, 0), (0, m - 1), (m - 1, 0), (m - 1, m - 1), (39, m - 40), (m - 40, 39)]
         pairs += [tuple(p) for p in rng.integers(0, m, size=(3000, 2)).tolist()]
@@ -134,20 +147,20 @@ class TestCorrelation:
         g = square_geometry(4, 2.0)
         corr = build_correlation(g)
         expected = bessel_j0_series(math.pi)
-        assert corr.matrix[0, 1] == pytest.approx(expected, abs=1e-13)
+        assert corr.block([0, 1])[0, 1] == pytest.approx(expected, abs=1e-13)
 
     def test_single_element(self):
         g = SurfaceGeometry(1, 1, 0.5, 0.5, 0.1)
         corr = build_correlation(g)
-        assert corr.matrix.shape == (1, 1)
-        assert corr.matrix[0, 0] == 1.0
+        assert corr.n_elements == 1
+        assert np.array_equal(corr.block([0]), np.array([[1.0]]))
         assert np.array_equal(corr.factor, np.array([[1.0]]))
         assert corr.rank == 1
 
     def test_factor_reconstructs(self):
         corr = build_correlation(square_geometry(6, 1.2))
         m = corr.n_elements
-        residual = np.linalg.norm(corr.factor @ corr.factor.T - corr.matrix)
+        residual = np.linalg.norm(corr.factor @ corr.factor.T - whole(corr))
         assert residual <= 1e-8 * m
 
     def test_factor_rank(self):
@@ -161,7 +174,7 @@ class TestCorrelation:
         assert np.all(np.diff(lam) <= 1e-12 * lam[0]) and lam[-1] >= 1e-12 * lam[0]
         assert np.max(np.abs(gram - np.diag(lam))) <= 1e-10 * lam[0]
         # what the rank leaves out is rounding noise of the eigendecomposition
-        eigvals = np.linalg.eigvalsh(corr.matrix)
+        eigvals = np.linalg.eigvalsh(whole(corr))
         assert np.sum(np.abs(eigvals[:m - corr.rank])) <= 1e-9 * m
 
     def test_clamped_mass_small(self):
@@ -171,7 +184,7 @@ class TestCorrelation:
     def test_clamped_mass_is_positive_zero_without_negative_eigenvalues(self):
         # a 4x4 grid over 3 wavelengths has no negative eigenvalue
         corr = build_correlation(square_geometry(4, 3.0))
-        assert np.linalg.eigvalsh(corr.matrix).min() > 0.0
+        assert np.linalg.eigvalsh(whole(corr)).min() > 0.0
         assert corr.clamped_mass == 0.0 and math.copysign(1.0, corr.clamped_mass) == 1.0
 
 
@@ -216,7 +229,7 @@ class TestPlaneWaveFactor:
         corr = build_correlation(square_geometry(side, aperture, SPEED_OF_LIGHT / 2.4e9))
         assert [a.shape for a in calls] == [(size, size)]
         if size == corr.n_elements:
-            assert np.array_equal(calls[0], corr.matrix)
+            assert np.array_equal(calls[0], whole(corr))
 
     def test_angle_search_is_bounded_by_the_grid(self, monkeypatch):
         # a 2x2 pool over 1e6 wavelengths would need millions of plane
@@ -233,7 +246,7 @@ class TestPlaneWaveFactor:
         corr = build_correlation(square_geometry(2, 1e6))
         assert counted == [None]
         assert [a.shape for a in calls] == [(4, 4)]
-        assert np.array_equal(calls[0], corr.matrix)
+        assert np.array_equal(calls[0], whole(corr))
 
     def test_factor_bytes_do_not_depend_on_blas_threads(self):
         script = ("import hashlib, sys; from frisec.surface import SurfaceGeometry, "
