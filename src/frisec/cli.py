@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands map one-to-one onto the harness sweep and validation functions;
-every run writes a CSV result table plus a JSON manifest of the resolved
-configuration.  Exit codes: 0 success, 1 configuration error (an out-of-memory
-pool included), 2 numeric or convergence failure.
+every run writes a CSV result table plus a JSON manifest of the command and
+its resolved configuration.  Exit codes: 0 success, 1 configuration error (an
+out-of-memory pool included), 2 numeric or convergence failure.
 """
 
 from __future__ import annotations
@@ -98,11 +98,10 @@ def main(argv: list[str] | None = None) -> int:
         _check_out(args.out)
         if args.command in ("sweep-asc", "sweep-sop"):
             rows = sweep_snr(config)
-            write_results(args.out, rows, SWEEP_COLUMNS, config,
-                          {"metric_focus": "asc" if args.command == "sweep-asc" else "sop"})
+            write_results(args.out, rows, SWEEP_COLUMNS, config, args.command)
         elif args.command == "sweep-size":
             rows = sweep_size(config)
-            write_results(args.out, rows, SWEEP_COLUMNS, config)
+            write_results(args.out, rows, SWEEP_COLUMNS, config, args.command)
         elif args.command == "validate-fits":
             m_on_list = None
             if args.m_on_list:
@@ -111,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
                 except ValueError as exc:
                     raise ConfigError(f"bad --m-on-list: {exc}") from exc
             rows = validate_fits(config, m_on_list)
-            write_results(args.out, rows, VALIDATE_FIT_COLUMNS, config)
+            write_results(args.out, rows, VALIDATE_FIT_COLUMNS, config, args.command)
             for row in rows:
                 if row["status"] == "ok" and (row["ks_bob"] > 0.05 or row["ks_eve"] > 0.05):
                     print(f"advisory: KS distance above 0.05 at m_on={row['m_on']} "
@@ -119,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                           file=sys.stderr)
         elif args.command == "validate-bounds":
             rows = validate_bounds(config)
-            write_results(args.out, rows, VALIDATE_BOUND_COLUMNS, config)
+            write_results(args.out, rows, VALIDATE_BOUND_COLUMNS, config, args.command)
             for row in rows:
                 if row["status"] != "ok":
                     continue

@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -34,9 +34,8 @@ from .errors import ConfigError, DomainError, FrisecError
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_upper_bound,
                       exp_cdf, fit_bob_gamma, fit_eve_exponential, gamma_cdf,
                       secrecy_capacity, sop_lower_bound)
-from .surface import EIGEN_CLAMP, CorrelationMatrix, SurfaceGeometry, build_correlation
+from .surface import EIGEN_CLAMP, CorrelationMatrix, SurfaceGeometry, _gather, build_correlation
 
-SPEED_OF_LIGHT = 299792458.0
 _Z95 = 1.959963984540054
 _TWO_PI = 2.0 * math.pi
 
@@ -72,7 +71,7 @@ class ExperimentConfig:
     m_z: int = 20
     aperture_x: float = 3.0          # wavelengths
     aperture_z: float = 3.0          # wavelengths
-    carrier_hz: float = 2.4e9
+    wavelength: ClassVar[float] = 299792458.0 / 2.4e9  # metres; no result depends on it
     conventional_m: int = 36         # half-wavelength grid over the 3x3 aperture
     ref_gain: float = 1.0
     pl_exponent: float = 2.5
@@ -102,8 +101,6 @@ class ExperimentConfig:
             if isinstance(value, bool) or not (isinstance(value, numbers.Real)
                                                and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not self.carrier_hz > 0:
-            raise ConfigError(f"carrier_hz must be > 0, got {self.carrier_hz!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -146,10 +143,6 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         except OverflowError as exc:  # from a dB to linear conversion
             raise ConfigError(f"a dB or dBm value is out of floating-point range: {exc}") from exc
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
 
     def fris_geometry(self) -> SurfaceGeometry:
         return SurfaceGeometry(m_x=self.m_x, m_z=self.m_z, width_x=self.aperture_x,
@@ -328,6 +321,8 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     active = m if policy == "conventional" else m_on
     if not 1 <= active <= m:
         raise DomainError(f"m_on must be in [1, {m}], got {m_on}")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     n_blocks = -(-trials // TRIALS_PER_BLOCK)
     r = corr.rank
     if policy in ("greedy", "conventional"):
@@ -640,9 +635,9 @@ def rows_to_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_manifest(path: str, config: ExperimentConfig, **entries) -> None:
-    """Write `path`.manifest.json: the resolved config, versions, time and `entries`."""
-    manifest = {"config": asdict(config), "version": __version__,
+def _write_manifest(path: str, config: ExperimentConfig, command: str, **entries) -> None:
+    """Write `path`.manifest.json: the command, resolved config, versions, time and `entries`."""
+    manifest = {"command": command, "config": asdict(config), "version": __version__,
                 "numpy_version": np.__version__, "written_unix_time": time.time(), **entries}
     with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -650,8 +645,8 @@ def _write_manifest(path: str, config: ExperimentConfig, **entries) -> None:
 
 
 def write_results(path: str, rows: list[dict], columns: Sequence[str],
-                  config: ExperimentConfig, extra_manifest: dict | None = None) -> None:
-    """Write the CSV (timestamp-free, byte-reproducible) plus a run manifest."""
+                  config: ExperimentConfig, command: str) -> None:
+    """Write the CSV (timestamp-free, byte-reproducible) plus the manifest of `command`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(rows_to_csv(rows, columns))
     notes = {
@@ -681,7 +676,7 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
         },
         "blas": _blas_note(),
     }
-    _write_manifest(path, config, rows=len(rows), notes=notes | (extra_manifest or {}))
+    _write_manifest(path, config, command, rows=len(rows), notes=notes)
 
 
 def _blas_note() -> dict:
@@ -700,12 +695,14 @@ def _blas_note() -> dict:
 
 
 def dump_correlation_csv(config: ExperimentConfig, path: str) -> dict:
-    """Write J row-major at full precision, the one reader that forms all of J."""
+    """Write J row-major at full precision, gathered a row at a time so J is never whole."""
     corr = build_correlation(config.fris_geometry())
-    matrix = corr.block(np.arange(corr.n_elements))
+    everything = np.arange(corr.n_elements)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in matrix)
+        for i in everything:
+            row = _gather(corr.table, [i], everything)[0]
+            fh.write(",".join(map(_format_cell, row)) + "\n")
     diag = {"eigen_floor": corr.eigen_floor, "clamped_mass": corr.clamped_mass,
             "n_elements": corr.n_elements, "rank": corr.rank}
-    _write_manifest(path, config, diagnostics=diag)
+    _write_manifest(path, config, "dump-correlation", diagnostics=diag)
     return diag

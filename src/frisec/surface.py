@@ -105,15 +105,21 @@ class CorrelationMatrix:
         return self.factor.shape[1]
 
     def block(self, indices) -> np.ndarray:
-        """J[i, l] for i and l in `indices`, gathered from the offset table.
+        """J[i, l] for i and l in `indices`; an index off [0, M) raises DomainError."""
+        return _gather(self.table, indices, indices)
 
-        An index off [0, M) raises DomainError: it lies in a row off the grid,
-        where the gather would read a plausible but wrong entry.
-        """
-        z, c = np.divmod(indices, self.table.shape[1])
-        if np.any((z < 0) | (z >= self.table.shape[0])):
-            raise DomainError(f"element indices must lie in [0, {self.n_elements})")
-        return self.table[np.abs(z[:, None] - z), np.abs(c[:, None] - c)]
+
+def _gather(table: np.ndarray, rows, cols) -> np.ndarray:
+    """J[i, l] for i in `rows` and l in `cols`, from the offset table `table`.
+
+    An index off [0, M) raises DomainError: it lies in a row off the grid,
+    where the gather would read a plausible but wrong entry.
+    """
+    m_z, m_x = table.shape
+    (zr, cr), (zc, cc) = np.divmod(rows, m_x), np.divmod(cols, m_x)
+    if any(np.any((z < 0) | (z >= m_z)) for z in (zr, zc)):
+        raise DomainError(f"element indices must lie in [0, {table.size})")
+    return table[np.abs(zr[:, None] - zc), np.abs(cr[:, None] - cc)]
 
 
 @one_blas_thread()
@@ -140,8 +146,8 @@ def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
     table = np.array([bessel_j0(a) for a in flat])[inverse].reshape(args.shape)
 
     n = _angle_count(float(flat[-1]), m)
-    if n is None:  # J itself, through a view of the table that has no factor yet
-        decomposed = CorrelationMatrix(table, np.empty((m, 0)), 0.0, 0.0).block(np.arange(m))
+    if n is None:  # J itself
+        decomposed = _gather(table, np.arange(m), np.arange(m))
     else:
         theta = math.pi * np.arange(n) / n
         k = 2.0 * math.pi / geometry.wavelength

@@ -270,8 +270,8 @@ def test_c9_determinism(tmp_path):
                                    workers=4)
     csv_c = rows_to_csv(sweep_snr(cfg_workers), SWEEP_COLUMNS)
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    write_results(str(p1), sweep_snr(cfg), SWEEP_COLUMNS, cfg)
-    write_results(str(p2), sweep_snr(cfg), SWEEP_COLUMNS, cfg)
+    write_results(str(p1), sweep_snr(cfg), SWEEP_COLUMNS, cfg, "sweep-sop")
+    write_results(str(p2), sweep_snr(cfg), SWEEP_COLUMNS, cfg, "sweep-sop")
     same_rerun = csv_a == csv_b
     same_workers = csv_a == csv_c
     same_files = p1.read_bytes() == p2.read_bytes()

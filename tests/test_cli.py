@@ -65,7 +65,9 @@ def test_dump_correlation(tmp_path, tiny_config, capsys):
     grid = np.loadtxt(str(out), delimiter=",")
     assert grid.shape == (16, 16)
     assert np.allclose(np.diag(grid), 1.0)
-    rank = json.loads((tmp_path / "corr.csv.manifest.json").read_text())["diagnostics"]["rank"]
+    manifest = json.loads((tmp_path / "corr.csv.manifest.json").read_text())
+    assert manifest["command"] == "dump-correlation"
+    rank = manifest["diagnostics"]["rank"]
     assert 1 <= rank <= 16
     assert f"rank {rank}," in capsys.readouterr().out
 
@@ -82,12 +84,14 @@ def test_flag_overrides(tmp_path, tiny_config):
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
-    # the output path comes from --out only, so a config cannot name one
+    # the output path comes from --out only, so a config cannot name one; the
+    # carrier is no key, since apertures are given in wavelengths
     bad = tmp_path / "bad.json"
-    for mapping in ({"m_q": 4}, {"out_path": str(tmp_path / "y.csv")}):
+    for mapping in ({"m_q": 4}, {"out_path": str(tmp_path / "y.csv")}, {"carrier_hz": 2.4e9}):
         bad.write_text(json.dumps(mapping))
         assert main(["sweep-asc", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
-        assert "unknown configuration keys" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown configuration keys" in err and repr(next(iter(mapping))) in err
 
 
 def test_malformed_json_exits_1(tmp_path):
@@ -208,8 +212,7 @@ def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch):
 
 
 @pytest.mark.parametrize("override", [
-    {"seed": 1.5}, {"carrier_hz": 0}, {"dist_bob_m": -1}, {"trials": True},
-    {"carrier_hz": float("inf")}, {"m_on": 4.0},
+    {"seed": 1.5}, {"dist_bob_m": -1}, {"trials": True}, {"m_on": 4.0},
     {"size_sweep": [-4, 4]}, {"size_sweep": [0, 4]}, {"size_sweep": [4.0, 9]},
     {"snr_sweep_db": ["a", "b"]}, {"snr_sweep_db": [True, 100]},
     {"snr_sweep_db": [80, float("nan")]}, {"snr_sweep_db": [80, float("inf")]},
@@ -217,11 +220,10 @@ def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch):
     {"ref_gain": "a"}, {"target_rate_bits": "x"}, {"ref_gain": 0},
     {"noise_eve_dbm": float("inf")}, {"target_rate_bits": float("nan")},
     {"dist_bob_m": float("inf")}, {"ref_gain": True}, {"target_rate_bits": -1},
-    {"aperture_x": 1e300, "carrier_hz": 1e-3},  # element spacing overflows
-    {"aperture_x": 1e307, "carrier_hz": 1.0, "m_x": 2, "m_z": 2, "m_on": 2},
-    # the 1x1 pool is fine; the 3x3 pool of the size grid overflows the J0 argument
-    {"aperture_x": 4e307, "aperture_z": 4e307, "carrier_hz": 3e8, "m_x": 1, "m_z": 1,
-     "m_on": 1},
+    {"aperture_z": 1e308},  # the 4x4 pool overflows the J0 argument
+    {"aperture_x": 1e308, "m_x": 2, "m_z": 2, "m_on": 2},
+    # the 1x1 and 2x2 pools are fine; the 3x3 pool of the size grid overflows it
+    {"aperture_x": 4e307, "aperture_z": 4e307, "m_x": 1, "m_z": 1, "m_on": 1},
 ])
 def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     cfgmap = json.loads(tiny_config.read_text()) | override
@@ -248,6 +250,7 @@ def test_one_trial_writes_rows(tmp_path, tiny_config, command, columns, n_rows):
     lines = out.read_text().strip().split("\n")
     assert tuple(lines[0].split(",")) == columns
     assert len(lines) == 1 + n_rows
+    assert json.loads((tmp_path / "one.csv.manifest.json").read_text())["command"] == command
     assert all(len(line.split(",")) == len(columns) for line in lines)
     if command == "validate-bounds":
         for row in csv_rows(out):

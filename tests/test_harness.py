@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,9 +81,17 @@ class TestConfig:
         assert harness._INT_FIELDS == ("m_x", "m_z", "conventional_m", "m_on", "trials",
                                        "seed", "workers")
         assert harness._FLOAT_FIELDS == (
-            "aperture_x", "aperture_z", "carrier_hz", "ref_gain", "pl_exponent",
+            "aperture_x", "aperture_z", "ref_gain", "pl_exponent",
             "dist_feed_m", "dist_bob_m", "dist_eve_m", "tx_power_dbm", "noise_bob_dbm",
             "noise_eve_dbm", "target_rate_bits")
+
+    def test_readme_table_names_every_field(self):
+        # the README's configuration table documents exactly the settable keys
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        schema = readme.split("### Configuration file schema")[1].split("\n### ")[0]
+        rows = [line.split("|")[1] for line in schema.splitlines() if line.startswith("| `")]
+        named = [name for cell in rows for name in re.findall(r"`(\w+)`", cell)]
+        assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))
 
     def test_mapping_roundtrip(self):
         cfg = config_from_mapping({"m_x": 4, "m_z": 4, "m_on": 4, "trials": 100,
@@ -237,6 +248,16 @@ class TestEstimates:
 
 
 class TestEngine:
+    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_no_trials_is_domain_error(self, aperture_pools, monkeypatch, policy, trials):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the trial count was checked")
+
+        monkeypatch.setattr(ChannelStream, "draw_block", no_draw)
+        with pytest.raises(DomainError, match="trials must be >= 1"):
+            simulate_gains(aperture_pools[36], policy, 4, trials, ChannelStream(1))
+
     def test_records_reproducible(self):
         cfg = small_config(trials=1)
         g1, c1 = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
@@ -573,7 +594,7 @@ class TestOutput:
         cfg = small_config()
         rows = validate_bounds(small_config(trials=1024))
         out = tmp_path / "res.csv"
-        write_results(str(out), rows, VALIDATE_BOUND_COLUMNS, cfg)
+        write_results(str(out), rows, VALIDATE_BOUND_COLUMNS, cfg, "validate-bounds")
         assert out.exists()
         manifest = json.loads((out.with_suffix(".csv.manifest.json")).read_text())
         assert manifest["config"]["seed"] == cfg.seed
@@ -590,15 +611,15 @@ class TestOutput:
         monkeypatch.setattr(channel, "_openblas_threads", lambda: None)
         cfg = small_config(trials=1024)
         out = tmp_path / "res.csv"
-        write_results(str(out), sweep_snr(cfg), SWEEP_COLUMNS, cfg)
+        write_results(str(out), sweep_snr(cfg), SWEEP_COLUMNS, cfg, "sweep-sop")
         blas = json.loads((tmp_path / "res.csv.manifest.json").read_text())["notes"]["blas"]
         assert (blas["threads"], blas["engine_threads"]) == (None, None)
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
         cfg = small_config(trials=1024)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_results(str(p1), sweep_snr(cfg), SWEEP_COLUMNS, cfg)
-        write_results(str(p2), sweep_snr(cfg), SWEEP_COLUMNS, cfg)
+        write_results(str(p1), sweep_snr(cfg), SWEEP_COLUMNS, cfg, "sweep-sop")
+        write_results(str(p2), sweep_snr(cfg), SWEEP_COLUMNS, cfg, "sweep-sop")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_dump_correlation(self, tmp_path):
@@ -609,3 +630,17 @@ class TestOutput:
         corr = build_correlation(cfg.fris_geometry())
         assert np.array_equal(grid, corr.block(np.arange(16)))
         assert diag["n_elements"] == 16
+
+    def test_dump_correlation_peak_memory(self, tmp_path, monkeypatch):
+        # J of the 40x40 pool is 19.5 MiB; the dump gathers it a row at a time.
+        # The cells' text is stubbed: formatting 2.56 million cells under
+        # tracemalloc takes seconds, and the dump holds one row's text at a time
+        monkeypatch.setattr(harness, "_format_cell", lambda value: "")
+        cfg = ExperimentConfig(m_x=40, m_z=40, m_on=1, size_sweep=(1,))
+        tracemalloc.start()
+        try:
+            dump_correlation_csv(cfg, str(tmp_path / "corr.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1600 * 1600 * 8

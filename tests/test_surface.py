@@ -9,7 +9,7 @@ import pytest
 
 from frisec.errors import DomainError
 from frisec.specfun import bessel_j0
-from frisec.harness import SPEED_OF_LIGHT
+from frisec.harness import ExperimentConfig
 from frisec import surface
 from frisec.surface import SurfaceGeometry, build_correlation
 
@@ -130,7 +130,7 @@ class TestCorrelation:
         # entries, bit for bit, against J0 of the scalar pairwise distance.
         # The seed's draw includes (1368, 392), one of the 10 offsets of this
         # grid where np.hypot is 1 ulp off the correctly rounded distance.
-        wavelength = SPEED_OF_LIGHT / 2.4e9
+        wavelength = ExperimentConfig.wavelength
         g = SurfaceGeometry(40, 40, 3.0, 3.0, wavelength)
         m = g.n_elements
         matrix = whole(build_correlation(g))
@@ -202,7 +202,7 @@ class TestParityBlocks:
         (10, 10, 5.0, 5.0), (40, 40, 3.0, 3.0),  # the baseline and the densest pool
     ])
     def test_matches_full_eigendecomposition(self, m_x, m_z, width_x, width_z):
-        wavelength = SPEED_OF_LIGHT / 2.4e9
+        wavelength = ExperimentConfig.wavelength
         check_against_full_eigh(SurfaceGeometry(m_x, m_z, width_x, width_z, wavelength))
 
     def test_matches_full_eigendecomposition_on_small_grids(self):
@@ -226,7 +226,7 @@ class TestPlaneWaveFactor:
     def test_one_eigh_per_build(self, side, aperture, size, monkeypatch):
         # structural, not timed: one decomposition, of the Gram or of J
         calls = record_eigh(monkeypatch)
-        corr = build_correlation(square_geometry(side, aperture, SPEED_OF_LIGHT / 2.4e9))
+        corr = build_correlation(square_geometry(side, aperture, ExperimentConfig.wavelength))
         assert [a.shape for a in calls] == [(size, size)]
         if size == corr.n_elements:
             assert np.array_equal(calls[0], whole(corr))
@@ -258,7 +258,8 @@ class TestPlaneWaveFactor:
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", script, repr(SPEED_OF_LIGHT / 2.4e9)],
+            proc = subprocess.run([sys.executable, "-c", script,
+                                   repr(ExperimentConfig.wavelength)],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.split())
@@ -281,7 +282,8 @@ class TestPlaneWaveFactor:
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", script, repr(SPEED_OF_LIGHT / 2.4e9)],
+            proc = subprocess.run([sys.executable, "-c", script,
+                                   repr(ExperimentConfig.wavelength)],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.split())
