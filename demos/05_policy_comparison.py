@@ -33,7 +33,8 @@ fris = simulate_gains(fris_corr, "greedy", cfg.m_on, TRIALS, ChannelStream(42, 0
 baselines = {}
 for m_conv in (cfg.conventional_m, 100):  # 6x6 over 3x3 wavelengths; 10x10 over 5x5
     conv_geom = replace(cfg, conventional_m=m_conv).conventional_geometry()
-    baselines[m_conv] = simulate_gains(build_correlation(conv_geom), "conventional",
+    # all m_conv elements ON and co-phased: greedy selection of every element
+    baselines[m_conv] = simulate_gains(build_correlation(conv_geom), "greedy",
                                        m_conv, TRIALS, ChannelStream(42, 1))
 
 print("mean equivalent power gains over", TRIALS, "trials:")

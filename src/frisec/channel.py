@@ -6,11 +6,11 @@ eigenpair of the M-element correlation matrix J, and its spatially correlated
 image is the complex product with the M x r eigen-factor F = U_r Lambda_r^{1/2}.
 Since F F^T = J up to the dropped rounding-noise eigenvalues, the image has
 exactly the law of J^{1/2} h with h of length M, at r/M of the draws and of
-the coloring work (Karhunen-Loeve expansion).  `draw_block` lays out
-`links` links of `m` draws per trial: the adaptive policies draw the three
-links of r complex normals, the frozen-configuration policies one link of
-r + 2 real unit exponentials, the powers |w|^2 of the feed's r normals and
-of one normal per receiver (see `harness.simulate_gains`).
+the coloring work (Karhunen-Loeve expansion).  `draw_block` lays out `m`
+draws per link and trial: the adaptive policy draws the three links of r
+complex normals, the frozen-configuration policies, with `power`, one link
+of r + 2 real unit exponentials, the powers |w|^2 of the feed's r normals
+and of one normal per receiver (see `harness.simulate_gains`).
 Randomness is counter-based (Philox): a draw depends only on (seed, stream,
 trial index), never on how trials are batched across workers.
 The engine runs its matrix products inside `one_blas_thread`, so each runs
@@ -45,22 +45,22 @@ class ChannelStream:
     seed: int
     stream: int = 0
 
-    def draw_block(self, m: int, block: int, links: int = 3, power: bool = False) -> np.ndarray:
-        """(TRIALS_PER_BLOCK, links, m) complex fading draws, or real unit exponentials.
+    def draw_block(self, m: int, block: int, power: bool = False) -> np.ndarray:
+        """(TRIALS_PER_BLOCK, 3, m) complex fading draws, or (TRIALS_PER_BLOCK, 1, m) powers.
 
-        `block` is the Philox counter block and `m` the draws per link.  With
-        the default three links, axis 1 orders them as (feed, bob, eve) and `m`
-        is the rank of the factor that colors them.  With `power` the draws are
-        float64 unit exponentials, the law of |w|^2 of such a complex normal w.
+        `block` is the Philox counter block and `m` the draws per link.  Axis 1
+        orders the three complex links as (feed, bob, eve), and `m` is the rank
+        of the factor that colors them.  With `power` the one link holds float64
+        unit exponentials, the law of |w|^2 of such a complex normal w.
         """
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
                        dtype=np.uint64)
         bitgen = np.random.Philox(key=key, counter=np.array([0, 0, block, 0], dtype=np.uint64))
         if power:
-            return np.random.Generator(bitgen).standard_exponential((TRIALS_PER_BLOCK, links, m))
-        raw = np.random.Generator(bitgen).standard_normal(TRIALS_PER_BLOCK * links * m * 2)
+            return np.random.Generator(bitgen).standard_exponential((TRIALS_PER_BLOCK, 1, m))
+        raw = np.random.Generator(bitgen).standard_normal(TRIALS_PER_BLOCK * 3 * m * 2)
         raw /= math.sqrt(2.0)
-        return raw.view(np.complex128).reshape(TRIALS_PER_BLOCK, links, m)
+        return raw.view(np.complex128).reshape(TRIALS_PER_BLOCK, 3, m)
 
 
 def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:

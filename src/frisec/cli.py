@@ -46,10 +46,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # malformed, or an integer of too many digits
+            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         except RecursionError:
             raise ConfigError("config file nests JSON arrays or objects too deeply") from None
         if not isinstance(loaded, dict):
@@ -78,8 +78,7 @@ def main(argv: list[str] | None = None) -> int:
                      description="Fluid-RIS secrecy performance simulator")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, descr in (
-        ("sweep-asc", "average secrecy capacity vs average SNR"),
-        ("sweep-sop", "secrecy outage probability vs average SNR"),
+        ("sweep-sop", "secrecy outage probability and average secrecy capacity vs average SNR"),
         ("sweep-size", "metrics vs total element count at fixed active count"),
         ("validate-fits", "frozen-configuration gain-law validation"),
         ("validate-bounds", "closed-form bounds vs frozen-config Monte Carlo"),
@@ -96,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         _check_out(args.out)
-        if args.command in ("sweep-asc", "sweep-sop"):
+        if args.command == "sweep-sop":
             rows = sweep_snr(config)
             write_results(args.out, rows, SWEEP_COLUMNS, config, args.command)
         elif args.command == "sweep-size":

@@ -46,7 +46,7 @@ STREAM_VALIDATE_BASE = 10      # + index of the m_on entry
 STREAM_SIZE_BASE = 100         # + 2*point (FRIS), + 2*point + 1 (conventional)
 STREAM_BOUNDS = 3
 
-POLICIES = ("greedy", "fixed-uniform", "fixed-random", "conventional")
+POLICIES = ("greedy", "fixed-uniform", "fixed-random")
 
 KS_MIN_SAMPLES = 100
 
@@ -112,8 +112,8 @@ class ExperimentConfig:
         for name, kind, valid in (
                 ("snr_sweep_db", "finite numbers",
                  lambda v: isinstance(v, numbers.Real) and math.isfinite(v)),
-                ("size_sweep", "integers >= 1",
-                 lambda v: isinstance(v, numbers.Integral) and v >= 1)):
+                ("size_sweep", "perfect squares >= 1",
+                 lambda v: isinstance(v, numbers.Integral) and 0 < v == math.isqrt(v) ** 2)):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ConfigError(f"{name} must be a list")
             grid = tuple(getattr(self, name))
@@ -185,6 +185,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     try:
         return ExperimentConfig(**mapping)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -292,8 +294,7 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
 
     Results are a pure function of (corr, policy, m_on, trials, stream) and in
     particular do not depend on `workers`; trial t of a run equals the last
-    trial of a run of t + 1 trials.  The conventional policy co-phases every
-    element and ignores `m_on`.  The blocks run inline with one worker, and
+    trial of a run of t + 1 trials.  The blocks run inline with one worker, and
     otherwise on min(workers, blocks, usable CPUs) threads, each of which
     holds a block's draws and a chunk's temporaries.  The call runs under
     `one_blas_thread`, so each product runs on its worker's thread and the
@@ -318,26 +319,25 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
     m = corr.n_elements
-    active = m if policy == "conventional" else m_on
-    if not 1 <= active <= m:
+    if not 1 <= m_on <= m:
         raise DomainError(f"m_on must be in [1, {m}], got {m_on}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     n_blocks = -(-trials // TRIALS_PER_BLOCK)
     r = corr.rank
-    if policy in ("greedy", "conventional"):
+    if policy == "greedy":
         factor = corr.factor.astype(complex)
         draw = functools.partial(stream.draw_block, r)
 
         def kernel(draws: np.ndarray):
-            h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, factor), active)
+            h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, factor), m_on)
             return np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
 
     else:
         indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
         rows = corr.factor[indices]
         mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False) ** 2
-        draw = functools.partial(stream.draw_block, r + 2, links=1, power=True)
+        draw = functools.partial(stream.draw_block, r + 2, power=True)
 
         def kernel(powers: np.ndarray):
             variance = correlated_images_batch(powers[:, :, :r], mu[None, :])[:, 0, 0]
@@ -437,10 +437,11 @@ def _evaluate_point(config: ExperimentConfig, corr: CorrelationMatrix, policy: s
     The fits are the reference fits of the first m_on elements.  The KS
     distances of the gains from them are nan when there are fewer than
     KS_MIN_SAMPLES trials: too few for the diagnostic, not for the row.
+    `policy` labels the rows; the "conventional" baseline, all ON, runs as greedy.
     """
     fit_b, fit_e = reference_fits(corr, m_on)
-    gains = simulate_gains(corr, policy, m_on, config.trials,
-                           ChannelStream(config.seed, stream), workers=config.workers)
+    gains = simulate_gains(corr, "greedy" if policy == "conventional" else policy, m_on,
+                           config.trials, ChannelStream(config.seed, stream), config.workers)
     ks = (float("nan"), float("nan"))
     if len(gains) >= KS_MIN_SAMPLES:
         ks = (ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
@@ -522,13 +523,7 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
     conv_geometry = config.conventional_geometry()
     conv_corr = build_correlation(conv_geometry)
     for point, m_total in enumerate(config.size_sweep):
-        cells = {"sweep_var": "m_total", "sweep_value": m_total}
         geometry = config.size_geometry(m_total)
-        if geometry.n_elements != m_total:
-            error = "size grid values must be perfect squares"
-            rows.append(_error_row(SWEEP_COLUMNS, config, error, policy=config.policy,
-                                   m_total=m_total, m_on=config.m_on, **cells))
-            continue
         base = STREAM_SIZE_BASE + 2 * point
         for surface, policy, m_on, stream in (
                 (geometry, config.policy, config.m_on, base),
@@ -538,8 +533,9 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
                 rows.append(_sweep_row("m_total", m_total, config, budget,
                                        _evaluate_point(config, corr, policy, m_on, stream)))
             except FrisecError as exc:
-                rows.append(_error_row(SWEEP_COLUMNS, config, exc, policy=policy,
-                                       m_total=surface.n_elements, m_on=m_on, **cells))
+                rows.append(_error_row(SWEEP_COLUMNS, config, exc, sweep_var="m_total",
+                                       sweep_value=m_total, policy=policy,
+                                       m_total=surface.n_elements, m_on=m_on))
     return rows
 
 

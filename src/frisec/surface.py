@@ -54,8 +54,12 @@ class SurfaceGeometry:
             raise DomainError("aperture extents must be > 0")
         if not 0 < self.wavelength < math.inf:
             raise DomainError("wavelength must be finite and > 0")
-        widest = 2.0 * math.pi * math.hypot(self.spacing_x * (self.m_x - 1),
-                                            self.spacing_z * (self.m_z - 1)) / self.wavelength
+        try:
+            widest = 2.0 * math.pi * math.hypot(self.spacing_x * (self.m_x - 1),
+                                                self.spacing_z * (self.m_z - 1)) / self.wavelength
+        except OverflowError:  # a count past the float range
+            raise DomainError(f"element counts {self.m_x} x {self.m_z} overflow "
+                              "the element spacing") from None
         if not all(map(math.isfinite, (self.spacing_x, self.spacing_z, widest))):
             raise DomainError(f"aperture extents {self.width_x!r} x {self.width_z!r} "
                               "wavelengths overflow the element spacing or the J0 argument")

@@ -471,19 +471,17 @@ def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tupl
     engine must match bit for bit.
     """
     r = corr.rank
-    if policy in ("greedy", "conventional"):
-        active = corr.n_elements if policy == "conventional" else m_on
-
+    if policy == "greedy":
         def block_gains(block):
             images = correlated_images_batch(stream.draw_block(r, block), corr.factor)
-            return [np.abs(h) ** 2 for h in _adaptive_block(images, active)]
+            return [np.abs(h) ** 2 for h in _adaptive_block(images, m_on)]
     else:
         indices, phases = _fixed_selection(corr.n_elements, m_on, policy, stream.seed)
         rows = corr.factor[indices]
         mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False) ** 2
 
         def block_gains(block):
-            powers = stream.draw_block(r + 2, block, links=1, power=True)
+            powers = stream.draw_block(r + 2, block, power=True)
             variance = correlated_images_batch(powers[:, :, :r], mu[None, :])[:, 0, 0]
             return [variance * powers[:, 0, r + k] for k in (0, 1)]
     g_bob, g_eve = zip(*(block_gains(b) for b in range(-(-trials // TRIALS_PER_BLOCK))))

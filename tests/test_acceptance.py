@@ -154,7 +154,7 @@ def trend_gains(reference_config):
     # baseline: the half-wavelength all-ON grid over the same 3x3 aperture
     m_conv = reference_config.conventional_m
     conv = simulate_gains(build_correlation(reference_config.conventional_geometry()),
-                          "conventional", m_conv, TRIALS, ChannelStream(SEED, 1))
+                          "greedy", m_conv, TRIALS, ChannelStream(SEED, 1))
     return fris, conv
 
 

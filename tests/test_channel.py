@@ -57,18 +57,20 @@ class TestDraws:
 
     def test_power_draw(self):
         st = ChannelStream(seed=42, stream=3)
-        first = st.draw_block(6, 17, links=2, power=True)
+        # powers come as one link, complex normals as the three (feed, bob, eve)
+        first = st.draw_block(6, 17, power=True)
         assert first.dtype == np.float64
-        assert first.shape == (TRIALS_PER_BLOCK, 2, 6)
-        assert np.array_equal(first, st.draw_block(6, 17, links=2, power=True))
-        assert not np.array_equal(first, st.draw_block(6, 18, links=2, power=True))
+        assert first.shape == (TRIALS_PER_BLOCK, 1, 6)
+        assert np.array_equal(first, st.draw_block(6, 17, power=True))
+        assert not np.array_equal(first, st.draw_block(6, 18, power=True))
+        assert st.draw_block(6, 17).shape == (TRIALS_PER_BLOCK, 3, 6)
 
     def test_power_draw_is_unit_exponential(self):
         # |w|^2 of a unit circular normal is Exp(1): one-sample KS against
         # 1 - exp(-x) at level 0.001 (1.949 / sqrt(n)) and the mean to
         # law-of-large-numbers precision, on 102400 draws
         st = ChannelStream(seed=9, stream=0)
-        powers = np.concatenate([st.draw_block(4, b, links=1, power=True).ravel()
+        powers = np.concatenate([st.draw_block(4, b, power=True).ravel()
                                  for b in range(25)])
         assert powers.size == 102_400
         assert ks_statistic(powers, lambda x: -np.expm1(-x)) <= 1.949 / math.sqrt(powers.size)
@@ -280,7 +282,7 @@ class TestGainAndSnr:
                 h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, corr.factor), 5)
                 g_bob, g_eve = np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
             else:
-                powers = ChannelStream(6, 0).draw_block(r + 2, 0, links=1, power=True)
+                powers = ChannelStream(6, 0).draw_block(r + 2, 0, power=True)
                 indices, phases = _fixed_selection(corr.n_elements, 5, policy, seed=6)
                 rows = corr.factor[indices]
                 cascade = (rows.T * np.exp(1j * phases)) @ rows
@@ -303,7 +305,7 @@ class TestGainAndSnr:
         r = corr.rank
         for policy in ("fixed-uniform", "fixed-random"):
             gains = simulate_gains(corr, policy, 7, 50, ChannelStream(8, 4))
-            powers = ChannelStream(8, 4).draw_block(r + 2, 0, links=1, power=True)[:50, 0]
+            powers = ChannelStream(8, 4).draw_block(r + 2, 0, power=True)[:50, 0]
             indices, phases = _fixed_selection(corr.n_elements, 7, policy, seed=8)
             rows = corr.factor[indices].astype(complex)
             cascade = rows.T @ np.diag(np.exp(1j * phases)) @ rows

@@ -22,8 +22,9 @@ def tiny_config(tmp_path):
 
 
 def test_sweep_asc(tmp_path, tiny_config):
+    # the capacity columns come with every SNR sweep row
     out = tmp_path / "asc.csv"
-    assert main(["sweep-asc", "--config", str(tiny_config), "--out", str(out)]) == 0
+    assert main(["sweep-sop", "--config", str(tiny_config), "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("sweep_var,sweep_value,asc_mc")
     assert len(lines) == 1 + 2 * 2  # header + (policy + conventional) x 2 points
@@ -74,7 +75,7 @@ def test_dump_correlation(tmp_path, tiny_config, capsys):
 
 def test_flag_overrides(tmp_path, tiny_config):
     out = tmp_path / "o.csv"
-    assert main(["sweep-asc", "--config", str(tiny_config), "--out", str(out),
+    assert main(["sweep-sop", "--config", str(tiny_config), "--out", str(out),
                  "--trials", "512", "--seed", "77"]) == 0
     manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
     assert manifest["config"]["trials"] == 512
@@ -89,7 +90,7 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for mapping in ({"m_q": 4}, {"out_path": str(tmp_path / "y.csv")}, {"carrier_hz": 2.4e9}):
         bad.write_text(json.dumps(mapping))
-        assert main(["sweep-asc", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+        assert main(["sweep-sop", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert "unknown configuration keys" in err and repr(next(iter(mapping))) in err
 
@@ -97,13 +98,14 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
 def test_malformed_json_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["sweep-asc", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    assert main(["sweep-sop", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
 
 
 @pytest.mark.parametrize("content, message", [
     (b'{"seed": 1, "policy": "gr\xffedy"}', "not UTF-8 text"),
     (b"[" * 100_000, "too deeply"),
-], ids=["non-utf8", "nested-100000-deep"])
+    (b'{"seed": 1' + b"0" * 5000 + b"}", "not valid JSON: Exceeds the limit"),
+], ids=["non-utf8", "nested-100000-deep", "integer-of-5001-digits"])
 def test_undecodable_config_exits_1(tmp_path, capsys, content, message):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
@@ -119,14 +121,42 @@ def test_non_square_conventional_exits_1(tmp_path, tiny_config):
     cfgmap["conventional_m"] = 6
     bad = tmp_path / "c.json"
     bad.write_text(json.dumps(cfgmap))
-    for command in ("sweep-asc", "sweep-sop", "sweep-size", "validate-fits",
-                    "validate-bounds", "dump-correlation"):
+    for command in ("sweep-sop", "sweep-size", "validate-fits", "validate-bounds",
+                    "dump-correlation"):
         assert main([command, "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"trials": 0}, "trials must be >= 1"),
+    ({"m_x": 10 ** 400}, f"element counts {10 ** 400} x 4 overflow the element spacing"),
+    ({"policy": "conventional"},
+     "unknown policy 'conventional'; choose from ('greedy', 'fixed-uniform', 'fixed-random')"),
+], ids=["no-trials", "count-past-float-range", "conventional-policy"])
+def test_config_error_is_one_line_naming_its_cause(tmp_path, tiny_config, capsys,
+                                                   override, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(json.loads(tiny_config.read_text()) | override))
+    assert main(["sweep-sop", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"frisec: config error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_conventional_is_no_policy_flag(tmp_path, tiny_config, capsys):
+    # the baseline runs as greedy with m_on = m_x * m_z; naming it as a policy exits 1
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-sop", "--config", str(tiny_config), "--out", str(out),
+              "--policy", "conventional"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'conventional'" in capsys.readouterr().err
+    assert main(["sweep-sop", "--config", str(tiny_config), "--out", str(out),
+                 "--policy", "greedy", "--m-on", "16"]) == 0
+    assert [r["policy"] for r in csv_rows(out)] == ["greedy", "conventional"] * 2
 
 
 def test_missing_out_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["sweep-asc"])
+        main(["sweep-sop"])
     assert exc.value.code == 1
 
 
@@ -236,8 +266,7 @@ def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
 
 
 @pytest.mark.parametrize("command, columns, n_rows", [
-    ("sweep-asc", harness.SWEEP_COLUMNS, 4), ("sweep-sop", harness.SWEEP_COLUMNS, 4),
-    ("sweep-size", harness.SWEEP_COLUMNS, 4),
+    ("sweep-sop", harness.SWEEP_COLUMNS, 4), ("sweep-size", harness.SWEEP_COLUMNS, 4),
     ("validate-fits", harness.VALIDATE_FIT_COLUMNS, 1),
     ("validate-bounds", harness.VALIDATE_BOUND_COLUMNS, 2),
 ])
@@ -295,8 +324,8 @@ def test_fuzzed_configs_exit_cleanly(tmp_path):
                     st.lists(st.one_of(edges, st.floats()), max_size=3))
     overrides = st.dictionaries(st.sampled_from(sorted(valid) + list(harness._FLOAT_FIELDS)),
                                 bad, min_size=1, max_size=2)
-    commands = ("sweep-asc", "sweep-sop", "sweep-size", "validate-fits",
-                "validate-bounds", "dump-correlation")
+    commands = ("sweep-sop", "sweep-size", "validate-fits", "validate-bounds",
+                "dump-correlation")
 
     @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @hypothesis.given(st.sampled_from(commands), st.fixed_dictionaries(valid), overrides)

@@ -13,6 +13,7 @@ import pytest
 
 from frisec import channel, harness
 from frisec.channel import ChannelStream, LinkBudget, blas_threads, correlated_images_batch
+from frisec.cli import main
 from frisec.errors import ConfigError, DomainError
 from frisec.harness import (POLICIES, SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                             VALIDATE_FIT_COLUMNS, ExperimentConfig,
@@ -93,6 +94,22 @@ class TestConfig:
         named = [name for cell in rows for name in re.findall(r"`(\w+)`", cell)]
         assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))
 
+    def test_readme_tables_name_every_command_and_policy(self, capsys):
+        # the README's subcommand and policy tables list exactly what the CLI accepts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+        def first_cells(heading):
+            section = readme.split(heading)[1].split("\n### ")[0]
+            return [re.findall(r"`([\w-]+)`", line.split("|")[1])[0]
+                    for line in section.splitlines() if line.startswith("| `")]
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        commands = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1).split(",")
+        assert first_cells("## Command line") == commands
+        assert first_cells("### Policies") == list(POLICIES)
+
     def test_mapping_roundtrip(self):
         cfg = config_from_mapping({"m_x": 4, "m_z": 4, "m_on": 4, "trials": 100,
                                    "snr_sweep_db": [60, 70]})
@@ -115,7 +132,7 @@ def aperture_pools():
 
 class TestChunkedEngine:
     @pytest.mark.parametrize("policy, m_total, m_on", [
-        ("greedy", 400, 100), ("greedy", 1600, 64), ("conventional", 36, 36),
+        ("greedy", 400, 100), ("greedy", 1600, 64), ("greedy", 36, 36),
         ("fixed-uniform", 100, 10), ("fixed-uniform", 100, 100),
         ("fixed-random", 100, 10), ("fixed-random", 100, 100)])
     @pytest.mark.parametrize("trials", [1, 130, 1025, 2048])
@@ -131,9 +148,9 @@ class TestChunkedEngine:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_one_coloring_product_per_chunk(self, aperture_pools, monkeypatch, policy):
         # 130 trials are two chunks of one block.  A fixed policy weights the
-        # feed's exponentials by the one row mu, the adaptive ones color by
-        # the M x r factor; either way one product per chunk
-        corr = aperture_pools[36 if policy == "conventional" else 100]
+        # feed's exponentials by the one row mu, greedy colors by the M x r
+        # factor; either way one product per chunk
+        corr = aperture_pools[100]
         shapes = []
 
         def recording(draws, rows):
@@ -151,7 +168,7 @@ class TestChunkedEngine:
         # 1024 + 130 trials are two blocks of eight and two chunks: two calls
         # of ChannelStream.draw_block and ten of correlated_images_batch, the
         # two layers a traced benchmark run expects to see
-        corr = aperture_pools[36 if policy == "conventional" else 100]
+        corr = aperture_pools[100]
         calls = {"draw": 0, "color": 0}
         draw_block = ChannelStream.draw_block
 
@@ -274,9 +291,13 @@ class TestEngine:
         assert np.all(capacity >= 0.0)
 
     def test_conventional_policy_geometry(self):
-        cfg = small_config(policy="conventional", conventional_m=4)
+        # the baseline is no policy: its surface runs as greedy with every element ON
+        cfg = small_config(conventional_m=4)
         gains, capacity = base_records(cfg, cfg.conventional_geometry(), cfg.conventional_m)
         assert gains.g_bob.size == capacity.size == cfg.trials
+        with pytest.raises(DomainError, match="unknown policy"):
+            simulate_gains(build_correlation(cfg.conventional_geometry()), "conventional", 4,
+                           16, ChannelStream(1))
 
     def test_worker_independence(self):
         corr = build_correlation(small_config().fris_geometry())
@@ -427,25 +448,26 @@ class TestSweeps:
         assert len(conv) == 2
         assert all(r["m_total"] == r["m_on"] == cfg.conventional_m for r in conv)
 
-    def test_size_sweep_rejects_non_square_gracefully(self):
-        cfg = small_config(size_sweep=(4, 10), m_on=4)
-        rows = sweep_size(cfg)
-        bad = [r for r in rows if r["sweep_value"] == 10 and r["policy"] != "conventional"]
-        assert any("error" in str(r["status"]) for r in bad)
-        good = [r for r in rows if r["sweep_value"] == 4]
-        assert all(r["status"] == "ok" for r in good)
+    def test_size_sweep_rejects_non_square_gracefully(self, tmp_path, capsys):
+        # a non-square size is a configuration error before any work, not an error row
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"m_x": 4, "m_z": 4, "m_on": 4, "conventional_m": 4,
+                                      "trials": 1024, "size_sweep": [4, 10]}))
+        out = tmp_path / "size.csv"
+        assert main(["sweep-size", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("frisec: config error: size_sweep entries must be "
+                                           "perfect squares >= 1, got 10\n")
+        assert not out.exists()
 
     def test_size_sweep_follows_policy(self):
-        sizes = dict(size_sweep=(4, 9, 10), m_on=4, conventional_m=9)
+        sizes = dict(size_sweep=(4, 9), m_on=4, conventional_m=9)
         greedy = sweep_size(small_config(**sizes))
         fixed = sweep_size(small_config(policy="fixed-uniform", **sizes))
         pool = [r for r in fixed if r["policy"] != "conventional"]
-        assert [r["policy"] for r in pool] == ["fixed-uniform"] * 3
-        assert pool[-1]["sweep_value"] == 10 and "error" in pool[-1]["status"]
+        assert [r["policy"] for r in pool] == ["fixed-uniform"] * 2
         # the pool rows are simulated under the policy, the baseline rows are not
-        ok = [(a, b) for a, b in zip(greedy, fixed) if b["status"] == "ok"]
-        assert len(ok) == 4
-        for a, b in ok:
+        assert [b["status"] for b in fixed] == ["ok"] * 4
+        for a, b in zip(greedy, fixed):
             assert (a["asc_mc"] == b["asc_mc"]) == (b["policy"] == "conventional")
 
     def test_validate_fits_rows(self):
@@ -563,7 +585,7 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_gains_do_not_depend_on_finding_openblas(self, aperture_pools, monkeypatch, policy):
-        corr = aperture_pools[36 if policy == "conventional" else 100]
+        corr = aperture_pools[100]
         stream = ChannelStream(7, 2)
         found = simulate_gains(corr, policy, 10, 1300, stream, workers=2)
         monkeypatch.setattr(channel, "_openblas_threads", lambda: None)
