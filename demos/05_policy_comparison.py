@@ -40,8 +40,9 @@ for m_conv in (cfg.conventional_m, 100):  # 6x6 over 3x3 wavelengths; 10x10 over
 print("mean equivalent power gains over", TRIALS, "trials:")
 for label, g in [("selective 400->100", fris)] + \
         [(f"conventional {m:<5d}", g) for m, g in baselines.items()]:
+    # the eavesdropper's mean gain is the mean of its per-trial variance
     print(f"  {label} : legitimate {g.g_bob.mean():9.1f}   "
-          f"eavesdropper {g.g_eve.mean():8.1f}   ratio {g.g_bob.mean() / g.g_eve.mean():5.1f}")
+          f"eavesdropper {g.var_eve.mean():8.1f}   ratio {g.g_bob.mean() / g.var_eve.mean():5.1f}")
 
 base = cfg.budget()
 print("\nsecrecy metrics versus the legitimate receiver's average SNR:")
@@ -49,9 +50,9 @@ print(f"{'SNR dB':>7} {'ASC sel':>8} {'ASC 6x6':>8} {'ASC 10x10':>10} "
       f"{'SOP sel':>9} {'SOP 6x6':>9} {'SOP 10x10':>10}")
 for db in (95.0, 105.0, 115.0):
     b = base.with_avg_snr_bob(db_to_linear(db))
-    caps = [records_for_budget(g, b) for g in (fris, *baselines.values())]
-    asc = [estimate_asc(c).point for c in caps]
-    sop = [estimate_sop(c, cfg.target()).point for c in caps]
+    records = [records_for_budget(g, b) for g in (fris, *baselines.values())]
+    asc = [estimate_asc(r).point for r in records]
+    sop = [estimate_sop(r, cfg.target()).point for r in records]
     print(f"{db:>7.0f} {asc[0]:>8.3f} {asc[1]:>8.3f} {asc[2]:>10.3f} "
           f"{sop[0]:>9.5f} {sop[1]:>9.5f} {sop[2]:>10.5f}")
 
@@ -73,19 +74,17 @@ reflects the eavesdropper's own spatial correlation under the aligned
 phases.""")
 
 # isolate the mechanism: eavesdropper gain with the true shared feed vs an
-# independent feed draw, same selection and phases
+# independent feed draw, same selection and phases; a second stream's two
+# links give the independent feed and the eavesdropper's own link
 from frisec.channel import correlated_images_batch
 
 st, st2 = ChannelStream(42, 0), ChannelStream(42, 900)
 blocks = 10
 shared, independent = [], []
-m = fris_corr.n_elements
+r = fris_corr.rank
 for blk in range(blocks):
-    d = st.draw_block(fris_corr.rank, blk)
-    d2 = st2.draw_block(fris_corr.rank, blk)
-    im = correlated_images_batch(d, fris_corr.factor)
-    v, ub, ue = im[:, 0], im[:, 1], im[:, 2]
-    v_indep = correlated_images_batch(d2, fris_corr.factor)[:, 0]
+    v, ub = correlated_images_batch(st.draw_block(r, blk)[:, :, :r], fris_corr.factor)
+    v_indep, ue = correlated_images_batch(st2.draw_block(r, blk)[:, :, :r], fris_corr.factor)
     c = np.conj(ub) * v
     mags = np.abs(c)
     sel = np.sort(np.argpartition(-mags, cfg.m_on - 1, axis=1)[:, :cfg.m_on], axis=1)

@@ -4,9 +4,9 @@ intelligent surface (fluid-RIS) assisted downlinks.
 The library generates spatially correlated Rayleigh fading over a
 base-station -> surface -> receiver cascade, applies ON/OFF element selection
 and phasing policies, estimates secrecy outage probability and average
-secrecy capacity by Monte Carlo, and evaluates closed-form moment-matched
-approximations of both metrics, each cross-checked against an independent
-numerical oracle.
+secrecy capacity by conditional Monte Carlo, and evaluates closed-form
+moment-matched approximations of both metrics, each cross-checked against an
+independent numerical oracle.
 """
 
 __version__ = "0.1.0"
@@ -19,10 +19,10 @@ from .harness import (ExperimentConfig, GainSamples, MetricEstimate,
                       sweep_size, sweep_snr, validate_bounds, validate_fits)
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
                       asc_upper_bound, exp_cdf, fit_bob_gamma,
-                      fit_eve_exponential, gamma_cdf, secrecy_capacity,
-                      sop_lower_bound, sop_lower_oracle)
+                      fit_eve_exponential, gamma_cdf, sop_lower_bound,
+                      sop_lower_oracle)
 from .specfun import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
-                      reg_lower_inc_gamma)
+                      reg_lower_inc_gamma, scaled_exp1)
 from .surface import CorrelationMatrix, SurfaceGeometry, build_correlation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

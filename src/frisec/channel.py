@@ -1,14 +1,18 @@
 """Fading generation, spatial coloring, path loss, and the link budget.
 
-A trial has up to three links (feed, legitimate, eavesdropper).  A link draws
+A trial has three links (feed, legitimate, eavesdropper).  A link draws
 r i.i.d. circular complex Gaussians with unit variance, one per kept
 eigenpair of the M-element correlation matrix J, and its spatially correlated
 image is the complex product with the M x r eigen-factor F = U_r Lambda_r^{1/2}.
 Since F F^T = J up to the dropped rounding-noise eigenvalues, the image has
 exactly the law of J^{1/2} h with h of length M, at r/M of the draws and of
-the coloring work (Karhunen-Loeve expansion).  `draw_block` lays out `m`
-draws per link and trial: the adaptive policy draws the three links of r
-complex normals, the frozen-configuration policies, with `power`, one link
+the coloring work (Karhunen-Loeve expansion).  No policy looks at the
+eavesdropper's link, so given the other two its channel is one circular
+normal of a variance the trial fixes, and no policy colors it.
+`draw_block` lays out `m` draws per link and trial: the adaptive policy
+draws the feed's and the legitimate link's r complex normals and one more
+complex normal per trial, whose power is the eavesdropper's unit
+exponential; the frozen-configuration policies, with `power`, draw one link
 of r + 2 real unit exponentials, the powers |w|^2 of the feed's r normals
 and of one normal per receiver (see `harness.simulate_gains`).
 Randomness is counter-based (Philox): a draw depends only on (seed, stream,
@@ -46,35 +50,38 @@ class ChannelStream:
     stream: int = 0
 
     def draw_block(self, m: int, block: int, power: bool = False) -> np.ndarray:
-        """(TRIALS_PER_BLOCK, 3, m) complex fading draws, or (TRIALS_PER_BLOCK, 1, m) powers.
+        """(2, TRIALS_PER_BLOCK, m + 1) complex fading draws, or (TRIALS_PER_BLOCK, 1, m) powers.
 
-        `block` is the Philox counter block and `m` the draws per link.  Axis 1
-        orders the three complex links as (feed, bob, eve), and `m` is the rank
-        of the factor that colors them.  With `power` the one link holds float64
-        unit exponentials, the law of |w|^2 of such a complex normal w.
+        `block` is the Philox counter block and `m` the draws per link.  Axis 0
+        orders the two colored links as (feed, bob), link-major, and their
+        first `m` columns are the normals that the rank-`m` factor colors.
+        Column `m` of the feed holds one more unit complex normal w per trial,
+        the eavesdropper's whitened channel, whose power |w|^2 is a unit
+        exponential; column `m` of bob is not used.  With `power` the one
+        link holds float64 unit exponentials, the law of |w|^2 of such a w.
         """
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
                        dtype=np.uint64)
         bitgen = np.random.Philox(key=key, counter=np.array([0, 0, block, 0], dtype=np.uint64))
         if power:
             return np.random.Generator(bitgen).standard_exponential((TRIALS_PER_BLOCK, 1, m))
-        raw = np.random.Generator(bitgen).standard_normal(TRIALS_PER_BLOCK * 3 * m * 2)
+        raw = np.random.Generator(bitgen).standard_normal(2 * TRIALS_PER_BLOCK * (m + 1) * 2)
         raw /= math.sqrt(2.0)
-        return raw.view(np.complex128).reshape(TRIALS_PER_BLOCK, 3, m)
+        return raw.view(np.complex128).reshape(2, TRIALS_PER_BLOCK, m + 1)
 
 
 def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Batched F @ w for a (trials, links, r) draw block and an (outputs, r) matrix.
+    """Batched F @ w for a 3-D block of r-vectors and an (outputs, r) matrix.
 
     Each row of `rows` gives one output: the M x r eigen-factor colors complex
     normals into element images, a frozen configuration's one row mu weights
     real unit exponentials into its channel variance sum mu_i E_i.  Returns
-    (trials, links, len(rows)) by one product; a caller that colors many
-    blocks passes the factor already cast to complex, so no product casts it
-    again.
+    the block's two leading axes by len(rows), by one product; a caller that
+    colors many blocks passes the factor already cast to complex, so no
+    product casts it again.
     """
-    n, links, r = draws.shape
-    return (draws.reshape(n * links, r) @ rows.T).reshape(n, links, rows.shape[0])
+    a, b, r = draws.shape
+    return (draws.reshape(a * b, r) @ rows.T).reshape(a, b, rows.shape[0])
 
 
 @functools.cache

@@ -118,16 +118,14 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "validate-bounds":
             rows = validate_bounds(config)
             write_results(args.out, rows, VALIDATE_BOUND_COLUMNS, config, args.command)
-            for row in rows:
-                if row["status"] != "ok":
-                    continue
-                if not row["sop_bound_ok"]:
-                    print(f"warning: outage bound violated at "
-                          f"{row['avg_snr_bob_db']} dB", file=sys.stderr)
-                if not row["asc_bound_ok"]:
-                    print(f"note: capacity closed form below MC mean at "
-                          f"{row['avg_snr_bob_db']} dB "
-                          f"(approximation, recorded in CSV)", file=sys.stderr)
+            for flag, message, why in (
+                    ("sop_bound_ok", "warning: outage bound violated at", ""),
+                    ("asc_bound_ok", "note: capacity closed form below MC mean at",
+                     " (approximation, recorded in CSV)")):
+                points = [str(row["avg_snr_bob_db"]) for row in rows
+                          if row["status"] == "ok" and not row[flag]]
+                if points:
+                    print(f"{message} {', '.join(points)} dB{why}", file=sys.stderr)
         elif args.command == "dump-correlation":
             diag = dump_correlation_csv(config, args.out)
             print(f"wrote {diag['n_elements']}x{diag['n_elements']} matrix; "

@@ -5,6 +5,10 @@ run is reproducible bit-for-bit for a given seed and independent of how many
 workers execute the blocks.  Sweeps over the legitimate receiver's average
 SNR reuse one set of channel-gain draws per configuration (the gains do not
 depend on that axis); sweeps over surface size draw fresh gains per point.
+No policy looks at the eavesdropper's channel, so given a trial it is one
+circular normal of a known variance, and each trial contributes the exact
+conditional outage probability and mean capacity over it (conditional Monte
+Carlo, Asmussen & Glynn, Stochastic Simulation, 2007, ch. V).
 
 Closed-form columns (distribution fits and both bounds) are always derived
 from the frozen first-M_ON configuration of the row's geometry, which is the
@@ -22,7 +26,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -33,10 +37,12 @@ from .channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget, blas_threads,
 from .errors import ConfigError, DomainError, FrisecError
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_upper_bound,
                       exp_cdf, fit_bob_gamma, fit_eve_exponential, gamma_cdf,
-                      secrecy_capacity, sop_lower_bound)
+                      sop_lower_bound)
+from .specfun import scaled_exp1
 from .surface import EIGEN_CLAMP, CorrelationMatrix, SurfaceGeometry, _gather, build_correlation
 
 _Z95 = 1.959963984540054
+_LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 
 #: fixed stream-id registry so every statistical computation is addressable.
@@ -151,7 +157,12 @@ class ExperimentConfig:
     def conventional_geometry(self) -> SurfaceGeometry:
         """The baseline: a square half-wavelength grid of `conventional_m` elements."""
         side = math.isqrt(self.conventional_m)
-        return SurfaceGeometry(m_x=side, m_z=side, width_x=side / 2.0, width_z=side / 2.0,
+        try:
+            width = side / 2.0
+        except OverflowError:  # a count past the float range
+            raise DomainError(f"conventional_m {self.conventional_m} overflows the baseline's "
+                              "half-wavelength width") from None
+        return SurfaceGeometry(m_x=side, m_z=side, width_x=width, width_z=width,
                                wavelength=self.wavelength)
 
     def size_geometry(self, m_total: int) -> SurfaceGeometry:
@@ -243,33 +254,60 @@ CHUNK_TRIALS = 128
 
 @dataclass(frozen=True)
 class GainSamples:
-    """Equivalent channel power gains for both receivers, one entry per trial."""
+    """Per-trial equivalent channel power gains and the eavesdropper's variance.
+
+    Given a trial's selection, phases and legitimate channel, the
+    eavesdropper's equivalent channel is exactly CN(0, var_eve); `g_eve` is
+    one draw of its power, var_eve E for a unit exponential E.
+    """
 
     g_bob: np.ndarray
     g_eve: np.ndarray
+    var_eve: np.ndarray
 
     def __len__(self) -> int:
         return self.g_bob.size
 
 
-def _adaptive_block(images: np.ndarray, m_on: int) -> tuple[np.ndarray, np.ndarray]:
+def _greedy_block(images: np.ndarray, factor: np.ndarray, m_on: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
     # Per-trial strongest-subset selection, co-phased toward the legitimate
-    # receiver; the eavesdropper sees the same selection and phases.  The
-    # co-phased objective sum |u_bob[m]| |v[m]| is separable over elements,
-    # so the m_on largest terms are the best subset of that size.  Returns
-    # both equivalent channels; the legitimate one is real and nonnegative.
-    v, u_bob, u_eve = images[:, 0], images[:, 1], images[:, 2]
-    casc = np.conj(u_bob) * v
-    mags = np.abs(casc)
-    m = mags.shape[1]
+    # receiver.  The co-phased objective sum |u_bob[m]| |v[m]| is separable
+    # over elements, so the m_on largest terms are the best subset of that
+    # size; a tie at the threshold keeps its lowest indices.  The
+    # eavesdropper sees the same selection and phases, a = |v| u_bob / |u_bob|
+    # on it and 0 elsewhere, so its channel sum conj(u_eve[m]) a[m] is
+    # w_eve^H F^T a, CN(0, ||F^T a||^2) for the real factor F.  Returns the
+    # legitimate power gain and that variance, from one real product of a's
+    # two planes by F.
+    v, u_bob = images
+    n, m = v.shape
+    # two (n, m) planes, reused so that a chunk touches few fresh pages:
+    # |v| and |v| / |u_bob|, then the partition scratch and the weight, then a
+    planes = np.empty((2, n, m))
+    abs_v, weight = np.abs(v, out=planes[0]), planes[1]
+    mags = np.abs(u_bob)
+    np.divide(abs_v, mags, out=weight)
+    mags *= abs_v
     if m_on < m:
-        sel = np.sort(np.argpartition(-mags, m_on - 1, axis=1)[:, :m_on], axis=1)
-        mags = np.take_along_axis(mags, sel, axis=1)
-        casc = np.take_along_axis(casc, sel, axis=1)
-        v = np.take_along_axis(v, sel, axis=1)
-        u_eve = np.take_along_axis(u_eve, sel, axis=1)
-    align = np.divide(np.conj(casc), mags, out=np.ones_like(casc), where=mags > 0)
-    return mags.sum(axis=1), (np.conj(u_eve) * v * align).sum(axis=1)
+        scratch = planes[0]
+        np.copyto(scratch, mags)
+        scratch.partition(m - m_on, axis=1)
+        threshold = scratch[:, m - m_on, None].copy()
+        on = mags >= threshold
+        extra = np.count_nonzero(on, axis=1) - m_on
+        if extra.any():
+            rows = np.flatnonzero(extra)
+            tied = mags[rows] == threshold[rows]
+            from_end = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
+            on[rows] &= ~(tied & (from_end <= extra[rows, None]))
+        mags *= on
+        weight *= on
+    np.multiply(weight, u_bob.real, out=planes[0])
+    weight *= u_bob.imag
+    projected = planes.reshape(2 * n, m) @ factor
+    return (mags.sum(axis=1) ** 2,
+            np.einsum("ij,ij->i", projected, projected).reshape(2, n).sum(axis=0))
 
 
 def _fixed_selection(m: int, m_on: int, policy: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,6 +353,13 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     Those trials draw r + 2 unit exponentials and return sigma^2 E_bob and
     sigma^2 E_eve: the law of coloring all three links, at about a sixth of
     the Philox draws (conditional MC).
+
+    Greedy chooses its elements and phases from the feed and the legitimate
+    link alone, so given those the eavesdropper's channel is exactly
+    CN(0, ||F^T a||^2), a the selected, co-phased feed image.  Its trials draw
+    and color two links and return that variance, and sigma^2 E_eve with E_eve
+    the power of one more complex normal, as the eavesdropper's gain sample.
+    Every policy returns sigma^2 as `var_eve`.
     """
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
@@ -329,9 +374,10 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
         factor = corr.factor.astype(complex)
         draw = functools.partial(stream.draw_block, r)
 
-        def kernel(draws: np.ndarray):
-            h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, factor), m_on)
-            return np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
+        def kernel(draws: np.ndarray, chunk: slice):
+            g_bob, variance = _greedy_block(correlated_images_batch(draws[:, chunk, :r], factor),
+                                            corr.factor, m_on)
+            return g_bob, variance * np.abs(draws[0, chunk, r]) ** 2, variance
 
     else:
         indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
@@ -339,14 +385,14 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
         mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False) ** 2
         draw = functools.partial(stream.draw_block, r + 2, power=True)
 
-        def kernel(powers: np.ndarray):
-            variance = correlated_images_batch(powers[:, :, :r], mu[None, :])[:, 0, 0]
-            return variance * powers[:, 0, r], variance * powers[:, 0, r + 1]
+        def kernel(powers: np.ndarray, chunk: slice):
+            variance = correlated_images_batch(powers[chunk, :, :r], mu[None, :])[:, 0, 0]
+            return variance * powers[chunk, 0, r], variance * powers[chunk, 0, r + 1], variance
 
     def work(block: int):
         draws = draw(block)
         wanted = min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
-        chunks = [kernel(draws[start:start + CHUNK_TRIALS])
+        chunks = [kernel(draws, slice(start, start + CHUNK_TRIALS))
                   for start in range(0, wanted, CHUNK_TRIALS)]
         return tuple(np.concatenate(g) for g in zip(*chunks))
 
@@ -357,26 +403,67 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
             parts = list(pool.map(work, range(n_blocks)))
     else:
         parts = [work(b) for b in range(n_blocks)]
-    g_bob = np.concatenate([p[0] for p in parts])[:trials]
-    g_eve = np.concatenate([p[1] for p in parts])[:trials]
-    return GainSamples(g_bob=g_bob, g_eve=g_eve)
+    return GainSamples(*(np.concatenate(samples)[:trials] for samples in zip(*parts)))
 
 
-def records_for_budget(gains: GainSamples, budget: LinkBudget) -> np.ndarray:
-    """Per-trial secrecy capacity, bits/s/Hz, of the gains under one budget."""
-    return secrecy_capacity(budget.snr_scale("bob") * gains.g_bob,
-                            budget.snr_scale("eve") * gains.g_eve)
+def records_for_budget(gains: GainSamples, budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial legitimate SNR and the eavesdropper's mean SNR given the trial.
+
+    The eavesdropper's SNR is exponential with that mean, so each trial's
+    outage and capacity terms below are exact conditional expectations over
+    it (conditional Monte Carlo).
+    """
+    if np.any(gains.g_bob < 0) or np.any(gains.var_eve < 0):
+        raise DomainError("channel gains must be >= 0")
+    return budget.snr_scale("bob") * gains.g_bob, budget.snr_scale("eve") * gains.var_eve
 
 
-def estimate_sop(capacity: np.ndarray, target: SecrecyTarget) -> MetricEstimate:
-    """Fraction of trials whose secrecy capacity is at or below the target."""
-    outages = int(np.count_nonzero(capacity <= target.rate_bits))
-    return MetricEstimate.for_proportion(outages, capacity.size)
+def _inverse_mean(mean_snr_eve: np.ndarray) -> np.ndarray:
+    # 1 / mean, finite: a mean past the normal float range only moves terms
+    # that are already 0 or log(1 + SNR_bob) to rounding
+    tiny = np.finfo(float).tiny
+    inv = np.clip(mean_snr_eve, tiny, 1.0 / tiny)
+    return np.divide(1.0, inv, out=inv)
 
 
-def estimate_asc(capacity: np.ndarray) -> MetricEstimate:
-    """Sample-mean secrecy capacity with a normal-approximation interval."""
-    return MetricEstimate.for_mean(capacity)
+def estimate_sop(records: tuple[np.ndarray, np.ndarray], target: SecrecyTarget) -> MetricEstimate:
+    """Mean over trials of P(secrecy capacity <= target | trial), CI clipped to [0, 1].
+
+    A trial is in outage when the eavesdropper's exponential SNR reaches
+    (1 + SNR_bob) / 2^R - 1, which it does with probability
+    exp(-max(0, that) / mean).
+    """
+    snr_bob, mean_eve = records
+    terms = _inverse_mean(mean_eve)
+    reach = 1.0 + snr_bob
+    reach /= 2.0 ** target.rate_bits
+    reach -= 1.0
+    with np.errstate(over="ignore"):  # a reach beyond the float range has probability 0
+        terms *= np.maximum(reach, 0.0, out=reach)
+    est = MetricEstimate.for_mean(np.exp(np.negative(terms, out=terms), out=terms))
+    return replace(est, ci_low=max(0.0, est.ci_low), ci_high=min(1.0, est.ci_high))
+
+
+def estimate_asc(records: tuple[np.ndarray, np.ndarray]) -> MetricEstimate:
+    """Mean over trials of E[secrecy capacity | trial], with a normal-approximation interval.
+
+    For an exponential eavesdropper SNR of mean 1/z and a legitimate SNR g,
+    E[(ln(1 + g) - ln(1 + SNR_eve))^+] = ln(1 + g) - S(z) + e^(-g z) S((1 + g) z),
+    S(x) = e^x E1(x) (Bloch et al., IEEE Trans. Inf. Theory 2008); the
+    rounding of that difference is clipped at 0.
+    """
+    snr_bob, mean_eve = records
+    inv = _inverse_mean(mean_eve)
+    with np.errstate(over="ignore"):  # S(inf) = 0 and e^(-inf) = 0
+        far = 1.0 + snr_bob
+        far *= inv
+        terms = np.multiply(snr_bob, inv)
+    np.exp(np.negative(terms, out=terms), out=terms)
+    terms *= scaled_exp1(far)
+    terms -= scaled_exp1(inv)
+    terms += np.log1p(snr_bob, out=far)
+    terms /= _LN2
+    return MetricEstimate.for_mean(np.maximum(terms, 0.0, out=terms))
 
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -390,8 +477,12 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -
     if n < KS_MIN_SAMPLES:
         raise DomainError(f"KS diagnostic needs at least {KS_MIN_SAMPLES} samples")
     theo = np.asarray(cdf(samples), dtype=float)
-    upper = np.max(np.arange(1, n + 1) / n - theo)
-    lower = np.max(theo - np.arange(0, n) / n)
+    steps = np.arange(1.0, n + 1.0)  # the empirical CDF above, then below, each sample,
+    steps /= n                       # in place: the sweeps hold every point's gains
+    upper = np.max(np.subtract(steps, theo, out=steps))
+    steps = np.arange(0.0, n)
+    steps /= n
+    lower = np.max(np.subtract(theo, steps, out=steps))
     return float(max(upper, lower))
 
 
@@ -431,22 +522,23 @@ class _Point:
 
 
 def _evaluate_point(config: ExperimentConfig, corr: CorrelationMatrix, policy: str,
-                    m_on: int, stream: int) -> _Point:
+                    m_on: int, stream: int, ks: bool = True) -> _Point:
     """Simulate one grid point on its named stream, the step every table maps.
 
     The fits are the reference fits of the first m_on elements.  The KS
     distances of the gains from them are nan when there are fewer than
-    KS_MIN_SAMPLES trials: too few for the diagnostic, not for the row.
+    KS_MIN_SAMPLES trials: too few for the diagnostic, not for the row, and
+    without `ks`, for a table that writes no KS column.
     `policy` labels the rows; the "conventional" baseline, all ON, runs as greedy.
     """
     fit_b, fit_e = reference_fits(corr, m_on)
     gains = simulate_gains(corr, "greedy" if policy == "conventional" else policy, m_on,
                            config.trials, ChannelStream(config.seed, stream), config.workers)
-    ks = (float("nan"), float("nan"))
-    if len(gains) >= KS_MIN_SAMPLES:
-        ks = (ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
-              ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e)))
-    return _Point(policy, corr.n_elements, m_on, (fit_b, fit_e), gains, ks)
+    distances = (float("nan"), float("nan"))
+    if ks and len(gains) >= KS_MIN_SAMPLES:
+        distances = (ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
+                     ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e)))
+    return _Point(policy, corr.n_elements, m_on, (fit_b, fit_e), gains, distances)
 
 
 def _error_row(columns: Sequence[str], config: ExperimentConfig, exc, **cells) -> dict:
@@ -459,9 +551,9 @@ def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
     """The metrics of one point at one budget, or an error row naming the failure."""
     fit_b, fit_e = point.fits
     try:
-        capacity = records_for_budget(point.gains, budget)
-        asc = estimate_asc(capacity)
-        sop = estimate_sop(capacity, config.target())
+        records = records_for_budget(point.gains, budget)
+        asc = estimate_asc(records)
+        sop = estimate_sop(records, config.target())
         asc_bound = asc_upper_bound(fit_b, fit_e, budget)
         sop_bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
     except FrisecError as exc:
@@ -600,7 +692,7 @@ def validate_bounds(config: ExperimentConfig) -> list[dict]:
     fatal.  Both flags are nan on an error row.
     """
     point = _evaluate_point(config, build_correlation(config.fris_geometry()), "fixed-uniform",
-                            config.m_on, STREAM_BOUNDS)
+                            config.m_on, STREAM_BOUNDS, ks=False)
     rows = []
     for row in _snr_rows(config, (point,)):
         row["avg_snr_bob_db"] = row["sweep_value"]
@@ -659,8 +751,15 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
             "frozen_configuration": "conditional: fixed policies draw r + 2 unit exponentials "
                                     "E; gain sigma^2 E_receiver, sigma^2 = sum_i mu_i E_i, mu "
                                     "the squared singular values of K = F_S^T Phi F_S",
+            "eavesdropper": "conditional Monte Carlo: no policy looks at the eavesdropper, "
+                            "so given a trial its channel is CN(0, sigma^2); greedy draws "
+                            "and colors only the feed and legitimate links, with sigma^2 = "
+                            "||F^T a||^2 for the selected, co-phased feed image a, and "
+                            "sop_mc and asc_mc are means of each trial's exact outage "
+                            "probability and mean secrecy capacity over that law",
             "coloring": "every policy colors chunk_trials trials of a Philox block at a "
-                        "time, by one product with the M x r factor or with the row mu",
+                        "time, by one product with the M x r factor (greedy: the feed "
+                        "and legitimate links) or with the row mu",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,

@@ -110,13 +110,6 @@ def exp_cdf(g, fit: ExpFit):
     return -np.expm1(-fit.rate * g)
 
 
-def secrecy_capacity(snr_bob: np.ndarray, snr_eve: np.ndarray) -> np.ndarray:
-    """Nonnegative instantaneous secrecy rate in bits/s/Hz, elementwise."""
-    if np.any(np.less(snr_bob, 0)) or np.any(np.less(snr_eve, 0)):
-        raise DomainError("SNRs must be >= 0")
-    return np.maximum(0.0, (np.log1p(snr_bob) - np.log1p(snr_eve)) / _LN2)
-
-
 def asc_upper_bound(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget) -> float:
     """Jensen-style capacity bound from the two mean received SNRs.
 

@@ -1,14 +1,16 @@
 """Self-contained special-function kernel.
 
 Everything here is pure double-precision Python/numpy, with no dependency on
-scipy: Bessel J0, the regularized lower incomplete gamma function (elementwise
-over arrays), and adaptive quadrature on [0, inf) of one or several
-integrands.  All functions are pure and reentrant.  The outage closed form's
-Meijer G kernel is not here: `secrecy` evaluates its reduction directly.
+scipy: Bessel J0, the regularized lower incomplete gamma function and the
+scaled exponential integral e^z E1(z) (both elementwise over arrays), and
+adaptive quadrature on [0, inf) of one or several integrands.  All functions
+are pure and reentrant.  The outage closed form's Meijer G kernel is not
+here: `secrecy` evaluates its reduction directly.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -140,11 +142,14 @@ def _inc_gamma_series(k: float, x: np.ndarray) -> np.ndarray:
 
 def _inc_gamma_fraction(k: float, x: np.ndarray) -> np.ndarray:
     # Modified Lentz evaluation of the continued fraction for
-    # Q(k, x) e^x x^-k Gamma(k), x >= k + 1, stopped per element.
+    # Q(k, x) e^x x^-k Gamma(k), x >= k + 1, stopped per element.  x is the
+    # caller's gathered copy, turned in place into b = x + 1 - k.
     tiny = 1e-300
     out = np.empty_like(x)
     todo = np.arange(x.size)
-    b = x + 1.0 - k
+    b = x
+    b += 1.0
+    b -= k
     c = np.full(x.shape, 1.0 / tiny)
     d = 1.0 / b
     h = d.copy()
@@ -193,9 +198,93 @@ def reg_lower_inc_gamma(k: float, x):
     out = np.zeros(xs.shape)
     low = (xs > 0.0) & (xs < k + 1.0)
     high = xs >= k + 1.0
-    out[low] = np.minimum(1.0, front(xs[low]) * _inc_gamma_series(k, xs[low]))
-    out[high] = np.maximum(0.0, 1.0 - front(xs[high]) * _inc_gamma_fraction(k, xs[high]))
+    # each sum before its front factor, so the two are never held at once
+    out[low] = np.minimum(1.0, _inc_gamma_series(k, xs[low]) * front(xs[low]))
+    out[high] = np.maximum(0.0, 1.0 - _inc_gamma_fraction(k, xs[high]) * front(xs[high]))
     return float(out[0]) if x_in.ndim == 0 else out.reshape(x_in.shape)
+
+
+# ---------------------------------------------------------------------------
+# Scaled exponential integral
+# ---------------------------------------------------------------------------
+
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _e1_series(x: np.ndarray, terms: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    # e^x (-gamma - ln x - sum_{k=1}^{terms} (-x)^k / (k k!)) into out, by Horner
+    out.fill((-1) ** terms / (terms * math.factorial(terms)))
+    for k in range(terms - 1, 0, -1):
+        out *= x
+        out += (-1) ** k / (k * math.factorial(k))
+    out *= x
+    out += np.log(x, out=scratch)
+    out += _EULER_GAMMA
+    out *= np.exp(x, out=scratch)
+    np.negative(out, out=out)
+
+
+def _e1_fraction(x: np.ndarray, depth: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    # 1 / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - ... k^2 / (x + 2k + 1)))) into out,
+    # from k = depth down
+    out.fill(0.0)
+    for k in range(depth, 0, -1):
+        np.add(x, 2 * k + 1, out=scratch)
+        scratch -= out
+        np.divide(k * k, scratch, out=out)
+    np.add(x, 1.0, out=scratch)
+    scratch -= out
+    np.divide(1.0, scratch, out=out)
+
+
+#: the tiers of z by upper end, each with its method and what that takes: the
+#: terms of the series below 2, enough at the tier's upper end, and the depth
+#: of the continued fraction from 2 on, enough at its lower end, for 1e-14
+_E1_TIERS = ((1e-4, _e1_series, 4), (0.01, _e1_series, 6), (0.3, _e1_series, 13),
+             (1.0, _e1_series, 19), (2.0, _e1_series, 24), (3.0, _e1_fraction, 44),
+             (4.0, _e1_fraction, 31), (6.0, _e1_fraction, 25), (10.0, _e1_fraction, 19),
+             (20.0, _e1_fraction, 14), (40.0, _e1_fraction, 10), (math.inf, _e1_fraction, 7))
+
+
+def scaled_exp1(z):
+    """e^z E1(z) elementwise for z > 0, with the limit 0 at z = inf.
+
+    Below z = 2 the ascending series E1(z) = -gamma - ln z - sum_k (-z)^k /
+    (k k!); from 2 on the continued fraction
+    1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))), evaluated backward
+    (Abramowitz & Stegun 5.1.11, 5.1.22).  Each tier of z takes the fewest
+    terms that its lower end needs; when z spans several tiers, its elements
+    are grouped by tier with one stable sort, so each tier runs on one
+    contiguous slice.  Relative error below 1e-13.  Returns an array of z's
+    shape.
+    """
+    z = np.asarray(z, dtype=float)
+    flat, values = z.ravel(), np.empty(z.size)
+    if not z.size:
+        return values.reshape(z.shape)
+    lowest, highest = z.min(), z.max()
+    if not lowest > 0.0:  # nan fails too
+        raise DomainError("z must be > 0")
+    # the tiers that z's range spans; one tier needs no grouping
+    bounds = [hi for hi, _, _ in _E1_TIERS[:-1]]
+    first, last = bisect.bisect_right(bounds, lowest), bisect.bisect_right(bounds, highest)
+    if first == last:
+        _, method, n = _E1_TIERS[first]
+        method(flat, n, values, np.empty(z.size))
+        return values.reshape(z.shape)
+    tiers = np.zeros(z.size, dtype=np.int8)
+    for hi in bounds[first:last]:
+        tiers += flat >= hi
+    order = np.argsort(tiers, kind="stable")
+    grouped, scratch = flat[order], np.empty(z.size)
+    start = 0
+    for (_, method, n), count in zip(_E1_TIERS[first:], np.bincount(tiers)):
+        part = slice(start, start + count)
+        if count:
+            method(grouped[part], n, values[part], scratch[part])
+        start += count
+    grouped[order] = values  # back to z's order, in the buffer the sort made
+    return grouped.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ the selection oracle enumerates subsets, the full-root sampler colors M
 normals per link with the symmetric square root instead of r normals with
 the eigen-factor, the fixed-policy kernel forms both equivalent channels
 from three colored links instead of drawing each receiver from its law given
-the feed, the eigen-factor reference decomposes the whole correlation
+the feed, the plain engine draws and colors the eavesdropper's link and
+counts outages and averages capacities over it where the library integrates
+that link out of each trial, the eigen-factor reference decomposes the whole correlation
 matrix instead of the Gram of its plane-wave factor, the
 whole-block engine colors and runs each Philox block through its policy's
 kernel in one piece instead of in chunks, and the block-matrix coloring
@@ -23,9 +25,9 @@ from itertools import combinations
 
 import numpy as np
 
-from frisec.channel import TRIALS_PER_BLOCK, correlated_images_batch
+from frisec.channel import TRIALS_PER_BLOCK, correlated_images_batch, one_blas_thread
 from frisec.errors import ConvergenceError, DomainError
-from frisec.harness import _adaptive_block, _fixed_selection
+from frisec.harness import MetricEstimate, _fixed_selection, _greedy_block
 from frisec.specfun import QuadratureSpec, _require_finite, integrate_semi_infinite
 from frisec.surface import EIGEN_CLAMP
 
@@ -399,6 +401,77 @@ def meijer_g_2122_oracle(z: float, k: float, contour_points: int = 4096) -> floa
     return value
 
 
+def three_link_draws(seed: int, r: int, trials: int = TRIALS_PER_BLOCK) -> np.ndarray:
+    """(trials, 3, r) unit complex normals of the (feed, bob, eve) links, from numpy's default
+    generator: the layout of the plain engine, which colors all three links."""
+    rng = np.random.default_rng(seed)
+    shape = (trials, 3, r)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def adaptive_block(images: np.ndarray, m_on: int) -> tuple:
+    """Both equivalent channels of greedy co-phasing on a (trials, 3, elements) image block.
+
+    The plain greedy kernel: the m_on largest cascade magnitudes |u_bob| |v|
+    by `argpartition`, gathered, co-phased toward the legitimate receiver,
+    and the eavesdropper's channel summed from its own colored link.  The
+    legitimate channel is real and nonnegative.
+    """
+    v, u_bob, u_eve = images[:, 0], images[:, 1], images[:, 2]
+    casc = np.conj(u_bob) * v
+    mags = np.abs(casc)
+    m = mags.shape[1]
+    if m_on < m:
+        sel = np.sort(np.argpartition(-mags, m_on - 1, axis=1)[:, :m_on], axis=1)
+        mags = np.take_along_axis(mags, sel, axis=1)
+        casc = np.take_along_axis(casc, sel, axis=1)
+        v = np.take_along_axis(v, sel, axis=1)
+        u_eve = np.take_along_axis(u_eve, sel, axis=1)
+    align = np.divide(np.conj(casc), mags, out=np.ones_like(casc), where=mags > 0)
+    return mags.sum(axis=1), (np.conj(u_eve) * v * align).sum(axis=1)
+
+
+def secrecy_capacity(snr_bob, snr_eve):
+    """Nonnegative instantaneous secrecy rate in bits/s/Hz, elementwise."""
+    if np.any(np.less(snr_bob, 0)) or np.any(np.less(snr_eve, 0)):
+        raise DomainError("SNRs must be >= 0")
+    return np.maximum(0.0, (np.log1p(snr_bob) - np.log1p(snr_eve)) / math.log(2.0))
+
+
+def plain_gains(corr, policy: str, m_on: int, trials: int, seed: int) -> tuple:
+    """(g_bob, g_eve) with the eavesdropper's link drawn and colored like the other two.
+
+    The engine the conditional one replaced: each trial colors three links
+    of r normals by the eigen-factor (by its selected rows for a fixed
+    policy) and forms both equivalent channels, so |h_eve|^2 is one draw
+    where the library keeps its conditional variance.
+    """
+    if policy == "greedy":
+        rows, kernel = corr.factor, lambda images: adaptive_block(images, m_on)
+    else:
+        indices, phases = _fixed_selection(corr.n_elements, m_on, policy, seed)
+        phase_factors = np.exp(1j * phases)[None, :]
+        rows, kernel = corr.factor[indices], lambda images: fixed_block(images, phase_factors)
+    draws = three_link_draws(seed, corr.rank, trials)
+    g_bob, g_eve = [], []
+    for start in range(0, trials, TRIALS_PER_BLOCK):  # the images of a block at a time
+        h_bob, h_eve = kernel(correlated_images_batch(draws[start:start + TRIALS_PER_BLOCK],
+                                                      rows))
+        g_bob.append(np.abs(h_bob) ** 2)
+        g_eve.append(np.abs(h_eve) ** 2)
+    return np.concatenate(g_bob), np.concatenate(g_eve)
+
+
+def plain_estimates(g_bob, g_eve, budget, target) -> tuple:
+    """(SOP, ASC) of drawn gains: the outage count with its Wilson interval and the
+    mean secrecy capacity, the estimators the conditional terms replaced."""
+    capacity = secrecy_capacity(budget.snr_scale("bob") * g_bob,
+                                budget.snr_scale("eve") * g_eve)
+    outages = int(np.count_nonzero(capacity <= target.rate_bits))
+    return (MetricEstimate.for_proportion(outages, capacity.size),
+            MetricEstimate.for_mean(capacity))
+
+
 def fixed_block(images: np.ndarray, phase_factors: np.ndarray) -> tuple:
     """Both equivalent channels of a (trials, 3, elements) image block.
 
@@ -428,7 +501,7 @@ def full_root_gains(matrix: np.ndarray, policy: str, m_on: int, trials: int,
     root = 0.5 * (root + root.T)
     m = matrix.shape[0]
     if policy == "greedy":
-        rows, kernel = root, lambda images: _adaptive_block(images, m_on)
+        rows, kernel = root, lambda images: adaptive_block(images, m_on)
     else:
         indices, phases = _fixed_selection(m, m_on, policy, selection_seed)
         phase_factors = np.exp(1j * phases)[None, :]
@@ -462,19 +535,28 @@ def block_matrix_images(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tuple:
-    """(g_bob, g_eve) of any policy, each Philox block colored whole.
+    """(g_bob, g_eve, var_eve) of any policy, each Philox block colored whole.
 
     One product colors all trials of a block and one kernel call selects
     them, or for a fixed policy one product of the block's feed exponentials
     by mu, the squared singular values of the r x r cascade F_S^T Phi F_S,
     gives every trial's conditional variance: the reference that the chunked
-    engine must match bit for bit.
+    engine must match bit for bit.  It runs OpenBLAS on one thread, as the
+    engine does: at two threads a real product can round differently.
     """
+    with one_blas_thread():
+        return _whole_block_gains(corr, policy, m_on, trials, stream)
+
+
+def _whole_block_gains(corr, policy, m_on, trials, stream):
     r = corr.rank
     if policy == "greedy":
         def block_gains(block):
-            images = correlated_images_batch(stream.draw_block(r, block), corr.factor)
-            return [np.abs(h) ** 2 for h in _adaptive_block(images, m_on)]
+            draws = stream.draw_block(r, block)
+            g_bob, variance = _greedy_block(
+                correlated_images_batch(draws[:, :, :r], corr.factor.astype(complex)),
+                corr.factor, m_on)
+            return g_bob, variance * np.abs(draws[0, :, r]) ** 2, variance
     else:
         indices, phases = _fixed_selection(corr.n_elements, m_on, policy, stream.seed)
         rows = corr.factor[indices]
@@ -483,9 +565,9 @@ def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tupl
         def block_gains(block):
             powers = stream.draw_block(r + 2, block, power=True)
             variance = correlated_images_batch(powers[:, :, :r], mu[None, :])[:, 0, 0]
-            return [variance * powers[:, 0, r + k] for k in (0, 1)]
-    g_bob, g_eve = zip(*(block_gains(b) for b in range(-(-trials // TRIALS_PER_BLOCK))))
-    return np.concatenate(g_bob)[:trials], np.concatenate(g_eve)[:trials]
+            return variance * powers[:, 0, r], variance * powers[:, 0, r + 1], variance
+    blocks = zip(*(block_gains(b) for b in range(-(-trials // TRIALS_PER_BLOCK))))
+    return tuple(np.concatenate(samples)[:trials] for samples in blocks)
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:

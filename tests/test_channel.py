@@ -6,11 +6,12 @@ import pytest
 from frisec.channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget,
                             correlated_images_batch, path_loss)
 from frisec.errors import DomainError
-from frisec.harness import (POLICIES, GainSamples, _adaptive_block, _fixed_selection,
-                            ks_statistic, records_for_budget, simulate_gains)
+from frisec.harness import (POLICIES, GainSamples, _fixed_selection, _greedy_block,
+                            estimate_asc, ks_statistic, records_for_budget, simulate_gains)
 from frisec.surface import SurfaceGeometry, build_correlation
 
-from oracles import block_matrix_images, fixed_block, full_root_gains, ks_two_sample
+from oracles import (adaptive_block, block_matrix_images, fixed_block, full_root_gains,
+                     ks_two_sample, three_link_draws)
 
 
 def small_corr(side=4, aperture=2.0):
@@ -18,9 +19,14 @@ def small_corr(side=4, aperture=2.0):
     return build_correlation(g)
 
 
-def block_images(corr, seed, block=0):
-    return correlated_images_batch(ChannelStream(seed, 0).draw_block(corr.rank, block),
-                                   corr.factor)
+def block_images(corr, seed):
+    """A (trials, 3, M) block of the three links' images, for the oracle kernels."""
+    return correlated_images_batch(three_link_draws(seed, corr.rank), corr.factor)
+
+
+def colored(draws, corr):
+    """The (2, trials, M) images of a draw block's feed and legitimate links."""
+    return correlated_images_batch(draws[:, :, :corr.rank], corr.factor)
 
 
 class TestDraws:
@@ -29,20 +35,19 @@ class TestDraws:
         st = ChannelStream(seed=42, stream=3)
         d1, d2 = st.draw_block(corr.rank, 17), st.draw_block(corr.rank, 17)
         assert np.array_equal(d1, d2)
-        assert np.array_equal(correlated_images_batch(d1, corr.factor),
-                              correlated_images_batch(d2, corr.factor))
+        assert np.array_equal(colored(d1, corr), colored(d2, corr))
 
     def test_different_trials_differ(self):
         corr = small_corr()
         blk = ChannelStream(seed=42, stream=3).draw_block(corr.rank, 0)
-        assert not np.array_equal(blk[0, 0], blk[1, 0])
+        assert not np.array_equal(blk[0, 0], blk[0, 1])
 
     def test_identity_passthrough(self):
         corr = build_correlation(SurfaceGeometry(1, 1, 0.5, 0.5, 0.1))
         blk = ChannelStream(1, 0).draw_block(1, 0)
-        images = correlated_images_batch(blk, corr.factor)
-        assert images[5, 1, 0] == blk[5, 1, 0]
-        assert images[5, 0, 0] == blk[5, 0, 0]
+        images = colored(blk, corr)
+        assert images[1, 5, 0] == blk[1, 5, 0]
+        assert images[0, 5, 0] == blk[0, 5, 0]
 
     def test_unit_power(self):
         # law-of-large-numbers check on the per-entry variance
@@ -57,13 +62,17 @@ class TestDraws:
 
     def test_power_draw(self):
         st = ChannelStream(seed=42, stream=3)
-        # powers come as one link, complex normals as the three (feed, bob, eve)
+        # powers come as one link; complex normals link-major as the two
+        # colored links (feed, bob), with the eavesdropper's one normal after
+        # the feed's
         first = st.draw_block(6, 17, power=True)
         assert first.dtype == np.float64
         assert first.shape == (TRIALS_PER_BLOCK, 1, 6)
         assert np.array_equal(first, st.draw_block(6, 17, power=True))
         assert not np.array_equal(first, st.draw_block(6, 18, power=True))
-        assert st.draw_block(6, 17).shape == (TRIALS_PER_BLOCK, 3, 6)
+        normals = st.draw_block(6, 17)
+        assert normals.dtype == np.complex128
+        assert normals.shape == (2, TRIALS_PER_BLOCK, 7)
 
     def test_power_draw_is_unit_exponential(self):
         # |w|^2 of a unit circular normal is Exp(1): one-sample KS against
@@ -87,6 +96,7 @@ class TestDraws:
             one = simulate_gains(corr, policy, 5, t + 1, st)
             assert one.g_bob[-1] == batch.g_bob[t]
             assert one.g_eve[-1] == batch.g_eve[t]
+            assert one.var_eve[-1] == batch.var_eve[t]
 
     def test_covariance_matches_correlation(self):
         corr = small_corr(side=3, aperture=1.0)  # M = 9, strongly correlated
@@ -96,7 +106,7 @@ class TestDraws:
         acc = np.zeros((m, m), dtype=complex)
         n = 0
         for b in range(n_blocks):
-            u = correlated_images_batch(st.draw_block(corr.rank, b), corr.factor)[:, 1]
+            u = colored(st.draw_block(corr.rank, b), corr)[1]
             acc += u.T @ u.conj()
             n += u.shape[0]
         emp = (acc / n).real
@@ -114,10 +124,10 @@ class TestColoring:
                                                 (40, 3.0)])
     def test_matches_block_matrix_gemm(self, side, aperture):
         corr = small_corr(side=side, aperture=aperture)
-        draws = ChannelStream(3, 1).draw_block(corr.rank, 0)[:200]
+        draws = ChannelStream(3, 1).draw_block(corr.rank, 0)[:, :200, :corr.rank]
         images = correlated_images_batch(draws, corr.factor)
-        assert images.shape == (200, 3, corr.n_elements)
-        back_draws = images[:, :1]
+        assert images.shape == (2, 200, corr.n_elements)
+        back_draws = images[:1]
         indices, phases = _fixed_selection(corr.n_elements, -(-corr.n_elements // 2),
                                            "fixed-random", seed=3)
         rows = corr.factor[indices]
@@ -233,10 +243,20 @@ class TestEquivalentChannel:
     def test_cophased_is_real_sum_of_magnitudes(self):
         corr = small_corr()
         images = block_images(corr, 8)
-        h_bob, h_eve = _adaptive_block(images, corr.n_elements)
+        h_bob, h_eve = adaptive_block(images, corr.n_elements)
         terms = np.conj(images[:, 1]) * images[:, 0]
         assert np.isrealobj(h_bob)
         assert h_bob == pytest.approx(np.abs(terms).sum(axis=1), rel=1e-12)
+        # the library kernel, on the feed and legitimate links alone, gives the
+        # same gain, and the variance of the eavesdropper's sum given them:
+        # a^H J a for the co-phased feed a = |v| u_bob / |u_bob|
+        g_bob, var_eve = _greedy_block(images[:, :2].transpose(1, 0, 2), corr.factor,
+                                       corr.n_elements)
+        assert g_bob == pytest.approx(h_bob ** 2, rel=1e-12)
+        a = np.abs(images[:, 0]) * images[:, 1] / np.abs(images[:, 1])
+        j = corr.block(np.arange(corr.n_elements))
+        assert var_eve == pytest.approx(np.einsum("ti,ij,tj->t", a.conj(), j, a).real,
+                                        rel=1e-10)
         # the same co-phasing written as explicit per-element phase factors,
         # which the eavesdropper's channel sees as well
         h_fixed, h_fixed_eve = fixed_block(images[:1], np.exp(-1j * np.angle(terms[:1])))
@@ -249,7 +269,7 @@ class TestEquivalentChannel:
         for _ in range(10):
             corr = small_corr(side=int(rng.integers(2, 4)), aperture=1.5)
             m = corr.n_elements
-            blk = ChannelStream(21, 0).draw_block(corr.rank, 0)
+            blk = three_link_draws(21, corr.rank)
             t = int(rng.integers(100))
             images = correlated_images_batch(blk[t:t + 1], corr.factor)
             h_bob, h_eve = fixed_block(images, np.ones((1, m)))
@@ -268,19 +288,21 @@ class TestEquivalentChannel:
 
 class TestGainAndSnr:
     def test_channel_gain(self):
-        # greedy: the simulated power gain is |H|^2 of the kernel's equivalent
-        # channel.  Fixed: it is sigma^2 E, sigma^2 the feed's r unit
-        # exponentials weighted by the squared singular values of the r x r
-        # cascade F_S^T Phi F_S of the frozen rows and phases, and E the
-        # exponential after the feed's r in the trial's one link of r + 2
+        # greedy: the simulated power gain is the kernel's legitimate gain, and
+        # the eavesdropper's sigma^2 E, sigma^2 the kernel's variance and E the
+        # power of the normal after the feed's r.  Fixed: both are sigma^2 E,
+        # sigma^2 the feed's r unit exponentials weighted by the squared
+        # singular values of the r x r cascade F_S^T Phi F_S of the frozen
+        # rows and phases, and E the exponential after the feed's r in the
+        # trial's one link of r + 2
         corr = small_corr()
         r = corr.rank
         for policy in ("greedy", "fixed-uniform", "fixed-random"):
             gains = simulate_gains(corr, policy, 5, 100, ChannelStream(6, 0))
             if policy == "greedy":
                 draws = ChannelStream(6, 0).draw_block(r, 0)
-                h_bob, h_eve = _adaptive_block(correlated_images_batch(draws, corr.factor), 5)
-                g_bob, g_eve = np.abs(h_bob) ** 2, np.abs(h_eve) ** 2
+                g_bob, variance = _greedy_block(colored(draws, corr), corr.factor, 5)
+                g_eve = variance * np.abs(draws[0, :, r]) ** 2
             else:
                 powers = ChannelStream(6, 0).draw_block(r + 2, 0, power=True)
                 indices, phases = _fixed_selection(corr.n_elements, 5, policy, seed=6)
@@ -292,6 +314,7 @@ class TestGainAndSnr:
                 g_eve = variance * powers[:, 0, r + 1]
             assert np.array_equal(gains.g_bob, g_bob[:100])
             assert np.array_equal(gains.g_eve, g_eve[:100])
+            assert np.array_equal(gains.var_eve, variance[:100])
 
     def test_fixed_gain_is_triple_product_variance(self):
         # mu are the eigenvalues of K^H K, K = F_S^T Phi F_S written out as the
@@ -313,6 +336,7 @@ class TestGainAndSnr:
             variance = powers[:, :r] @ mu
             assert gains.g_bob == pytest.approx(variance * powers[:, r], rel=1e-12)
             assert gains.g_eve == pytest.approx(variance * powers[:, r + 1], rel=1e-12)
+            assert gains.var_eve == pytest.approx(variance, rel=1e-12)
             assert gains.g_bob / gains.g_eve == pytest.approx(powers[:, r] / powers[:, r + 1],
                                                               rel=1e-12)
             if policy == "fixed-uniform":
@@ -323,22 +347,26 @@ class TestGainAndSnr:
 
     def test_snr_examples(self):
         # a silent eavesdropper leaves capacity log2(1 + SNR_bob)
-        cap = records_for_budget(GainSamples(np.array([0.0, 1.0]), np.zeros(2)), unit_budget())
-        assert cap[0] == 0.0
-        assert cap[1] == pytest.approx(1.0)
+        snr_bob, mean_eve = records_for_budget(
+            GainSamples(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)), unit_budget())
+        assert snr_bob.tolist() == [0.0, 1.0] and mean_eve.tolist() == [0.0, 0.0]
+        assert estimate_asc((snr_bob, mean_eve)).point == pytest.approx(0.5)
 
     def test_snr_linear_in_gain_and_power(self):
-        gains = GainSamples(np.array([1.0, 2.0]), np.zeros(2))
+        gains = GainSamples(np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 3.0]))
 
-        def snr_bob(budget):  # inverts log2(1 + SNR_bob)
-            return np.exp2(records_for_budget(gains, budget)) - 1.0
+        def snr_bob(budget):
+            return records_for_budget(gains, budget)[0]
 
         snr = snr_bob(unit_budget(snr_bob=5.0))
         assert snr[1] == pytest.approx(2 * snr[0])
         b2 = LinkBudget(ref_gain=1.0, pl_exponent=1.0, dist_feed_m=1.0, dist_bob_m=1.0,
                         dist_eve_m=1.0, tx_power_w=2.0, noise_bob_w=0.2, noise_eve_w=1.0)
         assert snr_bob(b2)[0] == pytest.approx(2 * 5.0)
+        # the eavesdropper's mean SNR is its variance under its own budget
+        assert records_for_budget(gains, b2)[1] == pytest.approx([2.0, 6.0])
 
     def test_negative_gain_rejected(self):
         with pytest.raises(DomainError):
-            records_for_budget(GainSamples(np.array([-1.0]), np.array([1.0])), unit_budget())
+            records_for_budget(GainSamples(np.array([-1.0]), np.ones(1), np.ones(1)),
+                               unit_budget())

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from frisec import harness
+from frisec import cli, harness
 from frisec.cli import main
 from frisec.errors import DomainError
 
@@ -126,12 +126,43 @@ def test_non_square_conventional_exits_1(tmp_path, tiny_config):
         assert main([command, "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def test_validate_bounds_names_flagged_points_on_one_line(tmp_path, tiny_config, monkeypatch,
+                                                          capsys):
+    # one line per kind of flag, naming every ok row that carries it; an
+    # error row names none
+    def row(db, sop_ok, asc_ok, status="ok"):
+        return dict.fromkeys(harness.VALIDATE_BOUND_COLUMNS, 0.0) | {
+            "avg_snr_bob_db": db, "sop_bound_ok": sop_ok, "asc_bound_ok": asc_ok,
+            "policy": "fixed-uniform", "status": status}
+
+    rows = [row(60.0, 1, 0), row(70.0, 0, 0), row(80.0, 0, 1), row(90.0, 1, 1),
+            row(100.0, float("nan"), float("nan"), "error: injected")]
+    monkeypatch.setattr(cli, "validate_bounds", lambda config: rows)
+    out = tmp_path / "bounds.csv"
+    assert main(["validate-bounds", "--config", str(tiny_config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: outage bound violated at 70.0, 80.0 dB",
+        "note: capacity closed form below MC mean at 60.0, 70.0 dB "
+        "(approximation, recorded in CSV)"]
+    # the real command on the tiny config: its one note names what the CSV flags
+    monkeypatch.undo()
+    assert main(["validate-bounds", "--config", str(tiny_config), "--out", str(out)]) == 0
+    flagged = [r["avg_snr_bob_db"] for r in csv_rows(out) if r["asc_bound_ok"] == "0"]
+    notes = capsys.readouterr().err.splitlines()
+    assert len(notes) == (1 if flagged else 0)
+    for db in flagged:
+        assert f"{float(db)}" in notes[0]
+
+
 @pytest.mark.parametrize("override, message", [
     ({"trials": 0}, "trials must be >= 1"),
     ({"m_x": 10 ** 400}, f"element counts {10 ** 400} x 4 overflow the element spacing"),
     ({"policy": "conventional"},
      "unknown policy 'conventional'; choose from ('greedy', 'fixed-uniform', 'fixed-random')"),
-], ids=["no-trials", "count-past-float-range", "conventional-policy"])
+    ({"conventional_m": 10 ** 800},
+     f"conventional_m {10 ** 800} overflows the baseline's half-wavelength width"),
+], ids=["no-trials", "count-past-float-range", "conventional-policy",
+        "baseline-count-past-float-range"])
 def test_config_error_is_one_line_naming_its_cause(tmp_path, tiny_config, capsys,
                                                    override, message):
     bad = tmp_path / "bad.json"

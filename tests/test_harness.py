@@ -15,7 +15,7 @@ from frisec import channel, harness
 from frisec.channel import ChannelStream, LinkBudget, blas_threads, correlated_images_batch
 from frisec.cli import main
 from frisec.errors import ConfigError, DomainError
-from frisec.harness import (POLICIES, SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
+from frisec.harness import (_Z95, POLICIES, SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
                             VALIDATE_FIT_COLUMNS, ExperimentConfig,
                             GainSamples, MetricEstimate,
                             config_from_mapping, db_to_linear, dbm_to_watts,
@@ -29,7 +29,7 @@ from frisec.secrecy import (GammaFit, SecrecyTarget, asc_oracle, fit_bob_gamma,
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
 
-from oracles import whole_block_gains
+from oracles import plain_estimates, plain_gains, secrecy_capacity, whole_block_gains
 
 
 def small_config(**overrides):
@@ -139,11 +139,12 @@ class TestChunkedEngine:
     def test_matches_whole_block_engine(self, aperture_pools, policy, m_total, m_on, trials):
         corr = aperture_pools[m_total]
         stream = ChannelStream(7, 2)
-        g_bob, g_eve = whole_block_gains(corr, policy, m_on, trials, stream)
+        g_bob, g_eve, var_eve = whole_block_gains(corr, policy, m_on, trials, stream)
         for workers in (1, 2):
             gains = simulate_gains(corr, policy, m_on, trials, stream, workers=workers)
             assert np.array_equal(gains.g_bob, g_bob)
             assert np.array_equal(gains.g_eve, g_eve)
+            assert np.array_equal(gains.var_eve, var_eve)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_one_coloring_product_per_chunk(self, aperture_pools, monkeypatch, policy):
@@ -235,6 +236,7 @@ class TestChunkedEngine:
         gains = simulate_gains(corr, "greedy", 10, trials, stream, workers=10 ** 6)
         assert np.array_equal(gains.g_bob, serial.g_bob)
         assert np.array_equal(gains.g_eve, serial.g_eve)
+        assert np.array_equal(gains.var_eve, serial.var_eve)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         cap = min(4, cpus)
         assert requested == ([cap] if cap > 1 else [])
@@ -277,24 +279,29 @@ class TestEngine:
 
     def test_records_reproducible(self):
         cfg = small_config(trials=1)
-        g1, c1 = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
-        g2, c2 = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        g1, (snr1, mean1) = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        g2, (snr2, mean2) = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
         assert np.array_equal(g1.g_bob, g2.g_bob)
-        assert np.array_equal(c1, c2)
-        assert g1.g_bob.size == c1.size == 1
+        assert np.array_equal(snr1, snr2) and np.array_equal(mean1, mean2)
+        assert g1.g_bob.size == snr1.size == mean1.size == 1
 
     def test_silenced_eavesdropper_gives_nonnegative_log_capacity(self):
-        cfg = small_config(noise_eve_dbm=300.0, trials=512)  # huge noise power
-        gains, capacity = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
-        expected = np.log1p(cfg.budget().snr_scale("bob") * gains.g_bob) / math.log(2.0)
-        assert np.allclose(capacity, expected, rtol=1e-9)
-        assert np.all(capacity >= 0.0)
+        # a huge noise power: every trial's capacity term is log2(1 + SNR_bob),
+        # and a trial is in outage exactly when that is at most the target
+        cfg = small_config(noise_eve_dbm=300.0, trials=512)
+        gains, records = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        capacity = np.log1p(cfg.budget().snr_scale("bob") * gains.g_bob) / math.log(2.0)
+        assert estimate_asc(records).point == pytest.approx(capacity.mean(), rel=1e-9)
+        sop = estimate_sop(records, cfg.target())
+        assert sop.point == np.mean(capacity <= cfg.target_rate_bits)
+        assert np.all(records[1] > 0.0)
 
     def test_conventional_policy_geometry(self):
         # the baseline is no policy: its surface runs as greedy with every element ON
         cfg = small_config(conventional_m=4)
-        gains, capacity = base_records(cfg, cfg.conventional_geometry(), cfg.conventional_m)
-        assert gains.g_bob.size == capacity.size == cfg.trials
+        gains, (snr_bob, mean_eve) = base_records(cfg, cfg.conventional_geometry(),
+                                                  cfg.conventional_m)
+        assert gains.g_bob.size == snr_bob.size == mean_eve.size == cfg.trials
         with pytest.raises(DomainError, match="unknown policy"):
             simulate_gains(build_correlation(cfg.conventional_geometry()), "conventional", 4,
                            16, ChannelStream(1))
@@ -307,6 +314,7 @@ class TestEngine:
             g3 = simulate_gains(corr, policy, 4, 3000, st, workers=3)
             assert np.array_equal(g1.g_bob, g3.g_bob)
             assert np.array_equal(g1.g_eve, g3.g_eve)
+            assert np.array_equal(g1.var_eve, g3.var_eve)
 
     def test_fixed_uniform_mean_matches_traces(self):
         cfg = ExperimentConfig(m_x=6, m_z=6, m_on=12, trials=60_000, seed=12)
@@ -332,35 +340,46 @@ class TestEngine:
                 reference_fits(corr, m_on)
 
 
+def records(snr_bob, mean_eve):
+    """Records of trials with the given legitimate SNRs and eavesdropper mean SNRs."""
+    snr_bob = np.asarray(snr_bob, dtype=float)
+    return snr_bob, np.broadcast_to(np.asarray(mean_eve, dtype=float), snr_bob.shape).copy()
+
+
 class TestEstimators:
     def test_sop_all_outage(self):
-        est = estimate_sop(np.zeros(10), SecrecyTarget(1.0))
+        # no legitimate SNR: every trial is in outage whatever the eavesdropper sees
+        est = estimate_sop(records(np.zeros(10), 1.0), SecrecyTarget(1.0))
         assert est.point == 1.0
 
     def test_sop_none_below(self):
-        est = estimate_sop(np.full(1000, 5.0), SecrecyTarget(1.0))
+        # a strong legitimate link against a faint eavesdropper: exp(-5e8) is 0
+        est = estimate_sop(records(np.full(1000, 1e6), 1e-3), SecrecyTarget(1.0))
         assert est.point == 0.0
         assert est.ci_high <= 0.004
 
     def test_sop_boundary_counts_as_outage(self):
-        capacity = np.array([1.0, 1.0, 2.0, 0.5])
-        assert estimate_sop(capacity, SecrecyTarget(1.0)).point == pytest.approx(0.75)
+        # SNR_bob = 2^R - 1 puts the capacity at the target with any
+        # eavesdropper: probability 1, as below it; above it the faint
+        # eavesdropper cannot reach the threshold
+        est = estimate_sop(records([1.0, 1.0, 3.0, 0.5], 1e-3), SecrecyTarget(1.0))
+        assert est.point == pytest.approx(0.75)
+        assert (est.ci_low, est.ci_high) == (pytest.approx(0.75 - _Z95 * est.std_error),
+                                             1.0)
 
     def test_sop_synthetic_matches_closed_form(self):
         # exponential bob gain (shape 1), exponential eve: closed form 1/(1+z)
         rng = np.random.default_rng(17)
         n = 100_000
         a, b, rs = 2000.0, 1000.0, 1.0
-        snr_b = rng.exponential(a, size=n)
-        snr_e = rng.exponential(b, size=n)
-        cap = np.maximum(0.0, (np.log1p(snr_b) - np.log1p(snr_e)) / math.log(2.0))
-        est = estimate_sop(cap, SecrecyTarget(rs))
+        est = estimate_sop(records(rng.exponential(a, size=n), b), SecrecyTarget(rs))
         target = sop_bound_from_ratio(1.0, a / (b * 2.0 ** rs))
         assert est.ci_low <= target + 0.004 and target <= est.ci_high + 0.004
 
     def test_asc_degenerate(self):
-        est = estimate_asc(np.full(100, 2.0))
-        assert est.point == pytest.approx(2.0)
+        # a silenced eavesdropper leaves each trial log2(1 + 3) = 2 bits
+        est = estimate_asc(records(np.full(100, 3.0), 1e-300))
+        assert est.point == 2.0
         assert est.std_error == 0.0
 
     def test_asc_synthetic_matches_oracle(self):
@@ -368,13 +387,103 @@ class TestEstimators:
         n = 200_000
         fit_b = GammaFit(shape=2.0, scale=1.5)
         budget = LinkBudget(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        snr_b = rng.gamma(2.0, 1.5, size=n)
-        snr_e = rng.exponential(1.0 / 0.7, size=n)
-        cap = np.maximum(0.0, (np.log1p(snr_b) - np.log1p(snr_e)) / math.log(2.0))
-        est = estimate_asc(cap)
+        est = estimate_asc(records(rng.gamma(2.0, 1.5, size=n), 1.0 / 0.7))
         from frisec.secrecy import ExpFit
         ref = asc_oracle(fit_b, ExpFit(rate=0.7), budget)
         assert abs(est.point - ref) <= 3.5 * est.std_error
+
+    @pytest.mark.parametrize("mean_eve", [0.0, 5e-324, 1e-310, 1e300, 1.7e308])
+    def test_extreme_eavesdropper_means_are_finite(self, mean_eve):
+        # a mean SNR that is 0, subnormal or near the float range gives the
+        # limits, log2(1 + SNR_bob) and 0 for a vanishing eavesdropper, with
+        # no floating-point warning (the suite turns those into errors)
+        snr_bob = np.array([0.0, 1e-12, 3.0, 1e6])
+        asc = estimate_asc(records(snr_bob, mean_eve))
+        sop = estimate_sop(records(snr_bob, mean_eve), SecrecyTarget(1.0))
+        assert math.isfinite(asc.point) and 0.0 <= sop.point <= 1.0
+        if mean_eve < 1e-300:
+            assert asc.point == pytest.approx(np.mean(np.log1p(snr_bob)) / math.log(2.0))
+            assert sop.point == 0.5
+        else:
+            assert asc.point <= 1e-10 * np.log1p(snr_bob).max()
+            assert sop.point == pytest.approx(1.0, abs=1e-12)
+
+
+class TestConditionalMonteCarlo:
+    # Each trial's SOP and ASC terms are expectations over the eavesdropper's
+    # channel given the trial; the plain engine draws that channel instead.
+    PLAIN_EVENTS = 10  # fewer outages, non-outages or positive capacities leave no usable SE
+    Z_BOUND = 4.0  # two-sided level 6e-5 per comparison: under 1% over each test's comparisons
+
+    @pytest.mark.parametrize("policy, m_on, baseline", [
+        ("greedy", 100, False), ("fixed-uniform", 100, False), ("fixed-random", 100, False),
+        ("greedy", 36, True)], ids=["greedy", "fixed-uniform", "fixed-random", "all-on-baseline"])
+    def test_agrees_with_plain_engine(self, policy, m_on, baseline):
+        # the reference config's pool (or its 6x6 baseline all ON) at every SNR of
+        # the grid, 20480 trials a side from independent streams: the difference
+        # of the two estimates within Z_BOUND of its standard error wherever the
+        # plain sample holds PLAIN_EVENTS of each kind; where it holds fewer
+        # outages or non-outages, the conditional SOP inside the plain Wilson
+        # interval, which is valid at any count
+        trials = 20 * 1024
+        cfg = ExperimentConfig(trials=trials, seed=1234, m_on=m_on)
+        corr = build_correlation(cfg.conventional_geometry() if baseline else
+                                 cfg.fris_geometry())
+        gains = simulate_gains(corr, policy, m_on, trials, ChannelStream(cfg.seed, 0))
+        g_bob, g_eve = plain_gains(corr, policy, m_on, trials, cfg.seed)
+        compared = 0
+        for snr_db in cfg.snr_sweep_db:
+            budget = cfg.budget().with_avg_snr_bob(db_to_linear(snr_db))
+            conditional = records_for_budget(gains, budget)
+            sop, asc = (estimate_sop(conditional, cfg.target()), estimate_asc(conditional))
+            plain_sop, plain_asc = plain_estimates(g_bob, g_eve, budget, cfg.target())
+            outages = round(plain_sop.point * trials)
+            positive = int(np.count_nonzero(
+                budget.snr_scale("bob") * g_bob > budget.snr_scale("eve") * g_eve))
+            for est, plain, events in ((sop, plain_sop, min(outages, trials - outages)),
+                                       (asc, plain_asc, positive)):
+                if events >= self.PLAIN_EVENTS:
+                    se = math.hypot(est.std_error, plain.std_error)
+                    assert abs(est.point - plain.point) <= self.Z_BOUND * se, (snr_db, est, plain)
+                    compared += 1
+                elif est is sop:
+                    assert plain.ci_low <= est.point <= plain.ci_high, (snr_db, est, plain)
+        assert compared >= 16
+
+    def test_single_trial_terms_average_over_the_eavesdropper(self):
+        # four greedy trials of the reference pool: for each, 2e5 draws of the
+        # eavesdropper's link through the trial's own selection and phases give
+        # the plain outage fraction and mean capacity at 90, 100 and 110 dB,
+        # which the trial's conditional terms must match within Z_BOUND of
+        # their standard errors
+        cfg = ExperimentConfig(seed=1234)
+        corr = build_correlation(cfg.fris_geometry())
+        r = corr.rank
+        stream = ChannelStream(cfg.seed, 0)
+        gains = simulate_gains(corr, "greedy", 100, 4, stream)
+        v, u_bob = correlated_images_batch(stream.draw_block(r, 0)[:, :4, :r], corr.factor)
+        rng = np.random.default_rng(99)
+        for t in range(4):
+            on = np.argsort(-np.abs(v[t] * u_bob[t]), kind="stable")[:100]
+            a = np.zeros(corr.n_elements, complex)
+            a[on] = np.abs(v[t, on]) * u_bob[t, on] / np.abs(u_bob[t, on])
+            assert gains.var_eve[t] == pytest.approx(np.linalg.norm(corr.factor.T @ a) ** 2,
+                                                     rel=1e-12)
+            # u_eve = F w for unit normals w, so sum conj(u_eve) a = w^H F^T a
+            shape = (200_000, r)
+            w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+            g_eve = np.abs(np.conj(w) @ (corr.factor.T @ a)) ** 2
+            for snr_db in (90.0, 100.0, 110.0):
+                budget = cfg.budget().with_avg_snr_bob(db_to_linear(snr_db))
+                snr_bob, mean_eve = records_for_budget(gains, budget)
+                capacity = secrecy_capacity(snr_bob[t], budget.snr_scale("eve") * g_eve)
+                trial = (np.full(2, snr_bob[t]), np.full(2, mean_eve[t]))
+                for term, drawn in ((estimate_sop(trial, cfg.target()).point,
+                                     capacity <= cfg.target_rate_bits),
+                                    (estimate_asc(trial).point, capacity)):
+                    se = drawn.std() / math.sqrt(drawn.size)
+                    assert abs(term - drawn.mean()) <= self.Z_BOUND * se, (t, snr_db, term,
+                                                                         drawn.mean(), se)
 
 
 class TestKs:
@@ -470,6 +579,20 @@ class TestSweeps:
         for a, b in zip(greedy, fixed):
             assert (a["asc_mc"] == b["asc_mc"]) == (b["policy"] == "conventional")
 
+    @pytest.mark.parametrize("m_on, greedy_wins", [(16, False), (900, True)])
+    def test_on_fraction_decides_against_the_baseline(self, m_on, greedy_wins):
+        # a 60x60 pool in the 3x3-wavelength aperture against the 6x6 baseline
+        # all ON, at 120 dB: 16 ON (0.44%) lose on capacity, 900 ON (25%) win,
+        # each by some 60 standard errors at 2048 trials
+        cfg = ExperimentConfig(m_x=60, m_z=60, m_on=m_on, trials=2048, seed=1234,
+                               snr_sweep_db=(120.0,))
+        pool, baseline = sweep_snr(cfg)
+        assert (pool["policy"], baseline["policy"]) == ("greedy", "conventional")
+        if greedy_wins:
+            assert pool["asc_ci_low"] > baseline["asc_ci_high"]
+        else:
+            assert pool["asc_ci_high"] < baseline["asc_ci_low"]
+
     def test_validate_fits_rows(self):
         cfg = ExperimentConfig(m_x=4, m_z=4, m_on=4, trials=20_000, seed=5)
         rows = validate_fits(cfg, (2, 4))
@@ -486,6 +609,14 @@ class TestSweeps:
         for r in rows:
             assert r["sop_bound_ok"] == 1
             assert set(VALIDATE_BOUND_COLUMNS) == set(r)
+
+    def test_validate_bounds_computes_no_ks(self, monkeypatch):
+        # its table has no KS column, so the diagnostic is not computed
+        def no_ks(*args, **kwargs):
+            raise AssertionError("KS computed for validate-bounds")
+
+        monkeypatch.setattr(harness, "ks_statistic", no_ks)
+        assert all(r["status"] == "ok" for r in validate_bounds(small_config(trials=1024)))
 
 
 @pytest.fixture()
@@ -558,6 +689,7 @@ class TestOneBlasThread:
         for gains in results:
             assert np.array_equal(gains.g_bob, serial.g_bob)
             assert np.array_equal(gains.g_eve, serial.g_eve)
+            assert np.array_equal(gains.var_eve, serial.var_eve)
         assert blas_threads() == 2
 
     def test_entries_from_many_threads(self, two_blas_threads):
@@ -594,6 +726,7 @@ class TestOneBlasThread:
             gains = simulate_gains(corr, policy, 10, 1300, stream, workers=workers)
             assert np.array_equal(gains.g_bob, found.g_bob)
             assert np.array_equal(gains.g_eve, found.g_eve)
+            assert np.array_equal(gains.var_eve, found.var_eve)
 
 
 class TestOutput:

@@ -9,13 +9,13 @@ from frisec.errors import DomainError
 from frisec.harness import config_from_mapping, db_to_linear, reference_fits
 from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, _traces, asc_oracle,
                             asc_upper_bound, exp_cdf, fit_bob_gamma,
-                            fit_eve_exponential, gamma_cdf, secrecy_capacity,
-                            sop_bound_from_ratio, sop_lower_bound,
-                            sop_lower_oracle, sop_oracle_from_ratio, sop_ratio)
+                            fit_eve_exponential, gamma_cdf, sop_bound_from_ratio,
+                            sop_lower_bound, sop_lower_oracle, sop_oracle_from_ratio,
+                            sop_ratio)
 from frisec.specfun import QuadratureSpec, integrate_semi_infinite
 from frisec.surface import build_correlation
 
-from oracles import asc_oracle_nested, meijer_g_2122, trace_power_direct
+from oracles import asc_oracle_nested, meijer_g_2122, secrecy_capacity, trace_power_direct
 
 
 def unit_budget(snr_bob=1.0, snr_eve=1.0):

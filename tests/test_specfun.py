@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from frisec.errors import ConvergenceError, DomainError
-from frisec.specfun import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
-                            reg_lower_inc_gamma)
+from frisec.specfun import (_E1_TIERS, QuadratureSpec, bessel_j0, integrate_semi_infinite,
+                            reg_lower_inc_gamma, scaled_exp1)
 
 from oracles import (bessel_j0_integral, bessel_j0_series, meijer_g_2122,
                      meijer_g_2122_oracle, reg_gamma_tail_quadrature,
@@ -132,6 +132,47 @@ class TestRegLowerIncGamma:
     def test_bad_entry_in_array_raises(self, bad):
         with pytest.raises(DomainError):
             reg_lower_inc_gamma(2.0, np.array([0.5, 1.0, bad, 3.0]))
+
+
+class TestScaledExp1:
+    # S(z) = e^z E1(z) over the positive float range, on both sides of every
+    # tier boundary; the suite turns any floating-point warning into an error
+    @staticmethod
+    def grid():
+        bounds = [hi for hi, _, _ in _E1_TIERS[:-1]]
+        return np.concatenate([np.logspace(-300, 300, 601), np.linspace(0.005, 60.0, 600),
+                               bounds, np.nextafter(bounds, 0.0), [5e-324, 1e-310, 1.7e308]])
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = self.grid()
+        with mpmath.workdps(30):
+            ref = [float(mpmath.exp(mpmath.mpf(x)) * mpmath.e1(mpmath.mpf(x))) for x in z]
+        np.testing.assert_allclose(scaled_exp1(z), ref, rtol=1e-13, atol=0.0)
+
+    def test_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        z = self.grid()
+        z = z[z < 700.0]  # e^z E1(z) as scipy's product, short of the float range of e^z
+        np.testing.assert_allclose(scaled_exp1(z), np.exp(z) * special.exp1(z),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_limits_and_shapes(self):
+        assert scaled_exp1(np.inf) == 0.0
+        # S(z) -> 1 / z at infinity and -gamma - ln z at 0
+        assert scaled_exp1(1e300) == pytest.approx(1e-300, rel=1e-15)
+        assert scaled_exp1(1e-300) == pytest.approx(-0.5772156649015329 + 300 * math.log(10),
+                                                    rel=1e-15)
+        z = np.array([[0.5, 3.0, 25.0], [1e-5, 50.0, 8.0]])
+        out = scaled_exp1(z)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out.ravel(), [scaled_exp1(x) for x in z.ravel()])
+        assert scaled_exp1(np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), -float("inf")])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            scaled_exp1(np.array([1.0, bad]))
 
 
 class TestMeijerG:

@@ -276,8 +276,8 @@ class TestPlaneWaveFactor:
                   "    corr, stream = build_correlation(g), ChannelStream(1, 0)\n"
                   "    for workers in (1, 2):\n"
                   "        s = simulate_gains(corr, 'greedy', 100, 2048, stream, workers)\n"
-                  "        print(hashlib.sha256(s.g_bob.tobytes() + s.g_eve.tobytes())"
-                  ".hexdigest())")
+                  "        print(hashlib.sha256(s.g_bob.tobytes() + s.g_eve.tobytes()"
+                  " + s.var_eve.tobytes()).hexdigest())")
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         digests = []
         for threads in ("1", "2"):

@@ -51,3 +51,37 @@ def test_tracer_wraps_every_layer_and_restores_the_originals(monkeypatch):
     for name, binding in before.items():
         changed = [key for key, value in binding.items() if after[name].get(key) is not value]
         assert not changed and after[name].keys() == binding.keys(), (name, changed)
+
+
+def test_traced_engine_and_estimators_reduce_to_layer_metrics(monkeypatch):
+    # the benchmark's count hooks read the draw and coloring shapes, so a
+    # change of either that a traced benchmark run could not reduce fails here
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    tracer = importlib.import_module("tracer")
+    from frisec import harness, surface  # called through the modules the tracer patches
+    from frisec.channel import ChannelStream
+
+    cfg = harness.ExperimentConfig(m_x=6, m_z=6, m_on=9, trials=1100)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        corr = surface.build_correlation(cfg.fris_geometry())
+        for policy in ("greedy", "fixed-uniform"):
+            gains = harness.simulate_gains(corr, policy, cfg.m_on, cfg.trials,
+                                           ChannelStream(1, 0))
+        records = harness.records_for_budget(gains, cfg.budget())
+        harness.estimate_sop(records, cfg.target())
+        harness.estimate_asc(records)
+    finally:
+        traced.uninstall()
+    layers = tracer.layer_metrics(traced.spans, traced.counters, traced.main_thread, 1)
+    r = corr.rank
+    assert layers["harness.simulate_gains.calls"] == 2
+    assert layers["harness.simulate_gains.blocks"] == layers["channel.draw_block.calls"] == 4
+    # 1100 trials are a whole block of eight chunks and a block of one chunk
+    assert layers["channel.correlated_images_batch.calls"] == 2 * 9
+    assert layers["channel.draw_block.bytes_computed"] == 2 * (
+        2 * 1024 * (r + 1) * 16 + 1024 * (r + 2) * 16)
+    assert layers["channel.correlated_images_batch.gflop_computed"] > 0
+    for name in ("records_for_budget", "estimate_sop", "estimate_asc"):
+        assert layers[f"harness.{name}.calls"] == 1
