@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the harness sweep and validation functions;
 every run writes a CSV result table plus a JSON manifest of the command and
 its resolved configuration.  Exit codes: 0 success, 1 configuration error (an
-out-of-memory pool included), 2 numeric or convergence failure.
+out-of-memory pool included), 2 numeric or convergence failure outside any
+point; a table command writes a failed point as error rows and exits 0.
 """
 
 from __future__ import annotations

@@ -415,7 +415,11 @@ def records_for_budget(gains: GainSamples, budget: LinkBudget) -> tuple[np.ndarr
     """
     if np.any(gains.g_bob < 0) or np.any(gains.var_eve < 0):
         raise DomainError("channel gains must be >= 0")
-    return budget.snr_scale("bob") * gains.g_bob, budget.snr_scale("eve") * gains.var_eve
+    with np.errstate(over="ignore"):  # an eavesdropper mean past the float range is clipped
+        records = budget.snr_scale("bob") * gains.g_bob, budget.snr_scale("eve") * gains.var_eve
+    if not math.isfinite(records[0].max()):
+        raise DomainError("the legitimate SNR of a trial is past the floating-point range")
+    return records
 
 
 def _inverse_mean(mean_snr_eve: np.ndarray) -> np.ndarray:
@@ -500,45 +504,48 @@ SWEEP_COLUMNS = (
 
 def reference_fits(corr: CorrelationMatrix, m_on: int) -> tuple[GammaFit, ExpFit]:
     """Fits from the frozen first-m_on selection: the leading block of J."""
-    m = corr.n_elements
-    if m_on < 1:
-        raise DomainError("selection must contain at least one element")
-    if m_on > m:
-        raise DomainError(f"selection index {m_on - 1} out of range for a {m}-element surface")
+    if not 1 <= m_on <= corr.n_elements:
+        raise DomainError(f"m_on must be in [1, {corr.n_elements}], got {m_on}")
     reduced = corr.block(np.arange(m_on))
     return fit_bob_gamma(reduced), fit_eve_exponential(reduced)
 
 
 @dataclass(frozen=True)
 class _Point:
-    """One evaluated grid point: what its rows report, its fits, gains and KS."""
+    """One evaluated grid point: what its rows report, and its fits, gains and KS or its error."""
 
     policy: str
     m_total: int
     m_on: int
-    fits: tuple
-    gains: GainSamples
-    ks: tuple
+    fits: tuple = ()
+    gains: GainSamples | None = None
+    ks: tuple = ()
+    error: FrisecError | None = None
 
 
-def _evaluate_point(config: ExperimentConfig, corr: CorrelationMatrix, policy: str,
+def _evaluate_point(config: ExperimentConfig, geometry: SurfaceGeometry, policy: str,
                     m_on: int, stream: int, ks: bool = True) -> _Point:
-    """Simulate one grid point on its named stream, the step every table maps.
+    """Build, fit and simulate one grid point on its named stream, the step every table maps.
 
     The fits are the reference fits of the first m_on elements.  The KS
     distances of the gains from them are nan when there are fewer than
     KS_MIN_SAMPLES trials: too few for the diagnostic, not for the row, and
     without `ks`, for a table that writes no KS column.
     `policy` labels the rows; the "conventional" baseline, all ON, runs as greedy.
+    A failure of the point comes back in `error`, under the same labels.
     """
-    fit_b, fit_e = reference_fits(corr, m_on)
-    gains = simulate_gains(corr, "greedy" if policy == "conventional" else policy, m_on,
-                           config.trials, ChannelStream(config.seed, stream), config.workers)
-    distances = (float("nan"), float("nan"))
-    if ks and len(gains) >= KS_MIN_SAMPLES:
-        distances = (ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
-                     ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e)))
-    return _Point(policy, corr.n_elements, m_on, (fit_b, fit_e), gains, distances)
+    try:
+        corr = build_correlation(geometry)
+        fit_b, fit_e = reference_fits(corr, m_on)
+        gains = simulate_gains(corr, "greedy" if policy == "conventional" else policy, m_on,
+                               config.trials, ChannelStream(config.seed, stream), config.workers)
+        distances = (float("nan"), float("nan"))
+        if ks and len(gains) >= KS_MIN_SAMPLES:
+            distances = (ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
+                         ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e)))
+    except FrisecError as exc:
+        return _Point(policy, geometry.n_elements, m_on, error=exc)
+    return _Point(policy, geometry.n_elements, m_on, (fit_b, fit_e), gains, distances)
 
 
 def _error_row(columns: Sequence[str], config: ExperimentConfig, exc, **cells) -> dict:
@@ -549,8 +556,10 @@ def _error_row(columns: Sequence[str], config: ExperimentConfig, exc, **cells) -
 
 def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
     """The metrics of one point at one budget, or an error row naming the failure."""
-    fit_b, fit_e = point.fits
     try:
+        if point.error is not None:
+            raise point.error
+        fit_b, fit_e = point.fits
         records = records_for_budget(point.gains, budget)
         asc = estimate_asc(records)
         sop = estimate_sop(records, config.target())
@@ -594,10 +603,10 @@ def sweep_snr(config: ExperimentConfig) -> list[dict]:
     conventional baseline.
     """
     return _snr_rows(config, (
-        _evaluate_point(config, build_correlation(config.fris_geometry()), config.policy,
-                        config.m_on, STREAM_FRIS_SNR),
-        _evaluate_point(config, build_correlation(config.conventional_geometry()),
-                        "conventional", config.conventional_m, STREAM_CONV_SNR),
+        _evaluate_point(config, config.fris_geometry(), config.policy, config.m_on,
+                        STREAM_FRIS_SNR),
+        _evaluate_point(config, config.conventional_geometry(), "conventional",
+                        config.conventional_m, STREAM_CONV_SNR),
     ))
 
 
@@ -612,22 +621,14 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
     """
     rows = []
     budget = config.budget()
-    conv_geometry = config.conventional_geometry()
-    conv_corr = build_correlation(conv_geometry)
     for point, m_total in enumerate(config.size_sweep):
-        geometry = config.size_geometry(m_total)
         base = STREAM_SIZE_BASE + 2 * point
-        for surface, policy, m_on, stream in (
-                (geometry, config.policy, config.m_on, base),
-                (conv_geometry, "conventional", config.conventional_m, base + 1)):
-            try:
-                corr = conv_corr if surface is conv_geometry else build_correlation(surface)
-                rows.append(_sweep_row("m_total", m_total, config, budget,
-                                       _evaluate_point(config, corr, policy, m_on, stream)))
-            except FrisecError as exc:
-                rows.append(_error_row(SWEEP_COLUMNS, config, exc, sweep_var="m_total",
-                                       sweep_value=m_total, policy=policy,
-                                       m_total=surface.n_elements, m_on=m_on))
+        for geometry, policy, m_on, stream in (
+                (config.size_geometry(m_total), config.policy, config.m_on, base),
+                (config.conventional_geometry(), "conventional", config.conventional_m,
+                 base + 1)):
+            rows.append(_sweep_row("m_total", m_total, config, budget,
+                                   _evaluate_point(config, geometry, policy, m_on, stream)))
     return rows
 
 
@@ -648,14 +649,12 @@ def validate_fits(config: ExperimentConfig, m_on_list: Sequence[int] | None = No
     """
     if m_on_list is None:
         m_on_list = (config.m_on,)
-    corr = build_correlation(config.fris_geometry())
     rows = []
     for index, m_on in enumerate(m_on_list):
-        try:
-            point = _evaluate_point(config, corr, "fixed-uniform", m_on,
-                                    STREAM_VALIDATE_BASE + index)
-        except FrisecError as exc:
-            rows.append(_error_row(VALIDATE_FIT_COLUMNS, config, exc, m_on=m_on))
+        point = _evaluate_point(config, config.fris_geometry(), "fixed-uniform", m_on,
+                                STREAM_VALIDATE_BASE + index)
+        if point.error is not None:
+            rows.append(_error_row(VALIDATE_FIT_COLUMNS, config, point.error, m_on=m_on))
             continue
         fit_b, fit_e = point.fits
         mean_b = float(point.gains.g_bob.mean())
@@ -691,8 +690,8 @@ def validate_bounds(config: ExperimentConfig) -> list[dict]:
     second term is not a true bound), so violations are flagged rather than
     fatal.  Both flags are nan on an error row.
     """
-    point = _evaluate_point(config, build_correlation(config.fris_geometry()), "fixed-uniform",
-                            config.m_on, STREAM_BOUNDS, ks=False)
+    point = _evaluate_point(config, config.fris_geometry(), "fixed-uniform", config.m_on,
+                            STREAM_BOUNDS, ks=False)
     rows = []
     for row in _snr_rows(config, (point,)):
         row["avg_snr_bob_db"] = row["sweep_value"]

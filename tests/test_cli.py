@@ -21,7 +21,7 @@ def tiny_config(tmp_path):
     return path
 
 
-def test_sweep_asc(tmp_path, tiny_config):
+def test_sweep_sop(tmp_path, tiny_config):
     # the capacity columns come with every SNR sweep row
     out = tmp_path / "asc.csv"
     assert main(["sweep-sop", "--config", str(tiny_config), "--out", str(out)]) == 0
@@ -257,19 +257,60 @@ def test_active_count_above_pool_writes_error_rows(tmp_path, pool_8x8, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch):
-    # every point's simulation fails, so every row is an error row
-    def failing_simulation(*args, **kwargs):
-        raise DomainError("simulation failed")
-
-    monkeypatch.setattr(harness, "simulate_gains", failing_simulation)
-    out = tmp_path / "size.csv"
-    assert main(["sweep-size", "--config", str(pool_8x8), "--out", str(out)]) == 0
-    rows = csv_rows(out)
-    assert all(r["status"].startswith("error: ") for r in rows)
+# (policy, m_total) of each row of pool_8x8's tables, in row order
+ROW_LABELS = {
+    "sweep-sop": [("greedy", "64"), ("conventional", "16")] * 2,
     # each size writes the pool's row, then the 4x4 baseline's row
-    assert [r["policy"] for r in rows] == ["greedy", "conventional"] * 3
-    assert [r["m_total"] for r in rows[1::2]] == ["16"] * 3
+    "sweep-size": [("greedy", "16"), ("conventional", "16"), ("greedy", "36"),
+                   ("conventional", "16"), ("greedy", "64"), ("conventional", "16")],
+    "validate-fits": [(None, None)],  # its table has neither column
+    "validate-bounds": [("fixed-uniform", "64")] * 2,
+}
+
+
+@pytest.mark.parametrize("stage", ["build_correlation", "simulate_gains"])
+@pytest.mark.parametrize("command", ROW_LABELS)
+def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch, capsys, command, stage):
+    # every point fails, so every row is an error row under its point's labels
+    def failing(*args, **kwargs):
+        raise DomainError(f"{stage} failed")
+
+    monkeypatch.setattr(harness, stage, failing)
+    out = tmp_path / "table.csv"
+    assert main([command, "--config", str(pool_8x8), "--out", str(out)]) == 0
+    rows = csv_rows(out)
+    labels = ROW_LABELS[command]
+    assert [r["status"] for r in rows] == [f"error: {stage} failed"] * len(labels)
+    assert [(r.get("policy"), r.get("m_total")) for r in rows] == labels
+    assert [r["m_on"] for r in rows] == ["16"] * len(labels)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_numeric_failure_outside_a_point_exits_2(tmp_path, tiny_config, monkeypatch, capsys):
+    # dump-correlation's build belongs to no point: its failure is the run's
+    def failing_build(*args, **kwargs):
+        raise DomainError("correlation build failed")
+
+    monkeypatch.setattr(harness, "build_correlation", failing_build)
+    out = tmp_path / "corr.csv"
+    assert main(["dump-correlation", "--config", str(tiny_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "frisec: numeric failure: correlation build failed\n"
+    assert list(tmp_path.rglob("*.csv*")) == []
+
+
+@pytest.mark.parametrize("command", ["sweep-sop", "validate-bounds"])
+def test_legitimate_snr_past_the_float_range_writes_error_rows(tmp_path, capsys, command):
+    # 3070 dB times some trial's gain is past the float64 range: an error row, no warning
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m_x": 4, "m_z": 4, "m_on": 4, "conventional_m": 4,
+                                  "trials": 300, "pl_exponent": 0.001,
+                                  "snr_sweep_db": [3070], "size_sweep": [4]}))
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert [r["status"] for r in csv_rows(out)] == (
+        ["error: the legitimate SNR of a trial is past the floating-point range"]
+        * (2 if command == "sweep-sop" else 1))
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("override", [
