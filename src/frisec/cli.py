@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             write_results(args.out, rows, SWEEP_COLUMNS, config, args.command)
         elif args.command == "validate-fits":
             m_on_list = None
-            if args.m_on_list:
+            if args.m_on_list is not None:
                 try:
                     m_on_list = tuple(int(v) for v in args.m_on_list.split(","))
                 except ValueError as exc:

@@ -19,7 +19,9 @@ reference curves, not bounds on the simulated metrics.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 import numbers
@@ -707,19 +709,19 @@ def validate_bounds(config: ExperimentConfig) -> list[dict]:
 # CSV and manifest output
 # ---------------------------------------------------------------------------
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17e")
-    return str(value)
+def _format_cell(value):
+    return format(float(value), ".17e") if isinstance(value, (float, np.floating)) else value
+
+
+def _write_csv(fh, rows: Iterable[Iterable]) -> None:
+    """The one CSV dialect: `,`, `\n` ends, a cell holding `,` or `"` quoted (RFC 4180)."""
+    csv.writer(fh, lineterminator="\n").writerows(map(_format_cell, row) for row in rows)
 
 
 def rows_to_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[col]) for col in columns))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    _write_csv(buf, [columns, *([row[col] for col in columns] for row in rows)])
+    return buf.getvalue()
 
 
 def _write_manifest(path: str, config: ExperimentConfig, command: str, **entries) -> None:
@@ -734,7 +736,7 @@ def _write_manifest(path: str, config: ExperimentConfig, command: str, **entries
 def write_results(path: str, rows: list[dict], columns: Sequence[str],
                   config: ExperimentConfig, command: str) -> None:
     """Write the CSV (timestamp-free, byte-reproducible) plus the manifest of `command`."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(rows_to_csv(rows, columns))
     notes = {
         "element_distance": "both grid coordinate differences enter squared "
@@ -792,10 +794,8 @@ def dump_correlation_csv(config: ExperimentConfig, path: str) -> dict:
     """Write J row-major at full precision, gathered a row at a time so J is never whole."""
     corr = build_correlation(config.fris_geometry())
     everything = np.arange(corr.n_elements)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in everything:
-            row = _gather(corr.table, [i], everything)[0]
-            fh.write(",".join(map(_format_cell, row)) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_csv(fh, (_gather(corr.table, [i], everything)[0] for i in everything))
     diag = {"eigen_floor": corr.eigen_floor, "clamped_mass": corr.clamped_mass,
             "n_elements": corr.n_elements, "rank": corr.rank}
     _write_manifest(path, config, "dump-correlation", diagnostics=diag)

@@ -246,14 +246,18 @@ def test_active_count_above_pool_writes_error_rows(tmp_path, pool_8x8, capsys):
     assert main(["validate-fits", "--config", str(pool_8x8), "--out", str(out),
                  "--m-on-list", "1,500"]) == 0
     rows = csv_rows(out)
+    assert all(None not in r for r in rows)  # no row has fields beyond the header
     assert [r["status"] for r in rows][0] == "ok"
-    assert rows[1]["m_on"] == "500" and rows[1]["status"].startswith("error: ")
+    assert rows[1]["m_on"] == "500"
+    assert rows[1]["status"] == "error: m_on must be in [1, 64], got 500"
 
     out = tmp_path / "size.csv"
     assert main(["sweep-size", "--config", str(pool_8x8), "--out", str(out),
                  "--m-on", "30"]) == 0
+    assert all(None not in r for r in csv_rows(out))
     greedy = [r for r in csv_rows(out) if r["policy"] == "greedy"]
     assert [r["status"] == "ok" for r in greedy] == [False, True, True]  # 16 < 30 elements
+    assert greedy[0]["status"] == "error: m_on must be in [1, 16], got 30"
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -271,19 +275,31 @@ ROW_LABELS = {
 @pytest.mark.parametrize("stage", ["build_correlation", "simulate_gains"])
 @pytest.mark.parametrize("command", ROW_LABELS)
 def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch, capsys, command, stage):
-    # every point fails, so every row is an error row under its point's labels
+    # every point fails, so every row is an error row under its point's labels;
+    # the message's comma and quote come back whole, in exactly the header's fields
     def failing(*args, **kwargs):
-        raise DomainError(f"{stage} failed")
+        raise DomainError(f'{stage} failed, "x"')
 
     monkeypatch.setattr(harness, stage, failing)
     out = tmp_path / "table.csv"
     assert main([command, "--config", str(pool_8x8), "--out", str(out)]) == 0
     rows = csv_rows(out)
     labels = ROW_LABELS[command]
-    assert [r["status"] for r in rows] == [f"error: {stage} failed"] * len(labels)
+    assert all(None not in r and None not in r.values() for r in rows)
+    assert [r["status"] for r in rows] == [f'error: {stage} failed, "x"'] * len(labels)
     assert [(r.get("policy"), r.get("m_total")) for r in rows] == labels
     assert [r["m_on"] for r in rows] == ["16"] * len(labels)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m_on_list", ["", "10,,20"])
+def test_bad_m_on_list_exits_1(tmp_path, tiny_config, capsys, m_on_list):
+    # an empty list is no list: it does not fall back to the config's m_on
+    out = tmp_path / "fits.csv"
+    assert main(["validate-fits", "--config", str(tiny_config), "--out", str(out),
+                 "--m-on-list", m_on_list]) == 1
+    assert capsys.readouterr().err.startswith("frisec: config error: bad --m-on-list: ")
+    assert not out.exists()
 
 
 def test_numeric_failure_outside_a_point_exits_2(tmp_path, tiny_config, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -728,15 +730,17 @@ class TestOneBlasThread:
 
 class TestOutput:
     def test_csv_formatting(self):
-        rows = [{"a": 1, "b": 0.5, "c": float("nan"), "d": "ok"}]
+        rows = [{"a": 1, "b": 0.5, "c": float("nan"), "d": "ok"},
+                {"a": 2, "b": 0.25, "c": 1.0, "d": 'error: x, "y"'}]
         text = rows_to_csv(rows, ("a", "b", "c", "d"))
-        lines = text.strip().split("\n")
+        lines = text.split("\n")
         assert lines[0] == "a,b,c,d"
-        cells = lines[1].split(",")
-        assert cells[0] == "1"
-        assert cells[1] == format(0.5, ".17e")
-        assert cells[2] == "nan"
-        assert cells[3] == "ok"
+        assert lines[1] == "1,5.00000000000000000e-01,nan,ok"
+        # a cell holding a comma or a quote is quoted (RFC 4180) and reads back whole
+        assert lines[2] == '2,2.50000000000000000e-01,1.00000000000000000e+00,"error: x, ""y"""'
+        assert list(csv.reader(io.StringIO(text)))[2] == [
+            "2", format(0.25, ".17e"), format(1.0, ".17e"), 'error: x, "y"']
+        assert text.endswith('"""\n') and "\r" not in text
 
     def test_csv_row_missing_a_column_raises(self):
         with pytest.raises(KeyError, match="'c'"):
