@@ -222,6 +222,8 @@ class MetricEstimate:
         """Wilson 95% interval; robust for zero-count cells."""
         if n < 1:
             raise DomainError("need at least one trial")
+        if not 0 <= successes <= n:
+            raise DomainError(f"successes must lie in [0, {n}], got {successes}")
         p = successes / n
         z2 = _Z95 * _Z95
         denom = 1.0 + z2 / n

@@ -2,7 +2,7 @@
 
 Everything here is pure double-precision Python/numpy, with no dependency on
 scipy: Bessel J0, the regularized lower incomplete gamma function and the
-scaled exponential integral e^z E1(z) (both elementwise over arrays), and
+scaled exponential integral e^z E1(z) (all three elementwise over arrays), and
 adaptive quadrature on [0, inf) of one or several integrands.  All functions
 are pure and reentrant.  The outage closed form's Meijer G kernel is not
 here: `secrecy` evaluates its reduction directly.
@@ -35,83 +35,38 @@ def _require_finite(name: str, value: float) -> float:
 # Bessel J0
 # ---------------------------------------------------------------------------
 
-def _j0_series(x: float) -> float:
-    # Ascending series in -(x/2)^2; cancellation stays below ~1e-13 for x <= 8.
-    q = -0.25 * x * x
-    term = 1.0
-    total = 1.0
-    for n in range(1, 200):
-        term *= q / (n * n)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total
+#: the largest |x| that `bessel_j0` accepts
+J0_MAX_ARG = 1e4
 
 
-def _j0_miller(x: float) -> float:
-    # Backward recurrence with the even-order normalization J0 + 2*sum J_2k = 1.
-    start = int(x + 6.0 * x ** (1.0 / 3.0) + 24.0)
-    if start % 2:
-        start += 1
-    b_next = 0.0
-    b_cur = 1e-30
-    norm = 0.0
-    j0 = 0.0
-    for n in range(start, 0, -1):
-        b_prev = (2.0 * n / x) * b_cur - b_next
-        b_next = b_cur
-        b_cur = b_prev
-        if n % 2 == 1:
-            # b_cur now holds order n-1, an even order.
-            if n - 1 == 0:
-                j0 = b_cur
-            else:
-                norm += 2.0 * b_cur
-        if abs(b_cur) > 1e250:
-            b_cur *= 1e-250
-            b_next *= 1e-250
-            norm *= 1e-250
-    return j0 / (norm + j0)
+def bessel_j0(x):
+    """Bessel function of the first kind, order zero, elementwise for |x| <= 1e4.
 
-
-def _j0_asymptotic(x: float) -> float:
-    # Hankel amplitude-phase expansion; truncation error ~ e^(-2x), fine for x >= 17.
-    inv = 1.0 / x
-    a = 1.0  # signed Hankel coefficient a_j, recurrence below
-    xpow = 1.0
-    p = 1.0
-    q = 0.0
-    for j in range(1, 40):
-        m = 2.0 * j - 1.0
-        a *= -(m * m) / (8.0 * j)
-        xpow *= inv
-        piece = a * xpow
-        if abs(piece) < 1e-18:
-            break
-        if j % 2 == 0:
-            p += piece if j % 4 == 0 else -piece
-        else:
-            q += piece if j % 4 == 1 else -piece
-    s, c = math.sin(x), math.cos(x)
-    # cos(x - pi/4), sin(x - pi/4) without forming the reduced argument.
-    cosw = (c + s) / math.sqrt(2.0)
-    sinw = (s - c) / math.sqrt(2.0)
-    return math.sqrt(2.0 / (math.pi * x)) * (cosw * p - sinw * q)
-
-
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero.
-
-    Evenness is honored exactly: the value is computed from |x|.  Absolute
-    error stays below 1e-12 for |x| <= 1e4.
+    The n-point trapezoidal rule (1/n) sum_j cos(x sin(pi j / n)) of Bessel's
+    integral J0(x) = (1/pi) int_0^pi cos(x sin t) dt, whose error is about
+    2 |J_2n(x)| <= 2 (x/2)^2n / (2n)! (Trefethen & Weideman, SIAM Review 2014).
+    n is the smallest power of two >= max(32, e|x|/2), where by Stirling that
+    bound is below 2^-54; each element's bits depend on |x| alone.  Elements
+    are grouped by n and evaluated in row slices of about 2^19 cosines.
+    Absolute error below 1e-13, from the rounding of x sin t.  |x| past
+    J0_MAX_ARG, nan and inf raise DomainError.  A scalar or 0-d x gives a
+    float, an array x an array of its shape.
     """
-    x = _require_finite("x", x)
-    ax = abs(x)
-    if ax <= 8.0:
-        return _j0_series(ax)
-    if ax < 17.0:
-        return _j0_miller(ax)
-    return _j0_asymptotic(ax)
+    x_in = np.asarray(x, dtype=float)
+    ax = np.abs(x_in.ravel())
+    if not np.all(ax <= J0_MAX_ARG):  # nan fails too
+        raise DomainError(f"|x| must be <= {J0_MAX_ARG:g}, got {ax[~(ax <= J0_MAX_ARG)][0]}")
+    # n = 32 << level, for level the count of the powers 32 ... 8192 below e|x|/2
+    level = np.searchsorted(32 << np.arange(9), (math.e / 2.0) * ax)
+    out = np.empty(ax.shape)
+    for shift in set(level.tolist()):
+        members, n = np.flatnonzero(level == shift), 32 << shift
+        sines = np.sin(math.pi * np.arange(n // 2 + 1) / n)  # t and pi - t share a value
+        for start in range(0, members.size, (1 << 20) // n):
+            part = members[start:start + (1 << 20) // n]
+            waves = np.cos(np.multiply.outer(ax[part], sines))
+            out[part] = (waves[:, :-1] + waves[:, 1:]).sum(axis=1) / n  # each term in a pair
+    return float(out[0]) if x_in.ndim == 0 else out.reshape(x_in.shape)
 
 
 # ---------------------------------------------------------------------------

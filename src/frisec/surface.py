@@ -8,6 +8,7 @@ matrix J is PSD up to rounding noise.  On the grid, d depends only on the
 absolute row and column offsets, so J is block-Toeplitz with Toeplitz
 blocks: J0 is evaluated on the M_z x M_x table of offsets, and J is kept as
 that table, from which `CorrelationMatrix.block` gathers any block of J.
+A grid whose widest J0 argument exceeds `specfun.J0_MAX_ARG` is rejected.
 
 The factor that colors r i.i.d. normals into the correlated field
 (Karhunen-Loeve) is U_r Lambda_r^{1/2}, the eigenpairs of J above a relative
@@ -31,7 +32,7 @@ import numpy as np
 
 from .channel import one_blas_thread
 from .errors import DomainError
-from .specfun import bessel_j0
+from .specfun import J0_MAX_ARG, bessel_j0
 
 #: eigenvalues below this fraction of the largest are treated as rounding noise
 EIGEN_CLAMP = 1e-12
@@ -60,9 +61,10 @@ class SurfaceGeometry:
         except OverflowError:  # a count past the float range
             raise DomainError(f"element counts {self.m_x} x {self.m_z} overflow "
                               "the element spacing") from None
-        if not all(map(math.isfinite, (self.spacing_x, self.spacing_z, widest))):
+        if not widest <= J0_MAX_ARG:  # an infinite spacing gives inf or nan here
             raise DomainError(f"aperture extents {self.width_x!r} x {self.width_z!r} "
-                              "wavelengths overflow the element spacing or the J0 argument")
+                              f"wavelengths give a widest J0 argument of {widest:.6g}, "
+                              f"past the cap J0_MAX_ARG = {J0_MAX_ARG:g}")
 
     @property
     def n_elements(self) -> int:
@@ -130,9 +132,10 @@ def _gather(table: np.ndarray, rows, cols) -> np.ndarray:
 def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
     """Correlation matrix J[i,l] = J0(2 pi d_il / lambda) and its eigen-factor.
 
-    J0 is evaluated once per distinct value of the m_z x m_x table of
-    absolute (row, column) offsets, whose distances are correctly rounded
-    (`math.hypot`); J is gathered from the table only when it is decomposed.
+    `bessel_j0`, the same Bessel integral as the plane waves below, is called
+    once on the distinct values of the m_z x m_x table of absolute (row,
+    column) offsets, whose distances are correctly rounded (`math.hypot`);
+    J is gathered from the table only when it is decomposed.
     The factor comes from one symmetric eigendecomposition: of the Gram G^T G
     of n plane waves G (see the module docstring) when `_angle_count` finds n
     with 2n < M, the factor then being G times the kept eigenvectors, and of
@@ -147,7 +150,7 @@ def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
                       for c in range(geometry.m_x)] for z in range(geometry.m_z)])
     args = 2.0 * math.pi * dist / geometry.wavelength
     flat, inverse = np.unique(args, return_inverse=True)
-    table = np.array([bessel_j0(a) for a in flat])[inverse].reshape(args.shape)
+    table = bessel_j0(flat)[inverse].reshape(args.shape)
 
     n = _angle_count(float(flat[-1]), m)
     if n is None:  # J itself

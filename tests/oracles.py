@@ -1,7 +1,10 @@
 """Independent numerical oracles used only by the test suite.
 
-These deliberately avoid the algorithms used by the library code they check:
-the Bessel oracle integrates the defining cosine integral, the incomplete
+These deliberately avoid the algorithms used by the library code they check,
+with one exception: the Bessel oracle `bessel_j0_integral` takes the
+midpoint rule of the cosine integral that the library's `bessel_j0` takes
+the trapezoidal rule of, so it checks the node count rather than the method;
+scipy's `j0` and mpmath are the independent references for J0.  The incomplete
 gamma oracle integrates the complementary tail, the Meijer G kernel's
 closed reduction is checked against its Mellin-Barnes contour, the capacity oracle nests an inner
 integral over the legitimate SNR inside an outer one over the

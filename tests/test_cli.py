@@ -340,8 +340,10 @@ def test_legitimate_snr_past_the_float_range_writes_error_rows(tmp_path, capsys,
     {"dist_bob_m": float("inf")}, {"ref_gain": True}, {"target_rate_bits": -1},
     {"aperture_z": 1e308},  # the 4x4 pool overflows the J0 argument
     {"aperture_x": 1e308, "m_x": 2, "m_z": 2, "m_on": 2},
-    # the 1x1 and 2x2 pools are fine; the 3x3 pool of the size grid overflows it
+    # the 1x1 pool is fine; the 2x2 and 3x3 pools of the size grid are past the
+    # J0 cap, and the 3x3 pool overflows the float range
     {"aperture_x": 4e307, "aperture_z": 4e307, "m_x": 1, "m_z": 1, "m_on": 1},
+    {"aperture_x": 2400.0},  # its widest J0 argument, 11310, is past J0_MAX_ARG
 ])
 def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     cfgmap = json.loads(tiny_config.read_text()) | override

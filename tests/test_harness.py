@@ -257,6 +257,11 @@ class TestEstimates:
         assert est.ci_low == 0.0
         assert est.ci_high <= 0.004  # Wilson interval stays tight near zero
 
+    @pytest.mark.parametrize("successes, n", [(5, 3), (-1, 10)])
+    def test_proportion_count_outside_trials(self, successes, n):
+        with pytest.raises(DomainError, match=rf"successes must lie in \[0, {n}\], got {successes}"):
+            MetricEstimate.for_proportion(successes, n)
+
     def test_mean_constant(self):
         est = MetricEstimate.for_mean(np.full(50, 2.5))
         assert est.point == pytest.approx(2.5)

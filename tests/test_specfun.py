@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from frisec.errors import ConvergenceError, DomainError
-from frisec.specfun import (_E1_TIERS, QuadratureSpec, bessel_j0, integrate_semi_infinite,
-                            reg_lower_inc_gamma, scaled_exp1)
+from frisec.specfun import (_E1_TIERS, J0_MAX_ARG, QuadratureSpec, bessel_j0,
+                            integrate_semi_infinite, reg_lower_inc_gamma, scaled_exp1)
 
 from oracles import (bessel_j0_integral, bessel_j0_series, meijer_g_2122,
                      meijer_g_2122_oracle, reg_gamma_tail_quadrature,
@@ -35,19 +36,60 @@ class TestBesselJ0:
         assert abs(bessel_j0(x) - bessel_j0_integral(x)) <= 1e-12
 
     def test_against_scipy(self):
-        # a dense grid plus both sides of the switches between the series,
-        # the backward recurrence and the asymptotic expansion
+        # a dense grid and both sides of 8 and 17
         special = pytest.importorskip("scipy.special")
         x = np.concatenate([np.linspace(0.0, 200.0, 4001),
                             np.nextafter([8.0, 8.0, 17.0, 17.0], [0.0, 9.0, 0.0, 18.0])])
         np.testing.assert_allclose([bessel_j0(v) for v in x], special.j0(x),
                                    rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("high, count, atol", [(45.0, 901, 2e-15), (J0_MAX_ARG, 401, 1e-13)])
+    def test_against_mpmath(self, high, count, atol):
+        # the widest argument of any workload is 45; the rounding of x sin t
+        # grows with x up to the cap
+        mpmath = pytest.importorskip("mpmath")
+        x = np.linspace(0.0, high, count)
+        reference = [float(mpmath.besselj(0, mpmath.mpf(float(v)))) for v in x]
+        np.testing.assert_allclose(bessel_j0(x), reference, rtol=0.0, atol=atol)
+
+    def test_scalar_matches_array_bit_for_bit(self):
+        # every node count from 32 to 16384, both sides of each switch
+        # between counts, in one array and one scalar at a time
+        switches = (2.0 / math.e) * (32 << np.arange(9))
+        x = np.concatenate([np.linspace(0.0, J0_MAX_ARG, 101), switches,
+                            np.nextafter(switches, 0.0), np.nextafter(switches, np.inf)])
+        x = np.random.default_rng(3).permutation(x)
+        values = bessel_j0(x)
+        assert isinstance(bessel_j0(1.5), float)
+        assert np.array_equal(bessel_j0(x.reshape(4, 32)), values.reshape(4, 32))
+        assert np.array_equal([bessel_j0(v) for v in x], values)
+        assert np.array_equal(bessel_j0(-x), values)
+        assert np.array_equal(bessel_j0(x[::-1]), values[::-1])
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             bessel_j0(float("nan"))
         with pytest.raises(DomainError):
             bessel_j0(float("inf"))
+
+    @pytest.mark.parametrize("x", [np.nextafter(J0_MAX_ARG, np.inf), -1e5, -float("inf"),
+                                   [1.0, float("nan")], [J0_MAX_ARG, 2e4]])
+    def test_past_the_cap_rejected(self, x):
+        with pytest.raises(DomainError, match=r"\|x\| must be <= 10000"):
+            bessel_j0(x)
+        bessel_j0(J0_MAX_ARG)
+
+    def test_temporaries_stay_bounded(self):
+        # 5000 arguments of 16384 nodes each would hold 5000 x 8193 cosines
+        # (328 MB) unsliced
+        x = np.linspace(J0_MAX_ARG - 50.0, J0_MAX_ARG, 5000)
+        tracemalloc.start()
+        try:
+            bessel_j0(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestRegLowerIncGamma:

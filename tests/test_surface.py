@@ -78,6 +78,12 @@ class TestGeometry:
                      (5, 5, 1e306, 1e306, 1e2)):
             with pytest.raises(DomainError, match="aperture extents"):
                 SurfaceGeometry(*args)
+        # a 2x2 pool's widest J0 argument is pi sqrt(2) times its extent:
+        # 9996.5 at 2250 wavelengths, 10000.9 at 2251, just past J0_MAX_ARG
+        SurfaceGeometry(2, 2, 2250.0, 2250.0, 0.1)
+        with pytest.raises(DomainError, match="aperture extents 2251.0 x 2251.0 wavelengths "
+                                              "give a widest J0 argument of 10000.9"):
+            SurfaceGeometry(2, 2, 2251.0, 2251.0, 0.1)
 
     def test_index_mapping(self):
         g = SurfaceGeometry(m_x=20, m_z=20, width_x=3.0, width_z=3.0, wavelength=0.125)
@@ -232,9 +238,10 @@ class TestPlaneWaveFactor:
             assert np.array_equal(calls[0], whole(corr))
 
     def test_angle_search_is_bounded_by_the_grid(self, monkeypatch):
-        # a 2x2 pool over 1e6 wavelengths would need millions of plane
-        # waves: the search gives up before 2n reaches M, and J is decomposed.
-        # Unbounded, the search never ends here: the bound overflows to inf.
+        # a 2x2 pool over 2000 wavelengths (widest J0 argument 8886) would
+        # need thousands of plane waves: the search gives up before 2n
+        # reaches M, and J is decomposed.  Unbounded, the search never ends
+        # here: the bound overflows to inf.
         counted, count = [], surface._angle_count
 
         def recording(kd, m):
@@ -243,7 +250,7 @@ class TestPlaneWaveFactor:
 
         monkeypatch.setattr(surface, "_angle_count", recording)
         calls = record_eigh(monkeypatch)
-        corr = build_correlation(square_geometry(2, 1e6))
+        corr = build_correlation(square_geometry(2, 2000.0))
         assert counted == [None]
         assert [a.shape for a in calls] == [(4, 4)]
         assert np.array_equal(calls[0], whole(corr))
