@@ -11,7 +11,6 @@ here: `secrecy` evaluates its reduction directly.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -250,9 +249,9 @@ def scaled_exp1(z):
 class QuadratureSpec:
     """Tolerances and budget for integrating a decaying function over [0, inf).
 
-    The integrator maps [0, inf) onto (0, 1] and subdivides globally with a
-    15/7-point Gauss pair until the summed error estimate of every integrand
-    meets its tolerance.
+    The integrator maps [0, inf) onto (0, 1] and refines a mesh of panels in
+    passes with a 15/7-point Gauss pair until the summed error estimate of
+    every integrand meets its tolerance; `max_subdivisions` counts panels split.
     """
 
     abs_tol: float = 1e-12
@@ -272,17 +271,9 @@ def _gauss_rule(n: int):
     return nodes, weights
 
 
-def _gauss_pair(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    # 15-point estimate with a 7-point companion for the error estimate; g
-    # gets all 22 abscissae in one call and returns one row per abscissa.
-    x15, w15 = _gauss_rule(15)
-    x7, w7 = _gauss_rule(7)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = g(mid + half * np.concatenate((x15, x7)))
-    i15 = half * (w15 @ vals[:15])
-    i7 = half * (w7 @ vals[15:])
-    return i15, np.abs(i15 - i7)
+#: the panels of the first pass, and the parts a panel is split into
+_PANELS = 8
+_SPLIT = 4
 
 
 def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
@@ -290,47 +281,54 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
     """Integrate f over [0, inf); f must decay at least exponentially.
 
     f is called with a numpy array of p abscissae and returns either p values
-    (one integrand) or a (p, n) array (n integrands, one per column).  All
-    components share one adaptive mesh: the interval with the largest
-    component error is split next, and the loop stops once every component
-    meets max(abs_tol, rel_tol * |its total|).  Returns a float, or an array
-    of the n integrals.  Raises ConvergenceError (carrying the last estimate
-    and the error bound, arrays for n integrands) if the subdivision budget
-    is exhausted first.
+    (one integrand) or a (p, n) array (n integrands, one per column).  Under
+    u -> (1 - u) / u the interval becomes (0, 1], cut into 8 equal panels.
+    Each pass gives f the 22 abscissae of every new panel in one call and
+    keeps each panel's 15-point Gauss estimate and its distance |I15 - I7|
+    from the 7-point one, per component.  All components share the mesh:
+    the passes stop once every component's summed error meets
+    max(abs_tol, rel_tol * |its total|); until then every panel whose error
+    exceeds its equal share of that tolerance in any component is split into
+    4.  Returns a float, or an array of the n integrals.  Raises
+    ConvergenceError (carrying the last estimate and the error bound, arrays
+    for n integrands) when the next pass would split more panels in all than
+    `max_subdivisions`.
     """
     if spec is None:
         spec = QuadratureSpec()
+    (x15, w15), (x7, w7) = _gauss_rule(15), _gauss_rule(7)
+    nodes = np.concatenate((x15, x7))
 
-    def g(u: np.ndarray) -> np.ndarray:
-        x = (1.0 - u) / u
-        return (np.asarray(f(x), dtype=float).T / (u * u)).T  # rows are abscissae
+    def panels(start: np.ndarray, width: np.ndarray):
+        # (estimate, error) per panel and component from one call of f, and
+        # whether f gave one integrand
+        half = 0.5 * width
+        u = ((start + half)[:, None] + half[:, None] * nodes).ravel()
+        vals = np.asarray(f((1.0 - u) / u), dtype=float)
+        rows = (vals.T / (u * u)).T.reshape(start.size, nodes.size, -1)
+        i15 = half[:, None] * (w15 @ rows[:, :15])
+        return i15, np.abs(i15 - half[:, None] * (w7 @ rows[:, 15:])), vals.ndim == 1
 
-    def result(value):
-        return float(value) if np.ndim(value) == 0 else value
+    def result(value: np.ndarray):
+        return float(value[0]) if scalar else value
 
-    def converged() -> bool:
-        return bool(np.all(total_err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))))
-
-    est, err = _gauss_pair(g, 0.0, 1.0)
-    heap = [(-np.max(err), 0, 0.0, 1.0, est, err)]
-    total, total_err = est, err
-    counter = 1
-    for _ in range(spec.max_subdivisions):
-        if converged():
+    start, width = np.arange(_PANELS) / _PANELS, np.full(_PANELS, 1 / _PANELS)
+    est, err, scalar = panels(start, width)
+    splits = 0
+    while True:
+        total, total_err = est.sum(axis=0), err.sum(axis=0)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        worse = ~np.all(err <= tol / len(est), axis=1)  # a nan error is over too
+        # with no panel over its share, the sum is over tol by rounding alone
+        if np.all(total_err <= tol) or not worse.any():
             return result(total)
-        _, _, a, b, piece, piece_err = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        left, left_err = _gauss_pair(g, a, mid)
-        right, right_err = _gauss_pair(g, mid, b)
-        total = total + (left + right - piece)
-        total_err = total_err + (left_err + right_err - piece_err)
-        heapq.heappush(heap, (-np.max(left_err), counter, a, mid, left, left_err))
-        heapq.heappush(heap, (-np.max(right_err), counter + 1, mid, b, right, right_err))
-        counter += 2
-    if converged():
-        return result(total)
-    raise ConvergenceError(
-        f"quadrature not converged after {spec.max_subdivisions} subdivisions",
-        estimate=result(total),
-        error_bound=result(total_err),
-    )
+        splits += np.count_nonzero(worse)
+        if splits > spec.max_subdivisions:
+            raise ConvergenceError(
+                f"quadrature not converged within {spec.max_subdivisions} panel splits",
+                estimate=result(total), error_bound=result(total_err))
+        parts = np.repeat(width[worse] / _SPLIT, _SPLIT)
+        cuts = (start[worse, None] + width[worse, None] * np.arange(_SPLIT) / _SPLIT).ravel()
+        new_est, new_err, _ = panels(cuts, parts)
+        start, width = np.concatenate((start[~worse], cuts)), np.concatenate((width[~worse], parts))
+        est, err = np.concatenate((est[~worse], new_est)), np.concatenate((err[~worse], new_err))

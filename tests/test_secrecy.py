@@ -322,3 +322,28 @@ class TestAscOracle:
         ub = asc_upper_bound(fit_b, fit_e, budget)
         ref = asc_oracle(fit_b, fit_e, budget)
         assert math.isfinite(ub) and math.isfinite(ref) and ref > 0
+
+
+class TestOracleQuadratureCost:
+    def test_validate_grid_oracles_batch_their_panels(self, monkeypatch):
+        # the 26 oracle integrals of the reference 10x10 validation grid: one
+        # call of the integrand per refinement pass keeps each to a few calls
+        import frisec.secrecy as secrecy
+        calls = []
+
+        def counting(f, spec=None):
+            calls.append(0)
+
+            def counted(x):
+                calls[-1] += 1
+                return f(x)
+            return integrate_semi_infinite(counted, spec)
+
+        monkeypatch.setattr(secrecy, "integrate_semi_infinite", counting)
+        target = SecrecyTarget(1.0)
+        for fit_b, fit_e, budget in validate_grid_cases(range(60, 125, 5)):
+            sop_lower_oracle(fit_b, fit_e, budget, target)
+            asc_oracle(fit_b, fit_e, budget)
+        assert len(calls) == 26
+        assert max(calls) <= 12
+        assert sum(calls) <= 150

@@ -330,12 +330,13 @@ class TestQuadrature:
 
     def test_hard_component_keeps_mesh_subdividing(self):
         # the easy component alone converges at once; sharing the mesh with
-        # the peak, the loop must run until the peak has converged too
+        # the peak, the passes must go on until the peak has converged too.
+        # Counts the abscissae f is given, as one pass makes one call of f.
         counts = {}
 
         def counted(name, f):
             def wrapped(x):
-                counts[name] = counts.get(name, 0) + 1
+                counts[name] = counts.get(name, 0) + x.size
                 return f(x)
             return wrapped
 
@@ -346,6 +347,34 @@ class TestQuadrature:
         assert vals[0] == pytest.approx(1.0, rel=1e-10)
         assert vals[1] == pytest.approx(1.0, rel=1e-9)
         assert counts["both"] > 2 * counts["easy"]
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
+    def test_budget_bounds_the_abscissae(self, budget):
+        # 8 first panels and 4 per panel split, 22 abscissae each; the peak
+        # needs 6 splits at the default tolerances
+        seen = []
+
+        def f(x):
+            seen.append(x.size)
+            return self.peak(x)
+
+        with pytest.raises(ConvergenceError):
+            integrate_semi_infinite(f, QuadratureSpec(max_subdivisions=budget))
+        assert sum(seen) <= 22 * (8 + 4 * budget)
+
+    def test_one_call_per_pass(self):
+        # the first pass hands f the 8 panels' 22 abscissae each in one array,
+        # each later pass the 4 parts of every panel it splits
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return self.peak(x)
+
+        assert integrate_semi_infinite(f) == pytest.approx(1.0, rel=1e-9)
+        assert sizes[0] == 22 * 8
+        assert all(size % 88 == 0 for size in sizes[1:])
+        assert len(sizes) <= 12
 
     def test_vector_budget_exhaustion_reports_arrays(self):
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
