@@ -218,24 +218,6 @@ class MetricEstimate:
     ci_high: float
 
     @staticmethod
-    def for_proportion(successes: int, n: int) -> "MetricEstimate":
-        """Wilson 95% interval; robust for zero-count cells."""
-        if n < 1:
-            raise DomainError("need at least one trial")
-        if not 0 <= successes <= n:
-            raise DomainError(f"successes must lie in [0, {n}], got {successes}")
-        p = successes / n
-        z2 = _Z95 * _Z95
-        denom = 1.0 + z2 / n
-        center = (p + z2 / (2.0 * n)) / denom
-        half = _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
-        se = math.sqrt(p * (1.0 - p) / n)
-        # rounding must never push the interval off the point estimate
-        return MetricEstimate(point=p, std_error=se,
-                              ci_low=min(p, max(0.0, center - half)),
-                              ci_high=max(p, min(1.0, center + half)))
-
-    @staticmethod
     def for_mean(samples: np.ndarray) -> "MetricEstimate":
         samples = np.asarray(samples, dtype=float)
         n = samples.size
@@ -262,15 +244,18 @@ class GainSamples:
 
     Given a trial's selection, phases and legitimate channel, the
     eavesdropper's equivalent channel is exactly CN(0, var_eve); `g_eve` is
-    one draw of its power, var_eve E for a unit exponential E.
+    one draw of its power, var_eve E for a unit exponential E.  Every entry
+    must be >= 0, and not nan, which construction checks once for every
+    budget the samples are scaled to.
     """
 
     g_bob: np.ndarray
     g_eve: np.ndarray
     var_eve: np.ndarray
 
-    def __len__(self) -> int:
-        return self.g_bob.size
+    def __post_init__(self):
+        if not all(np.all(samples >= 0) for samples in (self.g_bob, self.g_eve, self.var_eve)):
+            raise DomainError("channel gains must be >= 0 and not nan")
 
 
 def _greedy_block(images: np.ndarray, factor: np.ndarray, m_on: int
@@ -411,27 +396,21 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
 
 
 def records_for_budget(gains: GainSamples, budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial legitimate SNR and the eavesdropper's mean SNR given the trial.
+    """Per-trial legitimate SNR and the eavesdropper's rate: 1 / its mean SNR given the trial.
 
-    The eavesdropper's SNR is exponential with that mean, so each trial's
+    The eavesdropper's SNR is exponential with that rate, so each trial's
     outage and capacity terms below are exact conditional expectations over
-    it (conditional Monte Carlo).
+    it (conditional Monte Carlo).  The mean is clipped to the normal float
+    range first, so the rate is finite: a mean past that range only moves
+    terms that are already 0 or log(1 + SNR_bob) to rounding.
     """
-    if np.any(gains.g_bob < 0) or np.any(gains.var_eve < 0):
-        raise DomainError("channel gains must be >= 0")
-    with np.errstate(over="ignore"):  # an eavesdropper mean past the float range is clipped
-        records = budget.snr_scale("bob") * gains.g_bob, budget.snr_scale("eve") * gains.var_eve
-    if not math.isfinite(records[0].max()):
-        raise DomainError("the legitimate SNR of a trial is past the floating-point range")
-    return records
-
-
-def _inverse_mean(mean_snr_eve: np.ndarray) -> np.ndarray:
-    # 1 / mean, finite: a mean past the normal float range only moves terms
-    # that are already 0 or log(1 + SNR_bob) to rounding
     tiny = np.finfo(float).tiny
-    inv = np.clip(mean_snr_eve, tiny, 1.0 / tiny)
-    return np.divide(1.0, inv, out=inv)
+    with np.errstate(over="ignore"):  # an eavesdropper mean past the float range is clipped
+        snr_bob = budget.snr_scale("bob") * gains.g_bob
+        mean_eve = np.clip(budget.snr_scale("eve") * gains.var_eve, tiny, 1.0 / tiny)
+    if not math.isfinite(snr_bob.max()):
+        raise DomainError("the legitimate SNR of a trial is past the floating-point range")
+    return snr_bob, np.divide(1.0, mean_eve, out=mean_eve)
 
 
 def estimate_sop(records: tuple[np.ndarray, np.ndarray], target: SecrecyTarget) -> MetricEstimate:
@@ -439,15 +418,15 @@ def estimate_sop(records: tuple[np.ndarray, np.ndarray], target: SecrecyTarget) 
 
     A trial is in outage when the eavesdropper's exponential SNR reaches
     (1 + SNR_bob) / 2^R - 1, which it does with probability
-    exp(-max(0, that) / mean).
+    exp(-max(0, that) * rate).
     """
-    snr_bob, mean_eve = records
-    terms = _inverse_mean(mean_eve)
+    snr_bob, rate_eve = records
     reach = 1.0 + snr_bob
     reach /= 2.0 ** target.rate_bits
     reach -= 1.0
+    terms = np.maximum(reach, 0.0, out=reach)
     with np.errstate(over="ignore"):  # a reach beyond the float range has probability 0
-        terms *= np.maximum(reach, 0.0, out=reach)
+        terms *= rate_eve
     est = MetricEstimate.for_mean(np.exp(np.negative(terms, out=terms), out=terms))
     return replace(est, ci_low=max(0.0, est.ci_low), ci_high=min(1.0, est.ci_high))
 
@@ -455,20 +434,19 @@ def estimate_sop(records: tuple[np.ndarray, np.ndarray], target: SecrecyTarget) 
 def estimate_asc(records: tuple[np.ndarray, np.ndarray]) -> MetricEstimate:
     """Mean over trials of E[secrecy capacity | trial], with a normal-approximation interval.
 
-    For an exponential eavesdropper SNR of mean 1/z and a legitimate SNR g,
+    For an exponential eavesdropper SNR of rate z and a legitimate SNR g,
     E[(ln(1 + g) - ln(1 + SNR_eve))^+] = ln(1 + g) - S(z) + e^(-g z) S((1 + g) z),
     S(x) = e^x E1(x) (Bloch et al., IEEE Trans. Inf. Theory 2008); the
     rounding of that difference is clipped at 0.
     """
-    snr_bob, mean_eve = records
-    inv = _inverse_mean(mean_eve)
+    snr_bob, rate_eve = records
     with np.errstate(over="ignore"):  # S(inf) = 0 and e^(-inf) = 0
         far = 1.0 + snr_bob
-        far *= inv
-        terms = np.multiply(snr_bob, inv)
+        far *= rate_eve
+        terms = np.multiply(snr_bob, rate_eve)
     np.exp(np.negative(terms, out=terms), out=terms)
     terms *= scaled_exp1(far)
-    terms -= scaled_exp1(inv)
+    terms -= scaled_exp1(rate_eve)
     terms += np.log1p(snr_bob, out=far)
     terms /= _LN2
     return MetricEstimate.for_mean(np.maximum(terms, 0.0, out=terms))
@@ -544,7 +522,7 @@ def _evaluate_point(config: ExperimentConfig, geometry: SurfaceGeometry, policy:
         gains = simulate_gains(corr, "greedy" if policy == "conventional" else policy, m_on,
                                config.trials, ChannelStream(config.seed, stream), config.workers)
         distances = (float("nan"), float("nan"))
-        if ks and len(gains) >= KS_MIN_SAMPLES:
+        if ks and config.trials >= KS_MIN_SAMPLES:
             distances = (ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
                          ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e)))
     except FrisecError as exc:

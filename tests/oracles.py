@@ -14,9 +14,10 @@ normals per link with the symmetric square root instead of r normals with
 the eigen-factor, the fixed-policy kernel forms both equivalent channels
 from three colored links instead of drawing each receiver from its law given
 the feed, the plain engine draws and colors the eavesdropper's link and
-counts outages and averages capacities over it where the library integrates
-that link out of each trial, the eigen-factor reference decomposes the whole correlation
-matrix instead of the Gram of its plane-wave factor, the
+counts outages, with a Wilson interval, and averages capacities over it
+where the library integrates that link out of each trial, the eigen-factor
+reference decomposes the whole correlation matrix instead of the Gram of
+its plane-wave factor, the
 whole-block engine colors and runs each Philox block through its policy's
 kernel in one piece instead of in chunks, and the block-matrix coloring
 takes one real GEMM over interleaved (re, im) pairs instead of the complex
@@ -30,7 +31,7 @@ import numpy as np
 
 from frisec.channel import TRIALS_PER_BLOCK, correlated_images_batch, one_blas_thread
 from frisec.errors import ConvergenceError, DomainError
-from frisec.harness import MetricEstimate, _fixed_selection, _greedy_block
+from frisec.harness import _Z95, MetricEstimate, _fixed_selection, _greedy_block
 from frisec.specfun import QuadratureSpec, _require_finite, integrate_semi_infinite
 from frisec.surface import EIGEN_CLAMP
 
@@ -465,14 +466,30 @@ def plain_gains(corr, policy: str, m_on: int, trials: int, seed: int) -> tuple:
     return np.concatenate(g_bob), np.concatenate(g_eve)
 
 
+def wilson_estimate(successes: int, n: int) -> MetricEstimate:
+    """A proportion of n trials with its Wilson 95% interval, robust for zero counts."""
+    if n < 1:
+        raise DomainError("need at least one trial")
+    if not 0 <= successes <= n:
+        raise DomainError(f"successes must lie in [0, {n}], got {successes}")
+    p = successes / n
+    z2 = _Z95 * _Z95
+    denom = 1.0 + z2 / n
+    center = (p + z2 / (2.0 * n)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
+    se = math.sqrt(p * (1.0 - p) / n)
+    # rounding must never push the interval off the point estimate
+    return MetricEstimate(point=p, std_error=se, ci_low=min(p, max(0.0, center - half)),
+                          ci_high=max(p, min(1.0, center + half)))
+
+
 def plain_estimates(g_bob, g_eve, budget, target) -> tuple:
     """(SOP, ASC) of drawn gains: the outage count with its Wilson interval and the
     mean secrecy capacity, the estimators the conditional terms replaced."""
     capacity = secrecy_capacity(budget.snr_scale("bob") * g_bob,
                                 budget.snr_scale("eve") * g_eve)
     outages = int(np.count_nonzero(capacity <= target.rate_bits))
-    return (MetricEstimate.for_proportion(outages, capacity.size),
-            MetricEstimate.for_mean(capacity))
+    return wilson_estimate(outages, capacity.size), MetricEstimate.for_mean(capacity)
 
 
 def fixed_block(images: np.ndarray, phase_factors: np.ndarray) -> tuple:

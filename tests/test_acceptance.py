@@ -19,7 +19,7 @@ import pytest
 
 from frisec.channel import ChannelStream
 from frisec.harness import (SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
-                            ExperimentConfig, MetricEstimate, db_to_linear,
+                            ExperimentConfig, db_to_linear,
                             estimate_asc, estimate_sop, records_for_budget,
                             reference_fits, rows_to_csv, simulate_gains,
                             sweep_size, validate_bounds, validate_fits,
@@ -28,7 +28,7 @@ from frisec.secrecy import (asc_oracle, asc_upper_bound, sop_bound_from_ratio,
                             sop_lower_bound, sop_oracle_from_ratio)
 from frisec.surface import build_correlation
 
-from oracles import meijer_g_2122, meijer_g_2122_oracle
+from oracles import meijer_g_2122, meijer_g_2122_oracle, wilson_estimate
 
 SEED = 1234
 TRIALS = 100_000
@@ -175,7 +175,7 @@ def test_c6_selective_surface_outperforms_conventional(reference_config, trend_g
     # An SOP interval cannot sit below a zero-outage count's upper Wilson
     # limit, so separation is required only where the baseline's lower end
     # clears that limit; the point estimate must never be worse.
-    zero_count_limit = MetricEstimate.for_proportion(0, TRIALS).ci_high
+    zero_count_limit = wilson_estimate(0, TRIALS).ci_high
     sop_not_worse = all(f.point <= c.point for _, _, _, f, c in rows)
     sop_resolved = [(db, f, c) for db, _, _, f, c in rows if c.ci_low > zero_count_limit]
     sop_dominates = sop_not_worse and all(f.ci_high < c.ci_low for _, f, c in sop_resolved)

@@ -346,11 +346,12 @@ class TestGainAndSnr:
                 assert (mu ** 2).sum() == pytest.approx(np.trace(squared @ squared), rel=1e-12)
 
     def test_snr_examples(self):
-        # a silent eavesdropper leaves capacity log2(1 + SNR_bob)
-        snr_bob, mean_eve = records_for_budget(
+        # a silent eavesdropper, of rate 1 / tiny after the clip, leaves capacity log2(1 + SNR_bob)
+        snr_bob, rate_eve = records_for_budget(
             GainSamples(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)), unit_budget())
-        assert snr_bob.tolist() == [0.0, 1.0] and mean_eve.tolist() == [0.0, 0.0]
-        assert estimate_asc((snr_bob, mean_eve)).point == pytest.approx(0.5)
+        tiny = np.finfo(float).tiny
+        assert snr_bob.tolist() == [0.0, 1.0] and rate_eve.tolist() == [1.0 / tiny] * 2
+        assert estimate_asc((snr_bob, rate_eve)).point == pytest.approx(0.5)
 
     def test_snr_linear_in_gain_and_power(self):
         gains = GainSamples(np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 3.0]))
@@ -363,8 +364,16 @@ class TestGainAndSnr:
         b2 = LinkBudget(ref_gain=1.0, pl_exponent=1.0, dist_feed_m=1.0, dist_bob_m=1.0,
                         dist_eve_m=1.0, tx_power_w=2.0, noise_bob_w=0.2, noise_eve_w=1.0)
         assert snr_bob(b2)[0] == pytest.approx(2 * 5.0)
-        # the eavesdropper's mean SNR is its variance under its own budget
-        assert records_for_budget(gains, b2)[1] == pytest.approx([2.0, 6.0])
+        # the eavesdropper's rate is 1 / its mean SNR, its variance under its own budget
+        assert records_for_budget(gains, b2)[1] == pytest.approx([0.5, 1.0 / 6.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("field", ["g_bob", "g_eve", "var_eve"])
+    def test_gain_samples_reject_negative_and_nan_entries(self, field, bad):
+        samples = dict(g_bob=np.ones(3), g_eve=np.ones(3), var_eve=np.ones(3))
+        samples[field][1] = bad
+        with pytest.raises(DomainError, match="channel gains must be >= 0 and not nan"):
+            GainSamples(**samples)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(DomainError):

@@ -31,7 +31,8 @@ from frisec.secrecy import (GammaFit, SecrecyTarget, asc_oracle, fit_bob_gamma,
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
 
-from oracles import plain_estimates, plain_gains, secrecy_capacity, whole_block_gains
+from oracles import (plain_estimates, plain_gains, secrecy_capacity, whole_block_gains,
+                     wilson_estimate)
 
 
 def small_config(**overrides):
@@ -246,13 +247,13 @@ class TestChunkedEngine:
 
 class TestEstimates:
     def test_proportion_basic(self):
-        est = MetricEstimate.for_proportion(50, 100)
+        est = wilson_estimate(50, 100)
         assert est.point == pytest.approx(0.5)
         assert est.ci_low < 0.5 < est.ci_high
         assert est.std_error == pytest.approx(0.05)
 
     def test_proportion_zero_count(self):
-        est = MetricEstimate.for_proportion(0, 1000)
+        est = wilson_estimate(0, 1000)
         assert est.point == 0.0
         assert est.ci_low == 0.0
         assert est.ci_high <= 0.004  # Wilson interval stays tight near zero
@@ -260,7 +261,7 @@ class TestEstimates:
     @pytest.mark.parametrize("successes, n", [(5, 3), (-1, 10)])
     def test_proportion_count_outside_trials(self, successes, n):
         with pytest.raises(DomainError, match=rf"successes must lie in \[0, {n}\], got {successes}"):
-            MetricEstimate.for_proportion(successes, n)
+            wilson_estimate(successes, n)
 
     def test_mean_constant(self):
         est = MetricEstimate.for_mean(np.full(50, 2.5))
@@ -286,11 +287,11 @@ class TestEngine:
 
     def test_records_reproducible(self):
         cfg = small_config(trials=1)
-        g1, (snr1, mean1) = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
-        g2, (snr2, mean2) = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        g1, (snr1, rate1) = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        g2, (snr2, rate2) = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
         assert np.array_equal(g1.g_bob, g2.g_bob)
-        assert np.array_equal(snr1, snr2) and np.array_equal(mean1, mean2)
-        assert g1.g_bob.size == snr1.size == mean1.size == 1
+        assert np.array_equal(snr1, snr2) and np.array_equal(rate1, rate2)
+        assert g1.g_bob.size == snr1.size == rate1.size == 1
 
     def test_silenced_eavesdropper_gives_nonnegative_log_capacity(self):
         # a huge noise power: every trial's capacity term is log2(1 + SNR_bob),
@@ -306,9 +307,9 @@ class TestEngine:
     def test_conventional_policy_geometry(self):
         # the baseline is no policy: its surface runs as greedy with every element ON
         cfg = small_config(conventional_m=4)
-        gains, (snr_bob, mean_eve) = base_records(cfg, cfg.conventional_geometry(),
+        gains, (snr_bob, rate_eve) = base_records(cfg, cfg.conventional_geometry(),
                                                   cfg.conventional_m)
-        assert gains.g_bob.size == snr_bob.size == mean_eve.size == cfg.trials
+        assert gains.g_bob.size == snr_bob.size == rate_eve.size == cfg.trials
         with pytest.raises(DomainError, match="unknown policy"):
             simulate_gains(build_correlation(cfg.conventional_geometry()), "conventional", 4,
                            16, ChannelStream(1))
@@ -345,9 +346,16 @@ class TestEngine:
 
 
 def records(snr_bob, mean_eve):
-    """Records of trials with the given legitimate SNRs and eavesdropper mean SNRs."""
+    """Records of trials with the given legitimate SNRs and eavesdropper mean SNRs.
+
+    They come from `records_for_budget` on a budget whose SNR scales are
+    exactly 1, so the gains are the SNRs and the eavesdropper's rate is
+    clipped as the sweeps clip it.
+    """
     snr_bob = np.asarray(snr_bob, dtype=float)
-    return snr_bob, np.broadcast_to(np.asarray(mean_eve, dtype=float), snr_bob.shape).copy()
+    var_eve = np.broadcast_to(np.asarray(mean_eve, dtype=float), snr_bob.shape).copy()
+    return records_for_budget(GainSamples(snr_bob, np.zeros_like(snr_bob), var_eve),
+                              LinkBudget(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
 
 
 class TestEstimators:
@@ -479,9 +487,9 @@ class TestConditionalMonteCarlo:
             g_eve = np.abs(np.conj(w) @ (corr.factor.T @ a)) ** 2
             for snr_db in (90.0, 100.0, 110.0):
                 budget = cfg.budget().with_avg_snr_bob(db_to_linear(snr_db))
-                snr_bob, mean_eve = records_for_budget(gains, budget)
+                snr_bob, rate_eve = records_for_budget(gains, budget)
                 capacity = secrecy_capacity(snr_bob[t], budget.snr_scale("eve") * g_eve)
-                trial = (np.full(2, snr_bob[t]), np.full(2, mean_eve[t]))
+                trial = (np.full(2, snr_bob[t]), np.full(2, rate_eve[t]))
                 for term, drawn in ((estimate_sop(trial, cfg.target()).point,
                                      capacity <= cfg.target_rate_bits),
                                     (estimate_asc(trial).point, capacity)):
