@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from frisec import QuadratureSpec, bessel_j0, integrate_semi_infinite, reg_lower_inc_gamma
+from frisec import bessel_j0, integrate_semi_infinite, reg_lower_inc_gamma
 from frisec.secrecy import sop_bound_from_ratio
 
 # --- Bessel J0: the library's trapezoidal rule on the nodes pi j / n agrees
@@ -42,10 +42,10 @@ for z, k in ((1.0, 1.0), (10.0, 0.5), (250.0, 4.0), (1e-4, 8.0)):
     print(f"  z={z:8.4g} k={k:4.1f}: (1+z)^-k = {bound:.10e}, "
           f"G = {math.gamma(k) / z * bound:.10e}")
 
-# --- generic quadrature on [0, inf), used by the closed forms' oracles
+# --- generic quadrature on [0, inf), used by the closed forms' oracles, at
+#     its default tolerances abs_tol=1e-12 and rel_tol=1e-10 (both keywords)
 print("\nquadrature sanity:")
-spec = QuadratureSpec()
-print(f"  int e^-x dx        = {integrate_semi_infinite(lambda x: np.exp(-x), spec):.12f}")
-print(f"  int x e^-x dx      = {integrate_semi_infinite(lambda x: x * np.exp(-x), spec):.12f}")
-moments = integrate_semi_infinite(lambda x: np.exp(-x)[:, None] * x[:, None] ** np.arange(4), spec)
+print(f"  int e^-x dx        = {integrate_semi_infinite(lambda x: np.exp(-x)):.12f}")
+print(f"  int x e^-x dx      = {integrate_semi_infinite(lambda x: x * np.exp(-x)):.12f}")
+moments = integrate_semi_infinite(lambda x: np.exp(-x)[:, None] * x[:, None] ** np.arange(4))
 print(f"  int x^n e^-x dx, n = 0..3, on one shared mesh = {moments}  (n!)")

@@ -18,11 +18,10 @@ from .harness import (ExperimentConfig, GainSamples, MetricEstimate,
                       records_for_budget, reference_fits, simulate_gains,
                       sweep_size, sweep_snr, validate_bounds, validate_fits)
 from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle,
-                      asc_upper_bound, exp_cdf, fit_bob_gamma,
-                      fit_eve_exponential, gamma_cdf, sop_lower_bound,
-                      sop_lower_oracle)
-from .specfun import (QuadratureSpec, bessel_j0, integrate_semi_infinite,
-                      reg_lower_inc_gamma, scaled_exp1)
+                      asc_upper_bound, exp_cdf, fit_laws, gamma_cdf,
+                      sop_lower_bound, sop_lower_oracle)
+from .specfun import (bessel_j0, integrate_semi_infinite, reg_lower_inc_gamma,
+                      scaled_exp1)
 from .surface import CorrelationMatrix, SurfaceGeometry, build_correlation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

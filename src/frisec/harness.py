@@ -37,9 +37,8 @@ from . import __version__
 from .channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget, blas_threads,
                       correlated_images_batch, one_blas_thread)
 from .errors import ConfigError, DomainError, FrisecError
-from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_upper_bound,
-                      exp_cdf, fit_bob_gamma, fit_eve_exponential, gamma_cdf,
-                      sop_lower_bound)
+from .secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_upper_bound, exp_cdf,
+                      fit_laws, gamma_cdf, sop_lower_bound)
 from .specfun import scaled_exp1
 from .surface import EIGEN_CLAMP, CorrelationMatrix, SurfaceGeometry, _gather, build_correlation
 
@@ -488,8 +487,7 @@ def reference_fits(corr: CorrelationMatrix, m_on: int) -> tuple[GammaFit, ExpFit
     """Fits from the frozen first-m_on selection: the leading block of J."""
     if not 1 <= m_on <= corr.n_elements:
         raise DomainError(f"m_on must be in [1, {corr.n_elements}], got {m_on}")
-    reduced = corr.block(np.arange(m_on))
-    return fit_bob_gamma(reduced), fit_eve_exponential(reduced)
+    return fit_laws(corr.block(np.arange(m_on)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import LinkBudget
 from .errors import DomainError
-from .specfun import QuadratureSpec, integrate_semi_infinite, reg_lower_inc_gamma
+from .specfun import integrate_semi_infinite, reg_lower_inc_gamma
 
 _LN2 = math.log(2.0)
 
@@ -72,34 +72,21 @@ class SecrecyTarget:
             raise DomainError("target secrecy rate must lie in [0, 1024) bits/s/Hz")
 
 
-def _traces(j: np.ndarray) -> tuple[float, float]:
-    """tr(J^2) and tr(J^4) of a symmetric J, as squared Frobenius norms."""
-    j2 = j @ j
-    return float(np.sum(j * j)), float(np.sum(j2 * j2))
+def fit_laws(j_reduced: np.ndarray) -> tuple[GammaFit, ExpFit]:
+    """Moment-matched Gamma and exponential fits from the reduced correlation matrix.
 
-
-def fit_bob_gamma(j_reduced: np.ndarray) -> GammaFit:
-    """Moment-matched Gamma fit from the reduced correlation matrix."""
-    tr2, tr4 = _traces(j_reduced)
+    Both read tr(J^2) and tr(J^4) of the symmetric J, as squared Frobenius norms.
+    """
+    j2 = j_reduced @ j_reduced
+    tr2, tr4 = float(np.sum(j_reduced * j_reduced)), float(np.sum(j2 * j2))
     if tr2 <= 0.0 or tr4 <= 0.0:
         raise DomainError("reduced correlation matrix must be nonzero")
-    return GammaFit(shape=tr2 * tr2 / tr4, scale=tr4 / tr2)
-
-
-def fit_eve_exponential(j_reduced: np.ndarray) -> ExpFit:
-    """Moment-matched exponential fit from the reduced correlation matrix."""
-    tr2 = float(np.sum(j_reduced * j_reduced))
-    if tr2 <= 0.0:
-        raise DomainError("reduced correlation matrix must be nonzero")
-    return ExpFit(rate=1.0 / tr2)
+    return GammaFit(shape=tr2 * tr2 / tr4, scale=tr4 / tr2), ExpFit(rate=1.0 / tr2)
 
 
 def gamma_cdf(g, fit: GammaFit):
     """CDF of the fitted Gamma gain law, elementwise over an array of gains."""
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0):
-        raise DomainError("gain must be >= 0")
-    return reg_lower_inc_gamma(fit.shape, g / fit.scale)
+    return reg_lower_inc_gamma(fit.shape, np.asarray(g, dtype=float) / fit.scale)
 
 
 def exp_cdf(g, fit: ExpFit):
@@ -152,8 +139,8 @@ def sop_lower_bound(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget,
     return sop_bound_from_ratio(fit_b.shape, sop_ratio(fit_b, fit_e, budget, target))
 
 
-_SOP_QUAD = QuadratureSpec(abs_tol=1e-320, rel_tol=1e-9, max_subdivisions=2000)
-_ASC_QUAD = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=2000)
+_SOP_QUAD = {"abs_tol": 1e-320, "rel_tol": 1e-9, "max_subdivisions": 2000}
+_ASC_QUAD = {"abs_tol": 1e-300, "rel_tol": 1e-10, "max_subdivisions": 2000}
 
 
 def sop_oracle_from_ratio(shape: float, z: float) -> float:
@@ -171,9 +158,9 @@ def sop_oracle_from_ratio(shape: float, z: float) -> float:
         raise DomainError("ratio must be > 0")
     if shape * z < 1.0:
         return 1.0 - z * integrate_semi_infinite(
-            lambda t: (1.0 - reg_lower_inc_gamma(shape, t)) * np.exp(-z * t), _SOP_QUAD)
+            lambda t: (1.0 - reg_lower_inc_gamma(shape, t)) * np.exp(-z * t), **_SOP_QUAD)
     return integrate_semi_infinite(
-        lambda u: reg_lower_inc_gamma(shape, u / z) * np.exp(-u), _SOP_QUAD)
+        lambda u: reg_lower_inc_gamma(shape, u / z) * np.exp(-u), **_SOP_QUAD)
 
 
 def sop_lower_oracle(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget,
@@ -208,4 +195,4 @@ def asc_oracle(fit_b: GammaFit, fit_e: ExpFit, budget: LinkBudget) -> float:
         tail_bob = 1.0 - reg_lower_inc_gamma(fit_b.shape, (unit / scale_b) * s)
         return unit / (1.0 + unit * s) * f_eve * tail_bob
 
-    return integrate_semi_infinite(integrand, _ASC_QUAD) / _LN2
+    return integrate_semi_infinite(integrand, **_ASC_QUAD) / _LN2

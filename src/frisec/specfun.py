@@ -3,16 +3,16 @@
 Everything here is pure double-precision Python/numpy, with no dependency on
 scipy: Bessel J0, the regularized lower incomplete gamma function and the
 scaled exponential integral e^z E1(z) (all three elementwise over arrays), and
-adaptive quadrature on [0, inf) of one or several integrands.  All functions
-are pure and reentrant.  The outage closed form's Meijer G kernel is not
-here: `secrecy` evaluates its reduction directly.
+adaptive quadrature on [0, inf) of one or several integrands, whose tolerances
+and panel budget are plain keyword arguments.  All functions are pure and
+reentrant.  The outage closed form's Meijer G kernel is not here: `secrecy`
+evaluates its reduction directly.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -245,26 +245,6 @@ def scaled_exp1(z):
 # Quadrature on [0, inf)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for integrating a decaying function over [0, inf).
-
-    The integrator maps [0, inf) onto (0, 1] and refines a mesh of panels in
-    passes with a 15/7-point Gauss pair until the summed error estimate of
-    every integrand meets its tolerance; `max_subdivisions` counts panels split.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 512
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("quadrature tolerances must be > 0")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
 @lru_cache(maxsize=8)
 def _gauss_rule(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
@@ -276,8 +256,9 @@ _PANELS = 8
 _SPLIT = 4
 
 
-def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
-                            spec: QuadratureSpec | None = None) -> float | np.ndarray:
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], *, abs_tol: float = 1e-12,
+                            rel_tol: float = 1e-10,
+                            max_subdivisions: int = 512) -> float | np.ndarray:
     """Integrate f over [0, inf); f must decay at least exponentially.
 
     f is called with a numpy array of p abscissae and returns either p values
@@ -289,13 +270,14 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
     the passes stop once every component's summed error meets
     max(abs_tol, rel_tol * |its total|); until then every panel whose error
     exceeds its equal share of that tolerance in any component is split into
-    4.  Returns a float, or an array of the n integrals.  Raises
-    ConvergenceError (carrying the last estimate and the error bound, arrays
-    for n integrands) when the next pass would split more panels in all than
-    `max_subdivisions`.
+    4.  `max_subdivisions` counts panels split.  Returns a float, or an array
+    of the n integrals.  Raises DomainError unless both tolerances are > 0 and
+    max_subdivisions >= 1, and ConvergenceError (carrying the last estimate
+    and the error bound, arrays for n integrands) when the next pass would
+    split more panels in all than `max_subdivisions`.
     """
-    if spec is None:
-        spec = QuadratureSpec()
+    if not (abs_tol > 0.0 and rel_tol > 0.0 and max_subdivisions >= 1):  # nan fails too
+        raise DomainError("quadrature tolerances must be > 0 and max_subdivisions >= 1")
     (x15, w15), (x7, w7) = _gauss_rule(15), _gauss_rule(7)
     nodes = np.concatenate((x15, x7))
 
@@ -317,15 +299,15 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
     splits = 0
     while True:
         total, total_err = est.sum(axis=0), err.sum(axis=0)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         worse = ~np.all(err <= tol / len(est), axis=1)  # a nan error is over too
         # with no panel over its share, the sum is over tol by rounding alone
         if np.all(total_err <= tol) or not worse.any():
             return result(total)
         splits += np.count_nonzero(worse)
-        if splits > spec.max_subdivisions:
+        if splits > max_subdivisions:
             raise ConvergenceError(
-                f"quadrature not converged within {spec.max_subdivisions} panel splits",
+                f"quadrature not converged within {max_subdivisions} panel splits",
                 estimate=result(total), error_bound=result(total_err))
         parts = np.repeat(width[worse] / _SPLIT, _SPLIT)
         cuts = (start[worse, None] + width[worse, None] * np.arange(_SPLIT) / _SPLIT).ravel()

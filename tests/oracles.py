@@ -32,7 +32,7 @@ import numpy as np
 from frisec.channel import TRIALS_PER_BLOCK, correlated_images_batch, one_blas_thread
 from frisec.errors import ConvergenceError, DomainError
 from frisec.harness import _Z95, MetricEstimate, _fixed_selection, _greedy_block
-from frisec.specfun import QuadratureSpec, _require_finite, integrate_semi_infinite
+from frisec.specfun import _require_finite, integrate_semi_infinite
 from frisec.surface import EIGEN_CLAMP
 
 
@@ -168,8 +168,6 @@ def asc_oracle_nested(fit_b, fit_e, budget) -> float:
     factor r confines the integrand to a layer of width about r at 0, which
     the quadrature misses for r below about 1e-3 (it returned 0).
     """
-    quad = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-8, max_subdivisions=800)
-    inner_quad = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-7, max_subdivisions=800)
     scale_b = budget.snr_scale("bob") * fit_b.scale  # Gamma scale of bob's SNR
     mean_e = budget.snr_scale("eve") * fit_e.mean    # mean of eve's SNR
     if scale_b == 0.0:
@@ -193,9 +191,10 @@ def asc_oracle_nested(fit_b, fit_e, budget) -> float:
                        - lgam)  # pdf times the scale from dx = scale_b dw
             return np.log1p(scale_b * w / (1.0 + y)) / math.log(2.0) * np.exp(log_pdf)
 
-        return rate * np.exp(-rate * t) * integrate_semi_infinite(inner, inner_quad)
+        return rate * np.exp(-rate * t) * integrate_semi_infinite(
+            inner, abs_tol=1e-14, rel_tol=1e-7, max_subdivisions=800)
 
-    return integrate_semi_infinite(outer, quad)
+    return integrate_semi_infinite(outer, abs_tol=1e-14, rel_tol=1e-8, max_subdivisions=800)
 
 
 def trace_power_direct(a: np.ndarray, p: int) -> float:

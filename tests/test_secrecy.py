@@ -7,12 +7,11 @@ import pytest
 from frisec.channel import LinkBudget
 from frisec.errors import DomainError
 from frisec.harness import config_from_mapping, db_to_linear, reference_fits
-from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, _traces, asc_oracle,
-                            asc_upper_bound, exp_cdf, fit_bob_gamma,
-                            fit_eve_exponential, gamma_cdf, sop_bound_from_ratio,
+from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle, asc_upper_bound,
+                            exp_cdf, fit_laws, gamma_cdf, sop_bound_from_ratio,
                             sop_lower_bound, sop_lower_oracle, sop_oracle_from_ratio,
                             sop_ratio)
-from frisec.specfun import QuadratureSpec, integrate_semi_infinite
+from frisec.specfun import integrate_semi_infinite
 from frisec.surface import build_correlation
 
 from oracles import asc_oracle_nested, meijer_g_2122, secrecy_capacity, trace_power_direct
@@ -24,26 +23,33 @@ def unit_budget(snr_bob=1.0, snr_eve=1.0):
                       noise_eve_w=1.0 / snr_eve)
 
 
+def traces(j):
+    # tr(J^2) and tr(J^4) as the fits carry them: the exponential mean and
+    # the Gamma scale times it
+    fit_b, fit_e = fit_laws(j)
+    return fit_e.mean, fit_b.scale * fit_e.mean
+
+
 class TestFits:
     def test_identity_reduced_matrix(self):
-        fit = fit_bob_gamma(np.eye(6))
+        fit, fit_e = fit_laws(np.eye(6))
         assert fit.shape == pytest.approx(6.0)
         assert fit.scale == pytest.approx(1.0)
-        assert fit_eve_exponential(np.eye(6)).rate == pytest.approx(1 / 6)
+        assert fit_e.rate == pytest.approx(1 / 6)
 
     def test_2x2_example(self):
         j = np.array([[1.0, 0.5], [0.5, 1.0]])
-        fit = fit_bob_gamma(j)
+        fit, fit_e = fit_laws(j)
         # frozen from the direct matrix-power oracle: tr2 = 2.5, tr4 = 5.125
         assert fit.shape == pytest.approx(6.25 / 5.125, rel=1e-12)
         assert fit.scale == pytest.approx(2.05, rel=1e-12)
-        assert fit_eve_exponential(j).rate == pytest.approx(0.4, rel=1e-12)
+        assert fit_e.rate == pytest.approx(0.4, rel=1e-12)
 
     def test_singleton(self):
-        j = np.array([[1.0]])
-        assert fit_bob_gamma(j).shape == pytest.approx(1.0)
-        assert fit_bob_gamma(j).scale == pytest.approx(1.0)
-        assert fit_eve_exponential(j).rate == pytest.approx(1.0)
+        fit, fit_e = fit_laws(np.array([[1.0]]))
+        assert fit.shape == pytest.approx(1.0)
+        assert fit.scale == pytest.approx(1.0)
+        assert fit_e.rate == pytest.approx(1.0)
 
     def test_mean_consistency(self):
         rng = np.random.default_rng(2)
@@ -51,25 +57,23 @@ class TestFits:
             m = int(rng.integers(1, 10))
             a = rng.standard_normal((m, m))
             j = (a + a.T) / 2
-            fit = fit_bob_gamma(j)
+            fit, fit_e = fit_laws(j)
             tr2 = float(np.sum(j * j))
             assert fit.mean == pytest.approx(tr2, rel=1e-10)
-            assert 1 / fit_eve_exponential(j).rate == pytest.approx(tr2, rel=1e-10)
+            assert 1 / fit_e.rate == pytest.approx(tr2, rel=1e-10)
             assert fit.shape <= m + 1e-9  # Cauchy-Schwarz on eigenvalues
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DomainError):
-            fit_bob_gamma(np.zeros((3, 3)))
-        with pytest.raises(DomainError):
-            fit_eve_exponential(np.zeros((3, 3)))
+            fit_laws(np.zeros((3, 3)))
 
     def test_traces_examples(self):
-        assert _traces(np.eye(7)) == pytest.approx((7.0, 7.0))
+        assert traces(np.eye(7)) == pytest.approx((7.0, 7.0))
         a = np.array([[1.0, 0.5], [0.5, 1.0]])
         # frozen from the direct-multiplication oracle
         assert trace_power_direct(a, 2) == pytest.approx(2.5)
         assert trace_power_direct(a, 4) == pytest.approx(5.125)
-        assert _traces(a) == pytest.approx((2.5, 5.125), rel=1e-14)
+        assert traces(a) == pytest.approx((2.5, 5.125), rel=1e-14)
 
     def test_traces_random_vs_direct(self):
         rng = np.random.default_rng(5)
@@ -77,7 +81,7 @@ class TestFits:
             m = int(rng.integers(2, 12))
             a = rng.standard_normal((m, m))
             a = (a + a.T) / 2
-            assert _traces(a) == pytest.approx(
+            assert traces(a) == pytest.approx(
                 (trace_power_direct(a, 2), trace_power_direct(a, 4)), rel=1e-11)
 
     def test_traces_cauchy_schwarz(self):
@@ -87,7 +91,7 @@ class TestFits:
             m = int(rng.integers(1, 14))
             a = rng.standard_normal((m, m))
             a = (a + a.T) / 2
-            tr2, tr4 = _traces(a)
+            tr2, tr4 = traces(a)
             assert tr4 >= tr2 ** 2 / m - 1e-10
 
 
@@ -278,7 +282,7 @@ class TestAscOracle:
         val = asc_oracle(fit_b, fit_e, unit_budget(snr_bob=a, snr_eve=1e-13))
         single = integrate_semi_infinite(
             lambda x: np.log1p(a * x) / math.log(2.0) * np.exp(-x),
-            QuadratureSpec(rel_tol=1e-10, max_subdivisions=2000))
+            rel_tol=1e-10, max_subdivisions=2000)
         assert val == pytest.approx(single, rel=1e-6)
 
     def test_matches_independent_identity(self):
@@ -327,17 +331,19 @@ class TestAscOracle:
 class TestOracleQuadratureCost:
     def test_validate_grid_oracles_batch_their_panels(self, monkeypatch):
         # the 26 oracle integrals of the reference 10x10 validation grid: one
-        # call of the integrand per refinement pass keeps each to a few calls
+        # call of the integrand per refinement pass keeps each to a few calls,
+        # and each oracle hands the integrator its own tolerances
         import frisec.secrecy as secrecy
-        calls = []
+        calls, given = [], []
 
-        def counting(f, spec=None):
+        def counting(f, **tolerances):
             calls.append(0)
+            given.append(tolerances)
 
             def counted(x):
                 calls[-1] += 1
                 return f(x)
-            return integrate_semi_infinite(counted, spec)
+            return integrate_semi_infinite(counted, **tolerances)
 
         monkeypatch.setattr(secrecy, "integrate_semi_infinite", counting)
         target = SecrecyTarget(1.0)
@@ -347,3 +353,6 @@ class TestOracleQuadratureCost:
         assert len(calls) == 26
         assert max(calls) <= 12
         assert sum(calls) <= 150
+        # one SOP integral, then one ASC integral, per budget
+        assert given == 13 * [{"abs_tol": 1e-320, "rel_tol": 1e-9, "max_subdivisions": 2000},
+                              {"abs_tol": 1e-300, "rel_tol": 1e-10, "max_subdivisions": 2000}]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frisec.errors import ConvergenceError, DomainError
-from frisec.specfun import (_E1_TIERS, J0_MAX_ARG, QuadratureSpec, bessel_j0,
+from frisec.specfun import (_E1_TIERS, J0_MAX_ARG, bessel_j0,
                             integrate_semi_infinite, reg_lower_inc_gamma, scaled_exp1)
 
 from oracles import (bessel_j0_integral, bessel_j0_series, meijer_g_2122,
@@ -275,10 +275,10 @@ class TestMeijerG:
 
 class TestQuadrature:
     def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)
+        for tolerances in ({"abs_tol": 0.0}, {"max_subdivisions": 0},
+                           {"abs_tol": math.nan}, {"rel_tol": 0.0}):
+            with pytest.raises(DomainError):
+                integrate_semi_infinite(lambda x: np.exp(-x), **tolerances)
 
     def test_exponential(self):
         assert integrate_semi_infinite(lambda x: np.exp(-x)) == pytest.approx(1.0, rel=1e-10)
@@ -307,9 +307,9 @@ class TestQuadrature:
         assert integrate_semi_infinite(self.peak) == pytest.approx(1.0, rel=1e-9)
 
     def test_budget_exhaustion_reports_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
         with pytest.raises(ConvergenceError) as err:
-            integrate_semi_infinite(lambda x: np.cos(x) ** 2 * np.exp(-0.01 * x), spec)
+            integrate_semi_infinite(lambda x: np.cos(x) ** 2 * np.exp(-0.01 * x),
+                                    abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
         assert err.value.estimate is not None
         assert err.value.error_bound > 0
 
@@ -319,11 +319,10 @@ class TestQuadrature:
         def f(x):
             return np.exp(-np.outer(x, rates)) * np.array([1.0, 1e-6, 1e6, 1.0])
 
-        spec = QuadratureSpec(rel_tol=1e-10)
-        vals = integrate_semi_infinite(f, spec)
+        vals = integrate_semi_infinite(f, rel_tol=1e-10)
         assert isinstance(vals, np.ndarray) and vals.shape == (4,)
         for i, rate in enumerate(rates):
-            alone = integrate_semi_infinite(lambda x: f(x)[:, i], spec)
+            alone = integrate_semi_infinite(lambda x: f(x)[:, i], rel_tol=1e-10)
             assert isinstance(alone, float)
             assert vals[i] == pytest.approx(alone, rel=1e-10)
             assert vals[i] == pytest.approx(f(np.zeros(1))[0, i] / rate, rel=1e-10)
@@ -359,7 +358,7 @@ class TestQuadrature:
             return self.peak(x)
 
         with pytest.raises(ConvergenceError):
-            integrate_semi_infinite(f, QuadratureSpec(max_subdivisions=budget))
+            integrate_semi_infinite(f, max_subdivisions=budget)
         assert sum(seen) <= 22 * (8 + 4 * budget)
 
     def test_one_call_per_pass(self):
@@ -377,11 +376,10 @@ class TestQuadrature:
         assert len(sizes) <= 12
 
     def test_vector_budget_exhaustion_reports_arrays(self):
-        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
         with pytest.raises(ConvergenceError) as err:
             integrate_semi_infinite(
                 lambda x: np.stack([np.exp(-x), np.cos(x) ** 2 * np.exp(-0.01 * x)], axis=1),
-                spec)
+                abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
         estimate, bound = err.value.estimate, err.value.error_bound
         assert isinstance(estimate, np.ndarray) and estimate.shape == (2,)
         assert isinstance(bound, np.ndarray) and bound.shape == (2,)
