@@ -13,8 +13,10 @@ normal of a variance the trial fixes, and no policy colors it.
 draws the feed's and the legitimate link's r complex normals and one more
 complex normal per trial, whose power is the eavesdropper's unit
 exponential; the frozen-configuration policies, with `power`, draw one link
-of r + 2 real unit exponentials, the powers |w|^2 of the feed's r normals
-and of one normal per receiver (see `harness.simulate_gains`).
+of k + 2 real unit exponentials, the powers |w|^2 of the feed's normals
+along the k = min(m_on, r) singular vectors of the configuration's cascade
+that its rank allows, and of one normal per receiver (see
+`harness.simulate_gains`).
 Randomness is counter-based (Philox): a draw depends only on (seed, stream,
 trial index), never on how trials are batched across workers.
 The engine runs its matrix products inside `one_blas_thread`, so each runs

@@ -56,6 +56,11 @@ STREAM_BOUNDS = 3
 POLICIES = ("greedy", "fixed-uniform", "fixed-random")
 
 KS_MIN_SAMPLES = 100
+#: `ks_statistic` first evaluates the CDF at every KS_STRIDE-th sorted sample
+KS_STRIDE = 64
+#: how far a stretch's bound may fall below the largest KS distance and still
+#: be evaluated: above the CDFs' rounding, 1e-12 for the incomplete gamma
+KS_SLACK = 1e-9
 
 
 def db_to_linear(db: float) -> float:
@@ -232,7 +237,7 @@ class MetricEstimate:
 # Gain simulation engine
 # ---------------------------------------------------------------------------
 
-#: trials colored and run through the policy's kernel at a time within a Philox
+#: trials colored and run through greedy's kernel at a time within a Philox
 #: block; it bounds the images and kernel temporaries, not the draws.
 CHUNK_TRIALS = 128
 
@@ -322,15 +327,17 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     particular do not depend on `workers`; trial t of a run equals the last
     trial of a run of t + 1 trials.  The blocks run inline with one worker, and
     otherwise on min(workers, blocks, usable CPUs) threads, each of which
-    holds a block's draws and a chunk's temporaries.  The call runs under
+    holds a block's draws and its kernel's temporaries.  The call runs under
     `one_blas_thread`, so each product runs on its worker's thread and the
     workers are the only threads.
 
-    Every policy draws each Philox block whole and colors it and runs its
-    kernel in chunks of CHUNK_TRIALS trials, so the images and kernel
-    temporaries stay a fraction of the block's; the last block stops at the
-    chunk that holds the last requested trial.  Every trial's kernel reads
-    only its own row, so the chunking changes no sample.
+    Every policy draws each Philox block whole.  Greedy colors it and runs
+    its kernel in chunks of CHUNK_TRIALS trials, so its (n, M) images and
+    kernel temporaries stay a fraction of the block's, and its last block
+    stops at the chunk that holds the last requested trial.  A fixed
+    policy's temporaries hold one value per trial, so it runs each block
+    whole, in one product.  Every trial's kernel reads only its own row, so
+    neither way changes a sample.
 
     A fixed policy's frozen rows F_S and phases Phi make both equivalent
     channels w^H K w_feed, K = F_S^T Phi F_S (r x r), so given the feed each
@@ -338,9 +345,11 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     other.  K's singular vectors rotate the circular feed into another, so
     sigma^2 has the law of sum_i mu_i E_i, mu the squared singular values of
     K (one SVD per call) and E_i = |w_i|^2 unit exponentials (Imhof 1961).
-    Those trials draw r + 2 unit exponentials and return sigma^2 E_bob and
-    sigma^2 E_eve: the law of coloring all three links, at about a sixth of
-    the Philox draws (conditional MC).
+    K has rank at most k = min(m_on, r), so only its k largest mu are kept;
+    the others are zero up to rounding.  Those trials draw k + 2 unit
+    exponentials and return sigma^2 E_bob and sigma^2 E_eve: the law of
+    coloring all three links, at a sixth or less of the Philox draws
+    (conditional MC).
 
     Greedy chooses its elements and phases from the feed and the legitimate
     link alone, so given those the eavesdropper's channel is exactly
@@ -361,6 +370,7 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     if policy == "greedy":
         factor = corr.factor.astype(complex)
         draw = functools.partial(stream.draw_block, r)
+        step = CHUNK_TRIALS
 
         def kernel(draws: np.ndarray, chunk: slice):
             g_bob, variance = _greedy_block(correlated_images_batch(draws[:, chunk, :r], factor),
@@ -370,18 +380,19 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     else:
         indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
         rows = corr.factor[indices]
-        mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False) ** 2
-        draw = functools.partial(stream.draw_block, r + 2, power=True)
+        k = min(m_on, r)  # rank K <= k, so the other singular values are rounding noise
+        mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False)[:k] ** 2
+        draw = functools.partial(stream.draw_block, k + 2, power=True)
+        step = TRIALS_PER_BLOCK
 
         def kernel(powers: np.ndarray, chunk: slice):
-            variance = correlated_images_batch(powers[chunk, :, :r], mu[None, :])[:, 0, 0]
-            return variance * powers[chunk, 0, r], variance * powers[chunk, 0, r + 1], variance
+            variance = correlated_images_batch(powers[chunk, :, :k], mu[None, :])[:, 0, 0]
+            return variance * powers[chunk, 0, k], variance * powers[chunk, 0, k + 1], variance
 
     def work(block: int):
         draws = draw(block)
         wanted = min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
-        chunks = [kernel(draws, slice(start, start + CHUNK_TRIALS))
-                  for start in range(0, wanted, CHUNK_TRIALS)]
+        chunks = [kernel(draws, slice(start, start + step)) for start in range(0, wanted, step)]
         return tuple(np.concatenate(g) for g in zip(*chunks))
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -454,21 +465,35 @@ def estimate_asc(records: tuple[np.ndarray, np.ndarray]) -> MetricEstimate:
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Sup-norm distance between the empirical CDF and an analytic CDF.
 
-    `cdf` is called once, on the sorted sample array, and must return the
-    CDF elementwise.
+    `cdf` is called on sorted samples and must return the CDF elementwise,
+    each value a function of its own argument alone, nondecreasing up to
+    KS_SLACK.  It sees every KS_STRIDE-th sorted sample and the last one
+    first.  Between two of them, a and b, both one-sided distances are at
+    most max((b + 1)/n - F(x_a), F(x_b) - a/n), so it then sees only the
+    samples between those pairs whose bound reaches the largest distance
+    found, less KS_SLACK.  The others cannot hold the maximum, so the
+    statistic is the maximum over every sample, bit for bit.
     """
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
     if n < KS_MIN_SAMPLES:
         raise DomainError(f"KS diagnostic needs at least {KS_MIN_SAMPLES} samples")
-    theo = np.asarray(cdf(samples), dtype=float)
-    steps = np.arange(1.0, n + 1.0)  # the empirical CDF above, then below, each sample,
-    steps /= n                       # in place: the sweeps hold every point's gains
-    upper = np.max(np.subtract(steps, theo, out=steps))
-    steps = np.arange(0.0, n)
-    steps /= n
-    lower = np.max(np.subtract(theo, steps, out=steps))
-    return float(max(upper, lower))
+    knots = np.append(np.arange(0, n - 1, KS_STRIDE), n - 1)
+    theo = np.asarray(cdf(samples[knots]), dtype=float)
+    distance = _ks_distance(knots, theo, n)
+    bound = np.maximum((knots[1:] + 1.0) / n - theo[:-1], theo[1:] - knots[:-1] / n)
+    hot = np.repeat(bound >= distance - KS_SLACK, np.diff(knots))  # samples 0 ... n - 2
+    hot[knots[:-1]] = False
+    inside = np.flatnonzero(hot)
+    if inside.size:
+        distance = max(distance,
+                       _ks_distance(inside, np.asarray(cdf(samples[inside]), dtype=float), n))
+    return float(distance)
+
+
+def _ks_distance(index: np.ndarray, theo: np.ndarray, n: int) -> float:
+    """The larger one-sided distance at sorted positions `index`, whose CDF values are `theo`."""
+    return max(np.max((index + 1.0) / n - theo), np.max(theo - index / n))
 
 
 # ---------------------------------------------------------------------------
@@ -727,18 +752,20 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
                       "plane waves G = [cos(k u_j . p), sin(k u_j . p)] / sqrt(n) "
                       "at angles pi j / n, G G^T = J to rounding, with factor G V_r, "
                       "when 2n < M; of J itself otherwise",
-            "frozen_configuration": "conditional: fixed policies draw r + 2 unit exponentials "
-                                    "E; gain sigma^2 E_receiver, sigma^2 = sum_i mu_i E_i, mu "
-                                    "the squared singular values of K = F_S^T Phi F_S",
+            "frozen_configuration": "conditional: fixed policies draw k + 2 unit exponentials "
+                                    "E, k = min(m_on, r) the bound on the rank of K = F_S^T "
+                                    "Phi F_S; gain sigma^2 E_receiver, sigma^2 = sum_i mu_i "
+                                    "E_i, mu the k largest squared singular values of K",
             "eavesdropper": "conditional Monte Carlo: no policy looks at the eavesdropper, "
                             "so given a trial its channel is CN(0, sigma^2); greedy draws "
                             "and colors only the feed and legitimate links, with sigma^2 = "
                             "||F^T a||^2 for the selected, co-phased feed image a, and "
                             "sop_mc and asc_mc are means of each trial's exact outage "
                             "probability and mean secrecy capacity over that law",
-            "coloring": "every policy colors chunk_trials trials of a Philox block at a "
-                        "time, by one product with the M x r factor (greedy: the feed "
-                        "and legitimate links) or with the row mu",
+            "coloring": "greedy colors the feed and legitimate links of chunk_trials "
+                        "trials of a Philox block at a time, by one product with the "
+                        "M x r factor; fixed policies weight a whole block's exponentials "
+                        "by the row mu in one product",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,

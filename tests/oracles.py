@@ -18,10 +18,11 @@ counts outages, with a Wilson interval, and averages capacities over it
 where the library integrates that link out of each trial, the eigen-factor
 reference decomposes the whole correlation matrix instead of the Gram of
 its plane-wave factor, the
-whole-block engine colors and runs each Philox block through its policy's
-kernel in one piece instead of in chunks, and the block-matrix coloring
+whole-block engine colors and runs each Philox block through greedy's
+kernel in one piece instead of in chunks, the block-matrix coloring
 takes one real GEMM over interleaved (re, im) pairs instead of the complex
-product.
+product, and the full KS distance evaluates the CDF at every sample instead
+of bracketing the distance between every 64th.
 """
 
 import math
@@ -558,9 +559,9 @@ def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tupl
 
     One product colors all trials of a block and one kernel call selects
     them, or for a fixed policy one product of the block's feed exponentials
-    by mu, the squared singular values of the r x r cascade F_S^T Phi F_S,
-    gives every trial's conditional variance: the reference that the chunked
-    engine must match bit for bit.  It runs OpenBLAS on one thread, as the
+    by mu, the k = min(m_on, r) largest squared singular values of the r x r
+    cascade F_S^T Phi F_S, gives every trial's conditional variance: the
+    reference that the chunked greedy engine must match bit for bit.  It runs OpenBLAS on one thread, as the
     engine does: at two threads a real product can round differently.
     """
     with one_blas_thread():
@@ -579,14 +580,29 @@ def _whole_block_gains(corr, policy, m_on, trials, stream):
     else:
         indices, phases = _fixed_selection(corr.n_elements, m_on, policy, stream.seed)
         rows = corr.factor[indices]
-        mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False) ** 2
+        k = min(m_on, r)
+        mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False)[:k] ** 2
 
         def block_gains(block):
-            powers = stream.draw_block(r + 2, block, power=True)
-            variance = correlated_images_batch(powers[:, :, :r], mu[None, :])[:, 0, 0]
-            return variance * powers[:, 0, r], variance * powers[:, 0, r + 1], variance
+            powers = stream.draw_block(k + 2, block, power=True)
+            variance = correlated_images_batch(powers[:, :, :k], mu[None, :])[:, 0, 0]
+            return variance * powers[:, 0, k], variance * powers[:, 0, k + 1], variance
     blocks = zip(*(block_gains(b) for b in range(-(-trials // TRIALS_PER_BLOCK))))
     return tuple(np.concatenate(samples)[:trials] for samples in blocks)
+
+
+def ks_full(samples: np.ndarray, cdf) -> float:
+    """One-sample KS distance from one call of `cdf` on every sorted sample.
+
+    The largest of i/n - F(x_(i)) and F(x_(i)) - (i - 1)/n over i = 1 ... n:
+    the reference that the bracketed `harness.ks_statistic` must equal bit
+    for bit.
+    """
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = samples.size
+    theo = np.asarray(cdf(samples), dtype=float)
+    return float(max(np.max(np.arange(1.0, n + 1.0) / n - theo),
+                     np.max(theo - np.arange(0.0, n) / n)))
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:

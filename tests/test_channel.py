@@ -293,10 +293,12 @@ class TestGainAndSnr:
         # power of the normal after the feed's r.  Fixed: both are sigma^2 E,
         # sigma^2 the feed's r unit exponentials weighted by the squared
         # singular values of the r x r cascade F_S^T Phi F_S of the frozen
-        # rows and phases, and E the exponential after the feed's r in the
-        # trial's one link of r + 2
+        # rows and phases, the k = min(m_on, r) largest of them, which bound
+        # its rank, and E the exponential after the feed's k in the trial's
+        # one link of k + 2
         corr = small_corr()
         r = corr.rank
+        k = min(5, r)
         for policy in ("greedy", "fixed-uniform", "fixed-random"):
             gains = simulate_gains(corr, policy, 5, 100, ChannelStream(6, 0))
             if policy == "greedy":
@@ -304,40 +306,40 @@ class TestGainAndSnr:
                 g_bob, variance = _greedy_block(colored(draws, corr), corr.factor, 5)
                 g_eve = variance * np.abs(draws[0, :, r]) ** 2
             else:
-                powers = ChannelStream(6, 0).draw_block(r + 2, 0, power=True)
+                powers = ChannelStream(6, 0).draw_block(k + 2, 0, power=True)
                 indices, phases = _fixed_selection(corr.n_elements, 5, policy, seed=6)
                 rows = corr.factor[indices]
                 cascade = (rows.T * np.exp(1j * phases)) @ rows
-                mu = np.linalg.svd(cascade, compute_uv=False) ** 2
-                variance = correlated_images_batch(powers[:, :, :r], mu[None, :])[:, 0, 0]
-                g_bob = variance * powers[:, 0, r]
-                g_eve = variance * powers[:, 0, r + 1]
+                mu = np.linalg.svd(cascade, compute_uv=False)[:k] ** 2
+                variance = correlated_images_batch(powers[:, :, :k], mu[None, :])[:, 0, 0]
+                g_bob = variance * powers[:, 0, k]
+                g_eve = variance * powers[:, 0, k + 1]
             assert np.array_equal(gains.g_bob, g_bob[:100])
             assert np.array_equal(gains.g_eve, g_eve[:100])
             assert np.array_equal(gains.var_eve, variance[:100])
 
     def test_fixed_gain_is_triple_product_variance(self):
         # mu are the eigenvalues of K^H K, K = F_S^T Phi F_S written out as the
-        # triple product, largest first; sigma^2 = sum_i mu_i E_i over the
-        # feed's drawn exponentials, and the receivers share it:
-        # g_bob / g_eve = E_b / E_e.
+        # triple product, largest first, and the k = min(m_on, r) kept ones
+        # bound its rank; sigma^2 = sum_i mu_i E_i over the feed's drawn
+        # exponentials, and the receivers share it: g_bob / g_eve = E_b / E_e.
         # For fixed-uniform K K^H = (F_S F_S^T)^2 = J_S^2 up to the clamped
-        # eigenvalues, so sum mu = tr(J_S^2) and sum mu^2 = tr(J_S^4), the
-        # traces behind the Gamma fit
+        # eigenvalues, so the kept sum mu = tr(J_S^2) and sum mu^2 = tr(J_S^4),
+        # the traces behind the Gamma fit
         corr = small_corr(side=5, aperture=2.5)
-        r = corr.rank
+        k = min(7, corr.rank)
         for policy in ("fixed-uniform", "fixed-random"):
             gains = simulate_gains(corr, policy, 7, 50, ChannelStream(8, 4))
-            powers = ChannelStream(8, 4).draw_block(r + 2, 0, power=True)[:50, 0]
+            powers = ChannelStream(8, 4).draw_block(k + 2, 0, power=True)[:50, 0]
             indices, phases = _fixed_selection(corr.n_elements, 7, policy, seed=8)
             rows = corr.factor[indices].astype(complex)
             cascade = rows.T @ np.diag(np.exp(1j * phases)) @ rows
-            mu = np.linalg.eigvalsh(cascade.conj().T @ cascade)[::-1]
-            variance = powers[:, :r] @ mu
-            assert gains.g_bob == pytest.approx(variance * powers[:, r], rel=1e-12)
-            assert gains.g_eve == pytest.approx(variance * powers[:, r + 1], rel=1e-12)
+            mu = np.linalg.eigvalsh(cascade.conj().T @ cascade)[::-1][:k]
+            variance = powers[:, :k] @ mu
+            assert gains.g_bob == pytest.approx(variance * powers[:, k], rel=1e-12)
+            assert gains.g_eve == pytest.approx(variance * powers[:, k + 1], rel=1e-12)
             assert gains.var_eve == pytest.approx(variance, rel=1e-12)
-            assert gains.g_bob / gains.g_eve == pytest.approx(powers[:, r] / powers[:, r + 1],
+            assert gains.g_bob / gains.g_eve == pytest.approx(powers[:, k] / powers[:, k + 1],
                                                               rel=1e-12)
             if policy == "fixed-uniform":
                 block = corr.block(np.arange(7))

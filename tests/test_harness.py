@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -17,8 +18,8 @@ from frisec import channel, harness
 from frisec.channel import ChannelStream, LinkBudget, blas_threads, correlated_images_batch
 from frisec.cli import main
 from frisec.errors import ConfigError, DomainError
-from frisec.harness import (_Z95, POLICIES, SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS,
-                            VALIDATE_FIT_COLUMNS, ExperimentConfig,
+from frisec.harness import (_Z95, KS_MIN_SAMPLES, KS_STRIDE, POLICIES, SWEEP_COLUMNS,
+                            VALIDATE_BOUND_COLUMNS, VALIDATE_FIT_COLUMNS, ExperimentConfig,
                             GainSamples, MetricEstimate,
                             config_from_mapping, db_to_linear, dbm_to_watts,
                             dump_correlation_csv, estimate_asc, estimate_sop,
@@ -26,12 +27,13 @@ from frisec.harness import (_Z95, POLICIES, SWEEP_COLUMNS, VALIDATE_BOUND_COLUMN
                             rows_to_csv, simulate_gains, sweep_size,
                             sweep_snr, validate_bounds, validate_fits,
                             write_results)
-from frisec.secrecy import GammaFit, SecrecyTarget, asc_oracle, fit_laws, sop_bound_from_ratio
+from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle, exp_cdf, fit_laws,
+                            gamma_cdf, sop_bound_from_ratio)
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
 
-from oracles import (plain_estimates, plain_gains, secrecy_capacity, whole_block_gains,
-                     wilson_estimate)
+from oracles import (ks_full, plain_estimates, plain_gains, secrecy_capacity,
+                     whole_block_gains, wilson_estimate)
 
 
 def small_config(**overrides):
@@ -150,27 +152,31 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_one_coloring_product_per_chunk(self, aperture_pools, monkeypatch, policy):
-        # 130 trials are two chunks of one block.  A fixed policy weights the
-        # feed's exponentials by the one row mu, greedy colors by the M x r
-        # factor; either way one product per chunk
+        # 130 trials are two chunks of one block.  Greedy colors each chunk by
+        # the M x r factor; a fixed policy weights the whole block's 1024
+        # trials of feed exponentials by the one row mu, in one product, whose
+        # length min(m_on, r) bounds the rank of the cascade
         corr = aperture_pools[100]
         shapes = []
 
         def recording(draws, rows):
-            shapes.append(rows.shape)
+            shapes.append((draws.shape[:2], rows.shape))
             return correlated_images_batch(draws, rows)
 
         monkeypatch.setattr(harness, "correlated_images_batch", recording)
         simulate_gains(corr, policy, 10, 130, ChannelStream(7, 2))
-        rows = 1 if policy.startswith("fixed") else corr.n_elements
-        assert shapes == [(rows, corr.rank)] * 2
+        if policy == "greedy":
+            assert shapes == [((2, 128), (corr.n_elements, corr.rank))] * 2
+        else:
+            assert shapes == [((1024, 1), (1, 10))]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("policy", POLICIES)
     def test_one_draw_per_block(self, aperture_pools, monkeypatch, policy, workers):
-        # 1024 + 130 trials are two blocks of eight and two chunks: two calls
-        # of ChannelStream.draw_block and ten of correlated_images_batch, the
-        # two layers a traced benchmark run expects to see
+        # 1024 + 130 trials are two blocks: two calls of ChannelStream.draw_block,
+        # and of correlated_images_batch ten for greedy, one per chunk of eight
+        # and two, and two for a fixed policy, one per block; the two layers a
+        # traced benchmark run expects to see
         corr = aperture_pools[100]
         calls = {"draw": 0, "color": 0}
         draw_block = ChannelStream.draw_block
@@ -186,7 +192,42 @@ class TestChunkedEngine:
         monkeypatch.setattr(ChannelStream, "draw_block", counting_draw)
         monkeypatch.setattr(harness, "correlated_images_batch", counting_color)
         simulate_gains(corr, policy, 10, 1024 + 130, ChannelStream(7, 2), workers=workers)
-        assert calls == {"draw": 2, "color": 10}
+        assert calls == {"draw": 2, "color": 10 if policy == "greedy" else 2}
+
+    @pytest.mark.parametrize("m_on", [10, 43, 50, 100])
+    @pytest.mark.parametrize("policy", ["fixed-uniform", "fixed-random"])
+    def test_fixed_draws_sized_by_rank(self, aperture_pools, monkeypatch, policy, m_on):
+        # K = F_S^T Phi F_S has rank at most k = min(m_on, r), so a fixed
+        # policy draws k + 2 exponentials per trial, k of them for the k
+        # largest mu; the dropped mu are zero up to rounding
+        corr = aperture_pools[100]
+        r = corr.rank
+        k = min(m_on, r)
+        asked = []
+        draw_block = ChannelStream.draw_block
+
+        def recording_draw(self, m, block, power=False):
+            asked.append((m, power))
+            return draw_block(self, m, block, power=power)
+
+        monkeypatch.setattr(ChannelStream, "draw_block", recording_draw)
+        stream = ChannelStream(5, 1)
+        gains = simulate_gains(corr, policy, m_on, 1500, stream)
+        assert asked == [(k + 2, True)] * 2
+        monkeypatch.undo()
+
+        indices, phases = harness._fixed_selection(corr.n_elements, m_on, policy, stream.seed)
+        rows = corr.factor[indices]
+        singular = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False)
+        assert np.all(singular[k:] <= 1e-10 * singular[0])
+        mu = singular[:k] ** 2
+        powers = np.concatenate([stream.draw_block(k + 2, b, power=True)[:, 0]
+                                 for b in range(2)])[:1500]
+        with channel.one_blas_thread():
+            variance = (powers[:, :k] @ mu[:, None])[:, 0]
+        assert np.array_equal(gains.var_eve, variance)
+        assert np.array_equal(gains.g_bob, variance * powers[:, k])
+        assert np.array_equal(gains.g_eve, variance * powers[:, k + 1])
 
     def test_dense_pool_peak_memory(self, aperture_pools):
         # coloring whole 1024-trial blocks here holds about 240 MiB over two
@@ -509,21 +550,56 @@ class TestKs:
         stat = ks_statistic(samples, lambda x: np.clip(x, 0.0, 1.0))  # uniform CDF
         assert stat == pytest.approx(0.7)
 
-    def test_cdf_called_once_on_sorted_samples(self):
-        samples = np.random.default_rng(31).uniform(size=500)
-        calls = []
+    def test_equals_the_full_evaluation(self):
+        # the bracket evaluates the CDF at a subset of the sorted samples, so
+        # it must give the one-call maximum over every sample, bit for bit: at
+        # sizes on and off the stride, with ties, under the samples' own law
+        # and a wrong one, and with a CDF that a 1e-12 wobble makes
+        # non-monotone within the slack
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        laws = {
+            "gamma": (lambda rng, n: rng.gamma(2.5, 1.5, n),
+                      lambda x: gamma_cdf(x, GammaFit(2.5, 1.5))),
+            "exponential": (lambda rng, n: rng.exponential(2.0, n),
+                            lambda x: exp_cdf(x, ExpFit(0.5))),
+            "uniform": (lambda rng, n: rng.uniform(size=n), lambda x: np.clip(x, 0.0, 1.0)),
+        }
+
+        @hypothesis.settings(max_examples=80, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(st.integers(KS_MIN_SAMPLES, 4000), st.sampled_from(sorted(laws)),
+                          st.sampled_from(sorted(laws)), st.sampled_from([None, 0, 1, 2]),
+                          st.booleans(), st.integers(0, 2 ** 32 - 1))
+        @hypothesis.example(KS_STRIDE * 20, "gamma", "gamma", None, False, 1)
+        @hypothesis.example(KS_STRIDE * 20 + 1, "gamma", "gamma", None, True, 2)
+        @hypothesis.example(KS_MIN_SAMPLES, "exponential", "exponential", 0, False, 3)
+        @hypothesis.example(3000, "gamma", "uniform", None, False, 4)  # KS near 1
+        def check(n, drawn, tested, decimals, wobble, seed):
+            samples = laws[drawn][0](np.random.default_rng(seed), n)
+            if decimals is not None:  # ties
+                samples = np.round(samples, decimals)
+            cdf = laws[tested][1]
+            if wobble:
+                cdf = functools.partial(lambda law, x: law(x) + 1e-12 * np.sin(1e6 * x), cdf)
+            assert ks_statistic(samples, cdf) == ks_full(samples, cdf)
+
+        check()
+
+    def test_cdf_sees_few_samples_of_a_misfit_law(self, aperture_pools):
+        # validate-fits' m_on = 10 row: 50,000 frozen-configuration gains of
+        # the 10x10 pool against their Gamma fit, a KS distance near 0.3
+        corr = aperture_pools[100]
+        gains = simulate_gains(corr, "fixed-uniform", 10, 50_000, ChannelStream(1, 10))
+        fit_b = reference_fits(corr, 10)[0]
+        seen = []
 
         def cdf(x):
-            calls.append(x.copy())
-            return x
+            seen.append(x.size)
+            return gamma_cdf(x, fit_b)
 
-        stat = ks_statistic(samples, cdf)
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], np.sort(samples))
-        n = samples.size
-        expected = max(np.max(np.arange(1, n + 1) / n - calls[0]),
-                       np.max(calls[0] - np.arange(n) / n))
-        assert stat == expected
+        stat = ks_statistic(gains.g_bob, cdf)
+        assert len(seen) == 2 and sum(seen) < 0.1 * gains.g_bob.size
+        assert stat == ks_full(gains.g_bob, cdf) > 0.2
 
     def test_needs_enough_samples(self):
         with pytest.raises(DomainError):

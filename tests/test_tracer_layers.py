@@ -75,13 +75,14 @@ def test_traced_engine_and_estimators_reduce_to_layer_metrics(monkeypatch):
     finally:
         traced.uninstall()
     layers = tracer.layer_metrics(traced.spans, traced.counters, traced.main_thread, 1)
-    r = corr.rank
+    r, k = corr.rank, min(cfg.m_on, corr.rank)
     assert layers["harness.simulate_gains.calls"] == 2
     assert layers["harness.simulate_gains.blocks"] == layers["channel.draw_block.calls"] == 4
-    # 1100 trials are a whole block of eight chunks and a block of one chunk
-    assert layers["channel.correlated_images_batch.calls"] == 2 * 9
+    # 1100 trials are two blocks: greedy colors a whole block in eight chunks
+    # and the next in one, the fixed policy weights each block in one product
+    assert layers["channel.correlated_images_batch.calls"] == 9 + 2
     assert layers["channel.draw_block.bytes_computed"] == 2 * (
-        2 * 1024 * (r + 1) * 16 + 1024 * (r + 2) * 16)
+        2 * 1024 * (r + 1) * 16 + 1024 * (k + 2) * 16)
     assert layers["channel.correlated_images_batch.gflop_computed"] > 0
     for name in ("records_for_budget", "estimate_sop", "estimate_asc"):
         assert layers[f"harness.{name}.calls"] == 1
