@@ -3,12 +3,13 @@
 A trial has three links (feed, legitimate, eavesdropper).  A link draws
 r i.i.d. circular complex Gaussians with unit variance, one per kept
 eigenpair of the M-element correlation matrix J, and its spatially correlated
-image is the complex product with the M x r eigen-factor F = U_r Lambda_r^{1/2}.
+image is their product with the real M x r eigen-factor F = U_r Lambda_r^{1/2}.
 Since F F^T = J up to the dropped rounding-noise eigenvalues, the image has
 exactly the law of J^{1/2} h with h of length M, at r/M of the draws and of
-the coloring work (Karhunen-Loeve expansion).  No policy looks at the
-eavesdropper's link, so given the other two its channel is one circular
-normal of a variance the trial fixes, and no policy colors it.
+the coloring work (Karhunen-Loeve expansion).  F is real, so the engine
+colors the real and imaginary planes of the draws by one real product.  No
+policy looks at the eavesdropper's link, so given the other two its channel
+is one circular normal of a variance the trial fixes, and no policy colors it.
 `draw_block` lays out `m` draws per link and trial: the adaptive policy
 draws the feed's and the legitimate link's r complex normals and one more
 complex normal per trial, whose power is the eavesdropper's unit
@@ -72,18 +73,20 @@ class ChannelStream:
         return raw.view(np.complex128).reshape(2, TRIALS_PER_BLOCK, m + 1)
 
 
-def correlated_images_batch(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def correlated_images_batch(draws: np.ndarray, rows: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Batched F @ w for a 3-D block of r-vectors and an (outputs, r) matrix.
 
-    Each row of `rows` gives one output: the M x r eigen-factor colors complex
-    normals into element images, a frozen configuration's one row mu weights
-    real unit exponentials into its channel variance sum mu_i E_i.  Returns
-    the block's two leading axes by len(rows), by one product; a caller that
-    colors many blocks passes the factor already cast to complex, so no
-    product casts it again.
+    Each row of `rows` gives one output: the real M x r eigen-factor colors
+    greedy's (4, n, r) real planes (feed re, feed im, bob re, bob im) of
+    complex normals into (4, n, M) planes of element images, a frozen
+    configuration's one row mu weights real unit exponentials into its
+    channel variance sum mu_i E_i.  Returns the block's two leading axes by
+    len(rows), by one product, written into `out` when it is given.
     """
     a, b, r = draws.shape
-    return (draws.reshape(a * b, r) @ rows.T).reshape(a, b, rows.shape[0])
+    flat = None if out is None else out.reshape(a * b, rows.shape[0])
+    return np.matmul(draws.reshape(a * b, r), rows.T, out=flat).reshape(a, b, rows.shape[0])
 
 
 @functools.cache

@@ -26,6 +26,7 @@ import json
 import math
 import numbers
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -238,7 +239,8 @@ class MetricEstimate:
 # ---------------------------------------------------------------------------
 
 #: trials colored and run through greedy's kernel at a time within a Philox
-#: block; it bounds the images and kernel temporaries, not the draws.
+#: block; it sizes each worker's workspace of images and kernel buffers, not
+#: the draws.
 CHUNK_TRIALS = 128
 
 
@@ -262,44 +264,93 @@ class GainSamples:
             raise DomainError("channel gains must be >= 0 and not nan")
 
 
-def _greedy_block(images: np.ndarray, factor: np.ndarray, m_on: int
+class _GreedyWorkspace:
+    """One worker's buffers for greedy's chunks of up to `trials` trials.
+
+    A worker allocates them once per `simulate_gains` call and runs every
+    chunk in them, so no chunk faults in fresh pages.  They are flat, so a
+    chunk of n trials takes a contiguous prefix of each: the draws' and the
+    images' four real planes, the co-phasing weight, the ON mask and the
+    eavesdropper's projection.
+    """
+
+    def __init__(self, m: int, r: int, trials: int = CHUNK_TRIALS):
+        self.draws = np.empty(4 * trials * r)
+        self.images = np.empty(4 * trials * m)
+        self.weight = np.empty(trials * m)
+        self.on = np.empty(trials * m, dtype=bool)
+        self.projected = np.empty(2 * trials * r)
+
+
+def _prefix(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _greedy_chunk(draws: np.ndarray, factor: np.ndarray, m_on: int, work: _GreedyWorkspace
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy's (g_bob, g_eve, var_eve) of a (2, n, r + 1) slice of a draw block.
+
+    The feed's and the legitimate link's r normals are copied into the
+    workspace as four real planes (feed re, feed im, bob re, bob im), and
+    one real product with the M x r factor colors them into the images'
+    four planes, on which the kernel runs in place.
+    """
+    n = draws.shape[1]
+    m, r = factor.shape
+    planes = _prefix(work.draws, 4, n, r)
+    np.copyto(planes.reshape(2, 2, n, r),
+              np.moveaxis(draws[:, :, :r].view(float).reshape(2, n, r, 2), 3, 1))
+    images = correlated_images_batch(planes, factor, out=_prefix(work.images, 4, n, m))
+    g_bob, variance = _greedy_block(images, factor, m_on, work)
+    return g_bob, variance * np.abs(draws[0, :, r]) ** 2, variance
+
+
+def _greedy_block(images: np.ndarray, factor: np.ndarray, m_on: int, work: _GreedyWorkspace
                   ) -> tuple[np.ndarray, np.ndarray]:
     # Per-trial strongest-subset selection, co-phased toward the legitimate
-    # receiver.  The co-phased objective sum |u_bob[m]| |v[m]| is separable
-    # over elements, so the m_on largest terms are the best subset of that
-    # size; a tie at the threshold keeps its lowest indices.  The
-    # eavesdropper sees the same selection and phases, a = |v| u_bob / |u_bob|
-    # on it and 0 elsewhere, so its channel sum conj(u_eve[m]) a[m] is
-    # w_eve^H F^T a, CN(0, ||F^T a||^2) for the real factor F.  Returns the
-    # legitimate power gain and that variance, from one real product of a's
-    # two planes by F.
-    v, u_bob = images
-    n, m = v.shape
-    # two (n, m) planes, reused so that a chunk touches few fresh pages:
-    # |v| and |v| / |u_bob|, then the partition scratch and the weight, then a
-    planes = np.empty((2, n, m))
-    abs_v, weight = np.abs(v, out=planes[0]), planes[1]
-    mags = np.abs(u_bob)
-    np.divide(abs_v, mags, out=weight)
-    mags *= abs_v
+    # receiver, on the (4, n, M) real planes of the feed's image v and the
+    # legitimate link's u_bob, which it overwrites.  The co-phased objective
+    # sum |u_bob[m]| |v[m]| is separable over elements, so the m_on largest
+    # terms are the best subset of that size; a tie at the threshold keeps
+    # its lowest indices, and tied terms are equal, so the gain, the square
+    # of the sum of the m_on largest, does not depend on which are kept.
+    # The eavesdropper sees the same selection and phases, a = |v| u_bob /
+    # |u_bob| on it and 0 elsewhere, so its channel sum conj(u_eve[m]) a[m]
+    # is w_eve^H F^T a, CN(0, ||F^T a||^2) for the real factor F.  Returns
+    # the legitimate power gain and that variance, from one real product of
+    # a's two planes by F.  Magnitudes are sqrt(re^2 + im^2): np.hypot is
+    # ten times slower.
+    _, n, m = images.shape
+    v_re, v_im, u_re, u_im = images
+    weight = _prefix(work.weight, n, m)
+    abs_v = np.sqrt(np.add(np.square(v_re, out=v_re), np.square(v_im, out=v_im), out=v_re),
+                    out=v_re)
+    # v's second plane is free now, and the weight is the scratch for im(u_bob)^2
+    abs_u = np.sqrt(np.add(np.square(u_re, out=v_im), np.square(u_im, out=weight), out=v_im),
+                    out=v_im)
+    np.divide(abs_v, abs_u, out=weight)
+    terms = np.multiply(abs_v, abs_u, out=images[0])
     if m_on < m:
-        scratch = planes[0]
-        np.copyto(scratch, mags)
-        scratch.partition(m - m_on, axis=1)
-        threshold = scratch[:, m - m_on, None].copy()
-        on = mags >= threshold
+        top = images[1]
+        np.copyto(top, terms)
+        top.partition(m - m_on, axis=1)
+        threshold = top[:, m - m_on, None]
+        on = np.greater_equal(terms, threshold, out=_prefix(work.on, n, m))
         extra = np.count_nonzero(on, axis=1) - m_on
         if extra.any():
             rows = np.flatnonzero(extra)
-            tied = mags[rows] == threshold[rows]
+            tied = terms[rows] == threshold[rows]
             from_end = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
             on[rows] &= ~(tied & (from_end <= extra[rows, None]))
-        mags *= on
         weight *= on
-    np.multiply(weight, u_bob.real, out=planes[0])
-    weight *= u_bob.imag
-    projected = planes.reshape(2 * n, m) @ factor
-    return (mags.sum(axis=1) ** 2,
+        amplitude = top[:, m - m_on:].sum(axis=1)
+    else:
+        amplitude = terms.sum(axis=1)
+    u_re *= weight
+    u_im *= weight
+    projected = np.matmul(images[2:].reshape(2 * n, m), factor,
+                          out=_prefix(work.projected, 2 * n, factor.shape[1]))
+    return (amplitude ** 2,
             np.einsum("ij,ij->i", projected, projected).reshape(2, n).sum(axis=0))
 
 
@@ -327,16 +378,19 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     particular do not depend on `workers`; trial t of a run equals the last
     trial of a run of t + 1 trials.  The blocks run inline with one worker, and
     otherwise on min(workers, blocks, usable CPUs) threads, each of which
-    holds a block's draws and its kernel's temporaries.  The call runs under
-    `one_blas_thread`, so each product runs on its worker's thread and the
-    workers are the only threads.
+    holds a block's draws and, under greedy, its workspace.  The call runs
+    under `one_blas_thread`, so each product runs on its worker's thread and
+    the workers are the only threads.
 
     Every policy draws each Philox block whole.  Greedy colors it and runs
-    its kernel in chunks of CHUNK_TRIALS trials, so its (n, M) images and
-    kernel temporaries stay a fraction of the block's, and its last block
-    stops at the chunk that holds the last requested trial.  A fixed
-    policy's temporaries hold one value per trial, so it runs each block
-    whole, in one product.  Every trial's kernel reads only its own row, so
+    its kernel in chunks of CHUNK_TRIALS trials, each by one real product of
+    the real and imaginary planes of its feed and legitimate normals by the
+    real factor, into a workspace that each worker allocates at its first
+    chunk and reuses for every later one, so its (n, M) images and kernel
+    buffers stay a fraction of the block's and fault in no fresh pages; its
+    last block stops at the chunk that holds the last requested trial.  A
+    fixed policy's temporaries hold one value per trial, so it runs each
+    block whole, in one product.  Every trial's kernel reads only its own row, so
     neither way changes a sample.
 
     A fixed policy's frozen rows F_S and phases Phi make both equivalent
@@ -368,14 +422,15 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     n_blocks = -(-trials // TRIALS_PER_BLOCK)
     r = corr.rank
     if policy == "greedy":
-        factor = corr.factor.astype(complex)
         draw = functools.partial(stream.draw_block, r)
         step = CHUNK_TRIALS
+        local = threading.local()  # one workspace per worker thread, for every chunk it runs
 
         def kernel(draws: np.ndarray, chunk: slice):
-            g_bob, variance = _greedy_block(correlated_images_batch(draws[:, chunk, :r], factor),
-                                            corr.factor, m_on)
-            return g_bob, variance * np.abs(draws[0, chunk, r]) ** 2, variance
+            work = getattr(local, "work", None)
+            if work is None:
+                work = local.work = _GreedyWorkspace(m, r)
+            return _greedy_chunk(draws[:, chunk], corr.factor, m_on, work)
 
     else:
         indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
@@ -763,9 +818,10 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
                             "sop_mc and asc_mc are means of each trial's exact outage "
                             "probability and mean secrecy capacity over that law",
             "coloring": "greedy colors the feed and legitimate links of chunk_trials "
-                        "trials of a Philox block at a time, by one product with the "
-                        "M x r factor; fixed policies weight a whole block's exponentials "
-                        "by the row mu in one product",
+                        "trials of a Philox block at a time, by one real product of "
+                        "their four real planes (feed re, feed im, bob re, bob im) with "
+                        "the real M x r factor; fixed policies weight a whole block's "
+                        "exponentials by the row mu in one product",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,

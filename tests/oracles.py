@@ -19,7 +19,9 @@ where the library integrates that link out of each trial, the eigen-factor
 reference decomposes the whole correlation matrix instead of the Gram of
 its plane-wave factor, the
 whole-block engine colors and runs each Philox block through greedy's
-kernel in one piece instead of in chunks, the block-matrix coloring
+kernel in one piece instead of in chunks, the complex greedy kernel selects
+and co-phases complex images by complex `np.abs` instead of the real planes
+of a real product, the block-matrix coloring
 takes one real GEMM over interleaved (re, im) pairs instead of the complex
 product, and the full KS distance evaluates the CDF at every sample instead
 of bracketing the distance between every 64th.
@@ -32,7 +34,8 @@ import numpy as np
 
 from frisec.channel import TRIALS_PER_BLOCK, correlated_images_batch, one_blas_thread
 from frisec.errors import ConvergenceError, DomainError
-from frisec.harness import _Z95, MetricEstimate, _fixed_selection, _greedy_block
+from frisec.harness import (_Z95, MetricEstimate, _fixed_selection, _greedy_block, _greedy_chunk,
+                            _GreedyWorkspace)
 from frisec.specfun import _require_finite, integrate_semi_infinite
 from frisec.surface import EIGEN_CLAMP
 
@@ -554,6 +557,60 @@ def block_matrix_images(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (pairs.view(np.float64) @ block).view(np.complex128).reshape(n, links, e)
 
 
+def real_planes(pairs: np.ndarray) -> np.ndarray:
+    """The (4, n, k) real planes of a (2, n, k) complex pair of links: re, im, re, im."""
+    return np.stack((pairs[0].real, pairs[0].imag, pairs[1].real, pairs[1].imag))
+
+
+def greedy_kernel(images: np.ndarray, factor: np.ndarray, m_on: int) -> tuple:
+    """The library's greedy kernel on (2, n, M) complex feed and legitimate images.
+
+    Lays them out as the four real planes the kernel overwrites, in a
+    workspace sized for their n trials; returns (g_bob, var_eve).
+    """
+    _, n, m = images.shape
+    return _greedy_block(real_planes(images), factor, m_on,
+                         _GreedyWorkspace(m, factor.shape[1], n))
+
+
+def complex_greedy_block(images: np.ndarray, factor: np.ndarray, m_on: int) -> tuple:
+    """Greedy's (g_bob, var_eve, ON mask) of (2, n, M) complex images, the kernel
+    the engine ran on the complex product before it colored real planes.
+
+    The m_on largest |v| |u_bob| are ON, a tie at the threshold keeping its
+    lowest indices; the gain is the square of the masked sum of all M terms,
+    from complex `np.abs`, and the variance ||F^T a||^2 of the co-phased
+    feed image a = |v| u_bob / |u_bob| on the ON elements.
+    """
+    v, u_bob = images
+    n, m = v.shape
+    planes = np.empty((2, n, m))
+    abs_v, weight = np.abs(v, out=planes[0]), planes[1]
+    mags = np.abs(u_bob)
+    np.divide(abs_v, mags, out=weight)
+    mags *= abs_v
+    on = np.ones((n, m), dtype=bool)
+    if m_on < m:
+        scratch = planes[0]
+        np.copyto(scratch, mags)
+        scratch.partition(m - m_on, axis=1)
+        threshold = scratch[:, m - m_on, None].copy()
+        on = mags >= threshold
+        extra = np.count_nonzero(on, axis=1) - m_on
+        if extra.any():
+            rows = np.flatnonzero(extra)
+            tied = mags[rows] == threshold[rows]
+            from_end = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
+            on[rows] &= ~(tied & (from_end <= extra[rows, None]))
+        mags *= on
+        weight *= on
+    np.multiply(weight, u_bob.real, out=planes[0])
+    weight *= u_bob.imag
+    projected = planes.reshape(2 * n, m) @ factor
+    return (mags.sum(axis=1) ** 2,
+            np.einsum("ij,ij->i", projected, projected).reshape(2, n).sum(axis=0), on)
+
+
 def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tuple:
     """(g_bob, g_eve, var_eve) of any policy, each Philox block colored whole.
 
@@ -571,12 +628,10 @@ def whole_block_gains(corr, policy: str, m_on: int, trials: int, stream) -> tupl
 def _whole_block_gains(corr, policy, m_on, trials, stream):
     r = corr.rank
     if policy == "greedy":
+        work = _GreedyWorkspace(corr.n_elements, r, TRIALS_PER_BLOCK)
+
         def block_gains(block):
-            draws = stream.draw_block(r, block)
-            g_bob, variance = _greedy_block(
-                correlated_images_batch(draws[:, :, :r], corr.factor.astype(complex)),
-                corr.factor, m_on)
-            return g_bob, variance * np.abs(draws[0, :, r]) ** 2, variance
+            return _greedy_chunk(stream.draw_block(r, block), corr.factor, m_on, work)
     else:
         indices, phases = _fixed_selection(corr.n_elements, m_on, policy, stream.seed)
         rows = corr.factor[indices]

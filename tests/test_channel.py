@@ -7,11 +7,12 @@ from frisec.channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget,
                             correlated_images_batch, path_loss)
 from frisec.errors import DomainError
 from frisec.harness import (POLICIES, GainSamples, _fixed_selection, _greedy_block,
-                            estimate_asc, ks_statistic, records_for_budget, simulate_gains)
+                            _GreedyWorkspace, estimate_asc, ks_statistic, records_for_budget,
+                            simulate_gains)
 from frisec.surface import SurfaceGeometry, build_correlation
 
 from oracles import (adaptive_block, block_matrix_images, fixed_block, full_root_gains,
-                     ks_two_sample, three_link_draws)
+                     greedy_kernel, ks_two_sample, real_planes, three_link_draws)
 
 
 def small_corr(side=4, aperture=2.0):
@@ -250,7 +251,7 @@ class TestEquivalentChannel:
         # the library kernel, on the feed and legitimate links alone, gives the
         # same gain, and the variance of the eavesdropper's sum given them:
         # a^H J a for the co-phased feed a = |v| u_bob / |u_bob|
-        g_bob, var_eve = _greedy_block(images[:, :2].transpose(1, 0, 2), corr.factor,
+        g_bob, var_eve = greedy_kernel(images[:, :2].transpose(1, 0, 2), corr.factor,
                                        corr.n_elements)
         assert g_bob == pytest.approx(h_bob ** 2, rel=1e-12)
         a = np.abs(images[:, 0]) * images[:, 1] / np.abs(images[:, 1])
@@ -288,8 +289,10 @@ class TestEquivalentChannel:
 
 class TestGainAndSnr:
     def test_channel_gain(self):
-        # greedy: the simulated power gain is the kernel's legitimate gain, and
-        # the eavesdropper's sigma^2 E, sigma^2 the kernel's variance and E the
+        # greedy: the simulated power gain is the kernel's legitimate gain on
+        # the four real planes of the feed's and the legitimate link's images,
+        # colored by one real product with the factor, and the
+        # eavesdropper's sigma^2 E, sigma^2 the kernel's variance and E the
         # power of the normal after the feed's r.  Fixed: both are sigma^2 E,
         # sigma^2 the feed's r unit exponentials weighted by the squared
         # singular values of the r x r cascade F_S^T Phi F_S of the frozen
@@ -303,7 +306,9 @@ class TestGainAndSnr:
             gains = simulate_gains(corr, policy, 5, 100, ChannelStream(6, 0))
             if policy == "greedy":
                 draws = ChannelStream(6, 0).draw_block(r, 0)
-                g_bob, variance = _greedy_block(colored(draws, corr), corr.factor, 5)
+                images = correlated_images_batch(real_planes(draws[:, :, :r]), corr.factor)
+                g_bob, variance = _greedy_block(images, corr.factor, 5,
+                                                _GreedyWorkspace(corr.n_elements, r, 1024))
                 g_eve = variance * np.abs(draws[0, :, r]) ** 2
             else:
                 powers = ChannelStream(6, 0).draw_block(k + 2, 0, power=True)

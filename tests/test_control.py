@@ -8,11 +8,11 @@ import pytest
 
 from frisec.channel import ChannelStream, correlated_images_batch
 from frisec.errors import ConfigError, DomainError
-from frisec.harness import ExperimentConfig, _fixed_selection, _greedy_block, simulate_gains
+from frisec.harness import ExperimentConfig, _fixed_selection, simulate_gains
 from frisec.surface import SurfaceGeometry, build_correlation
 
-from oracles import (adaptive_block, fixed_block, select_exhaustive, three_link_draws,
-                     trace_power_direct)
+from oracles import (adaptive_block, fixed_block, greedy_kernel, select_exhaustive,
+                     three_link_draws, trace_power_direct)
 
 WAVELENGTH = 0.12491352
 
@@ -26,7 +26,7 @@ def realization(side=3, aperture=1.5, trial=0, seed=2):
 
 def greedy(corr, images, m_on):
     """The library kernel's (legitimate gain, eavesdropper variance) of a (1, 3, M) batch."""
-    g_bob, var_eve = _greedy_block(images[:, :2].transpose(1, 0, 2), corr.factor, m_on)
+    g_bob, var_eve = greedy_kernel(images[:, :2].transpose(1, 0, 2), corr.factor, m_on)
     return g_bob[0], var_eve[0]
 
 
@@ -112,7 +112,7 @@ class TestGreedy:
         factor = np.ones((16, 1))
         draws = three_link_draws(5, 1, 64)[:, :2].transpose(1, 0, 2)
         v, u_bob = correlated_images_batch(draws, factor)
-        g_bob, var_eve = _greedy_block(np.stack((v, u_bob)), factor, m_on)
+        g_bob, var_eve = greedy_kernel(np.stack((v, u_bob)), factor, m_on)
         assert g_bob == pytest.approx((m_on * np.abs(v[:, 0] * u_bob[:, 0])) ** 2, rel=1e-12)
         assert var_eve == pytest.approx((m_on * np.abs(v[:, 0])) ** 2, rel=1e-12)
 
@@ -123,7 +123,7 @@ class TestGreedy:
         factor = rng.standard_normal((5, 3))
         u_bob = np.array([1.0, 3.0, 2.0, 2.0, 2.0]) * np.exp(2j * math.pi * rng.uniform(size=5))
         images = np.stack((np.ones((1, 5), complex), u_bob[None, :]))
-        g_bob, var_eve = _greedy_block(images, factor, 2)
+        g_bob, var_eve = greedy_kernel(images, factor, 2)
         a = np.zeros(5, complex)
         a[[1, 2]] = u_bob[[1, 2]] / np.abs(u_bob[[1, 2]])
         assert g_bob[0] == 25.0

@@ -18,9 +18,9 @@ from frisec import channel, harness
 from frisec.channel import ChannelStream, LinkBudget, blas_threads, correlated_images_batch
 from frisec.cli import main
 from frisec.errors import ConfigError, DomainError
-from frisec.harness import (_Z95, KS_MIN_SAMPLES, KS_STRIDE, POLICIES, SWEEP_COLUMNS,
-                            VALIDATE_BOUND_COLUMNS, VALIDATE_FIT_COLUMNS, ExperimentConfig,
-                            GainSamples, MetricEstimate,
+from frisec.harness import (_Z95, CHUNK_TRIALS, KS_MIN_SAMPLES, KS_STRIDE, POLICIES,
+                            SWEEP_COLUMNS, VALIDATE_BOUND_COLUMNS, VALIDATE_FIT_COLUMNS,
+                            ExperimentConfig, GainSamples, MetricEstimate,
                             config_from_mapping, db_to_linear, dbm_to_watts,
                             dump_correlation_csv, estimate_asc, estimate_sop,
                             ks_statistic, records_for_budget, reference_fits,
@@ -32,8 +32,8 @@ from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle, exp_cdf
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
 
-from oracles import (ks_full, plain_estimates, plain_gains, secrecy_capacity,
-                     whole_block_gains, wilson_estimate)
+from oracles import (complex_greedy_block, ks_full, plain_estimates, plain_gains,
+                     secrecy_capacity, whole_block_gains, wilson_estimate)
 
 
 def small_config(**overrides):
@@ -134,6 +134,16 @@ def aperture_pools():
             36: build_correlation(cfg.conventional_geometry())}
 
 
+def greedy_peak(corr, trials: int, workers: int) -> int:
+    """tracemalloc's peak in bytes over one greedy simulation with m_on = 64."""
+    tracemalloc.start()
+    try:
+        simulate_gains(corr, "greedy", 64, trials, ChannelStream(1, 0), workers=workers)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestChunkedEngine:
     @pytest.mark.parametrize("policy, m_total, m_on", [
         ("greedy", 400, 100), ("greedy", 1600, 64), ("greedy", 36, 36),
@@ -150,25 +160,62 @@ class TestChunkedEngine:
             assert np.array_equal(gains.g_eve, g_eve)
             assert np.array_equal(gains.var_eve, var_eve)
 
+    @pytest.mark.parametrize("m_total, m_on", [(36, 36), (400, 100), (1600, 64)])
+    def test_chunk_matches_complex_kernel(self, aperture_pools, m_total, m_on):
+        # one chunk colored by one real product into a workspace, against the
+        # complex product and the kernel on complex images: the same elements
+        # ON, and the gain and variance to rounding
+        corr = aperture_pools[m_total]
+        m, r = corr.n_elements, corr.rank
+        draws = ChannelStream(7, 2).draw_block(r, 3)[:, :CHUNK_TRIALS]
+        work = harness._GreedyWorkspace(m, r)
+        g_bob, g_eve, var_eve = harness._greedy_chunk(draws, corr.factor, m_on, work)
+        want_bob, want_var, want_on = complex_greedy_block(
+            correlated_images_batch(draws[:, :, :r], corr.factor), corr.factor, m_on)
+        if m_on < m:
+            assert np.array_equal(work.on[:CHUNK_TRIALS * m].reshape(CHUNK_TRIALS, m), want_on)
+        assert np.allclose(g_bob, want_bob, rtol=1e-13, atol=0)
+        assert np.allclose(var_eve, want_var, rtol=1e-13, atol=0)
+        assert np.array_equal(g_eve, var_eve * np.abs(draws[0, :, r]) ** 2)
+
+    @pytest.mark.parametrize("m_on", [1, 5, 15])
+    def test_chunk_selection_on_a_rank_one_pool(self, m_on):
+        # every element of a rank-one pool has the same image, so every term
+        # ties; both kernels keep the lowest m_on indices
+        factor = np.ones((16, 1))
+        draws = ChannelStream(5, 0).draw_block(1, 0)[:, :CHUNK_TRIALS]
+        work = harness._GreedyWorkspace(16, 1)
+        g_bob, _, var_eve = harness._greedy_chunk(draws, factor, m_on, work)
+        want_bob, want_var, want_on = complex_greedy_block(
+            correlated_images_batch(draws[:, :, :1], factor), factor, m_on)
+        on = work.on[:CHUNK_TRIALS * 16].reshape(CHUNK_TRIALS, 16)
+        assert np.array_equal(on, want_on)
+        assert np.all(on[:, :m_on]) and not np.any(on[:, m_on:])
+        assert np.allclose(g_bob, want_bob, rtol=1e-13, atol=0)
+        assert np.allclose(var_eve, want_var, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_one_coloring_product_per_chunk(self, aperture_pools, monkeypatch, policy):
-        # 130 trials are two chunks of one block.  Greedy colors each chunk by
-        # the M x r factor; a fixed policy weights the whole block's 1024
-        # trials of feed exponentials by the one row mu, in one product, whose
-        # length min(m_on, r) bounds the rank of the cascade
+        # 130 trials are two chunks of one block.  Greedy colors each chunk's
+        # four real planes (feed re, feed im, bob re, bob im) by the real
+        # M x r factor; a fixed policy weights the whole block's 1024 trials
+        # of feed exponentials by the one row mu, in one product, whose
+        # length min(m_on, r) bounds the rank of the cascade.  Every product
+        # is real
         corr = aperture_pools[100]
         shapes = []
 
-        def recording(draws, rows):
-            shapes.append((draws.shape[:2], rows.shape))
-            return correlated_images_batch(draws, rows)
+        def recording(draws, rows, out=None):
+            shapes.append((draws.shape[:2], rows.shape, draws.dtype, rows.dtype))
+            return correlated_images_batch(draws, rows, out)
 
         monkeypatch.setattr(harness, "correlated_images_batch", recording)
         simulate_gains(corr, policy, 10, 130, ChannelStream(7, 2))
+        real = (np.dtype(float), np.dtype(float))
         if policy == "greedy":
-            assert shapes == [((2, 128), (corr.n_elements, corr.rank))] * 2
+            assert shapes == [((4, 128), (corr.n_elements, corr.rank), *real)] * 2
         else:
-            assert shapes == [((1024, 1), (1, 10))]
+            assert shapes == [((1024, 1), (1, 10), *real)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("policy", POLICIES)
@@ -185,9 +232,9 @@ class TestChunkedEngine:
             calls["draw"] += 1
             return draw_block(self, *args, **kwargs)
 
-        def counting_color(draws, rows):
+        def counting_color(draws, rows, out=None):
             calls["color"] += 1
-            return correlated_images_batch(draws, rows)
+            return correlated_images_batch(draws, rows, out)
 
         monkeypatch.setattr(ChannelStream, "draw_block", counting_draw)
         monkeypatch.setattr(harness, "correlated_images_batch", counting_color)
@@ -232,15 +279,16 @@ class TestChunkedEngine:
     def test_dense_pool_peak_memory(self, aperture_pools):
         # coloring whole 1024-trial blocks here holds about 240 MiB over two
         # workers (three image links of 1600 elements each, and as much in
-        # kernel temporaries); 128-trial chunks peak near 40 MiB
-        corr = aperture_pools[1600]
-        tracemalloc.start()
-        try:
-            simulate_gains(corr, "greedy", 64, 2048, ChannelStream(1, 0), workers=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        # kernel temporaries).  Each worker's workspace for 128-trial chunks
+        # is 8.3 MiB and its block of draws 1.5 MiB, a peak of 19.8 MiB,
+        # where fresh complex images and temporaries per chunk peaked at
+        # 26.7 MiB; the bound leaves about a fifth for numpy's own buffers
+        assert greedy_peak(aperture_pools[1600], 2048, workers=2) < 24 * 2 ** 20
+
+    def test_one_worker_dense_pool_peak_memory(self, aperture_pools):
+        # one workspace and one block of draws: 9.95 MiB, against 14.0 MiB
+        # with fresh images and temporaries per chunk
+        assert greedy_peak(aperture_pools[1600], 4096, workers=1) < 12 * 2 ** 20
 
     def test_dense_pool_build_peak_memory(self):
         # J of the 40x40 pool is 19.5 MiB; the build keeps its offset table and
@@ -724,9 +772,9 @@ class TestOneBlasThread:
                                                two_blas_threads, workers):
         seen = []
 
-        def recording(draws, rows):
+        def recording(draws, rows, out=None):
             seen.append(blas_threads())
-            return correlated_images_batch(draws, rows)
+            return correlated_images_batch(draws, rows, out)
 
         monkeypatch.setattr(harness, "correlated_images_batch", recording)
         simulate_gains(aperture_pools[100], "greedy", 10, 2048, ChannelStream(7, 2),
@@ -737,7 +785,7 @@ class TestOneBlasThread:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_count_restored_after_an_error(self, aperture_pools, monkeypatch,
                                            two_blas_threads, workers):
-        def failing(draws, rows):
+        def failing(draws, rows, out=None):
             raise RuntimeError("injected")
 
         monkeypatch.setattr(harness, "correlated_images_batch", failing)
@@ -754,12 +802,12 @@ class TestOneBlasThread:
         serial = simulate_gains(corr, "greedy", 10, 1024, stream)
         barrier, local, seen, results = threading.Barrier(2, timeout=60), threading.local(), [], []
 
-        def meeting(draws, rows):
+        def meeting(draws, rows, out=None):
             if not getattr(local, "met", False):
                 local.met = True
                 barrier.wait()
             seen.append(blas_threads())
-            return correlated_images_batch(draws, rows)
+            return correlated_images_batch(draws, rows, out)
 
         monkeypatch.setattr(harness, "correlated_images_batch", meeting)
         threads = [threading.Thread(target=lambda: results.append(

@@ -9,6 +9,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import frisec.cli  # noqa: F401  (the tracer patches every loaded frisec module)
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -83,6 +85,11 @@ def test_traced_engine_and_estimators_reduce_to_layer_metrics(monkeypatch):
     assert layers["channel.correlated_images_batch.calls"] == 9 + 2
     assert layers["channel.draw_block.bytes_computed"] == 2 * (
         2 * 1024 * (r + 1) * 16 + 1024 * (k + 2) * 16)
-    assert layers["channel.correlated_images_batch.gflop_computed"] > 0
+    # the hook reads greedy's (4, 128, r) real planes by the M x r factor and
+    # the fixed policy's (1024, 1, k) exponentials by the one row mu, and
+    # counts each as a complex product
+    m = corr.n_elements
+    assert layers["channel.correlated_images_batch.gflop_computed"] == pytest.approx(
+        (9 * 4 * 4 * 128 * r * m + 2 * 4 * 1024 * k) / 1e9, rel=1e-12)
     for name in ("records_for_budget", "estimate_sop", "estimate_asc"):
         assert layers[f"harness.{name}.calls"] == 1
