@@ -238,10 +238,14 @@ class MetricEstimate:
 # Gain simulation engine
 # ---------------------------------------------------------------------------
 
-#: trials colored and run through greedy's kernel at a time within a Philox
-#: block; it sizes each worker's workspace of images and kernel buffers, not
-#: the draws.
+#: the most trials colored and run through greedy's kernel at a time within
+#: a Philox block; pools of more than CHUNK_ELEMENTS / CHUNK_TRIALS elements
+#: take fewer.
 CHUNK_TRIALS = 128
+#: trials times elements in one greedy chunk: it sizes each worker's
+#: workspace of images and kernel buffers (2.0-2.3 MiB), not the draws, so
+#: the workspace does not grow with the pool.
+CHUNK_ELEMENTS = 128 * 400
 
 
 @dataclass(frozen=True)
@@ -265,7 +269,7 @@ class GainSamples:
 
 
 class _GreedyWorkspace:
-    """One worker's buffers for greedy's chunks of up to `trials` trials.
+    """One worker's buffers for greedy's chunks of up to `trials` trials of `m` elements.
 
     A worker allocates them once per `simulate_gains` call and runs every
     chunk in them, so no chunk faults in fresh pages.  They are flat, so a
@@ -274,7 +278,7 @@ class _GreedyWorkspace:
     eavesdropper's projection.
     """
 
-    def __init__(self, m: int, r: int, trials: int = CHUNK_TRIALS):
+    def __init__(self, m: int, r: int, trials: int):
         self.draws = np.empty(4 * trials * r)
         self.images = np.empty(4 * trials * m)
         self.weight = np.empty(trials * m)
@@ -383,15 +387,17 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     the workers are the only threads.
 
     Every policy draws each Philox block whole.  Greedy colors it and runs
-    its kernel in chunks of CHUNK_TRIALS trials, each by one real product of
-    the real and imaginary planes of its feed and legitimate normals by the
-    real factor, into a workspace that each worker allocates at its first
-    chunk and reuses for every later one, so its (n, M) images and kernel
-    buffers stay a fraction of the block's and fault in no fresh pages; its
-    last block stops at the chunk that holds the last requested trial.  A
+    its kernel in chunks of min(CHUNK_TRIALS, CHUNK_ELEMENTS // M) trials (at
+    least one), each by one real product of the real and imaginary planes of
+    its feed and legitimate normals by the real factor, into a workspace that
+    each worker allocates at its first chunk and reuses for every later one,
+    so its (n, M) images and kernel buffers hold about CHUNK_ELEMENTS values
+    per plane whatever the pool and fault in no fresh pages; its last block
+    stops at the chunk that holds the last requested trial.  A
     fixed policy's temporaries hold one value per trial, so it runs each
     block whole, in one product.  Every trial's kernel reads only its own row, so
-    neither way changes a sample.
+    neither way changes a sample beyond the BLAS's rounding of a product, which
+    may depend on where a trial's rows fall in it.
 
     A fixed policy's frozen rows F_S and phases Phi make both equivalent
     channels w^H K w_feed, K = F_S^T Phi F_S (r x r), so given the feed each
@@ -423,13 +429,13 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     r = corr.rank
     if policy == "greedy":
         draw = functools.partial(stream.draw_block, r)
-        step = CHUNK_TRIALS
+        step = max(1, min(CHUNK_TRIALS, CHUNK_ELEMENTS // m))
         local = threading.local()  # one workspace per worker thread, for every chunk it runs
 
         def kernel(draws: np.ndarray, chunk: slice):
             work = getattr(local, "work", None)
             if work is None:
-                work = local.work = _GreedyWorkspace(m, r)
+                work = local.work = _GreedyWorkspace(m, r, step)
             return _greedy_chunk(draws[:, chunk], corr.factor, m_on, work)
 
     else:
@@ -817,14 +823,16 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
                             "||F^T a||^2 for the selected, co-phased feed image a, and "
                             "sop_mc and asc_mc are means of each trial's exact outage "
                             "probability and mean secrecy capacity over that law",
-            "coloring": "greedy colors the feed and legitimate links of chunk_trials "
-                        "trials of a Philox block at a time, by one real product of "
-                        "their four real planes (feed re, feed im, bob re, bob im) with "
-                        "the real M x r factor; fixed policies weight a whole block's "
-                        "exponentials by the row mu in one product",
+            "coloring": "greedy colors the feed and legitimate links of max(1, "
+                        "min(chunk_trials, chunk_elements // M)) trials of a Philox "
+                        "block at a time, M the pool's element count, by one real "
+                        "product of their four real planes (feed re, feed im, bob re, "
+                        "bob im) with the real M x r factor; fixed policies weight a "
+                        "whole block's exponentials by the row mu in one product",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,
+            "chunk_elements": CHUNK_ELEMENTS,
         },
         "stream_registry": {
             "fris_snr": STREAM_FRIS_SNR, "conventional_snr": STREAM_CONV_SNR,

@@ -125,13 +125,11 @@ class TestConfig:
 
 @pytest.fixture(scope="module")
 def aperture_pools():
-    """Correlations of the 10x10, 20x20 and 40x40 pools and the 6x6 baseline in 3x3
-    wavelengths."""
+    """Correlations of the 10x10, 20x20, 30x30, 40x40 and 60x60 pools and the 6x6
+    baseline in 3x3 wavelengths."""
     cfg = ExperimentConfig()
-    return {100: build_correlation(cfg.size_geometry(100)),
-            400: build_correlation(cfg.size_geometry(400)),
-            1600: build_correlation(cfg.size_geometry(1600)),
-            36: build_correlation(cfg.conventional_geometry())}
+    pools = {m: build_correlation(cfg.size_geometry(m)) for m in (100, 400, 900, 1600, 3600)}
+    return {**pools, 36: build_correlation(cfg.conventional_geometry())}
 
 
 def greedy_peak(corr, trials: int, workers: int) -> int:
@@ -151,6 +149,7 @@ class TestChunkedEngine:
         ("fixed-random", 100, 10), ("fixed-random", 100, 100)])
     @pytest.mark.parametrize("trials", [1, 130, 1025, 2048])
     def test_matches_whole_block_engine(self, aperture_pools, policy, m_total, m_on, trials):
+        # greedy's chunks are 128 trials up to M = 400 and 32 at M = 1600
         corr = aperture_pools[m_total]
         stream = ChannelStream(7, 2)
         g_bob, g_eve, var_eve = whole_block_gains(corr, policy, m_on, trials, stream)
@@ -160,6 +159,25 @@ class TestChunkedEngine:
             assert np.array_equal(gains.g_eve, g_eve)
             assert np.array_equal(gains.var_eve, var_eve)
 
+    @pytest.mark.parametrize("trials", [1, 130, 1025, 2048])
+    def test_ragged_chunks_match_whole_block_engine(self, aperture_pools, trials):
+        # 56-trial chunks at M = 900 do not divide a 1024-trial block, so each
+        # block's last chunk holds 16.  The worker count changes no bit.  The
+        # whole-block reference matches to rounding only: 900 is not a multiple
+        # of 16, and OpenBLAS's AVX-512 kernels round the images of the last
+        # M mod 16 elements by where a trial's columns fall in the product, so
+        # a few gains move by an ulp or two there, with 56-trial chunks as with
+        # 128-trial ones
+        corr = aperture_pools[900]
+        stream = ChannelStream(7, 2)
+        want = whole_block_gains(corr, "greedy", 64, trials, stream)
+        serial = simulate_gains(corr, "greedy", 64, trials, stream)
+        pooled = simulate_gains(corr, "greedy", 64, trials, stream, workers=2)
+        for one, two, reference in zip((serial.g_bob, serial.g_eve, serial.var_eve),
+                                       (pooled.g_bob, pooled.g_eve, pooled.var_eve), want):
+            assert np.array_equal(one, two)
+            assert np.allclose(one, reference, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("m_total, m_on", [(36, 36), (400, 100), (1600, 64)])
     def test_chunk_matches_complex_kernel(self, aperture_pools, m_total, m_on):
         # one chunk colored by one real product into a workspace, against the
@@ -168,7 +186,7 @@ class TestChunkedEngine:
         corr = aperture_pools[m_total]
         m, r = corr.n_elements, corr.rank
         draws = ChannelStream(7, 2).draw_block(r, 3)[:, :CHUNK_TRIALS]
-        work = harness._GreedyWorkspace(m, r)
+        work = harness._GreedyWorkspace(m, r, CHUNK_TRIALS)
         g_bob, g_eve, var_eve = harness._greedy_chunk(draws, corr.factor, m_on, work)
         want_bob, want_var, want_on = complex_greedy_block(
             correlated_images_batch(draws[:, :, :r], corr.factor), corr.factor, m_on)
@@ -184,7 +202,7 @@ class TestChunkedEngine:
         # ties; both kernels keep the lowest m_on indices
         factor = np.ones((16, 1))
         draws = ChannelStream(5, 0).draw_block(1, 0)[:, :CHUNK_TRIALS]
-        work = harness._GreedyWorkspace(16, 1)
+        work = harness._GreedyWorkspace(16, 1, CHUNK_TRIALS)
         g_bob, _, var_eve = harness._greedy_chunk(draws, factor, m_on, work)
         want_bob, want_var, want_on = complex_greedy_block(
             correlated_images_batch(draws[:, :, :1], factor), factor, m_on)
@@ -196,13 +214,14 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_one_coloring_product_per_chunk(self, aperture_pools, monkeypatch, policy):
-        # 130 trials are two chunks of one block.  Greedy colors each chunk's
+        # 130 trials of one block are two 128-trial chunks of the 10x10 pool
+        # and five 32-trial chunks of the 40x40 pool, whose 1600 elements
+        # allow CHUNK_ELEMENTS // 1600 trials.  Greedy colors each chunk's
         # four real planes (feed re, feed im, bob re, bob im) by the real
         # M x r factor; a fixed policy weights the whole block's 1024 trials
         # of feed exponentials by the one row mu, in one product, whose
         # length min(m_on, r) bounds the rank of the cascade.  Every product
         # is real
-        corr = aperture_pools[100]
         shapes = []
 
         def recording(draws, rows, out=None):
@@ -210,12 +229,15 @@ class TestChunkedEngine:
             return correlated_images_batch(draws, rows, out)
 
         monkeypatch.setattr(harness, "correlated_images_batch", recording)
-        simulate_gains(corr, policy, 10, 130, ChannelStream(7, 2))
         real = (np.dtype(float), np.dtype(float))
-        if policy == "greedy":
-            assert shapes == [((4, 128), (corr.n_elements, corr.rank), *real)] * 2
-        else:
-            assert shapes == [((1024, 1), (1, 10), *real)]
+        for m_total, chunk, chunks in ((100, 128, 2), (1600, 32, 5)):
+            corr = aperture_pools[m_total]
+            shapes.clear()
+            simulate_gains(corr, policy, 10, 130, ChannelStream(7, 2))
+            if policy == "greedy":
+                assert shapes == [((4, chunk), (corr.n_elements, corr.rank), *real)] * chunks
+            else:
+                assert shapes == [((1024, 1), (1, 10), *real)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("policy", POLICIES)
@@ -279,16 +301,25 @@ class TestChunkedEngine:
     def test_dense_pool_peak_memory(self, aperture_pools):
         # coloring whole 1024-trial blocks here holds about 240 MiB over two
         # workers (three image links of 1600 elements each, and as much in
-        # kernel temporaries).  Each worker's workspace for 128-trial chunks
-        # is 8.3 MiB and its block of draws 1.5 MiB, a peak of 19.8 MiB,
-        # where fresh complex images and temporaries per chunk peaked at
-        # 26.7 MiB; the bound leaves about a fifth for numpy's own buffers
-        assert greedy_peak(aperture_pools[1600], 2048, workers=2) < 24 * 2 ** 20
+        # kernel temporaries).  Each worker's workspace for 32-trial chunks
+        # is 2.1 MiB and its block of draws 1.5 MiB, a peak of 7.4 MiB, where
+        # 128-trial chunks peaked at 19.7 MiB; the bound leaves about a
+        # quarter for numpy's own buffers
+        assert greedy_peak(aperture_pools[1600], 2048, workers=2) < 9 * 2 ** 20
 
     def test_one_worker_dense_pool_peak_memory(self, aperture_pools):
-        # one workspace and one block of draws: 9.95 MiB, against 14.0 MiB
-        # with fresh images and temporaries per chunk
-        assert greedy_peak(aperture_pools[1600], 4096, workers=1) < 12 * 2 ** 20
+        # one workspace and one block of draws: 3.8 MiB, against 9.95 MiB
+        # with 128-trial chunks; the bound leaves about a quarter
+        assert greedy_peak(aperture_pools[1600], 4096, workers=1) < 4.75 * 2 ** 20
+
+    def test_worker_peak_memory_does_not_grow_with_the_pool(self, aperture_pools):
+        # chunks of CHUNK_ELEMENTS // M trials keep a worker's workspace at
+        # 2.0-2.3 MiB whatever M, and its draws depend on the rank alone (45 at
+        # M = 400, 47 at 3600): 3.8 and 3.7 MiB, where 128-trial chunks at
+        # M = 3600 peaked at 19.9 MiB.  The 60x60 pool may take at most a
+        # quarter more than the 20x20 one
+        small = greedy_peak(aperture_pools[400], 2048, workers=1)
+        assert greedy_peak(aperture_pools[3600], 2048, workers=1) < 1.25 * small
 
     def test_dense_pool_build_peak_memory(self):
         # J of the 40x40 pool is 19.5 MiB; the build keeps its offset table and
@@ -890,7 +921,8 @@ class TestOutput:
         assert "version" in manifest
         assert "element_distance" in manifest["notes"]
         sampler = manifest["notes"]["sampler"]
-        assert (sampler["trials_per_block"], sampler["chunk_trials"]) == (1024, 128)
+        assert ((sampler["trials_per_block"], sampler["chunk_trials"], sampler["chunk_elements"])
+                == (1024, 128, 51200))
         blas = manifest["notes"]["blas"]
         assert set(blas) == {"name", "version", "threads", "engine_threads"}
         assert blas["threads"] == blas_threads()
