@@ -19,9 +19,11 @@ along the k = min(m_on, r) singular vectors of the configuration's cascade
 that its rank allows, and of one normal per receiver (see
 `harness.simulate_gains`).
 Randomness is counter-based (Philox): a draw depends only on (seed, stream,
-trial index), never on how trials are batched across workers.
+trial index), never on how trials are batched across workers or on which
+thread draws them, so a block can be drawn ahead of its use.
 The engine runs its matrix products inside `one_blas_thread`, so each runs
-on the thread that calls it and `workers` is the only source of threads.
+on the thread that calls it: the engine's threads are its workers, and with
+one worker greedy's draw thread, which runs no product.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class ChannelStream:
     seed: int
     stream: int = 0
 
-    def draw_block(self, m: int, block: int, power: bool = False) -> np.ndarray:
+    def draw_block(self, m: int, block: int, power: bool = False,
+                   out: np.ndarray | None = None) -> np.ndarray:
         """(2, TRIALS_PER_BLOCK, m + 1) complex fading draws, or (TRIALS_PER_BLOCK, 1, m) powers.
 
         `block` is the Philox counter block and `m` the draws per link.  Axis 0
@@ -62,15 +65,24 @@ class ChannelStream:
         the eavesdropper's whitened channel, whose power |w|^2 is a unit
         exponential; column `m` of bob is not used.  With `power` the one
         link holds float64 unit exponentials, the law of |w|^2 of such a w.
+        The draws go into `out`, a C-contiguous array of the returned shape
+        and dtype, when it is given, and are the same bits either way.
         """
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
                        dtype=np.uint64)
         bitgen = np.random.Philox(key=key, counter=np.array([0, 0, block, 0], dtype=np.uint64))
+        shape = (TRIALS_PER_BLOCK, 1, m) if power else (2, TRIALS_PER_BLOCK, m + 1)
+        dtype = np.dtype(float if power else np.complex128)
+        if out is None:
+            out = np.empty(shape, dtype)
+        elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+            raise DomainError(f"draw_block writes a C-contiguous {dtype} array of shape "
+                              f"{shape}, got {out.dtype} {out.shape}")
         if power:
-            return np.random.Generator(bitgen).standard_exponential((TRIALS_PER_BLOCK, 1, m))
-        raw = np.random.Generator(bitgen).standard_normal(2 * TRIALS_PER_BLOCK * (m + 1) * 2)
+            return np.random.Generator(bitgen).standard_exponential(out=out)
+        raw = np.random.Generator(bitgen).standard_normal(out=out.view(float).reshape(-1))
         raw /= math.sqrt(2.0)
-        return raw.view(np.complex128).reshape(2, TRIALS_PER_BLOCK, m + 1)
+        return out
 
 
 def correlated_images_batch(draws: np.ndarray, rows: np.ndarray,

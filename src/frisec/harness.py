@@ -380,11 +380,14 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
 
     Results are a pure function of (corr, policy, m_on, trials, stream) and in
     particular do not depend on `workers`; trial t of a run equals the last
-    trial of a run of t + 1 trials.  The blocks run inline with one worker, and
-    otherwise on min(workers, blocks, usable CPUs) threads, each of which
-    holds a block's draws and, under greedy, its workspace.  The call runs
-    under `one_blas_thread`, so each product runs on its worker's thread and
-    the workers are the only threads.
+    trial of a run of t + 1 trials.  The blocks run on min(workers, blocks,
+    usable CPUs) threads, each of which holds a block's draws and, under
+    greedy, its workspace.  With one, they run on the calling thread, and
+    greedy, given more than one block, draws block b + 1 on a second thread
+    into the other of two buffers while block b is colored: Philox makes a
+    block's draws a function of (seed, stream, block) alone, so neither the
+    thread nor the buffer changes a bit.  The call runs under
+    `one_blas_thread`, so each product runs on its worker's thread.
 
     Every policy draws each Philox block whole.  Greedy colors it and runs
     its kernel in chunks of min(CHUNK_TRIALS, CHUNK_ELEMENTS // M) trials (at
@@ -450,38 +453,65 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
             variance = correlated_images_batch(powers[chunk, :, :k], mu[None, :])[:, 0, 0]
             return variance * powers[chunk, 0, k], variance * powers[chunk, 0, k + 1], variance
 
-    def work(block: int):
-        draws = draw(block)
+    def run(block: int, draws: np.ndarray):
         wanted = min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
         chunks = [kernel(draws, slice(start, start + step)) for start in range(0, wanted, step)]
         return tuple(np.concatenate(g) for g in zip(*chunks))
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, n_blocks, cpus or 1)
-    if workers > 1:  # one worker stays inline: a one-thread pool ran sop-ref slower
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, range(n_blocks)))
-    else:
-        parts = [work(b) for b in range(n_blocks)]
+            parts = list(pool.map(lambda block: run(block, draw(block)), range(n_blocks)))
+    elif policy == "greedy" and n_blocks > 1:
+        parts = _drawn_ahead(draw, run, n_blocks, (2, TRIALS_PER_BLOCK, r + 1))
+    else:  # a fixed policy's block is one short product, quicker than a handoff
+        parts = [run(b, draw(b)) for b in range(n_blocks)]
     return GainSamples(*(np.concatenate(samples)[:trials] for samples in zip(*parts)))
 
 
-def records_for_budget(gains: GainSamples, budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
+def _drawn_ahead(draw: Callable, run: Callable, n_blocks: int, shape: tuple) -> list:
+    """[run(b, draws of block b) for every block], drawing block b + 1 while b runs.
+
+    One draw thread fills two buffers in turn, so block b + 1 is drawn into
+    the one that block b - 1 used, and only once that block's run has
+    returned.  The draws release the GIL, so on a second core they leave
+    the calling thread's coloring and kernel only the handoff.  The thread
+    is joined before the call returns, by return or by exception.
+    """
+    buffers = (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
+    parts = []
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        ahead = drawer.submit(draw, 0, out=buffers[0])
+        for block in range(n_blocks):
+            draws = ahead.result()
+            if block + 1 < n_blocks:
+                ahead = drawer.submit(draw, block + 1, out=buffers[(block + 1) % 2])
+            parts.append(run(block, draws))
+    return parts
+
+
+def records_for_budget(gains: GainSamples, budget: LinkBudget,
+                       rate_eve: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial legitimate SNR and the eavesdropper's rate: 1 / its mean SNR given the trial.
 
     The eavesdropper's SNR is exponential with that rate, so each trial's
     outage and capacity terms below are exact conditional expectations over
     it (conditional Monte Carlo).  The mean is clipped to the normal float
     range first, so the rate is finite: a mean past that range only moves
-    terms that are already 0 or log(1 + SNR_bob) to rounding.
+    terms that are already 0 or log(1 + SNR_bob) to rounding.  A `rate_eve`
+    from an earlier call on the same gains, under a budget with the same
+    eavesdropper SNR scale, is returned as it is.
     """
     tiny = np.finfo(float).tiny
     with np.errstate(over="ignore"):  # an eavesdropper mean past the float range is clipped
         snr_bob = budget.snr_scale("bob") * gains.g_bob
-        mean_eve = np.clip(budget.snr_scale("eve") * gains.var_eve, tiny, 1.0 / tiny)
+        if rate_eve is None:
+            rate_eve = np.clip(budget.snr_scale("eve") * gains.var_eve, tiny, 1.0 / tiny)
+            np.divide(1.0, rate_eve, out=rate_eve)
     if not math.isfinite(snr_bob.max()):
         raise DomainError("the legitimate SNR of a trial is past the floating-point range")
-    return snr_bob, np.divide(1.0, mean_eve, out=mean_eve)
+    return snr_bob, rate_eve
 
 
 def estimate_sop(records: tuple[np.ndarray, np.ndarray], target: SecrecyTarget) -> MetricEstimate:
@@ -502,23 +532,26 @@ def estimate_sop(records: tuple[np.ndarray, np.ndarray], target: SecrecyTarget) 
     return replace(est, ci_low=max(0.0, est.ci_low), ci_high=min(1.0, est.ci_high))
 
 
-def estimate_asc(records: tuple[np.ndarray, np.ndarray]) -> MetricEstimate:
+def estimate_asc(records: tuple[np.ndarray, np.ndarray],
+                 s_eve: np.ndarray | None = None) -> MetricEstimate:
     """Mean over trials of E[secrecy capacity | trial], with a normal-approximation interval.
 
     For an exponential eavesdropper SNR of rate z and a legitimate SNR g,
     E[(ln(1 + g) - ln(1 + SNR_eve))^+] = ln(1 + g) - S(z) + e^(-g z) S((1 + g) z),
     S(x) = e^x E1(x) (Bloch et al., IEEE Trans. Inf. Theory 2008); the
-    rounding of that difference is clipped at 0.
+    rounding of that difference is clipped at 0.  `s_eve` is S(z) of the
+    records' rate when the caller has it already.
     """
     snr_bob, rate_eve = records
     with np.errstate(over="ignore"):  # S(inf) = 0 and e^(-inf) = 0
         far = 1.0 + snr_bob
         far *= rate_eve
-        terms = np.multiply(snr_bob, rate_eve)
+        s_far = scaled_exp1(far)
+        terms = np.multiply(snr_bob, rate_eve, out=far)  # S took what it needs of far
     np.exp(np.negative(terms, out=terms), out=terms)
-    terms *= scaled_exp1(far)
-    terms -= scaled_exp1(rate_eve)
-    terms += np.log1p(snr_bob, out=far)
+    terms *= s_far
+    terms -= scaled_exp1(rate_eve) if s_eve is None else s_eve
+    terms += np.log1p(snr_bob, out=s_far)
     terms /= _LN2
     return MetricEstimate.for_mean(np.maximum(terms, 0.0, out=terms))
 
@@ -620,14 +653,21 @@ def _error_row(columns: Sequence[str], config: ExperimentConfig, exc, **cells) -
             | {"trials": config.trials, "seed": config.seed, "status": f"error: {exc}"})
 
 
-def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
-    """The metrics of one point at one budget, or an error row naming the failure."""
+def _sweep_row(sweep_var, value, config, budget, point: _Point, eve: dict | None = None) -> dict:
+    """The metrics of one point at one budget, or an error row naming the failure.
+
+    `eve` carries the eavesdropper's rate and S of it between rows of the
+    point under the same eavesdropper budget: the first row fills it.
+    """
+    eve = {} if eve is None else eve
     try:
         if point.error is not None:
             raise point.error
         fit_b, fit_e = point.fits
-        records = records_for_budget(point.gains, budget)
-        asc = estimate_asc(records)
+        records = records_for_budget(point.gains, budget, eve.get("rate"))
+        if "s" not in eve:
+            eve.update(rate=records[1], s=scaled_exp1(records[1]))
+        asc = estimate_asc(records, eve["s"])
         sop = estimate_sop(records, config.target())
         asc_bound = asc_upper_bound(fit_b, fit_e, budget)
         sop_bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
@@ -652,14 +692,18 @@ def _sweep_row(sweep_var, value, config, budget, point: _Point) -> dict:
 def _snr_rows(config: ExperimentConfig, points: Sequence[_Point]) -> list[dict]:
     """The row of each point at every average SNR of the grid, in grid order.
 
-    The eavesdropper's budget stays at its configured value throughout.
+    The eavesdropper's budget stays at its configured value throughout, so
+    a point's rows share its eavesdropper's rate and S of it.  They run a
+    point at a time, so only one point's pair is held.
     """
     base_budget = config.budget()
-    rows = []
-    for snr_db in config.snr_sweep_db:
-        budget = base_budget.with_avg_snr_bob(db_to_linear(snr_db))
-        rows.extend(_sweep_row("avg_snr_bob_db", snr_db, config, budget, p) for p in points)
-    return rows
+    budgets = [base_budget.with_avg_snr_bob(db_to_linear(v)) for v in config.snr_sweep_db]
+    by_point = []
+    for point in points:
+        eve = {}
+        by_point.append([_sweep_row("avg_snr_bob_db", snr_db, config, budget, point, eve)
+                         for snr_db, budget in zip(config.snr_sweep_db, budgets)])
+    return [row for at_snr in zip(*by_point) for row in at_snr]
 
 
 def sweep_snr(config: ExperimentConfig) -> list[dict]:
@@ -829,6 +873,11 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
                         "product of their four real planes (feed re, feed im, bob re, "
                         "bob im) with the real M x r factor; fixed policies weight a "
                         "whole block's exponentials by the row mu in one product",
+            "draw_ahead": "greedy on one worker (workers capped at the blocks and the "
+                          "usable CPUs) and more than one block draws Philox block b + 1 "
+                          "on a second thread into one of two reused buffers while block "
+                          "b is colored; otherwise the thread that runs a block draws it; "
+                          "a block's draws depend on (seed, stream, block) alone",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,

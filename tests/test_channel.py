@@ -38,6 +38,25 @@ class TestDraws:
         assert np.array_equal(d1, d2)
         assert np.array_equal(colored(d1, corr), colored(d2, corr))
 
+    @pytest.mark.parametrize("power", [False, True])
+    def test_out_holds_the_same_bits(self, power):
+        st = ChannelStream(seed=42, stream=3)
+        want = st.draw_block(6, 17, power=power)
+        out = np.full_like(want, np.nan)
+        assert st.draw_block(6, 17, power=power, out=out) is out
+        assert np.array_equal(out, want)
+        # a reused buffer holds the next block's draws, not a mix
+        st.draw_block(6, 18, power=power, out=out)
+        assert np.array_equal(out, st.draw_block(6, 18, power=power))
+
+    def test_out_must_match_the_block(self):
+        st = ChannelStream(seed=42, stream=3)
+        strided = np.empty((2, 2 * TRIALS_PER_BLOCK, 7), np.complex128)[:, ::2]
+        for out in (np.empty((2, TRIALS_PER_BLOCK, 6), np.complex128), strided,
+                    np.empty((2, TRIALS_PER_BLOCK, 7))):
+            with pytest.raises(DomainError, match="C-contiguous"):
+                st.draw_block(6, 17, out=out)
+
     def test_different_trials_differ(self):
         corr = small_corr()
         blk = ChannelStream(seed=42, stream=3).draw_block(corr.rank, 0)

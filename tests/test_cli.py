@@ -82,6 +82,7 @@ def test_flag_overrides(tmp_path, tiny_config):
     assert manifest["config"]["seed"] == 77
     assert "Karhunen-Loeve" in manifest["notes"]["sampler"]["method"]
     assert manifest["notes"]["sampler"]["eigen_clamp"] == 1e-12
+    assert "second thread" in manifest["notes"]["sampler"]["draw_ahead"]
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):

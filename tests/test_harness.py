@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
@@ -308,9 +309,11 @@ class TestChunkedEngine:
         assert greedy_peak(aperture_pools[1600], 2048, workers=2) < 9 * 2 ** 20
 
     def test_one_worker_dense_pool_peak_memory(self, aperture_pools):
-        # one workspace and one block of draws: 3.8 MiB, against 9.95 MiB
-        # with 128-trial chunks; the bound leaves about a quarter
-        assert greedy_peak(aperture_pools[1600], 4096, workers=1) < 4.75 * 2 ** 20
+        # one workspace and two blocks of draws, one being colored while the
+        # draw thread fills the other: 5.3 MiB, against 3.8 MiB with one block
+        # drawn inline and 9.95 MiB with 128-trial chunks; the bound leaves
+        # about a quarter
+        assert greedy_peak(aperture_pools[1600], 4096, workers=1) < 6.6 * 2 ** 20
 
     def test_worker_peak_memory_does_not_grow_with_the_pool(self, aperture_pools):
         # chunks of CHUNK_ELEMENTS // M trials keep a worker's workspace at
@@ -334,8 +337,8 @@ class TestChunkedEngine:
         assert peak < 1600 * 1600 * 8 / 4
 
     def test_pool_bounded_by_blocks_and_cpus(self, aperture_pools, monkeypatch):
-        # the stub runs the blocks inline, so no thread starts whatever the
-        # engine asks for; it records the pool size requested
+        # the stub runs every block and every draw inline, so no thread starts
+        # whatever the engine asks for; it records the pool size requested
         requested = []
 
         class InlinePool:
@@ -350,18 +353,109 @@ class TestChunkedEngine:
 
             map = staticmethod(map)
 
+            @staticmethod
+            def submit(fn, *args, **kwargs):
+                done = Future()
+                done.set_result(fn(*args, **kwargs))
+                return done
+
         corr = aperture_pools[100]
         stream = ChannelStream(4, 0)
         trials = 3 * 1024 + 5  # four blocks
         serial = simulate_gains(corr, "greedy", 10, trials, stream)
         monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
-        gains = simulate_gains(corr, "greedy", 10, trials, stream, workers=10 ** 6)
-        assert np.array_equal(gains.g_bob, serial.g_bob)
-        assert np.array_equal(gains.g_eve, serial.g_eve)
-        assert np.array_equal(gains.var_eve, serial.var_eve)
+        for workers in (1, 10 ** 6):
+            gains = simulate_gains(corr, "greedy", 10, trials, stream, workers=workers)
+            assert np.array_equal(gains.g_bob, serial.g_bob)
+            assert np.array_equal(gains.g_eve, serial.g_eve)
+            assert np.array_equal(gains.var_eve, serial.var_eve)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        cap = min(4, cpus)
-        assert requested == ([cap] if cap > 1 else [])
+        # one worker asks for the one draw thread; a million ask for one per
+        # block up to the CPUs, and on one CPU for the draw thread again
+        assert requested == [1, min(4, cpus)]
+
+
+@pytest.fixture
+def draw_calls(monkeypatch):
+    """Every `draw_block` call's thread and `out` buffer, in call order."""
+    calls = []
+    original = ChannelStream.draw_block
+
+    def recording(self, m, block, power=False, out=None):
+        calls.append((threading.get_ident(), out))
+        return original(self, m, block, power, out=out)
+
+    monkeypatch.setattr(ChannelStream, "draw_block", recording)
+    return calls
+
+
+class TestDrawAhead:
+    """One-worker greedy draws block b + 1 on a second thread while block b is colored."""
+
+    TRIALS = 3 * 1024 + 5  # four blocks, so each of the two buffers is drawn into twice
+
+    @pytest.mark.parametrize("aperture", [3.0, 10.0])
+    def test_matches_whole_block_engine_and_pool(self, aperture, draw_calls):
+        # the 20x20 pool has rank 45 in the 3x3-wavelength aperture, 100 in 10x10
+        corr = build_correlation(ExperimentConfig(aperture_x=aperture,
+                                                  aperture_z=aperture).fris_geometry())
+        assert corr.rank == (45 if aperture == 3.0 else 100)
+        stream = ChannelStream(7, 2)
+        want = whole_block_gains(corr, "greedy", 100, self.TRIALS, stream)
+        draw_calls.clear()
+        ahead = simulate_gains(corr, "greedy", 100, self.TRIALS, stream)
+        buffers = [out for _, out in draw_calls]
+        assert len(buffers) == 4 and buffers[0] is buffers[2] and buffers[1] is buffers[3]
+        assert not np.shares_memory(buffers[0], buffers[1])
+        pooled = simulate_gains(corr, "greedy", 100, self.TRIALS, stream, workers=2)
+        for one, two, reference in zip((ahead.g_bob, ahead.g_eve, ahead.var_eve),
+                                       (pooled.g_bob, pooled.g_eve, pooled.var_eve), want):
+            assert np.array_equal(one, reference)
+            assert np.array_equal(two, reference)
+
+    def test_samples_share_no_memory_with_the_draws(self, aperture_pools, draw_calls):
+        gains = simulate_gains(aperture_pools[400], "greedy", 100, self.TRIALS,
+                               ChannelStream(7, 2))
+        assert len(draw_calls) == 4
+        for _, buffer in draw_calls:
+            for samples in (gains.g_bob, gains.g_eve, gains.var_eve):
+                assert not np.shares_memory(samples, buffer)
+
+    def test_draws_run_on_one_second_thread(self, aperture_pools, draw_calls):
+        simulate_gains(aperture_pools[100], "greedy", 10, self.TRIALS, ChannelStream(7, 2))
+        threads = {thread for thread, _ in draw_calls}
+        assert len(draw_calls) == 4 and len(threads) == 1
+        assert threading.get_ident() not in threads
+
+    def test_one_block_draws_inline(self, aperture_pools, draw_calls):
+        simulate_gains(aperture_pools[100], "greedy", 10, 1024, ChannelStream(7, 2))
+        assert draw_calls == [(threading.get_ident(), None)]
+
+    @pytest.mark.parametrize("policy", ["fixed-uniform", "fixed-random"])
+    def test_fixed_policies_draw_on_the_calling_thread(self, aperture_pools, draw_calls,
+                                                       policy):
+        simulate_gains(aperture_pools[100], policy, 10, self.TRIALS, ChannelStream(7, 2))
+        assert draw_calls == [(threading.get_ident(), None)] * 4
+
+    def test_draw_thread_joined_on_return_and_on_error(self, aperture_pools, monkeypatch):
+        corr = aperture_pools[100]  # 128-trial chunks: 8 per block
+        before = threading.active_count()
+        simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2))
+        assert threading.active_count() == before
+        chunks = []
+        original = harness._greedy_chunk
+
+        def failing(*args):
+            chunks.append(None)
+            if len(chunks) == 9:  # block 1's first chunk, while block 2 is being drawn
+                raise RuntimeError("injected kernel failure")
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_greedy_chunk", failing)
+        with pytest.raises(RuntimeError, match="injected kernel failure"):
+            simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2))
+        assert len(chunks) == 9
+        assert threading.active_count() == before
 
 
 class TestEstimates:
@@ -696,6 +790,22 @@ class TestSweeps:
             assert row["sop_ci_low"] <= row["sop_mc"] <= row["sop_ci_high"]
             assert row["asc_ci_low"] <= row["asc_mc"] <= row["asc_ci_high"]
             assert set(SWEEP_COLUMNS) == set(row)
+
+    def test_snr_rows_reuse_the_eavesdropper_terms_bit_for_bit(self):
+        # a point computes its eavesdropper's rate and S of it at the first
+        # SNR and reuses them at the others; each row must equal the
+        # estimates from records built afresh at its own budget
+        cfg = small_config()
+        corr = build_correlation(cfg.fris_geometry())
+        gains = simulate_gains(corr, cfg.policy, cfg.m_on, cfg.trials,
+                               ChannelStream(cfg.seed, harness.STREAM_FRIS_SNR))
+        rows = [row for row in sweep_snr(cfg) if row["policy"] == cfg.policy]
+        for row, snr_db in zip(rows, cfg.snr_sweep_db):
+            records = records_for_budget(gains, cfg.budget().with_avg_snr_bob(
+                db_to_linear(snr_db)))
+            assert row["asc_mc"] == estimate_asc(records).point
+            assert row["asc_se"] == estimate_asc(records).std_error
+            assert row["sop_mc"] == estimate_sop(records, cfg.target()).point
 
     def test_snr_sweep_deterministic(self):
         cfg = small_config()
