@@ -17,10 +17,11 @@ geometry = SurfaceGeometry(m_x=10, m_z=10, width_x=3.0, width_z=3.0,
                            wavelength=WAVELENGTH)
 print(f"spacing: {geometry.spacing_x / WAVELENGTH:.3f} wavelengths")
 
-# J is kept as its table of J0 over (row, column) offsets; `block` gathers
-# J over any selection of elements, here all of them
+# J is kept as its table of J0 over (row, column) offsets: element i sits in
+# row i // m_x and column i % m_x, so J[i, l] is the table at their offsets
 corr = build_correlation(geometry)
-matrix = corr.block(np.arange(corr.n_elements))
+rows, cols = np.divmod(np.arange(corr.n_elements), geometry.m_x)
+matrix = corr.table[np.abs(rows[:, None] - rows), np.abs(cols[:, None] - cols)]
 print(f"correlation of horizontal neighbors: {matrix[0, 1]:+.4f}")
 print(f"correlation of diagonal neighbors:   {matrix[0, 11]:+.4f}")
 print(f"correlation across the aperture:     {matrix[0, 99]:+.4f}")
@@ -48,4 +49,4 @@ print(f"factor reconstruction residual: {residual:.2e}")
 
 # widen the aperture at the same element count and correlation collapses
 wide = build_correlation(SurfaceGeometry(10, 10, 5.0, 5.0, WAVELENGTH))
-print(f"\nneighbor correlation at half-wavelength spacing: {wide.block([0, 1])[0, 1]:+.4f}")
+print(f"\nneighbor correlation at half-wavelength spacing: {wide.table[0, 1]:+.4f}")

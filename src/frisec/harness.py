@@ -10,11 +10,11 @@ circular normal of a known variance, and each trial contributes the exact
 conditional outage probability and mean capacity over it (conditional Monte
 Carlo, Asmussen & Glynn, Stochastic Simulation, 2007, ch. V).
 
-Closed-form columns (distribution fits and both bounds) are always derived
-from the frozen first-M_ON configuration of the row's geometry, which is the
-regime the moment matching describes.  Monte Carlo columns follow whatever
-policy the row ran; with the adaptive policy the analytic columns are
-reference curves, not bounds on the simulated metrics.
+Closed-form columns (distribution fits and both bounds) fit the spectrum of a
+frozen configuration (`frozen_spectrum`): a fixed-random row's own, any other
+row's the paper's reference, the first m_on elements at zero phase.  Monte
+Carlo columns follow the row's policy; with the adaptive policy the analytic
+columns are reference curves, not bounds on the simulated metrics.
 """
 
 from __future__ import annotations
@@ -359,18 +359,27 @@ def _greedy_block(images: np.ndarray, factor: np.ndarray, m_on: int, work: _Gree
 
 
 def _fixed_selection(m: int, m_on: int, policy: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Element indices and phases frozen for a whole fixed-policy run.
-
-    fixed-uniform: the first m_on elements at zero phase, the regime in which
-    the trace identities behind the distribution fits hold exactly.
-    fixed-random: a uniformly random subset with i.i.d. uniform phases, drawn
-    from a Philox stream keyed by the seed alone.
-    """
+    """Element indices and phases frozen for a whole fixed-policy run: the first m_on at
+    zero phase (fixed-uniform, the paper's reference), or a uniformly random subset with
+    i.i.d. uniform phases from a Philox stream keyed by the seed alone (fixed-random)."""
     if policy == "fixed-uniform":
         return np.arange(m_on), np.zeros(m_on)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xF1CED], dtype=np.uint64)))
     indices = np.sort(rng.choice(m, size=m_on, replace=False))
     return indices, rng.uniform(0.0, _TWO_PI, size=m_on)
+
+
+@one_blas_thread()
+def frozen_spectrum(corr: CorrelationMatrix, policy: str, m_on: int, seed: int = 0) -> np.ndarray:
+    """mu: the min(m_on, r) largest squared singular values of K = F_S^T Phi F_S, whose
+    others are rounding noise, for a fixed policy's frozen rows F_S of the factor and
+    phases Phi (`_fixed_selection`).  An m_on off [1, M] raises DomainError."""
+    if not 1 <= m_on <= corr.n_elements:
+        raise DomainError(f"m_on must be in [1, {corr.n_elements}], got {m_on}")
+    indices, phases = _fixed_selection(corr.n_elements, m_on, policy, seed)
+    rows = corr.factor[indices]
+    return np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows,
+                         compute_uv=False)[:min(m_on, corr.rank)] ** 2
 
 
 @one_blas_thread()
@@ -406,13 +415,10 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     channels w^H K w_feed, K = F_S^T Phi F_S (r x r), so given the feed each
     is exactly CN(0, sigma^2), sigma^2 = ||K w_feed||^2, independently of the
     other.  K's singular vectors rotate the circular feed into another, so
-    sigma^2 has the law of sum_i mu_i E_i, mu the squared singular values of
-    K (one SVD per call) and E_i = |w_i|^2 unit exponentials (Imhof 1961).
-    K has rank at most k = min(m_on, r), so only its k largest mu are kept;
-    the others are zero up to rounding.  Those trials draw k + 2 unit
-    exponentials and return sigma^2 E_bob and sigma^2 E_eve: the law of
-    coloring all three links, at a sixth or less of the Philox draws
-    (conditional MC).
+    sigma^2 has the law of sum_i mu_i E_i, mu = `frozen_spectrum` and E_i =
+    |w_i|^2 unit exponentials (Imhof 1961).  Those trials draw k + 2 unit
+    exponentials, k = mu.size, and return sigma^2 E_bob and sigma^2 E_eve: the
+    law of coloring all three links, at a sixth or less of the Philox draws.
 
     Greedy chooses its elements and phases from the feed and the legitimate
     link alone, so given those the eavesdropper's channel is exactly
@@ -442,10 +448,8 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
             return _greedy_chunk(draws[:, chunk], corr.factor, m_on, work)
 
     else:
-        indices, phases = _fixed_selection(m, m_on, policy, stream.seed)
-        rows = corr.factor[indices]
-        k = min(m_on, r)  # rank K <= k, so the other singular values are rounding noise
-        mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False)[:k] ** 2
+        mu = frozen_spectrum(corr, policy, m_on, stream.seed)
+        k = mu.size
         draw = functools.partial(stream.draw_block, k + 2, power=True)
         step = TRIALS_PER_BLOCK
 
@@ -603,10 +607,8 @@ SWEEP_COLUMNS = (
 
 
 def reference_fits(corr: CorrelationMatrix, m_on: int) -> tuple[GammaFit, ExpFit]:
-    """Fits from the frozen first-m_on selection: the leading block of J."""
-    if not 1 <= m_on <= corr.n_elements:
-        raise DomainError(f"m_on must be in [1, {corr.n_elements}], got {m_on}")
-    return fit_laws(corr.block(np.arange(m_on)))
+    """Fits of the paper's reference, the first m_on elements at zero phase (trace form)."""
+    return fit_laws(frozen_spectrum(corr, "fixed-uniform", m_on))
 
 
 @dataclass(frozen=True)
@@ -626,8 +628,8 @@ def _evaluate_point(config: ExperimentConfig, geometry: SurfaceGeometry, policy:
                     m_on: int, stream: int, ks: bool = True) -> _Point:
     """Build, fit and simulate one grid point on its named stream, the step every table maps.
 
-    The fits are the reference fits of the first m_on elements.  The KS
-    distances of the gains from them are nan when there are fewer than
+    A fixed-random row's fits are its own, any other row's `reference_fits`.
+    The KS distances of the gains from them are nan when there are fewer than
     KS_MIN_SAMPLES trials: too few for the diagnostic, not for the row, and
     without `ks`, for a table that writes no KS column.
     `policy` labels the rows; the "conventional" baseline, all ON, runs as greedy.
@@ -635,7 +637,8 @@ def _evaluate_point(config: ExperimentConfig, geometry: SurfaceGeometry, policy:
     """
     try:
         corr = build_correlation(geometry)
-        fit_b, fit_e = reference_fits(corr, m_on)
+        fit_b, fit_e = (fit_laws(frozen_spectrum(corr, policy, m_on, config.seed))
+                        if policy == "fixed-random" else reference_fits(corr, m_on))
         gains = simulate_gains(corr, "greedy" if policy == "conventional" else policy, m_on,
                                config.trials, ChannelStream(config.seed, stream), config.workers)
         distances = (float("nan"), float("nan"))

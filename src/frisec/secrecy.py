@@ -1,10 +1,11 @@
 """Moment-matched channel-gain laws, secrecy metrics, and their closed forms.
 
 The legitimate receiver's equivalent power gain is fitted with a Gamma law
-and the eavesdropper's with an exponential law, both parameterized by traces
-of powers of the reduced correlation matrix.  The secrecy-outage lower bound
-and the average-secrecy-capacity upper bound are evaluated from those fits,
-each alongside an independent quadrature oracle.
+and the eavesdropper's with an exponential law, both moment-matched to the
+spectrum of a frozen configuration (`harness.frozen_spectrum`): a fixed-random
+row's own, any other row's the first m_on elements at zero phase.  The outage
+lower bound and the capacity upper bound are evaluated from those fits, each
+alongside an independent quadrature oracle.
 
 The outage bound keeps no feed-leg path loss because that factor cancels in
 the ratio between the two receive legs; the capacity bound keeps it in both
@@ -30,8 +31,8 @@ _LN2 = math.log(2.0)
 class GammaFit:
     """Shape-scale Gamma fit of the legitimate receiver's power gain.
 
-    mean = shape * scale = tr(J~^2); the two parameters come from the second
-    and fourth trace powers of the reduced correlation matrix.
+    mean = shape * scale = sum(mu); the two parameters match the first two
+    moments of sigma^2 = sum_i mu_i E_i.
     """
 
     shape: float
@@ -72,16 +73,15 @@ class SecrecyTarget:
             raise DomainError("target secrecy rate must lie in [0, 1024) bits/s/Hz")
 
 
-def fit_laws(j_reduced: np.ndarray) -> tuple[GammaFit, ExpFit]:
-    """Moment-matched Gamma and exponential fits from the reduced correlation matrix.
-
-    Both read tr(J^2) and tr(J^4) of the symmetric J, as squared Frobenius norms.
-    """
-    j2 = j_reduced @ j_reduced
-    tr2, tr4 = float(np.sum(j_reduced * j_reduced)), float(np.sum(j2 * j2))
-    if tr2 <= 0.0 or tr4 <= 0.0:
-        raise DomainError("reduced correlation matrix must be nonzero")
-    return GammaFit(shape=tr2 * tr2 / tr4, scale=tr4 / tr2), ExpFit(rate=1.0 / tr2)
+def fit_laws(mu: np.ndarray) -> tuple[GammaFit, ExpFit]:
+    """Gamma and exponential fits of the mean and variance of sum_i mu_i E_i, E_i ~ Exp(1):
+    shape sum(mu)^2 / sum(mu^2), scale sum(mu^2) / sum(mu) and rate 1 / sum(mu).  A
+    negative, nan or all-zero spectrum `mu` raises DomainError."""
+    mu = np.asarray(mu, dtype=float)
+    if not (np.all(mu >= 0.0) and np.any(mu > 0.0)):
+        raise DomainError("the spectrum must be >= 0, not nan, and not all zero")
+    total, squares = float(mu.sum()), float(mu @ mu)
+    return GammaFit(shape=total * total / squares, scale=squares / total), ExpFit(rate=1.0 / total)
 
 
 def gamma_cdf(g, fit: GammaFit):

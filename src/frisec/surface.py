@@ -7,8 +7,8 @@ which is a positive-definite function of the planar separation d, so the
 matrix J is PSD up to rounding noise.  On the grid, d depends only on the
 absolute row and column offsets, so J is block-Toeplitz with Toeplitz
 blocks: J0 is evaluated on the M_z x M_x table of offsets, and J is kept as
-that table, from which `CorrelationMatrix.block` gathers any block of J.
-A grid whose widest J0 argument exceeds `specfun.J0_MAX_ARG` is rejected.
+that table, from which `_gather` reads J only to decompose it or write it
+out.  A grid whose widest J0 argument exceeds `specfun.J0_MAX_ARG` is rejected.
 
 The factor that colors r i.i.d. normals into the correlated field
 (Karhunen-Loeve) is U_r Lambda_r^{1/2}, the eigenpairs of J above a relative
@@ -20,7 +20,8 @@ Trefethen & Weideman, SIAM Review 2014).  When 2n < M the eigenpairs come
 from the 2n x 2n Gram G^T G, otherwise from J itself: one symmetric
 eigendecomposition of min(2n, M) rows either way.
 The rank r is set by the aperture area rather than by M, so a dense pool
-needs far fewer normals than elements.
+needs far fewer normals than elements.  Each row's closed forms read a
+frozen configuration's rows of the factor too (`harness.frozen_spectrum`).
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class SurfaceGeometry:
 class CorrelationMatrix:
     """Spatial correlation J, kept as its offset table, with its eigen-factor.
 
-    `table[dz, dx]` is J0 at row and column offsets (dz, dx); `block` gathers J from it.
+    `table[dz, dx]` is J0 at row and column offsets (dz, dx).
     `factor` is the C-contiguous M x r matrix U_r Lambda_r^{1/2} of the kept
     eigenpairs, largest first, so `factor @ factor.T` is the matrix with the
     dropped eigenvalues set to zero.  `clamped_mass` records the total
@@ -109,10 +110,6 @@ class CorrelationMatrix:
     def rank(self) -> int:
         """Number of kept eigenpairs: the normals one link draws per trial."""
         return self.factor.shape[1]
-
-    def block(self, indices) -> np.ndarray:
-        """J[i, l] for i and l in `indices`; an index off [0, M) raises DomainError."""
-        return _gather(self.table, indices, indices)
 
 
 def _gather(table: np.ndarray, rows, cols) -> np.ndarray:

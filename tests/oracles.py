@@ -37,7 +37,7 @@ from frisec.errors import ConvergenceError, DomainError
 from frisec.harness import (_Z95, MetricEstimate, _fixed_selection, _greedy_block, _greedy_chunk,
                             _GreedyWorkspace)
 from frisec.specfun import _require_finite, integrate_semi_infinite
-from frisec.surface import EIGEN_CLAMP
+from frisec.surface import EIGEN_CLAMP, _gather
 
 
 def bessel_j0_integral(x: float, nodes: int | None = None) -> float:
@@ -199,6 +199,16 @@ def asc_oracle_nested(fit_b, fit_e, budget) -> float:
             inner, abs_tol=1e-14, rel_tol=1e-7, max_subdivisions=800)
 
     return integrate_semi_infinite(outer, abs_tol=1e-14, rel_tol=1e-8, max_subdivisions=800)
+
+
+def correlation_block(corr, indices) -> np.ndarray:
+    """J[i, l] for i and l in `indices`, gathered from the correlation's offset table.
+
+    The library forms no block of J; the tests gather one to check the
+    factor, the sampler and the fits against.  An index off [0, M) raises
+    DomainError.
+    """
+    return _gather(corr.table, indices, indices)
 
 
 def trace_power_direct(a: np.ndarray, p: int) -> float:

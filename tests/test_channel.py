@@ -7,12 +7,13 @@ from frisec.channel import (TRIALS_PER_BLOCK, ChannelStream, LinkBudget,
                             correlated_images_batch, path_loss)
 from frisec.errors import DomainError
 from frisec.harness import (POLICIES, GainSamples, _fixed_selection, _greedy_block,
-                            _GreedyWorkspace, estimate_asc, ks_statistic, records_for_budget,
-                            simulate_gains)
+                            _GreedyWorkspace, estimate_asc, frozen_spectrum, ks_statistic,
+                            records_for_budget, simulate_gains)
 from frisec.surface import SurfaceGeometry, build_correlation
 
-from oracles import (adaptive_block, block_matrix_images, fixed_block, full_root_gains,
-                     greedy_kernel, ks_two_sample, real_planes, three_link_draws)
+from oracles import (adaptive_block, block_matrix_images, correlation_block, fixed_block,
+                     full_root_gains, greedy_kernel, ks_two_sample, real_planes,
+                     three_link_draws)
 
 
 def small_corr(side=4, aperture=2.0):
@@ -130,7 +131,7 @@ class TestDraws:
             acc += u.T @ u.conj()
             n += u.shape[0]
         emp = (acc / n).real
-        assert np.max(np.abs(emp - corr.block(np.arange(m)))) <= 0.02
+        assert np.max(np.abs(emp - correlation_block(corr, np.arange(m)))) <= 0.02
 
 
 class TestColoring:
@@ -178,7 +179,7 @@ class TestSamplerLaw:
 
     def check_law(self, corr, policy, m_on, seed):
         new = simulate_gains(corr, policy, m_on, self.TRIALS, ChannelStream(seed, 5))
-        matrix = corr.block(np.arange(corr.n_elements))
+        matrix = correlation_block(corr, np.arange(corr.n_elements))
         old_bob, old_eve = full_root_gains(matrix, policy, m_on, self.TRIALS,
                                            selection_seed=seed,
                                            rng=np.random.default_rng(31337))
@@ -274,7 +275,7 @@ class TestEquivalentChannel:
                                        corr.n_elements)
         assert g_bob == pytest.approx(h_bob ** 2, rel=1e-12)
         a = np.abs(images[:, 0]) * images[:, 1] / np.abs(images[:, 1])
-        j = corr.block(np.arange(corr.n_elements))
+        j = correlation_block(corr, np.arange(corr.n_elements))
         assert var_eve == pytest.approx(np.einsum("ti,ij,tj->t", a.conj(), j, a).real,
                                         rel=1e-10)
         # the same co-phasing written as explicit per-element phase factors,
@@ -343,8 +344,9 @@ class TestGainAndSnr:
             assert np.array_equal(gains.var_eve, variance[:100])
 
     def test_fixed_gain_is_triple_product_variance(self):
-        # mu are the eigenvalues of K^H K, K = F_S^T Phi F_S written out as the
-        # triple product, largest first, and the k = min(m_on, r) kept ones
+        # mu, as `frozen_spectrum` gives it to the sampler and the fits, are the
+        # eigenvalues of K^H K, K = F_S^T Phi F_S written out as the triple
+        # product, largest first, and the k = min(m_on, r) kept ones
         # bound its rank; sigma^2 = sum_i mu_i E_i over the feed's drawn
         # exponentials, and the receivers share it: g_bob / g_eve = E_b / E_e.
         # For fixed-uniform K K^H = (F_S F_S^T)^2 = J_S^2 up to the clamped
@@ -359,6 +361,8 @@ class TestGainAndSnr:
             rows = corr.factor[indices].astype(complex)
             cascade = rows.T @ np.diag(np.exp(1j * phases)) @ rows
             mu = np.linalg.eigvalsh(cascade.conj().T @ cascade)[::-1][:k]
+            assert frozen_spectrum(corr, policy, 7, seed=8) == pytest.approx(
+                mu, rel=1e-12, abs=1e-12 * mu[0])
             variance = powers[:, :k] @ mu
             assert gains.g_bob == pytest.approx(variance * powers[:, k], rel=1e-12)
             assert gains.g_eve == pytest.approx(variance * powers[:, k + 1], rel=1e-12)
@@ -366,7 +370,7 @@ class TestGainAndSnr:
             assert gains.g_bob / gains.g_eve == pytest.approx(powers[:, k] / powers[:, k + 1],
                                                               rel=1e-12)
             if policy == "fixed-uniform":
-                block = corr.block(np.arange(7))
+                block = correlation_block(corr, np.arange(7))
                 squared = block @ block
                 assert mu.sum() == pytest.approx(np.trace(squared), rel=1e-12)
                 assert (mu ** 2).sum() == pytest.approx(np.trace(squared @ squared), rel=1e-12)

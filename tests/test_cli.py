@@ -1,6 +1,10 @@
 import csv
 import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,3 +446,25 @@ def test_out_of_memory_exits_1_naming_the_pool(tmp_path, monkeypatch, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("frisec: config error: out of memory")
     assert f"pool of up to {pool} elements" in err and "Traceback" not in err
+
+
+def test_commands_load_no_test_dependency(tmp_path, tiny_config):
+    # the library promises numpy alone; the test extras (scipy, mpmath,
+    # hypothesis, pytest) must not be loaded by any command, in an interpreter
+    # of its own, so nothing the tests imported first can hide an import
+    script = """
+import sys
+from frisec.cli import main
+for command in ("sweep-sop", "sweep-size", "validate-fits", "validate-bounds",
+                "dump-correlation"):
+    assert main([command, "--config", sys.argv[1], "--out", command + ".csv"]) == 0
+print(sorted({name.partition(".")[0] for name in sys.modules}
+             & {"scipy", "mpmath", "hypothesis", "pytest"}))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tiny_config)], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

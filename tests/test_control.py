@@ -11,8 +11,8 @@ from frisec.errors import ConfigError, DomainError
 from frisec.harness import ExperimentConfig, _fixed_selection, simulate_gains
 from frisec.surface import SurfaceGeometry, build_correlation
 
-from oracles import (adaptive_block, fixed_block, greedy_kernel, select_exhaustive,
-                     three_link_draws, trace_power_direct)
+from oracles import (adaptive_block, correlation_block, fixed_block, greedy_kernel,
+                     select_exhaustive, three_link_draws, trace_power_direct)
 
 WAVELENGTH = 0.12491352
 
@@ -39,7 +39,7 @@ def cophased_gains(corr, images, subset):
     terms = np.conj(u_bob[idx]) * v[idx]
     a = v[idx] * np.exp(-1j * np.angle(terms))
     h_eve = np.sum(np.conj(u_eve[idx]) * a)
-    var_eve = float(np.real(np.conj(a) @ corr.block(idx) @ a))
+    var_eve = float(np.real(np.conj(a) @ correlation_block(corr, idx) @ a))
     return float(np.sum(np.abs(terms))) ** 2, abs(h_eve) ** 2, var_eve
 
 
@@ -168,7 +168,7 @@ class TestConventional:
 
     def test_single_element(self):
         corr = build_correlation(ExperimentConfig(conventional_m=1).conventional_geometry())
-        assert np.array_equal(corr.block([0]), np.array([[1.0]]))
+        assert np.array_equal(correlation_block(corr, [0]), np.array([[1.0]]))
 
     def test_aperture_scales_with_count(self):
         geom = ExperimentConfig(conventional_m=400).conventional_geometry()
@@ -193,7 +193,7 @@ class TestFixedConfigs:
         corr = build_correlation(SurfaceGeometry(3, 3, 1.0, 1.0, WAVELENGTH))
         a = corr.factor.T @ np.eye(9) @ corr.factor
         assert np.trace(a @ a.conj().T).real == pytest.approx(
-            trace_power_direct(corr.block(np.arange(9)), 2), rel=1e-10)
+            trace_power_direct(correlation_block(corr, np.arange(9)), 2), rel=1e-10)
 
     def test_masked_trace_identity(self):
         corr = build_correlation(SurfaceGeometry(3, 3, 1.0, 1.0, WAVELENGTH))
@@ -201,7 +201,7 @@ class TestFixedConfigs:
         mask = np.zeros((9, 9))
         mask[idx, idx] = 1.0
         a = corr.factor.T @ mask @ corr.factor
-        reduced = corr.block(idx)
+        reduced = correlation_block(corr, idx)
         assert np.trace(a @ a.conj().T).real == pytest.approx(
             trace_power_direct(reduced, 2), rel=1e-10)
 
@@ -225,7 +225,7 @@ class TestFixedConfigs:
         # only the diagonal mass remains
         corr = build_correlation(SurfaceGeometry(3, 3, 1.0, 1.0, WAVELENGTH))
         idx = np.arange(6)
-        reduced = corr.block(idx)
+        reduced = correlation_block(corr, idx)
         tr2 = trace_power_direct(reduced, 2)
         rng = np.random.default_rng(19)
         vals = []

@@ -28,13 +28,14 @@ from frisec.harness import (_Z95, CHUNK_TRIALS, KS_MIN_SAMPLES, KS_STRIDE, POLIC
                             rows_to_csv, simulate_gains, sweep_size,
                             sweep_snr, validate_bounds, validate_fits,
                             write_results)
-from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle, exp_cdf, fit_laws,
-                            gamma_cdf, sop_bound_from_ratio)
+from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle, exp_cdf, gamma_cdf,
+                            sop_bound_from_ratio)
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
 
-from oracles import (complex_greedy_block, ks_full, plain_estimates, plain_gains,
-                     secrecy_capacity, whole_block_gains, wilson_estimate)
+from oracles import (complex_greedy_block, correlation_block, ks_full, plain_estimates,
+                     plain_gains, secrecy_capacity, trace_power_direct, whole_block_gains,
+                     wilson_estimate)
 
 
 def small_config(**overrides):
@@ -537,19 +538,43 @@ class TestEngine:
             assert np.array_equal(g1.g_eve, g3.g_eve)
             assert np.array_equal(g1.var_eve, g3.var_eve)
 
-    def test_fixed_uniform_mean_matches_traces(self):
-        cfg = ExperimentConfig(m_x=6, m_z=6, m_on=12, trials=60_000, seed=12)
-        corr = build_correlation(cfg.fris_geometry())
-        fit_b, fit_e = reference_fits(corr, 12)
-        gains = simulate_gains(corr, "fixed-uniform", 12, 60_000, ChannelStream(12, 1))
-        assert gains.g_bob.mean() == pytest.approx(fit_b.mean, rel=0.04)
-        assert gains.g_eve.mean() == pytest.approx(fit_e.mean, rel=0.04)
+    @staticmethod
+    def fixed_point(policy):
+        """A fixed policy's row point (6x6 pool, 12 ON, 60,000 trials) and the reference fits."""
+        cfg = ExperimentConfig(m_x=6, m_z=6, m_on=12, trials=60_000, seed=12, policy=policy)
+        point = harness._evaluate_point(cfg, cfg.fris_geometry(), policy, 12, 1, ks=False)
+        return point, reference_fits(build_correlation(cfg.fris_geometry()), 12)
 
-    def test_reference_fits_leading_block(self):
-        corr = build_correlation(small_config().fris_geometry())
-        assert reference_fits(corr, 5) == fit_laws(corr.block(np.arange(5)))
-        assert reference_fits(corr, 16) == fit_laws(corr.block(np.arange(16)))
+    def test_fixed_uniform_mean_matches_traces(self):
+        point, reference = self.fixed_point("fixed-uniform")
+        fit_b, fit_e = point.fits
+        assert point.fits == reference
+        assert point.gains.g_bob.mean() == pytest.approx(fit_b.mean, rel=0.04)
+        assert point.gains.g_eve.mean() == pytest.approx(fit_e.mean, rel=0.04)
+
+    def test_fixed_random_mean_matches_its_own_fits(self):
+        # the row's fits come from its own frozen subset and phases: a mean
+        # near 11.7 here, where the first 12 elements at zero phase give 21.2
+        point, reference = self.fixed_point("fixed-random")
+        fit_b, fit_e = point.fits
+        assert fit_b.mean < 0.6 * reference[0].mean
+        assert point.gains.g_bob.mean() == pytest.approx(fit_b.mean, rel=0.04)
+        assert point.gains.g_eve.mean() == pytest.approx(fit_e.mean, rel=0.04)
+
+    def test_reference_fits_leading_block(self, aperture_pools):
+        # the spectrum's sums against tr(J_S^2) and tr(J_S^4) of the gathered
+        # leading block, by repeated products, on the 6x6 baseline and the
+        # 10x10, 20x20 and 40x40 pools
+        for m in (36, 100, 400, 1600):
+            corr = aperture_pools[m]
+            for m_on in sorted(v for v in {1, 10, 36, 64, 100, m} if v <= m):
+                reduced = correlation_block(corr, np.arange(m_on))
+                tr2, tr4 = trace_power_direct(reduced, 2), trace_power_direct(reduced, 4)
+                fit_b, fit_e = reference_fits(corr, m_on)
+                assert (fit_b.shape, fit_b.scale, fit_e.rate) == pytest.approx(
+                    (tr2 * tr2 / tr4, tr4 / tr2, 1.0 / tr2), rel=1e-11), (m, m_on)
         # this text, simulate_gains' own, reaches the status column of the table rows
+        corr = build_correlation(small_config().fris_geometry())
         for m_on in (17, 0, -1):
             with pytest.raises(DomainError, match=rf"^m_on must be in \[1, 16\], got {m_on}$"):
                 reference_fits(corr, m_on)
@@ -1059,7 +1084,7 @@ class TestOutput:
         diag = dump_correlation_csv(cfg, str(out))
         grid = np.loadtxt(str(out), delimiter=",")
         corr = build_correlation(cfg.fris_geometry())
-        assert np.array_equal(grid, corr.block(np.arange(16)))
+        assert np.array_equal(grid, correlation_block(corr, np.arange(16)))
         assert diag["n_elements"] == 16
 
     def test_dump_correlation_peak_memory(self, tmp_path, monkeypatch):

@@ -23,30 +23,35 @@ def unit_budget(snr_bob=1.0, snr_eve=1.0):
                       noise_eve_w=1.0 / snr_eve)
 
 
+def spectrum(j):
+    """mu of a symmetric J: its squared eigenvalues, whose sums are tr(J^2) and tr(J^4)."""
+    return np.linalg.eigvalsh(j) ** 2
+
+
 def traces(j):
     # tr(J^2) and tr(J^4) as the fits carry them: the exponential mean and
     # the Gamma scale times it
-    fit_b, fit_e = fit_laws(j)
+    fit_b, fit_e = fit_laws(spectrum(j))
     return fit_e.mean, fit_b.scale * fit_e.mean
 
 
 class TestFits:
     def test_identity_reduced_matrix(self):
-        fit, fit_e = fit_laws(np.eye(6))
+        fit, fit_e = fit_laws(spectrum(np.eye(6)))
         assert fit.shape == pytest.approx(6.0)
         assert fit.scale == pytest.approx(1.0)
         assert fit_e.rate == pytest.approx(1 / 6)
 
     def test_2x2_example(self):
         j = np.array([[1.0, 0.5], [0.5, 1.0]])
-        fit, fit_e = fit_laws(j)
+        fit, fit_e = fit_laws(spectrum(j))
         # frozen from the direct matrix-power oracle: tr2 = 2.5, tr4 = 5.125
         assert fit.shape == pytest.approx(6.25 / 5.125, rel=1e-12)
         assert fit.scale == pytest.approx(2.05, rel=1e-12)
         assert fit_e.rate == pytest.approx(0.4, rel=1e-12)
 
     def test_singleton(self):
-        fit, fit_e = fit_laws(np.array([[1.0]]))
+        fit, fit_e = fit_laws(spectrum(np.array([[1.0]])))
         assert fit.shape == pytest.approx(1.0)
         assert fit.scale == pytest.approx(1.0)
         assert fit_e.rate == pytest.approx(1.0)
@@ -57,7 +62,7 @@ class TestFits:
             m = int(rng.integers(1, 10))
             a = rng.standard_normal((m, m))
             j = (a + a.T) / 2
-            fit, fit_e = fit_laws(j)
+            fit, fit_e = fit_laws(spectrum(j))
             tr2 = float(np.sum(j * j))
             assert fit.mean == pytest.approx(tr2, rel=1e-10)
             assert 1 / fit_e.rate == pytest.approx(tr2, rel=1e-10)
@@ -65,7 +70,12 @@ class TestFits:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DomainError):
-            fit_laws(np.zeros((3, 3)))
+            fit_laws(spectrum(np.zeros((3, 3))))
+
+    def test_invalid_spectrum_rejected(self):
+        for mu in ([], [0.0, 0.0], [1.0, -1e-300], [1.0, math.nan], [math.nan]):
+            with pytest.raises(DomainError, match="spectrum"):
+                fit_laws(np.array(mu))
 
     def test_traces_examples(self):
         assert traces(np.eye(7)) == pytest.approx((7.0, 7.0))

@@ -13,7 +13,8 @@ from frisec.harness import ExperimentConfig
 from frisec import surface
 from frisec.surface import SurfaceGeometry, build_correlation
 
-from oracles import bessel_j0_series, element_distance, full_eigh_factor, index_to_coords
+from oracles import (bessel_j0_series, correlation_block, element_distance, full_eigh_factor,
+                     index_to_coords)
 
 WAVELENGTH = 0.12491352  # 2.4 GHz carrier
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,7 +39,7 @@ def record_eigh(monkeypatch) -> list:
 
 def whole(corr):
     """All of J, gathered from the offset table."""
-    return corr.block(np.arange(corr.n_elements))
+    return correlation_block(corr, np.arange(corr.n_elements))
 
 
 def check_against_full_eigh(geometry):
@@ -125,11 +126,11 @@ class TestCorrelation:
         corr = build_correlation(g)
         assert np.array_equal(whole(corr), expected)
         chosen = np.random.default_rng(m).permutation(m)[:max(1, 2 * m // 3)]
-        assert np.array_equal(corr.block(chosen), expected[np.ix_(chosen, chosen)])
+        assert np.array_equal(correlation_block(corr, chosen), expected[np.ix_(chosen, chosen)])
         # an index of M would wrap into a row past the grid
         for outside in ([m], [-1]):
             with pytest.raises(DomainError, match="element indices"):
-                corr.block(outside)
+                correlation_block(corr, outside)
 
     def test_dense_pool_spot_check(self):
         # the 40 x 40, 3-wavelength pool: the corners and seeded random
@@ -153,13 +154,13 @@ class TestCorrelation:
         g = square_geometry(4, 2.0)
         corr = build_correlation(g)
         expected = bessel_j0_series(math.pi)
-        assert corr.block([0, 1])[0, 1] == pytest.approx(expected, abs=1e-13)
+        assert correlation_block(corr, [0, 1])[0, 1] == pytest.approx(expected, abs=1e-13)
 
     def test_single_element(self):
         g = SurfaceGeometry(1, 1, 0.5, 0.5, 0.1)
         corr = build_correlation(g)
         assert corr.n_elements == 1
-        assert np.array_equal(corr.block([0]), np.array([[1.0]]))
+        assert np.array_equal(correlation_block(corr, [0]), np.array([[1.0]]))
         assert np.array_equal(corr.factor, np.array([[1.0]]))
         assert corr.rank == 1
 
