@@ -23,7 +23,7 @@ trial index), never on how trials are batched across workers or on which
 thread draws them, so a block can be drawn ahead of its use.
 The engine runs its matrix products inside `one_blas_thread`, so each runs
 on the thread that calls it: the engine's threads are its workers, and with
-one worker greedy's draw thread, which runs no product.
+one worker greedy's second thread, which draws blocks and colors chunks.
 """
 
 from __future__ import annotations

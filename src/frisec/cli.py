@@ -33,8 +33,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     sub.add_argument("--workers", type=int,
                      help="threads over trial blocks, each running its own BLAS "
-                          "products; with 1, greedy draws the next block on a "
-                          "second thread")
+                          "products; with 1, greedy shares each block's draw and "
+                          "each chunk's coloring with a second thread when two "
+                          "CPUs are usable")
     sub.add_argument("--policy", choices=POLICIES)
     sub.add_argument("--m-on", type=int, dest="m_on", help="active element count")
     sub.add_argument("--out", required=True, help="output CSV path")

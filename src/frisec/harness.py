@@ -269,18 +269,20 @@ class GainSamples:
 
 
 class _GreedyWorkspace:
-    """One worker's buffers for greedy's chunks of up to `trials` trials of `m` elements.
+    """Buffers for greedy's chunks of up to `trials` trials of `m` elements.
 
     A worker allocates them once per `simulate_gains` call and runs every
     chunk in them, so no chunk faults in fresh pages.  They are flat, so a
-    chunk of n trials takes a contiguous prefix of each: the draws' and the
-    images' four real planes, the co-phasing weight, the ON mask and the
-    eavesdropper's projection.
+    chunk of n trials takes a contiguous prefix of each.  Each of `slots`
+    slots holds one chunk's draws and images as four real planes, so a
+    chunk can be colored into one while the kernel runs on another; the
+    kernel's co-phasing weight, ON mask and eavesdropper's projection are
+    held once.
     """
 
-    def __init__(self, m: int, r: int, trials: int):
-        self.draws = np.empty(4 * trials * r)
-        self.images = np.empty(4 * trials * m)
+    def __init__(self, m: int, r: int, trials: int, slots: int = 1):
+        self.draws = np.empty((slots, 4 * trials * r))
+        self.images = np.empty((slots, 4 * trials * m))
         self.weight = np.empty(trials * m)
         self.on = np.empty(trials * m, dtype=bool)
         self.projected = np.empty(2 * trials * r)
@@ -290,23 +292,33 @@ def _prefix(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _greedy_chunk(draws: np.ndarray, factor: np.ndarray, m_on: int, work: _GreedyWorkspace
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy's (g_bob, g_eve, var_eve) of a (2, n, r + 1) slice of a draw block.
+def _color_chunk(draws: np.ndarray, factor: np.ndarray, work: _GreedyWorkspace,
+                 slot: int = 0) -> np.ndarray:
+    """The (4, n, M) images of a (2, n, r + 1) slice of a draw block, in a slot of `work`.
 
-    The feed's and the legitimate link's r normals are copied into the
-    workspace as four real planes (feed re, feed im, bob re, bob im), and
-    one real product with the M x r factor colors them into the images'
-    four planes, on which the kernel runs in place.
+    The feed's and the legitimate link's r normals are copied into the slot
+    as four real planes (feed re, feed im, bob re, bob im), and one real
+    product with the M x r factor colors them into its images' four planes.
     """
     n = draws.shape[1]
     m, r = factor.shape
-    planes = _prefix(work.draws, 4, n, r)
+    planes = _prefix(work.draws[slot], 4, n, r)
     np.copyto(planes.reshape(2, 2, n, r),
               np.moveaxis(draws[:, :, :r].view(float).reshape(2, n, r, 2), 3, 1))
-    images = correlated_images_batch(planes, factor, out=_prefix(work.images, 4, n, m))
+    return correlated_images_batch(planes, factor, out=_prefix(work.images[slot], 4, n, m))
+
+
+def _greedy_chunk(draws: np.ndarray, factor: np.ndarray, m_on: int, work: _GreedyWorkspace,
+                  images: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy's (g_bob, g_eve, var_eve) of a (2, n, r + 1) slice of a draw block.
+
+    The kernel runs in place on the slice's `images`, which `_color_chunk`
+    colors into `work` unless they are given colored already.
+    """
+    if images is None:
+        images = _color_chunk(draws, factor, work)
     g_bob, variance = _greedy_block(images, factor, m_on, work)
-    return g_bob, variance * np.abs(draws[0, :, r]) ** 2, variance
+    return g_bob, variance * np.abs(draws[0, :, factor.shape[1]]) ** 2, variance
 
 
 def _greedy_block(images: np.ndarray, factor: np.ndarray, m_on: int, work: _GreedyWorkspace
@@ -391,12 +403,16 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     particular do not depend on `workers`; trial t of a run equals the last
     trial of a run of t + 1 trials.  The blocks run on min(workers, blocks,
     usable CPUs) threads, each of which holds a block's draws and, under
-    greedy, its workspace.  With one, they run on the calling thread, and
-    greedy, given more than one block, draws block b + 1 on a second thread
-    into the other of two buffers while block b is colored: Philox makes a
-    block's draws a function of (seed, stream, block) alone, so neither the
-    thread nor the buffer changes a bit.  The call runs under
-    `one_blas_thread`, so each product runs on its worker's thread.
+    greedy, its workspace, and every thread writes its samples into the
+    three returned arrays.  With one, they run on the calling thread; greedy,
+    given more than one block and at least two usable CPUs, shares the work
+    with a second thread (`_shared`): either thread draws a block into one of
+    three buffers or colors a chunk into one of two image slots, and the
+    calling thread runs every chunk's kernel, in order.  Philox makes a
+    block's draws a function of (seed, stream, block) alone, and a chunk is
+    colored by the same product on either thread, so neither the thread nor
+    the buffer changes a bit.  The call runs under `one_blas_thread`, so each
+    product runs on the thread that calls it.
 
     Every policy draws each Philox block whole.  Greedy colors it and runs
     its kernel in chunks of min(CHUNK_TRIALS, CHUNK_ELEMENTS // M) trials (at
@@ -436,6 +452,7 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
         raise DomainError(f"trials must be >= 1, got {trials}")
     n_blocks = -(-trials // TRIALS_PER_BLOCK)
     r = corr.rank
+    samples = np.empty(trials), np.empty(trials), np.empty(trials)
     if policy == "greedy":
         draw = functools.partial(stream.draw_block, r)
         step = max(1, min(CHUNK_TRIALS, CHUNK_ELEMENTS // m))
@@ -457,42 +474,133 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
             variance = correlated_images_batch(powers[chunk, :, :k], mu[None, :])[:, 0, 0]
             return variance * powers[chunk, 0, k], variance * powers[chunk, 0, k + 1], variance
 
-    def run(block: int, draws: np.ndarray):
-        wanted = min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
-        chunks = [kernel(draws, slice(start, start + step)) for start in range(0, wanted, step)]
-        return tuple(np.concatenate(g) for g in zip(*chunks))
+    def starts(block: int) -> range:  # each chunk's first trial; the last block's stop early
+        return range(0, min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK), step)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, n_blocks, cpus or 1)
+    def store(block: int, start: int, gains: tuple):
+        offset = block * TRIALS_PER_BLOCK + start
+        n = min(gains[0].size, trials - offset)
+        for out, values in zip(samples, gains):
+            out[offset:offset + n] = values[:n]
+
+    def run(block: int, draws: np.ndarray):
+        for start in starts(block):
+            store(block, start, kernel(draws, slice(start, start + step)))
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()) or 1
+    workers = min(workers, n_blocks, cpus)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda block: run(block, draw(block)), range(n_blocks)))
-    elif policy == "greedy" and n_blocks > 1:
-        parts = _drawn_ahead(draw, run, n_blocks, (2, TRIALS_PER_BLOCK, r + 1))
-    else:  # a fixed policy's block is one short product, quicker than a handoff
-        parts = [run(b, draw(b)) for b in range(n_blocks)]
-    return GainSamples(*(np.concatenate(samples)[:trials] for samples in zip(*parts)))
+            list(pool.map(lambda block: run(block, draw(block)), range(n_blocks)))
+    elif policy == "greedy" and n_blocks > 1 and cpus > 1:
+        chunks = [(block, start) for block in range(n_blocks) for start in starts(block)]
+        buffers = [np.empty((2, TRIALS_PER_BLOCK, r + 1), np.complex128)
+                   for _ in range(_DRAW_BUFFERS)]
+        work = _GreedyWorkspace(m, r, step, slots=_IMAGE_SLOTS)
+        images = [None] * _IMAGE_SLOTS
 
+        def slice_of(c: int) -> np.ndarray:
+            block, start = chunks[c]
+            return buffers[block % _DRAW_BUFFERS][:, start:start + step]
 
-def _drawn_ahead(draw: Callable, run: Callable, n_blocks: int, shape: tuple) -> list:
-    """[run(b, draws of block b) for every block], drawing block b + 1 while b runs.
+        def color(c: int):
+            images[c % _IMAGE_SLOTS] = _color_chunk(slice_of(c), corr.factor, work,
+                                                    c % _IMAGE_SLOTS)
 
-    One draw thread fills two buffers in turn, so block b + 1 is drawn into
-    the one that block b - 1 used, and only once that block's run has
-    returned.  The draws release the GIL, so on a second core they leave
-    the calling thread's coloring and kernel only the handoff.  The thread
-    is joined before the call returns, by return or by exception.
-    """
-    buffers = (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
-    parts = []
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        ahead = drawer.submit(draw, 0, out=buffers[0])
+        def finish(c: int):
+            gains = _greedy_chunk(slice_of(c), corr.factor, m_on, work, images[c % _IMAGE_SLOTS])
+            store(*chunks[c], gains)
+
+        _shared(lambda block: draw(block, out=buffers[block % _DRAW_BUFFERS]), color, finish,
+                [block for block, _ in chunks])
+    else:  # one block, one usable CPU, or a fixed policy, whose block is one short
+        # product, quicker than a handoff
         for block in range(n_blocks):
-            draws = ahead.result()
-            if block + 1 < n_blocks:
-                ahead = drawer.submit(draw, block + 1, out=buffers[(block + 1) % 2])
-            parts.append(run(block, draws))
-    return parts
+            run(block, draw(block))
+    return GainSamples(*samples)
+
+
+#: a one-worker greedy run's draw buffers and image slots, shared by its two threads
+_DRAW_BUFFERS = 3
+_IMAGE_SLOTS = 2
+
+
+def _shared(draw: Callable, color: Callable, finish: Callable, blocks: list) -> None:
+    """finish(c) for every chunk c in order, on the calling thread, with a second thread.
+
+    Chunk c lies in block blocks[c].  draw(b) fills buffer b % _DRAW_BUFFERS,
+    free once every chunk of block b - _DRAW_BUFFERS is finished; color(c)
+    reads its block's buffer into image slot c % _IMAGE_SLOTS, free once
+    chunk c - _IMAGE_SLOTS is finished; finish(c) runs the kernel on that
+    slot.  Draws are claimed in block order and colorings in chunk order,
+    under one lock, so each runs once, on whichever thread claims it.  The
+    second thread draws whenever a buffer is free and otherwise colors the
+    next unclaimed chunk.  The calling thread colors its next chunk when
+    that is unclaimed and drawn, and draws the next free block while its
+    next chunk's block is undrawn, so it waits only on work under way.  An
+    error on either thread stops both and reaches the caller, and the second
+    thread is joined before the call returns.
+    """
+    first = {block: c for c, block in reversed(list(enumerate(blocks)))}  # its first chunk
+    n_blocks, n_chunks = len(first), len(blocks)
+    drawn, colored = [False] * n_blocks, [False] * n_chunks
+    at = {"draw": 0, "color": 0, "finish": 0, "stop": False}  # the next of each, in order
+    lock = threading.Condition(threading.Lock())
+
+    def claim(helper: bool):
+        block, c, done = at["draw"], at["color"], at["finish"]
+        if (block < n_blocks and (block < _DRAW_BUFFERS or done >= first[block + 1 - _DRAW_BUFFERS])
+                and (helper or not drawn[blocks[done]])):
+            at["draw"] += 1
+            return draw, block, drawn
+        if c < n_chunks and drawn[blocks[c]] and c - _IMAGE_SLOTS < done and (helper or c == done):
+            at["color"] += 1
+            return color, c, colored
+        return None
+
+    def serve(helper: bool, ready: Callable[[], bool]):
+        # with the lock held, which each claimed step runs without, until ready or stopped
+        while not (ready() or at["stop"]):
+            task = claim(helper)
+            if task is None:
+                lock.wait()
+                continue
+            step, index, done = task
+            lock.release()
+            try:
+                step(index)
+            finally:
+                lock.acquire()
+            done[index] = True
+            lock.notify_all()
+
+    def helper():
+        with lock:
+            try:
+                serve(True, lambda: at["draw"] == n_blocks and at["color"] == n_chunks)
+            except BaseException:
+                at["stop"] = True
+                lock.notify_all()
+                raise
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helped = pool.submit(helper)
+        try:
+            for c in range(n_chunks):
+                with lock:
+                    serve(False, lambda: colored[c])
+                    if at["stop"]:  # the second thread failed
+                        break
+                finish(c)
+                with lock:
+                    at["finish"] += 1
+                    lock.notify_all()
+        finally:
+            with lock:
+                at["stop"] = True
+                lock.notify_all()
+        helped.result()
 
 
 def records_for_budget(gains: GainSamples, budget: LinkBudget,
@@ -692,20 +800,23 @@ def _sweep_row(sweep_var, value, config, budget, point: _Point, eve: dict | None
     }
 
 
-def _snr_rows(config: ExperimentConfig, points: Sequence[_Point]) -> list[dict]:
-    """The row of each point at every average SNR of the grid, in grid order.
+def _snr_rows(config: ExperimentConfig, points: Iterable[Callable[[], _Point]]) -> list[dict]:
+    """The row of each point, evaluated by its callable, at every average SNR, in grid order.
 
     The eavesdropper's budget stays at its configured value throughout, so
-    a point's rows share its eavesdropper's rate and S of it.  They run a
-    point at a time, so only one point's pair is held.
+    a point's rows share its eavesdropper's rate and S of it.  Each point is
+    reduced to its rows before the next is evaluated, so only one point's
+    gains, rate and S are held at a time.
     """
     base_budget = config.budget()
     budgets = [base_budget.with_avg_snr_bob(db_to_linear(v)) for v in config.snr_sweep_db]
-    by_point = []
-    for point in points:
+
+    def rows(point: _Point) -> list[dict]:
         eve = {}
-        by_point.append([_sweep_row("avg_snr_bob_db", snr_db, config, budget, point, eve)
-                         for snr_db, budget in zip(config.snr_sweep_db, budgets)])
+        return [_sweep_row("avg_snr_bob_db", snr_db, config, budget, point, eve)
+                for snr_db, budget in zip(config.snr_sweep_db, budgets)]
+
+    by_point = [rows(evaluate()) for evaluate in points]
     return [row for at_snr in zip(*by_point) for row in at_snr]
 
 
@@ -716,10 +827,10 @@ def sweep_snr(config: ExperimentConfig) -> list[dict]:
     conventional baseline.
     """
     return _snr_rows(config, (
-        _evaluate_point(config, config.fris_geometry(), config.policy, config.m_on,
-                        STREAM_FRIS_SNR),
-        _evaluate_point(config, config.conventional_geometry(), "conventional",
-                        config.conventional_m, STREAM_CONV_SNR),
+        functools.partial(_evaluate_point, config, config.fris_geometry(), config.policy,
+                          config.m_on, STREAM_FRIS_SNR),
+        functools.partial(_evaluate_point, config, config.conventional_geometry(),
+                          "conventional", config.conventional_m, STREAM_CONV_SNR),
     ))
 
 
@@ -803,8 +914,8 @@ def validate_bounds(config: ExperimentConfig) -> list[dict]:
     second term is not a true bound), so violations are flagged rather than
     fatal.  Both flags are nan on an error row.
     """
-    point = _evaluate_point(config, config.fris_geometry(), "fixed-uniform", config.m_on,
-                            STREAM_BOUNDS, ks=False)
+    point = functools.partial(_evaluate_point, config, config.fris_geometry(), "fixed-uniform",
+                              config.m_on, STREAM_BOUNDS, ks=False)
     rows = []
     for row in _snr_rows(config, (point,)):
         row["avg_snr_bob_db"] = row["sweep_value"]
@@ -877,10 +988,14 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
                         "bob im) with the real M x r factor; fixed policies weight a "
                         "whole block's exponentials by the row mu in one product",
             "draw_ahead": "greedy on one worker (workers capped at the blocks and the "
-                          "usable CPUs) and more than one block draws Philox block b + 1 "
-                          "on a second thread into one of two reused buffers while block "
-                          "b is colored; otherwise the thread that runs a block draws it; "
-                          "a block's draws depend on (seed, stream, block) alone",
+                          "usable CPUs), more than one block and at least two usable "
+                          "CPUs shares the work with a second thread: either thread "
+                          "draws the next Philox block into one of three reused buffers "
+                          "or colors the next chunk into one of two image buffers, each "
+                          "claimed in order and done once, and the calling thread runs "
+                          "every chunk's kernel in order; otherwise the thread that runs "
+                          "a block draws and colors it; a block's draws depend on (seed, "
+                          "stream, block) alone",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,

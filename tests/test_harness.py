@@ -7,8 +7,10 @@ import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
-from concurrent.futures import Future
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -310,11 +312,13 @@ class TestChunkedEngine:
         assert greedy_peak(aperture_pools[1600], 2048, workers=2) < 9 * 2 ** 20
 
     def test_one_worker_dense_pool_peak_memory(self, aperture_pools):
-        # one workspace and two blocks of draws, one being colored while the
-        # draw thread fills the other: 5.3 MiB, against 3.8 MiB with one block
-        # drawn inline and 9.95 MiB with 128-trial chunks; the bound leaves
-        # about a quarter
-        assert greedy_peak(aperture_pools[1600], 4096, workers=1) < 6.6 * 2 ** 20
+        # one workspace of two image slots and three blocks of draws, shared
+        # by the calling thread and a second one: 8.37 MiB, against 5.26 MiB
+        # with one slot and two blocks and 3.8 MiB with one block drawn
+        # inline.  The bound adds the second slot's and the third block's
+        # 3.1 MiB to the old bound, keeping its 1.3 MiB margin, a quarter of
+        # the old peak
+        assert greedy_peak(aperture_pools[1600], 4096, workers=1) < 9.7 * 2 ** 20
 
     def test_worker_peak_memory_does_not_grow_with_the_pool(self, aperture_pools):
         # chunks of CHUNK_ELEMENTS // M trials keep a worker's workspace at
@@ -338,62 +342,95 @@ class TestChunkedEngine:
         assert peak < 1600 * 1600 * 8 / 4
 
     def test_pool_bounded_by_blocks_and_cpus(self, aperture_pools, monkeypatch):
-        # the stub runs every block and every draw inline, so no thread starts
-        # whatever the engine asks for; it records the pool size requested
+        # the real executor, recording the pool size each run asks for
         requested = []
 
-        class InlinePool:
+        class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-            @staticmethod
-            def submit(fn, *args, **kwargs):
-                done = Future()
-                done.set_result(fn(*args, **kwargs))
-                return done
+                super().__init__(max_workers)
 
         corr = aperture_pools[100]
         stream = ChannelStream(4, 0)
         trials = 3 * 1024 + 5  # four blocks
         serial = simulate_gains(corr, "greedy", 10, trials, stream)
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
         for workers in (1, 10 ** 6):
             gains = simulate_gains(corr, "greedy", 10, trials, stream, workers=workers)
             assert np.array_equal(gains.g_bob, serial.g_bob)
             assert np.array_equal(gains.g_eve, serial.g_eve)
             assert np.array_equal(gains.var_eve, serial.var_eve)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        # one worker asks for the one draw thread; a million ask for one per
-        # block up to the CPUs, and on one CPU for the draw thread again
-        assert requested == [1, min(4, cpus)]
+        # one worker asks for the second thread; a million ask for one per block
+        # up to the CPUs.  One CPU runs both inline, with no executor
+        assert requested == ([1, min(4, cpus)] if cpus > 1 else [])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_cpu_runs_inline(self, aperture_pools, monkeypatch, workers):
+        corr = aperture_pools[100]
+        stream = ChannelStream(4, 0)
+        trials = 3 * 1024 + 5
+        want = simulate_gains(corr, "greedy", 10, trials, stream, workers=workers)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("built an executor on one CPU")
+
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        gains = simulate_gains(corr, "greedy", 10, trials, stream, workers=workers)
+        assert np.array_equal(gains.g_bob, want.g_bob)
+        assert np.array_equal(gains.g_eve, want.g_eve)
+        assert np.array_equal(gains.var_eve, want.var_eve)
 
 
 @pytest.fixture
 def draw_calls(monkeypatch):
-    """Every `draw_block` call's thread and `out` buffer, in call order."""
+    """Every `draw_block` call's thread, block and `out` buffer, in call order."""
     calls = []
     original = ChannelStream.draw_block
 
     def recording(self, m, block, power=False, out=None):
-        calls.append((threading.get_ident(), out))
+        calls.append((threading.get_ident(), block, out))
         return original(self, m, block, power, out=out)
 
     monkeypatch.setattr(ChannelStream, "draw_block", recording)
     return calls
 
 
-class TestDrawAhead:
-    """One-worker greedy draws block b + 1 on a second thread while block b is colored."""
+def slowed(monkeypatch, owner, name, seconds, on_caller: bool, fail: bool = False):
+    """Make owner.name sleep first on one thread, the calling one or any other; with
+    `fail`, raise there instead.  Returns the thread of every call."""
+    caller = threading.get_ident()
+    threads = []
+    original = getattr(owner, name)
 
-    TRIALS = 3 * 1024 + 5  # four blocks, so each of the two buffers is drawn into twice
+    def wrapper(*args, **kwargs):
+        threads.append(threading.get_ident())
+        if (threads[-1] == caller) == on_caller:
+            if fail:
+                raise RuntimeError(f"injected {name} failure")
+            time.sleep(seconds)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return threads
+
+
+class TestDrawAhead:
+    """One-worker greedy shares each block's draw and each chunk's coloring between the
+    calling thread and a second one; the kernel runs on the calling thread."""
+
+    TRIALS = 3 * 1024 + 5  # four blocks, so the first of the three buffers is drawn into twice
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # one usable CPU runs greedy inline; two take the shared path anywhere
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def assert_whole_block_gains(self, corr, gains, stream=ChannelStream(7, 2)):
+        want = whole_block_gains(corr, "greedy", 10, self.TRIALS, stream)
+        for got, reference in zip((gains.g_bob, gains.g_eve, gains.var_eve), want):
+            assert np.array_equal(got, reference)
 
     @pytest.mark.parametrize("aperture", [3.0, 10.0])
     def test_matches_whole_block_engine_and_pool(self, aperture, draw_calls):
@@ -402,41 +439,87 @@ class TestDrawAhead:
                                                   aperture_z=aperture).fris_geometry())
         assert corr.rank == (45 if aperture == 3.0 else 100)
         stream = ChannelStream(7, 2)
-        want = whole_block_gains(corr, "greedy", 100, self.TRIALS, stream)
-        draw_calls.clear()
-        ahead = simulate_gains(corr, "greedy", 100, self.TRIALS, stream)
-        buffers = [out for _, out in draw_calls]
-        assert len(buffers) == 4 and buffers[0] is buffers[2] and buffers[1] is buffers[3]
-        assert not np.shares_memory(buffers[0], buffers[1])
-        pooled = simulate_gains(corr, "greedy", 100, self.TRIALS, stream, workers=2)
-        for one, two, reference in zip((ahead.g_bob, ahead.g_eve, ahead.var_eve),
-                                       (pooled.g_bob, pooled.g_eve, pooled.var_eve), want):
-            assert np.array_equal(one, reference)
-            assert np.array_equal(two, reference)
+        for trials in (self.TRIALS, 2 * 1024, 1024 + 1):
+            want = whole_block_gains(corr, "greedy", 100, trials, stream)
+            shared = simulate_gains(corr, "greedy", 100, trials, stream)
+            pooled = simulate_gains(corr, "greedy", 100, trials, stream, workers=2)
+            for one, two, reference in zip((shared.g_bob, shared.g_eve, shared.var_eve),
+                                           (pooled.g_bob, pooled.g_eve, pooled.var_eve), want):
+                assert np.array_equal(one, reference)
+                assert np.array_equal(two, reference)
+
+    def test_each_block_drawn_once_into_its_buffer(self, aperture_pools, draw_calls):
+        simulate_gains(aperture_pools[100], "greedy", 10, self.TRIALS, ChannelStream(7, 2))
+        buffers = dict((block, out) for _, block, out in draw_calls)
+        assert sorted(block for _, block, _ in draw_calls) == [0, 1, 2, 3]
+        assert buffers[3] is buffers[0]
+        for one, two in ((0, 1), (0, 2), (1, 2)):
+            assert not np.shares_memory(buffers[one], buffers[two])
+        assert len({thread for thread, _, _ in draw_calls}) <= 2
 
     def test_samples_share_no_memory_with_the_draws(self, aperture_pools, draw_calls):
         gains = simulate_gains(aperture_pools[400], "greedy", 100, self.TRIALS,
                                ChannelStream(7, 2))
         assert len(draw_calls) == 4
-        for _, buffer in draw_calls:
+        for _, _, buffer in draw_calls:
             for samples in (gains.g_bob, gains.g_eve, gains.var_eve):
                 assert not np.shares_memory(samples, buffer)
 
-    def test_draws_run_on_one_second_thread(self, aperture_pools, draw_calls):
-        simulate_gains(aperture_pools[100], "greedy", 10, self.TRIALS, ChannelStream(7, 2))
-        threads = {thread for thread, _ in draw_calls}
-        assert len(draw_calls) == 4 and len(threads) == 1
-        assert threading.get_ident() not in threads
+    def test_slow_draw_thread_leaves_draws_and_colorings_to_the_caller(
+            self, aperture_pools, monkeypatch, draw_calls):
+        # every draw on the second thread takes 0.2 s, so the calling thread
+        # draws the blocks it reaches first and colors their chunks itself
+        corr = aperture_pools[100]
+        slowed(monkeypatch, ChannelStream, "draw_block", 0.2, on_caller=False)
+        colorings = slowed(monkeypatch, harness, "_color_chunk", 0.0, on_caller=False)
+        gains = simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2))
+        caller = threading.get_ident()
+        assert sorted(block for _, block, _ in draw_calls) == [0, 1, 2, 3]
+        assert any(thread == caller for thread, _, _ in draw_calls)
+        assert caller in colorings and len(colorings) == 3 * 8 + 1
+        self.assert_whole_block_gains(corr, gains)
+
+    def test_slow_kernel_leaves_colorings_to_the_draw_thread(self, aperture_pools, monkeypatch):
+        # each kernel takes 5 ms, so the second thread colors chunks ahead of it
+        corr = aperture_pools[100]
+        kernels = slowed(monkeypatch, harness, "_greedy_block", 0.005, on_caller=True)
+        colorings = slowed(monkeypatch, harness, "_color_chunk", 0.0, on_caller=True)
+        gains = simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2))
+        caller = threading.get_ident()
+        assert kernels == [caller] * (3 * 8 + 1)
+        assert any(thread != caller for thread in colorings) and len(colorings) == 3 * 8 + 1
+        self.assert_whole_block_gains(corr, gains)
+
+    def test_concurrent_runs_under_a_short_switch_interval(self, aperture_pools, draw_calls):
+        # four one-worker runs at once are eight threads on the cores,
+        # switching every microsecond: a lost claim would draw a block twice
+        # or skip one, and a lost handoff would color into a busy slot
+        corr = aperture_pools[36]
+        trials = 5 * 1024 + 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(simulate_gains, corr, "greedy", 20, trials,
+                                    ChannelStream(7, 2)) for _ in range(4)]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(block for _, block, _ in draw_calls) == sorted(list(range(6)) * 4)
+        want = whole_block_gains(corr, "greedy", 20, trials, ChannelStream(7, 2))
+        for gains in results:
+            for got, reference in zip((gains.g_bob, gains.g_eve, gains.var_eve), want):
+                assert np.array_equal(got, reference)
 
     def test_one_block_draws_inline(self, aperture_pools, draw_calls):
         simulate_gains(aperture_pools[100], "greedy", 10, 1024, ChannelStream(7, 2))
-        assert draw_calls == [(threading.get_ident(), None)]
+        assert draw_calls == [(threading.get_ident(), 0, None)]
 
     @pytest.mark.parametrize("policy", ["fixed-uniform", "fixed-random"])
     def test_fixed_policies_draw_on_the_calling_thread(self, aperture_pools, draw_calls,
                                                        policy):
         simulate_gains(aperture_pools[100], policy, 10, self.TRIALS, ChannelStream(7, 2))
-        assert draw_calls == [(threading.get_ident(), None)] * 4
+        assert draw_calls == [(threading.get_ident(), block, None) for block in range(4)]
 
     def test_draw_thread_joined_on_return_and_on_error(self, aperture_pools, monkeypatch):
         corr = aperture_pools[100]  # 128-trial chunks: 8 per block
@@ -456,6 +539,24 @@ class TestDrawAhead:
         with pytest.raises(RuntimeError, match="injected kernel failure"):
             simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2))
         assert len(chunks) == 9
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("layer, on_caller", [
+        ("draw_block", True), ("draw_block", False), ("_color_chunk", True),
+        ("_color_chunk", False), ("_greedy_block", True)])
+    def test_error_on_either_thread_reaches_the_caller(self, aperture_pools, monkeypatch,
+                                                       layer, on_caller):
+        # the other thread is slowed at the same step, or at the kernel for a
+        # coloring on the second thread, so the failing thread surely reaches it
+        before = threading.active_count()
+        owner = ChannelStream if layer == "draw_block" else harness
+        if layer == "_color_chunk" and not on_caller:
+            slowed(monkeypatch, harness, "_greedy_block", 0.005, on_caller=True)
+        else:
+            slowed(monkeypatch, ChannelStream, "draw_block", 0.05, on_caller=not on_caller)
+        slowed(monkeypatch, owner, layer, 0.0, on_caller=on_caller, fail=True)
+        with pytest.raises(RuntimeError, match=f"injected {layer} failure"):
+            simulate_gains(aperture_pools[100], "greedy", 10, self.TRIALS, ChannelStream(7, 2))
         assert threading.active_count() == before
 
 
@@ -831,6 +932,22 @@ class TestSweeps:
             assert row["asc_mc"] == estimate_asc(records).point
             assert row["asc_se"] == estimate_asc(records).std_error
             assert row["sop_mc"] == estimate_sop(records, cfg.target()).point
+
+    def test_snr_sweep_drops_a_point_before_simulating_the_next(self, monkeypatch):
+        # each point is reduced to its rows first, so no point's gains are
+        # alive when the next point's simulation starts
+        original = harness.simulate_gains
+        earlier = []
+
+        def recording(*args, **kwargs):
+            assert all(ref() is None for ref in earlier), "an earlier point's gains are alive"
+            gains = original(*args, **kwargs)
+            earlier.append(weakref.ref(gains))
+            return gains
+
+        monkeypatch.setattr(harness, "simulate_gains", recording)
+        rows = sweep_snr(small_config())
+        assert len(earlier) == 2 and all(row["status"] == "ok" for row in rows)
 
     def test_snr_sweep_deterministic(self):
         cfg = small_config()
