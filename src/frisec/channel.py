@@ -19,11 +19,11 @@ along the k = min(m_on, r) singular vectors of the configuration's cascade
 that its rank allows, and of one normal per receiver (see
 `harness.simulate_gains`).
 Randomness is counter-based (Philox): a draw depends only on (seed, stream,
-trial index), never on how trials are batched across workers or on which
-thread draws them, so a block can be drawn ahead of its use.
+trial index), never on how trials are batched across threads, on which
+thread draws them or on the buffer they are drawn into.
 The engine runs its matrix products inside `one_blas_thread`, so each runs
-on the thread that calls it: the engine's threads are its workers, and with
-one worker greedy's second thread, which draws blocks and colors chunks.
+on the thread that calls it: the engine's threads are the ones that run its
+blocks.
 """
 
 from __future__ import annotations

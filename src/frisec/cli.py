@@ -32,10 +32,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="64-bit experiment seed")
     sub.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     sub.add_argument("--workers", type=int,
-                     help="threads over trial blocks, each running its own BLAS "
-                          "products; with 1, greedy shares each block's draw and "
-                          "each chunk's coloring with a second thread when two "
-                          "CPUs are usable")
+                     help="threads over trial blocks, at most one per block and "
+                          "usable CPU, each running its own BLAS products; greedy "
+                          "takes at least two where it can")
     sub.add_argument("--policy", choices=POLICIES)
     sub.add_argument("--m-on", type=int, dest="m_on", help="active element count")
     sub.add_argument("--out", required=True, help="output CSV path")

@@ -114,8 +114,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not (isinstance(value, numbers.Real)
                                                and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if self.trials < 2:
+            raise ConfigError("trials must be >= 2: a mean estimate needs two samples")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned value")
         if self.workers < 1:
@@ -271,18 +271,16 @@ class GainSamples:
 class _GreedyWorkspace:
     """Buffers for greedy's chunks of up to `trials` trials of `m` elements.
 
-    A worker allocates them once per `simulate_gains` call and runs every
+    Each thread allocates them once per `simulate_gains` call and runs every
     chunk in them, so no chunk faults in fresh pages.  They are flat, so a
-    chunk of n trials takes a contiguous prefix of each.  Each of `slots`
-    slots holds one chunk's draws and images as four real planes, so a
-    chunk can be colored into one while the kernel runs on another; the
-    kernel's co-phasing weight, ON mask and eavesdropper's projection are
-    held once.
+    chunk of n trials takes a contiguous prefix of each: its draws and
+    images as four real planes, the kernel's co-phasing weight, ON mask and
+    eavesdropper's projection.
     """
 
-    def __init__(self, m: int, r: int, trials: int, slots: int = 1):
-        self.draws = np.empty((slots, 4 * trials * r))
-        self.images = np.empty((slots, 4 * trials * m))
+    def __init__(self, m: int, r: int, trials: int):
+        self.draws = np.empty(4 * trials * r)
+        self.images = np.empty(4 * trials * m)
         self.weight = np.empty(trials * m)
         self.on = np.empty(trials * m, dtype=bool)
         self.projected = np.empty(2 * trials * r)
@@ -292,33 +290,23 @@ def _prefix(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _color_chunk(draws: np.ndarray, factor: np.ndarray, work: _GreedyWorkspace,
-                 slot: int = 0) -> np.ndarray:
-    """The (4, n, M) images of a (2, n, r + 1) slice of a draw block, in a slot of `work`.
+def _greedy_chunk(draws: np.ndarray, factor: np.ndarray, m_on: int, work: _GreedyWorkspace
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy's (g_bob, g_eve, var_eve) of a (2, n, r + 1) slice of a draw block.
 
-    The feed's and the legitimate link's r normals are copied into the slot
-    as four real planes (feed re, feed im, bob re, bob im), and one real
-    product with the M x r factor colors them into its images' four planes.
+    The feed's and the legitimate link's r normals are copied into `work` as
+    four real planes (feed re, feed im, bob re, bob im), one real product
+    with the M x r factor colors them into its images' four planes, and the
+    kernel runs on those in place.
     """
     n = draws.shape[1]
     m, r = factor.shape
-    planes = _prefix(work.draws[slot], 4, n, r)
+    planes = _prefix(work.draws, 4, n, r)
     np.copyto(planes.reshape(2, 2, n, r),
               np.moveaxis(draws[:, :, :r].view(float).reshape(2, n, r, 2), 3, 1))
-    return correlated_images_batch(planes, factor, out=_prefix(work.images[slot], 4, n, m))
-
-
-def _greedy_chunk(draws: np.ndarray, factor: np.ndarray, m_on: int, work: _GreedyWorkspace,
-                  images: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy's (g_bob, g_eve, var_eve) of a (2, n, r + 1) slice of a draw block.
-
-    The kernel runs in place on the slice's `images`, which `_color_chunk`
-    colors into `work` unless they are given colored already.
-    """
-    if images is None:
-        images = _color_chunk(draws, factor, work)
+    images = correlated_images_batch(planes, factor, out=_prefix(work.images, 4, n, m))
     g_bob, variance = _greedy_block(images, factor, m_on, work)
-    return g_bob, variance * np.abs(draws[0, :, factor.shape[1]]) ** 2, variance
+    return g_bob, variance * np.abs(draws[0, :, r]) ** 2, variance
 
 
 def _greedy_block(images: np.ndarray, factor: np.ndarray, m_on: int, work: _GreedyWorkspace
@@ -402,26 +390,22 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     Results are a pure function of (corr, policy, m_on, trials, stream) and in
     particular do not depend on `workers`; trial t of a run equals the last
     trial of a run of t + 1 trials.  The blocks run on min(workers, blocks,
-    usable CPUs) threads, each of which holds a block's draws and, under
-    greedy, its workspace, and every thread writes its samples into the
-    three returned arrays.  With one, they run on the calling thread; greedy,
-    given more than one block and at least two usable CPUs, shares the work
-    with a second thread (`_shared`): either thread draws a block into one of
-    three buffers or colors a chunk into one of two image slots, and the
-    calling thread runs every chunk's kernel, in order.  Philox makes a
-    block's draws a function of (seed, stream, block) alone, and a chunk is
-    colored by the same product on either thread, so neither the thread nor
-    the buffer changes a bit.  The call runs under `one_blas_thread`, so each
-    product runs on the thread that calls it.
+    usable CPUs) threads, and greedy's on at least two where blocks and CPUs
+    allow; one thread runs them on the calling thread, more run them on a
+    pool.  Each thread allocates one draw buffer, and under greedy one
+    workspace, at its first block, reuses them for every later one, and
+    writes its samples into the three returned arrays.  Philox makes a
+    block's draws a function of (seed, stream, block) alone, so neither the
+    thread nor the buffer changes a bit.  The call runs under
+    `one_blas_thread`, so each product runs on the thread that calls it.
 
     Every policy draws each Philox block whole.  Greedy colors it and runs
     its kernel in chunks of min(CHUNK_TRIALS, CHUNK_ELEMENTS // M) trials (at
     least one), each by one real product of the real and imaginary planes of
-    its feed and legitimate normals by the real factor, into a workspace that
-    each worker allocates at its first chunk and reuses for every later one,
-    so its (n, M) images and kernel buffers hold about CHUNK_ELEMENTS values
-    per plane whatever the pool and fault in no fresh pages; its last block
-    stops at the chunk that holds the last requested trial.  A
+    its feed and legitimate normals by the real factor, in the thread's
+    workspace, whose (n, M) images and kernel buffers hold about
+    CHUNK_ELEMENTS values per plane whatever the pool; its last block stops
+    at the chunk that holds the last requested trial.  A
     fixed policy's temporaries hold one value per trial, so it runs each
     block whole, in one product.  Every trial's kernel reads only its own row, so
     neither way changes a sample beyond the BLAS's rounding of a product, which
@@ -453,154 +437,50 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     n_blocks = -(-trials // TRIALS_PER_BLOCK)
     r = corr.rank
     samples = np.empty(trials), np.empty(trials), np.empty(trials)
+    local = threading.local()  # each thread's draw buffer and workspace, for every block it runs
     if policy == "greedy":
         draw = functools.partial(stream.draw_block, r)
+        buffer = (2, TRIALS_PER_BLOCK, r + 1), np.complex128
         step = max(1, min(CHUNK_TRIALS, CHUNK_ELEMENTS // m))
-        local = threading.local()  # one workspace per worker thread, for every chunk it runs
 
         def kernel(draws: np.ndarray, chunk: slice):
-            work = getattr(local, "work", None)
-            if work is None:
-                work = local.work = _GreedyWorkspace(m, r, step)
-            return _greedy_chunk(draws[:, chunk], corr.factor, m_on, work)
+            return _greedy_chunk(draws[:, chunk], corr.factor, m_on, local.work)
 
     else:
         mu = frozen_spectrum(corr, policy, m_on, stream.seed)
         k = mu.size
         draw = functools.partial(stream.draw_block, k + 2, power=True)
+        buffer = (TRIALS_PER_BLOCK, 1, k + 2), float
         step = TRIALS_PER_BLOCK
 
         def kernel(powers: np.ndarray, chunk: slice):
             variance = correlated_images_batch(powers[chunk, :, :k], mu[None, :])[:, 0, 0]
             return variance * powers[chunk, 0, k], variance * powers[chunk, 0, k + 1], variance
 
-    def starts(block: int) -> range:  # each chunk's first trial; the last block's stop early
-        return range(0, min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK), step)
-
-    def store(block: int, start: int, gains: tuple):
-        offset = block * TRIALS_PER_BLOCK + start
-        n = min(gains[0].size, trials - offset)
-        for out, values in zip(samples, gains):
-            out[offset:offset + n] = values[:n]
-
-    def run(block: int, draws: np.ndarray):
-        for start in starts(block):
-            store(block, start, kernel(draws, slice(start, start + step)))
+    def run(block: int):
+        if not hasattr(local, "draws"):  # this thread's first block
+            local.draws = np.empty(*buffer)
+            local.work = _GreedyWorkspace(m, r, step) if policy == "greedy" else None
+        draws = draw(block, out=local.draws)
+        # each chunk's first trial; the last block's stop early
+        for start in range(0, min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK), step):
+            gains = kernel(draws, slice(start, start + step))
+            offset = block * TRIALS_PER_BLOCK + start
+            n = min(gains[0].size, trials - offset)
+            for out, values in zip(samples, gains):
+                out[offset:offset + n] = values[:n]
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count()) or 1
-    workers = min(workers, n_blocks, cpus)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda block: run(block, draw(block)), range(n_blocks)))
-    elif policy == "greedy" and n_blocks > 1 and cpus > 1:
-        chunks = [(block, start) for block in range(n_blocks) for start in starts(block)]
-        buffers = [np.empty((2, TRIALS_PER_BLOCK, r + 1), np.complex128)
-                   for _ in range(_DRAW_BUFFERS)]
-        work = _GreedyWorkspace(m, r, step, slots=_IMAGE_SLOTS)
-        images = [None] * _IMAGE_SLOTS
-
-        def slice_of(c: int) -> np.ndarray:
-            block, start = chunks[c]
-            return buffers[block % _DRAW_BUFFERS][:, start:start + step]
-
-        def color(c: int):
-            images[c % _IMAGE_SLOTS] = _color_chunk(slice_of(c), corr.factor, work,
-                                                    c % _IMAGE_SLOTS)
-
-        def finish(c: int):
-            gains = _greedy_chunk(slice_of(c), corr.factor, m_on, work, images[c % _IMAGE_SLOTS])
-            store(*chunks[c], gains)
-
-        _shared(lambda block: draw(block, out=buffers[block % _DRAW_BUFFERS]), color, finish,
-                [block for block, _ in chunks])
-    else:  # one block, one usable CPU, or a fixed policy, whose block is one short
-        # product, quicker than a handoff
+    threads = min(max(workers, 2) if policy == "greedy" else workers, n_blocks, cpus)
+    if threads > 1:  # map cancels the blocks not yet started when one fails
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, range(n_blocks)))
+    else:  # one block, one usable CPU, or a fixed policy on one worker, whose block
+        # is one short product, quicker than a handoff
         for block in range(n_blocks):
-            run(block, draw(block))
+            run(block)
     return GainSamples(*samples)
-
-
-#: a one-worker greedy run's draw buffers and image slots, shared by its two threads
-_DRAW_BUFFERS = 3
-_IMAGE_SLOTS = 2
-
-
-def _shared(draw: Callable, color: Callable, finish: Callable, blocks: list) -> None:
-    """finish(c) for every chunk c in order, on the calling thread, with a second thread.
-
-    Chunk c lies in block blocks[c].  draw(b) fills buffer b % _DRAW_BUFFERS,
-    free once every chunk of block b - _DRAW_BUFFERS is finished; color(c)
-    reads its block's buffer into image slot c % _IMAGE_SLOTS, free once
-    chunk c - _IMAGE_SLOTS is finished; finish(c) runs the kernel on that
-    slot.  Draws are claimed in block order and colorings in chunk order,
-    under one lock, so each runs once, on whichever thread claims it.  The
-    second thread draws whenever a buffer is free and otherwise colors the
-    next unclaimed chunk.  The calling thread colors its next chunk when
-    that is unclaimed and drawn, and draws the next free block while its
-    next chunk's block is undrawn, so it waits only on work under way.  An
-    error on either thread stops both and reaches the caller, and the second
-    thread is joined before the call returns.
-    """
-    first = {block: c for c, block in reversed(list(enumerate(blocks)))}  # its first chunk
-    n_blocks, n_chunks = len(first), len(blocks)
-    drawn, colored = [False] * n_blocks, [False] * n_chunks
-    at = {"draw": 0, "color": 0, "finish": 0, "stop": False}  # the next of each, in order
-    lock = threading.Condition(threading.Lock())
-
-    def claim(helper: bool):
-        block, c, done = at["draw"], at["color"], at["finish"]
-        if (block < n_blocks and (block < _DRAW_BUFFERS or done >= first[block + 1 - _DRAW_BUFFERS])
-                and (helper or not drawn[blocks[done]])):
-            at["draw"] += 1
-            return draw, block, drawn
-        if c < n_chunks and drawn[blocks[c]] and c - _IMAGE_SLOTS < done and (helper or c == done):
-            at["color"] += 1
-            return color, c, colored
-        return None
-
-    def serve(helper: bool, ready: Callable[[], bool]):
-        # with the lock held, which each claimed step runs without, until ready or stopped
-        while not (ready() or at["stop"]):
-            task = claim(helper)
-            if task is None:
-                lock.wait()
-                continue
-            step, index, done = task
-            lock.release()
-            try:
-                step(index)
-            finally:
-                lock.acquire()
-            done[index] = True
-            lock.notify_all()
-
-    def helper():
-        with lock:
-            try:
-                serve(True, lambda: at["draw"] == n_blocks and at["color"] == n_chunks)
-            except BaseException:
-                at["stop"] = True
-                lock.notify_all()
-                raise
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        helped = pool.submit(helper)
-        try:
-            for c in range(n_chunks):
-                with lock:
-                    serve(False, lambda: colored[c])
-                    if at["stop"]:  # the second thread failed
-                        break
-                finish(c)
-                with lock:
-                    at["finish"] += 1
-                    lock.notify_all()
-        finally:
-            with lock:
-                at["stop"] = True
-                lock.notify_all()
-        helped.result()
 
 
 def records_for_budget(gains: GainSamples, budget: LinkBudget,
@@ -987,15 +867,10 @@ def write_results(path: str, rows: list[dict], columns: Sequence[str],
                         "product of their four real planes (feed re, feed im, bob re, "
                         "bob im) with the real M x r factor; fixed policies weight a "
                         "whole block's exponentials by the row mu in one product",
-            "draw_ahead": "greedy on one worker (workers capped at the blocks and the "
-                          "usable CPUs), more than one block and at least two usable "
-                          "CPUs shares the work with a second thread: either thread "
-                          "draws the next Philox block into one of three reused buffers "
-                          "or colors the next chunk into one of two image buffers, each "
-                          "claimed in order and done once, and the calling thread runs "
-                          "every chunk's kernel in order; otherwise the thread that runs "
-                          "a block draws and colors it; a block's draws depend on (seed, "
-                          "stream, block) alone",
+            "threads": "greedy runs its blocks on min(max(workers, 2), blocks, usable "
+                       "CPUs) threads and the fixed policies on min(workers, blocks, "
+                       "usable CPUs), one thread being the calling one, and a block's "
+                       "draws depend on (seed, stream, block) alone",
             "eigen_clamp": EIGEN_CLAMP,
             "trials_per_block": TRIALS_PER_BLOCK,
             "chunk_trials": CHUNK_TRIALS,

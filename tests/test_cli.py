@@ -86,7 +86,8 @@ def test_flag_overrides(tmp_path, tiny_config):
     assert manifest["config"]["seed"] == 77
     assert "Karhunen-Loeve" in manifest["notes"]["sampler"]["method"]
     assert manifest["notes"]["sampler"]["eigen_clamp"] == 1e-12
-    assert "second thread" in manifest["notes"]["sampler"]["draw_ahead"]
+    assert "min(max(workers, 2), blocks, usable CPUs)" in manifest["notes"]["sampler"]["threads"]
+    assert "draw_ahead" not in manifest["notes"]["sampler"]
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
@@ -160,13 +161,14 @@ def test_validate_bounds_names_flagged_points_on_one_line(tmp_path, tiny_config,
 
 
 @pytest.mark.parametrize("override, message", [
-    ({"trials": 0}, "trials must be >= 1"),
+    ({"trials": 0}, "trials must be >= 2: a mean estimate needs two samples"),
+    ({"trials": 1}, "trials must be >= 2: a mean estimate needs two samples"),
     ({"m_x": 10 ** 400}, f"element counts {10 ** 400} x 4 overflow the element spacing"),
     ({"policy": "conventional"},
      "unknown policy 'conventional'; choose from ('greedy', 'fixed-uniform', 'fixed-random')"),
     ({"conventional_m": 10 ** 800},
      f"conventional_m {10 ** 800} overflows the baseline's half-wavelength width"),
-], ids=["no-trials", "count-past-float-range", "conventional-policy",
+], ids=["no-trials", "one-trial", "count-past-float-range", "conventional-policy",
         "baseline-count-past-float-range"])
 def test_config_error_is_one_line_naming_its_cause(tmp_path, tiny_config, capsys,
                                                    override, message):
@@ -294,6 +296,9 @@ def test_error_rows_name_their_policy(tmp_path, pool_8x8, monkeypatch, capsys, c
     assert [r["status"] for r in rows] == [f'error: {stage} failed, "x"'] * len(labels)
     assert [(r.get("policy"), r.get("m_total")) for r in rows] == labels
     assert [r["m_on"] for r in rows] == ["16"] * len(labels)
+    assert all(r["trials"] == "1024" for r in rows)
+    if command == "validate-bounds":
+        assert all(r["sop_bound_ok"] == r["asc_bound_ok"] == "nan" for r in rows)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -365,22 +370,24 @@ def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     ("validate-fits", harness.VALIDATE_FIT_COLUMNS, 1),
     ("validate-bounds", harness.VALIDATE_BOUND_COLUMNS, 2),
 ])
-def test_one_trial_writes_rows(tmp_path, tiny_config, command, columns, n_rows):
-    # one trial is too few for a mean estimate; every table command still
-    # writes one row per point, with exactly its columns, and exits 0
-    out = tmp_path / "one.csv"
+def test_two_trials_write_rows(tmp_path, tiny_config, capsys, command, columns, n_rows):
+    # two trials are the fewest a mean estimate takes: every table command
+    # writes one row per point, with exactly its columns, and exits 0; one
+    # trial is a config error, which writes nothing
+    out = tmp_path / "two.csv"
     assert main([command, "--config", str(tiny_config), "--out", str(out),
-                 "--trials", "1"]) == 0
+                 "--trials", "1"]) == 1
+    assert capsys.readouterr().err == ("frisec: config error: trials must be >= 2: "
+                                       "a mean estimate needs two samples\n")
+    assert not out.exists()
+    assert main([command, "--config", str(tiny_config), "--out", str(out),
+                 "--trials", "2"]) == 0
     lines = out.read_text().strip().split("\n")
     assert tuple(lines[0].split(",")) == columns
     assert len(lines) == 1 + n_rows
-    assert json.loads((tmp_path / "one.csv.manifest.json").read_text())["command"] == command
+    assert json.loads((tmp_path / "two.csv.manifest.json").read_text())["command"] == command
     assert all(len(line.split(",")) == len(columns) for line in lines)
-    if command == "validate-bounds":
-        for row in csv_rows(out):
-            assert row["status"] == "error: need at least two samples for a mean estimate"
-            assert row["sop_bound_ok"] == row["asc_bound_ok"] == "nan"
-            assert row["trials"] == "1" and row["policy"] == "fixed-uniform"
+    assert all(row["trials"] == "2" for row in csv_rows(out))
 
 
 def test_few_trials_blank_the_ks_columns(tmp_path, pool_8x8):
@@ -406,7 +413,7 @@ def test_fuzzed_configs_exit_cleanly(tmp_path):
     small_sizes = st.sampled_from([1, 4, 9, 16])
     valid = {  # every size field is given, so no default builds a large surface
         "m_x": st.integers(1, 4), "m_z": st.integers(1, 4), "m_on": st.integers(1, 4),
-        "conventional_m": small_sizes, "trials": st.integers(1, 256),
+        "conventional_m": small_sizes, "trials": st.integers(2, 256),
         "snr_sweep_db": st.lists(st.floats(-50.0, 200.0), min_size=1, max_size=3,
                                  unique=True).map(sorted),
         "size_sweep": st.lists(small_sizes, min_size=1, max_size=3, unique=True).map(sorted),

@@ -69,8 +69,9 @@ class TestConfig:
         assert cfg.fris_geometry().n_elements == 400
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            small_config(trials=0)
+        for trials in (0, 1):
+            with pytest.raises(ConfigError, match="trials must be >= 2: a mean estimate"):
+                small_config(trials=trials)
         with pytest.raises(ConfigError):
             small_config(snr_sweep_db=(90.0, 80.0))
         with pytest.raises(ConfigError):
@@ -279,9 +280,9 @@ class TestChunkedEngine:
         asked = []
         draw_block = ChannelStream.draw_block
 
-        def recording_draw(self, m, block, power=False):
+        def recording_draw(self, m, block, power=False, out=None):
             asked.append((m, power))
-            return draw_block(self, m, block, power=power)
+            return draw_block(self, m, block, power=power, out=out)
 
         monkeypatch.setattr(ChannelStream, "draw_block", recording_draw)
         stream = ChannelStream(5, 1)
@@ -312,13 +313,11 @@ class TestChunkedEngine:
         assert greedy_peak(aperture_pools[1600], 2048, workers=2) < 9 * 2 ** 20
 
     def test_one_worker_dense_pool_peak_memory(self, aperture_pools):
-        # one workspace of two image slots and three blocks of draws, shared
-        # by the calling thread and a second one: 8.37 MiB, against 5.26 MiB
-        # with one slot and two blocks and 3.8 MiB with one block drawn
-        # inline.  The bound adds the second slot's and the third block's
-        # 3.1 MiB to the old bound, keeping its 1.3 MiB margin, a quarter of
-        # the old peak
-        assert greedy_peak(aperture_pools[1600], 4096, workers=1) < 9.7 * 2 ** 20
+        # one worker's greedy blocks run on two threads, each with one
+        # workspace and one reused block of draws: 7.39 MiB, or 8.24 MiB as
+        # a process's first run, against 3.8 MiB with one thread.  The bound
+        # keeps the 1.3 MiB margin over the 7.39 MiB
+        assert greedy_peak(aperture_pools[1600], 4096, workers=1) < 8.7 * 2 ** 20
 
     def test_worker_peak_memory_does_not_grow_with_the_pool(self, aperture_pools):
         # chunks of CHUNK_ELEMENTS // M trials keep a worker's workspace at
@@ -361,9 +360,9 @@ class TestChunkedEngine:
             assert np.array_equal(gains.g_eve, serial.g_eve)
             assert np.array_equal(gains.var_eve, serial.var_eve)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        # one worker asks for the second thread; a million ask for one per block
-        # up to the CPUs.  One CPU runs both inline, with no executor
-        assert requested == ([1, min(4, cpus)] if cpus > 1 else [])
+        # greedy on one worker asks for two threads; a million ask for one per
+        # block up to the CPUs.  One CPU runs both inline, with no executor
+        assert requested == ([2, min(4, cpus)] if cpus > 1 else [])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_cpu_runs_inline(self, aperture_pools, monkeypatch, workers):
@@ -397,19 +396,17 @@ def draw_calls(monkeypatch):
     return calls
 
 
-def slowed(monkeypatch, owner, name, seconds, on_caller: bool, fail: bool = False):
-    """Make owner.name sleep first on one thread, the calling one or any other; with
-    `fail`, raise there instead.  Returns the thread of every call."""
-    caller = threading.get_ident()
+def failing(monkeypatch, owner, name, after: int = 0, wait: float = 0.0):
+    """Make owner.name raise at its call number `after` and sleep `wait` s in every
+    other call.  Returns the thread of every call."""
     threads = []
     original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         threads.append(threading.get_ident())
-        if (threads[-1] == caller) == on_caller:
-            if fail:
-                raise RuntimeError(f"injected {name} failure")
-            time.sleep(seconds)
+        if len(threads) == after + 1:
+            raise RuntimeError(f"injected {name} failure")
+        time.sleep(wait)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
@@ -417,83 +414,68 @@ def slowed(monkeypatch, owner, name, seconds, on_caller: bool, fail: bool = Fals
 
 
 class TestDrawAhead:
-    """One-worker greedy shares each block's draw and each chunk's coloring between the
-    calling thread and a second one; the kernel runs on the calling thread."""
+    """Greedy runs its blocks on min(max(workers, 2), blocks, CPUs) pool threads and a
+    fixed policy on min(workers, blocks, CPUs); one thread runs them inline.  Each
+    thread draws every block it runs into one buffer that it reuses."""
 
-    TRIALS = 3 * 1024 + 5  # four blocks, so the first of the three buffers is drawn into twice
+    TRIALS = 3 * 1024 + 5  # four blocks, so a thread draws into its buffer again
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        # one usable CPU runs greedy inline; two take the shared path anywhere
+        # one usable CPU runs every policy inline; two take the pool anywhere
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-    def assert_whole_block_gains(self, corr, gains, stream=ChannelStream(7, 2)):
-        want = whole_block_gains(corr, "greedy", 10, self.TRIALS, stream)
-        for got, reference in zip((gains.g_bob, gains.g_eve, gains.var_eve), want):
-            assert np.array_equal(got, reference)
 
     @pytest.mark.parametrize("aperture", [3.0, 10.0])
     def test_matches_whole_block_engine_and_pool(self, aperture, draw_calls):
-        # the 20x20 pool has rank 45 in the 3x3-wavelength aperture, 100 in 10x10
+        # the 20x20 pool has rank 45 in the 3x3-wavelength aperture, 100 in
+        # 10x10; one worker's greedy blocks run on two pool threads, as two
+        # workers' do
         corr = build_correlation(ExperimentConfig(aperture_x=aperture,
                                                   aperture_z=aperture).fris_geometry())
         assert corr.rank == (45 if aperture == 3.0 else 100)
         stream = ChannelStream(7, 2)
         for trials in (self.TRIALS, 2 * 1024, 1024 + 1):
             want = whole_block_gains(corr, "greedy", 100, trials, stream)
-            shared = simulate_gains(corr, "greedy", 100, trials, stream)
-            pooled = simulate_gains(corr, "greedy", 100, trials, stream, workers=2)
-            for one, two, reference in zip((shared.g_bob, shared.g_eve, shared.var_eve),
-                                           (pooled.g_bob, pooled.g_eve, pooled.var_eve), want):
-                assert np.array_equal(one, reference)
-                assert np.array_equal(two, reference)
+            for workers in (1, 2):
+                draw_calls.clear()
+                gains = simulate_gains(corr, "greedy", 100, trials, stream, workers=workers)
+                assert threading.get_ident() not in {thread for thread, _, _ in draw_calls}
+                for got, reference in zip((gains.g_bob, gains.g_eve, gains.var_eve), want):
+                    assert np.array_equal(got, reference)
 
     def test_each_block_drawn_once_into_its_buffer(self, aperture_pools, draw_calls):
-        simulate_gains(aperture_pools[100], "greedy", 10, self.TRIALS, ChannelStream(7, 2))
-        buffers = dict((block, out) for _, block, out in draw_calls)
-        assert sorted(block for _, block, _ in draw_calls) == [0, 1, 2, 3]
-        assert buffers[3] is buffers[0]
-        for one, two in ((0, 1), (0, 2), (1, 2)):
-            assert not np.shares_memory(buffers[one], buffers[two])
-        assert len({thread for thread, _, _ in draw_calls}) <= 2
+        # a buffer per thread, reused for each of its blocks and shared with
+        # no other thread; a fixed policy on one worker draws on the caller
+        caller = threading.get_ident()
+        for policy in POLICIES:
+            for workers in (1, 2):
+                draw_calls.clear()
+                simulate_gains(aperture_pools[100], policy, 10, self.TRIALS,
+                               ChannelStream(7, 2), workers=workers)
+                assert sorted(block for _, block, _ in draw_calls) == [0, 1, 2, 3]
+                buffers = {}
+                for thread, _, out in draw_calls:
+                    assert buffers.setdefault(thread, out) is out
+                assert len(buffers) <= 2
+                assert (caller in buffers) == (policy != "greedy" and workers == 1)
+                if len(buffers) == 2:
+                    assert not np.shares_memory(*buffers.values())
 
     def test_samples_share_no_memory_with_the_draws(self, aperture_pools, draw_calls):
-        gains = simulate_gains(aperture_pools[400], "greedy", 100, self.TRIALS,
-                               ChannelStream(7, 2))
-        assert len(draw_calls) == 4
-        for _, _, buffer in draw_calls:
-            for samples in (gains.g_bob, gains.g_eve, gains.var_eve):
-                assert not np.shares_memory(samples, buffer)
-
-    def test_slow_draw_thread_leaves_draws_and_colorings_to_the_caller(
-            self, aperture_pools, monkeypatch, draw_calls):
-        # every draw on the second thread takes 0.2 s, so the calling thread
-        # draws the blocks it reaches first and colors their chunks itself
-        corr = aperture_pools[100]
-        slowed(monkeypatch, ChannelStream, "draw_block", 0.2, on_caller=False)
-        colorings = slowed(monkeypatch, harness, "_color_chunk", 0.0, on_caller=False)
-        gains = simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2))
-        caller = threading.get_ident()
-        assert sorted(block for _, block, _ in draw_calls) == [0, 1, 2, 3]
-        assert any(thread == caller for thread, _, _ in draw_calls)
-        assert caller in colorings and len(colorings) == 3 * 8 + 1
-        self.assert_whole_block_gains(corr, gains)
-
-    def test_slow_kernel_leaves_colorings_to_the_draw_thread(self, aperture_pools, monkeypatch):
-        # each kernel takes 5 ms, so the second thread colors chunks ahead of it
-        corr = aperture_pools[100]
-        kernels = slowed(monkeypatch, harness, "_greedy_block", 0.005, on_caller=True)
-        colorings = slowed(monkeypatch, harness, "_color_chunk", 0.0, on_caller=True)
-        gains = simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2))
-        caller = threading.get_ident()
-        assert kernels == [caller] * (3 * 8 + 1)
-        assert any(thread != caller for thread in colorings) and len(colorings) == 3 * 8 + 1
-        self.assert_whole_block_gains(corr, gains)
+        for policy in POLICIES:
+            for workers in (1, 2):
+                draw_calls.clear()
+                gains = simulate_gains(aperture_pools[400], policy, 100, self.TRIALS,
+                                       ChannelStream(7, 2), workers=workers)
+                assert len(draw_calls) == 4
+                for _, _, buffer in draw_calls:
+                    for samples in (gains.g_bob, gains.g_eve, gains.var_eve):
+                        assert not np.shares_memory(samples, buffer)
 
     def test_concurrent_runs_under_a_short_switch_interval(self, aperture_pools, draw_calls):
-        # four one-worker runs at once are eight threads on the cores,
-        # switching every microsecond: a lost claim would draw a block twice
-        # or skip one, and a lost handoff would color into a busy slot
+        # four runs at once, on one and two workers, are eight pool threads on
+        # the cores, switching every microsecond: a buffer shared between
+        # threads or a lost block would change a sample
         corr = aperture_pools[36]
         trials = 5 * 1024 + 3
         interval = sys.getswitchinterval()
@@ -501,7 +483,7 @@ class TestDrawAhead:
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 runs = [pool.submit(simulate_gains, corr, "greedy", 20, trials,
-                                    ChannelStream(7, 2)) for _ in range(4)]
+                                    ChannelStream(7, 2), workers=1 + i % 2) for i in range(4)]
                 results = [run.result(timeout=120) for run in runs]
         finally:
             sys.setswitchinterval(interval)
@@ -512,52 +494,63 @@ class TestDrawAhead:
                 assert np.array_equal(got, reference)
 
     def test_one_block_draws_inline(self, aperture_pools, draw_calls):
-        simulate_gains(aperture_pools[100], "greedy", 10, 1024, ChannelStream(7, 2))
-        assert draw_calls == [(threading.get_ident(), 0, None)]
+        for workers in (1, 2):
+            draw_calls.clear()
+            simulate_gains(aperture_pools[100], "greedy", 10, 1024, ChannelStream(7, 2),
+                           workers=workers)
+            [(thread, block, out)] = draw_calls
+            assert (thread, block) == (threading.get_ident(), 0) and out is not None
 
     @pytest.mark.parametrize("policy", ["fixed-uniform", "fixed-random"])
     def test_fixed_policies_draw_on_the_calling_thread(self, aperture_pools, draw_calls,
                                                        policy):
+        # with one worker, into one buffer
         simulate_gains(aperture_pools[100], policy, 10, self.TRIALS, ChannelStream(7, 2))
-        assert draw_calls == [(threading.get_ident(), block, None) for block in range(4)]
+        out = draw_calls[0][2]
+        assert draw_calls == [(threading.get_ident(), block, out) for block in range(4)]
 
     def test_draw_thread_joined_on_return_and_on_error(self, aperture_pools, monkeypatch):
         corr = aperture_pools[100]  # 128-trial chunks: 8 per block
         before = threading.active_count()
-        simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2))
-        assert threading.active_count() == before
-        chunks = []
+        for workers in (1, 2):
+            simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2), workers=workers)
+            assert threading.active_count() == before
         original = harness._greedy_chunk
-
-        def failing(*args):
-            chunks.append(None)
-            if len(chunks) == 9:  # block 1's first chunk, while block 2 is being drawn
-                raise RuntimeError("injected kernel failure")
-            return original(*args)
-
-        monkeypatch.setattr(harness, "_greedy_chunk", failing)
-        with pytest.raises(RuntimeError, match="injected kernel failure"):
-            simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2))
-        assert len(chunks) == 9
-        assert threading.active_count() == before
+        for workers in (1, 2):
+            failing(monkeypatch, harness, "_greedy_chunk", after=8)  # the ninth chunk fails
+            with pytest.raises(RuntimeError, match="injected _greedy_chunk failure"):
+                simulate_gains(corr, "greedy", 10, self.TRIALS, ChannelStream(7, 2),
+                               workers=workers)
+            monkeypatch.setattr(harness, "_greedy_chunk", original)
+            assert threading.active_count() == before
 
     @pytest.mark.parametrize("layer, on_caller", [
-        ("draw_block", True), ("draw_block", False), ("_color_chunk", True),
-        ("_color_chunk", False), ("_greedy_block", True)])
+        ("draw_block", True), ("draw_block", False), ("_greedy_block", True),
+        ("_greedy_block", False)])
     def test_error_on_either_thread_reaches_the_caller(self, aperture_pools, monkeypatch,
                                                        layer, on_caller):
-        # the other thread is slowed at the same step, or at the kernel for a
-        # coloring on the second thread, so the failing thread surely reaches it
+        # one block runs on the calling thread, four on the pool
         before = threading.active_count()
         owner = ChannelStream if layer == "draw_block" else harness
-        if layer == "_color_chunk" and not on_caller:
-            slowed(monkeypatch, harness, "_greedy_block", 0.005, on_caller=True)
-        else:
-            slowed(monkeypatch, ChannelStream, "draw_block", 0.05, on_caller=not on_caller)
-        slowed(monkeypatch, owner, layer, 0.0, on_caller=on_caller, fail=True)
-        with pytest.raises(RuntimeError, match=f"injected {layer} failure"):
-            simulate_gains(aperture_pools[100], "greedy", 10, self.TRIALS, ChannelStream(7, 2))
-        assert threading.active_count() == before
+        original = getattr(owner, layer)
+        for workers in (1, 2):
+            threads = failing(monkeypatch, owner, layer)
+            with pytest.raises(RuntimeError, match=f"injected {layer} failure"):
+                simulate_gains(aperture_pools[100], "greedy", 10,
+                               1024 if on_caller else self.TRIALS, ChannelStream(7, 2),
+                               workers=workers)
+            monkeypatch.setattr(owner, layer, original)
+            assert (threads[0] == threading.get_ident()) == on_caller
+            assert threading.active_count() == before
+
+    def test_error_leaves_the_blocks_not_started_undone(self, aperture_pools, monkeypatch,
+                                                        draw_calls):
+        # the first draw fails while every other takes 20 ms; the caller
+        # wakes and cancels the queued blocks long before 32 of them have run
+        failing(monkeypatch, ChannelStream, "draw_block", wait=0.02)
+        with pytest.raises(RuntimeError, match="injected draw_block failure"):
+            simulate_gains(aperture_pools[100], "greedy", 10, 64 * 1024, ChannelStream(7, 2))
+        assert len(draw_calls) < 32
 
 
 class TestEstimates:
@@ -601,9 +594,12 @@ class TestEngine:
             simulate_gains(aperture_pools[36], policy, 4, trials, ChannelStream(1))
 
     def test_records_reproducible(self):
-        cfg = small_config(trials=1)
-        g1, (snr1, rate1) = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
-        g2, (snr2, rate2) = base_records(cfg, cfg.fris_geometry(), cfg.m_on)
+        # a config needs two trials, the engine one
+        cfg = small_config()
+        corr = build_correlation(cfg.fris_geometry())
+        g1, g2 = (simulate_gains(corr, cfg.policy, cfg.m_on, 1, ChannelStream(cfg.seed))
+                  for _ in range(2))
+        (snr1, rate1), (snr2, rate2) = (records_for_budget(g, cfg.budget()) for g in (g1, g2))
         assert np.array_equal(g1.g_bob, g2.g_bob)
         assert np.array_equal(snr1, snr2) and np.array_equal(rate1, rate2)
         assert g1.g_bob.size == snr1.size == rate1.size == 1
