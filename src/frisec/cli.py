@@ -149,8 +149,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         sizes = config.size_sweep if args.command == "sweep-size" else ()
         pool = max(config.m_x * config.m_z, config.conventional_m, *sizes)
-        print(f"frisec: config error: out of memory on a pool of up to {pool} elements; "
-              "use a smaller pool", file=sys.stderr)
+        print(f"frisec: config error: out of memory on a pool of up to {pool} elements at "
+              f"{config.trials} trials; use a smaller pool or fewer trials", file=sys.stderr)
         return 1
     return 0
 

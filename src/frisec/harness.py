@@ -76,6 +76,16 @@ def dbm_to_watts(dbm: float) -> float:
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _finite_float(name: str, value) -> float | None:
+    """A finite real `value`, not a bool, as a float, else None; an integer past the float
+    range raises a ConfigError naming `name`."""
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return float(value) if real and math.isfinite(value) else None
+    except OverflowError:  # an integer of more than 308 digits
+        raise ConfigError(f"{name} holds an integer past the floating-point range") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment parameters (linear units derived on access)."""
@@ -110,32 +120,34 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            value = _finite_float(name, getattr(self, name))
+            if value is None:
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if self.trials < 2:
             raise ConfigError("trials must be >= 2: a mean estimate needs two samples")
+        if self.trials > np.iinfo(np.intp).max // 8:  # float64 samples numpy can address
+            raise ConfigError(f"trials must be <= {np.iinfo(np.intp).max // 8}, numpy's limit")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned value")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
-        for name, kind, valid in (
+        for name, kind, valid, entry in (
                 ("snr_sweep_db", "finite numbers",
-                 lambda v: isinstance(v, numbers.Real) and math.isfinite(v)),
+                 lambda v: _finite_float("snr_sweep_db", v) is not None, float),
                 ("size_sweep", "perfect squares >= 1",
-                 lambda v: isinstance(v, numbers.Integral) and 0 < v == math.isqrt(v) ** 2)):
+                 lambda v: isinstance(v, numbers.Integral) and 0 < v == math.isqrt(v) ** 2, int)):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ConfigError(f"{name} must be a list")
             grid = tuple(getattr(self, name))
-            object.__setattr__(self, name, grid)
             if len(grid) == 0:
                 raise ConfigError(f"{name} must be nonempty")
             bad = [v for v in grid if isinstance(v, bool) or not valid(v)]
             if bad:
                 raise ConfigError(f"{name} entries must be {kind}, got {bad[0]!r}")
+            object.__setattr__(self, name, tuple(map(entry, grid)))
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
         if not 1 <= self.m_on <= self.m_x * self.m_z:
@@ -144,9 +156,7 @@ class ExperimentConfig:
         if conv < 1 or math.isqrt(conv) ** 2 != conv:
             raise ConfigError(f"conventional_m must be a perfect square >= 1, got {conv}")
         try:  # the link at every grid point, the target and every surface come first
-            base = self.budget()
-            for snr_db in self.snr_sweep_db:
-                base.with_avg_snr_bob(db_to_linear(snr_db))
+            self.snr_grid()
             self.target()
             self.fris_geometry()
             self.conventional_geometry()
@@ -189,6 +199,11 @@ class ExperimentConfig:
 
     def target(self) -> SecrecyTarget:
         return SecrecyTarget(self.target_rate_bits)
+
+    def snr_grid(self) -> list[tuple[float, LinkBudget]]:
+        """Each average SNR of the sweep with its budget; the eavesdropper's stays as set."""
+        base = self.budget()
+        return [(db, base.with_avg_snr_bob(db_to_linear(db))) for db in self.snr_sweep_db]
 
 
 # the scalar fields by annotation, in declaration order
@@ -599,43 +614,27 @@ def reference_fits(corr: CorrelationMatrix, m_on: int) -> tuple[GammaFit, ExpFit
     return fit_laws(frozen_spectrum(corr, "fixed-uniform", m_on))
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One evaluated grid point: what its rows report, and its fits, gains and KS or its error."""
-
-    policy: str
-    m_total: int
-    m_on: int
-    fits: tuple = ()
-    gains: GainSamples | None = None
-    ks: tuple = ()
-    error: FrisecError | None = None
-
-
 def _evaluate_point(config: ExperimentConfig, geometry: SurfaceGeometry, policy: str,
-                    m_on: int, stream: int, ks: bool = True) -> _Point:
-    """Build, fit and simulate one grid point on its named stream, the step every table maps.
+                    m_on: int, stream: int, ks: bool = True
+                    ) -> tuple[tuple[GammaFit, ExpFit], GainSamples, tuple[float, float]]:
+    """Build, fit and simulate one grid point on its named stream: its fits, gains and KS pair.
 
     A fixed-random row's fits are its own, any other row's `reference_fits`.
     The KS distances of the gains from them are nan when there are fewer than
     KS_MIN_SAMPLES trials: too few for the diagnostic, not for the row, and
-    without `ks`, for a table that writes no KS column.
-    `policy` labels the rows; the "conventional" baseline, all ON, runs as greedy.
-    A failure of the point comes back in `error`, under the same labels.
+    without `ks`, for a table that writes no KS column.  The "conventional"
+    baseline, all ON, runs as greedy.  A failure raises its FrisecError.
     """
-    try:
-        corr = build_correlation(geometry)
-        fit_b, fit_e = (fit_laws(frozen_spectrum(corr, policy, m_on, config.seed))
-                        if policy == "fixed-random" else reference_fits(corr, m_on))
-        gains = simulate_gains(corr, "greedy" if policy == "conventional" else policy, m_on,
-                               config.trials, ChannelStream(config.seed, stream), config.workers)
-        distances = (float("nan"), float("nan"))
-        if ks and config.trials >= KS_MIN_SAMPLES:
-            distances = (ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
-                         ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e)))
-    except FrisecError as exc:
-        return _Point(policy, geometry.n_elements, m_on, error=exc)
-    return _Point(policy, geometry.n_elements, m_on, (fit_b, fit_e), gains, distances)
+    corr = build_correlation(geometry)
+    fit_b, fit_e = (fit_laws(frozen_spectrum(corr, policy, m_on, config.seed))
+                    if policy == "fixed-random" else reference_fits(corr, m_on))
+    gains = simulate_gains(corr, "greedy" if policy == "conventional" else policy, m_on,
+                           config.trials, ChannelStream(config.seed, stream), config.workers)
+    distances = (float("nan"), float("nan"))
+    if ks and config.trials >= KS_MIN_SAMPLES:
+        distances = (ks_statistic(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
+                     ks_statistic(gains.g_eve, lambda g: exp_cdf(g, fit_e)))
+    return (fit_b, fit_e), gains, distances
 
 
 def _error_row(columns: Sequence[str], config: ExperimentConfig, exc, **cells) -> dict:
@@ -644,74 +643,59 @@ def _error_row(columns: Sequence[str], config: ExperimentConfig, exc, **cells) -
             | {"trials": config.trials, "seed": config.seed, "status": f"error: {exc}"})
 
 
-def _sweep_row(sweep_var, value, config, budget, point: _Point, eve: dict | None = None) -> dict:
-    """The metrics of one point at one budget, or an error row naming the failure.
+def _point_rows(config: ExperimentConfig, sweep_var: str, grid: Sequence[tuple],
+                geometry: SurfaceGeometry, policy: str, m_on: int, stream: int,
+                ks: bool = True) -> list[dict]:
+    """One point's row at each (sweep value, budget) of `grid`, or an error row where it fails.
 
-    `eve` carries the eavesdropper's rate and S of it between rows of the
-    point under the same eavesdropper budget: the first row fills it.
+    The budgets share the eavesdropper's, so the rows reuse its rate and S
+    of it from the first budget whose records build; the gains die with the call.
     """
-    eve = {} if eve is None else eve
+    labels = {"sweep_var": sweep_var, "policy": policy, "m_total": geometry.n_elements,
+              "m_on": m_on}
     try:
-        if point.error is not None:
-            raise point.error
-        fit_b, fit_e = point.fits
-        records = records_for_budget(point.gains, budget, eve.get("rate"))
-        if "s" not in eve:
-            eve.update(rate=records[1], s=scaled_exp1(records[1]))
-        asc = estimate_asc(records, eve["s"])
-        sop = estimate_sop(records, config.target())
-        asc_bound = asc_upper_bound(fit_b, fit_e, budget)
-        sop_bound = sop_lower_bound(fit_b, fit_e, budget, config.target())
+        (fit_b, fit_e), gains, ks_pair = _evaluate_point(config, geometry, policy, m_on,
+                                                          stream, ks)
     except FrisecError as exc:
-        return _error_row(SWEEP_COLUMNS, config, exc, sweep_var=sweep_var, sweep_value=value,
-                          policy=point.policy, m_total=point.m_total, m_on=point.m_on)
-    return {
-        "sweep_var": sweep_var, "sweep_value": value,
-        "asc_mc": asc.point, "asc_se": asc.std_error,
-        "asc_ci_low": asc.ci_low, "asc_ci_high": asc.ci_high,
-        "asc_bound": asc_bound, "asc_bound_negative": int(asc_bound < 0.0),
-        "sop_mc": sop.point, "sop_se": sop.std_error,
-        "sop_ci_low": sop.ci_low, "sop_ci_high": sop.ci_high,
-        "sop_bound": sop_bound,
-        "gamma_shape": fit_b.shape, "gamma_scale": fit_b.scale,
-        "exp_rate": fit_e.rate, "ks_bob": point.ks[0], "ks_eve": point.ks[1],
-        "policy": point.policy, "m_total": point.m_total, "m_on": point.m_on,
-        "trials": config.trials, "seed": config.seed, "status": "ok",
-    }
-
-
-def _snr_rows(config: ExperimentConfig, points: Iterable[Callable[[], _Point]]) -> list[dict]:
-    """The row of each point, evaluated by its callable, at every average SNR, in grid order.
-
-    The eavesdropper's budget stays at its configured value throughout, so
-    a point's rows share its eavesdropper's rate and S of it.  Each point is
-    reduced to its rows before the next is evaluated, so only one point's
-    gains, rate and S are held at a time.
-    """
-    base_budget = config.budget()
-    budgets = [base_budget.with_avg_snr_bob(db_to_linear(v)) for v in config.snr_sweep_db]
-
-    def rows(point: _Point) -> list[dict]:
-        eve = {}
-        return [_sweep_row("avg_snr_bob_db", snr_db, config, budget, point, eve)
-                for snr_db, budget in zip(config.snr_sweep_db, budgets)]
-
-    by_point = [rows(evaluate()) for evaluate in points]
-    return [row for at_snr in zip(*by_point) for row in at_snr]
+        return [_error_row(SWEEP_COLUMNS, config, exc, sweep_value=value, **labels)
+                for value, _ in grid]
+    target = config.target()
+    rate_eve = s_eve = None
+    rows = []
+    for value, budget in grid:
+        try:
+            records = records_for_budget(gains, budget, rate_eve)
+            if s_eve is None:
+                rate_eve, s_eve = records[1], scaled_exp1(records[1])
+            asc = estimate_asc(records, s_eve)
+            sop = estimate_sop(records, target)
+            asc_bound = asc_upper_bound(fit_b, fit_e, budget)
+            sop_bound = sop_lower_bound(fit_b, fit_e, budget, target)
+        except FrisecError as exc:
+            rows.append(_error_row(SWEEP_COLUMNS, config, exc, sweep_value=value, **labels))
+            continue
+        rows.append(labels | {
+            "sweep_value": value, "asc_mc": asc.point, "asc_se": asc.std_error,
+            "asc_ci_low": asc.ci_low, "asc_ci_high": asc.ci_high, "asc_bound": asc_bound,
+            "asc_bound_negative": int(asc_bound < 0.0), "sop_mc": sop.point,
+            "sop_se": sop.std_error, "sop_ci_low": sop.ci_low, "sop_ci_high": sop.ci_high,
+            "sop_bound": sop_bound, "gamma_shape": fit_b.shape, "gamma_scale": fit_b.scale,
+            "exp_rate": fit_e.rate, "ks_bob": ks_pair[0], "ks_eve": ks_pair[1],
+            "trials": config.trials, "seed": config.seed, "status": "ok"})
+    return rows
 
 
 def sweep_snr(config: ExperimentConfig) -> list[dict]:
     """Metrics versus the legitimate receiver's average SNR (dB grid).
 
     At each grid point, one row for the configured policy and one for the
-    conventional baseline.
+    conventional baseline; each point's rows are built before the next is simulated.
     """
-    return _snr_rows(config, (
-        functools.partial(_evaluate_point, config, config.fris_geometry(), config.policy,
-                          config.m_on, STREAM_FRIS_SNR),
-        functools.partial(_evaluate_point, config, config.conventional_geometry(),
-                          "conventional", config.conventional_m, STREAM_CONV_SNR),
-    ))
+    grid = config.snr_grid()
+    by_point = [_point_rows(config, "avg_snr_bob_db", grid, *point) for point in (
+        (config.fris_geometry(), config.policy, config.m_on, STREAM_FRIS_SNR),
+        (config.conventional_geometry(), "conventional", config.conventional_m, STREAM_CONV_SNR))]
+    return [row for at_snr in zip(*by_point) for row in at_snr]
 
 
 def sweep_size(config: ExperimentConfig) -> list[dict]:
@@ -731,8 +715,8 @@ def sweep_size(config: ExperimentConfig) -> list[dict]:
                 (config.size_geometry(m_total), config.policy, config.m_on, base),
                 (config.conventional_geometry(), "conventional", config.conventional_m,
                  base + 1)):
-            rows.append(_sweep_row("m_total", m_total, config, budget,
-                                   _evaluate_point(config, geometry, policy, m_on, stream)))
+            rows += _point_rows(config, "m_total", [(m_total, budget)], geometry, policy, m_on,
+                                stream)
     return rows
 
 
@@ -755,14 +739,14 @@ def validate_fits(config: ExperimentConfig, m_on_list: Sequence[int] | None = No
         m_on_list = (config.m_on,)
     rows = []
     for index, m_on in enumerate(m_on_list):
-        point = _evaluate_point(config, config.fris_geometry(), "fixed-uniform", m_on,
-                                STREAM_VALIDATE_BASE + index)
-        if point.error is not None:
-            rows.append(_error_row(VALIDATE_FIT_COLUMNS, config, point.error, m_on=m_on))
+        try:
+            (fit_b, fit_e), gains, ks_pair = _evaluate_point(
+                config, config.fris_geometry(), "fixed-uniform", m_on, STREAM_VALIDATE_BASE + index)
+        except FrisecError as exc:
+            rows.append(_error_row(VALIDATE_FIT_COLUMNS, config, exc, m_on=m_on))
             continue
-        fit_b, fit_e = point.fits
-        mean_b = float(point.gains.g_bob.mean())
-        mean_e = float(point.gains.g_eve.mean())
+        mean_b = float(gains.g_bob.mean())
+        mean_e = float(gains.g_eve.mean())
         expected = fit_b.mean  # equals the eavesdropper mean 1/rate as well
         rows.append({
             "m_on": m_on, "trials": config.trials, "mean_g_bob": mean_b,
@@ -770,7 +754,7 @@ def validate_fits(config: ExperimentConfig, m_on_list: Sequence[int] | None = No
             "rel_err_bob": abs(mean_b - expected) / expected,
             "mean_g_eve": mean_e,
             "rel_err_eve": abs(mean_e - fit_e.mean) / fit_e.mean,
-            "ks_bob": point.ks[0], "ks_eve": point.ks[1], "gamma_shape": fit_b.shape,
+            "ks_bob": ks_pair[0], "ks_eve": ks_pair[1], "gamma_shape": fit_b.shape,
             "gamma_scale": fit_b.scale, "exp_rate": fit_e.rate,
             "seed": config.seed, "status": "ok",
         })
@@ -794,10 +778,9 @@ def validate_bounds(config: ExperimentConfig) -> list[dict]:
     second term is not a true bound), so violations are flagged rather than
     fatal.  Both flags are nan on an error row.
     """
-    point = functools.partial(_evaluate_point, config, config.fris_geometry(), "fixed-uniform",
-                              config.m_on, STREAM_BOUNDS, ks=False)
     rows = []
-    for row in _snr_rows(config, (point,)):
+    for row in _point_rows(config, "avg_snr_bob_db", config.snr_grid(), config.fris_geometry(),
+                           "fixed-uniform", config.m_on, STREAM_BOUNDS, ks=False):
         row["avg_snr_bob_db"] = row["sweep_value"]
         row["sop_bound_ok"] = row["asc_bound_ok"] = float("nan")
         if row["status"] == "ok":

@@ -168,8 +168,13 @@ def test_validate_bounds_names_flagged_points_on_one_line(tmp_path, tiny_config,
      "unknown policy 'conventional'; choose from ('greedy', 'fixed-uniform', 'fixed-random')"),
     ({"conventional_m": 10 ** 800},
      f"conventional_m {10 ** 800} overflows the baseline's half-wavelength width"),
+    ({"aperture_x": 10 ** 400}, "aperture_x holds an integer past the floating-point range"),
+    ({"snr_sweep_db": [80, 10 ** 400]},
+     "snr_sweep_db holds an integer past the floating-point range"),
+    ({"trials": 10 ** 20}, f"trials must be <= {np.iinfo(np.intp).max // 8}, numpy's limit"),
 ], ids=["no-trials", "one-trial", "count-past-float-range", "conventional-policy",
-        "baseline-count-past-float-range"])
+        "baseline-count-past-float-range", "real-past-float-range",
+        "grid-entry-past-float-range", "trials-past-array-limit"])
 def test_config_error_is_one_line_naming_its_cause(tmp_path, tiny_config, capsys,
                                                    override, message):
     bad = tmp_path / "bad.json"
@@ -354,6 +359,10 @@ def test_legitimate_snr_past_the_float_range_writes_error_rows(tmp_path, capsys,
     # J0 cap, and the 3x3 pool overflows the float range
     {"aperture_x": 4e307, "aperture_z": 4e307, "m_x": 1, "m_z": 1, "m_on": 1},
     {"aperture_x": 2400.0},  # its widest J0 argument, 11310, is past J0_MAX_ARG
+    # integers past the float range in real-valued keys, and trial counts
+    # whose sample array numpy cannot address: each fails before any allocation
+    {"aperture_x": 10 ** 400}, {"target_rate_bits": 10 ** 400}, {"dist_feed_m": 10 ** 400},
+    {"snr_sweep_db": [80, 10 ** 400]}, {"trials": 10 ** 20}, {"trials": 10 ** 400},
 ])
 def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     cfgmap = json.loads(tiny_config.read_text()) | override
@@ -363,6 +372,24 @@ def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("frisec: config error: ") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-sop", "validate-bounds"])
+def test_integer_and_float_values_give_one_csv(tmp_path, tiny_config, command):
+    # real-valued keys are stored as floats: an integer grid or distance
+    # writes the same CSV bytes and resolved config as its float spelling
+    written = []
+    for snr, dist in (([80, 100], 30), ([80.0, 100.0], 30.0)):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads(tiny_config.read_text())
+                                     | {"snr_sweep_db": snr, "dist_bob_m": dist}))
+        out = tmp_path / f"{snr[0]!r}.csv"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+        written.append((out.read_bytes(), manifest["config"]))
+    assert written[0] == written[1]
+    assert written[0][1]["snr_sweep_db"] == [80.0, 100.0]
+    assert b"8.00000000000000000e+01" in written[0][0]
 
 
 @pytest.mark.parametrize("command, columns, n_rows", [
@@ -424,8 +451,16 @@ def test_fuzzed_configs_exit_cleanly(tmp_path):
                              -float("inf"), None, True, "x"])
     bad = st.one_of(edges, st.floats(), st.integers(-2, 2),
                     st.lists(st.one_of(edges, st.floats()), max_size=3))
-    overrides = st.dictionaries(st.sampled_from(sorted(valid) + list(harness._FLOAT_FIELDS)),
-                                bad, min_size=1, max_size=2)
+    keys = sorted(valid) + list(harness._FLOAT_FIELDS)
+    # integers past the float and array-index ranges; a huge m_x, m_z or
+    # size_sweep entry is a valid pool whose build would exhaust memory before
+    # failing, so those keys get none
+    huge = st.sampled_from([10 ** 20, 10 ** 400])
+    overrides = st.one_of(
+        st.dictionaries(st.sampled_from(keys), bad, min_size=1, max_size=2),
+        st.dictionaries(st.sampled_from([k for k in keys if k not in ("m_x", "m_z", "size_sweep")]),
+                        st.one_of(huge, st.lists(huge, min_size=1, max_size=2)),
+                        min_size=1, max_size=2))
     commands = ("sweep-sop", "sweep-size", "validate-fits", "validate-bounds",
                 "dump-correlation")
 
@@ -452,7 +487,7 @@ def test_out_of_memory_exits_1_naming_the_pool(tmp_path, monkeypatch, capsys, co
     assert main([command, "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("frisec: config error: out of memory")
-    assert f"pool of up to {pool} elements" in err and "Traceback" not in err
+    assert f"pool of up to {pool} elements at 1024 trials" in err and "Traceback" not in err
 
 
 def test_commands_load_no_test_dependency(tmp_path, tiny_config):

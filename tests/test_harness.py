@@ -30,8 +30,9 @@ from frisec.harness import (_Z95, CHUNK_TRIALS, KS_MIN_SAMPLES, KS_STRIDE, POLIC
                             rows_to_csv, simulate_gains, sweep_size,
                             sweep_snr, validate_bounds, validate_fits,
                             write_results)
-from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle, exp_cdf, gamma_cdf,
-                            sop_bound_from_ratio)
+from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle, asc_upper_bound,
+                            exp_cdf, fit_laws, gamma_cdf, sop_bound_from_ratio,
+                            sop_lower_bound)
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
 
@@ -637,26 +638,26 @@ class TestEngine:
 
     @staticmethod
     def fixed_point(policy):
-        """A fixed policy's row point (6x6 pool, 12 ON, 60,000 trials) and the reference fits."""
+        """A fixed policy's row point (6x6 pool, 12 ON, 60,000 trials), as the (fits, gains,
+        KS pair) that `_evaluate_point` returns, and the reference fits."""
         cfg = ExperimentConfig(m_x=6, m_z=6, m_on=12, trials=60_000, seed=12, policy=policy)
         point = harness._evaluate_point(cfg, cfg.fris_geometry(), policy, 12, 1, ks=False)
         return point, reference_fits(build_correlation(cfg.fris_geometry()), 12)
 
     def test_fixed_uniform_mean_matches_traces(self):
-        point, reference = self.fixed_point("fixed-uniform")
-        fit_b, fit_e = point.fits
-        assert point.fits == reference
-        assert point.gains.g_bob.mean() == pytest.approx(fit_b.mean, rel=0.04)
-        assert point.gains.g_eve.mean() == pytest.approx(fit_e.mean, rel=0.04)
+        ((fit_b, fit_e), gains, ks_pair), reference = self.fixed_point("fixed-uniform")
+        assert (fit_b, fit_e) == reference
+        assert gains.g_bob.mean() == pytest.approx(fit_b.mean, rel=0.04)
+        assert gains.g_eve.mean() == pytest.approx(fit_e.mean, rel=0.04)
+        assert all(math.isnan(d) for d in ks_pair)  # no KS without `ks`
 
     def test_fixed_random_mean_matches_its_own_fits(self):
         # the row's fits come from its own frozen subset and phases: a mean
         # near 11.7 here, where the first 12 elements at zero phase give 21.2
-        point, reference = self.fixed_point("fixed-random")
-        fit_b, fit_e = point.fits
+        ((fit_b, fit_e), gains, _), reference = self.fixed_point("fixed-random")
         assert fit_b.mean < 0.6 * reference[0].mean
-        assert point.gains.g_bob.mean() == pytest.approx(fit_b.mean, rel=0.04)
-        assert point.gains.g_eve.mean() == pytest.approx(fit_e.mean, rel=0.04)
+        assert gains.g_bob.mean() == pytest.approx(fit_b.mean, rel=0.04)
+        assert gains.g_eve.mean() == pytest.approx(fit_e.mean, rel=0.04)
 
     def test_reference_fits_leading_block(self, aperture_pools):
         # the spectrum's sums against tr(J_S^2) and tr(J_S^4) of the gathered
@@ -913,21 +914,70 @@ class TestSweeps:
             assert row["asc_ci_low"] <= row["asc_mc"] <= row["asc_ci_high"]
             assert set(SWEEP_COLUMNS) == set(row)
 
-    def test_snr_rows_reuse_the_eavesdropper_terms_bit_for_bit(self):
-        # a point computes its eavesdropper's rate and S of it at the first
-        # SNR and reuses them at the others; each row must equal the
-        # estimates from records built afresh at its own budget
-        cfg = small_config()
-        corr = build_correlation(cfg.fris_geometry())
-        gains = simulate_gains(corr, cfg.policy, cfg.m_on, cfg.trials,
-                               ChannelStream(cfg.seed, harness.STREAM_FRIS_SNR))
-        rows = [row for row in sweep_snr(cfg) if row["policy"] == cfg.policy]
-        for row, snr_db in zip(rows, cfg.snr_sweep_db):
-            records = records_for_budget(gains, cfg.budget().with_avg_snr_bob(
-                db_to_linear(snr_db)))
-            assert row["asc_mc"] == estimate_asc(records).point
-            assert row["asc_se"] == estimate_asc(records).std_error
-            assert row["sop_mc"] == estimate_sop(records, cfg.target()).point
+    @staticmethod
+    def recomputed(cfg, geometry, policy, m_on, stream, budget):
+        """A row's cells from scratch: its fits, its gains on its registered stream, and
+        records at its own budget, with no eavesdropper term carried from another row."""
+        corr = build_correlation(geometry)
+        fit_b, fit_e = (fit_laws(harness.frozen_spectrum(corr, policy, m_on, cfg.seed))
+                        if policy == "fixed-random" else reference_fits(corr, m_on))
+        gains = simulate_gains(corr, "greedy" if policy == "conventional" else policy, m_on,
+                               cfg.trials, ChannelStream(cfg.seed, stream))
+        records = records_for_budget(gains, budget)
+        asc, sop = estimate_asc(records), estimate_sop(records, cfg.target())
+        asc_bound = asc_upper_bound(fit_b, fit_e, budget)
+        sop_bound = sop_lower_bound(fit_b, fit_e, budget, cfg.target())
+        return {
+            "policy": policy, "m_total": geometry.n_elements, "m_on": m_on,
+            "asc_mc": asc.point, "asc_se": asc.std_error, "asc_ci_low": asc.ci_low,
+            "asc_ci_high": asc.ci_high, "asc_bound": asc_bound,
+            "asc_bound_negative": int(asc_bound < 0.0), "sop_mc": sop.point,
+            "sop_se": sop.std_error, "sop_ci_low": sop.ci_low, "sop_ci_high": sop.ci_high,
+            "sop_bound": sop_bound, "gamma_shape": fit_b.shape, "gamma_scale": fit_b.scale,
+            "exp_rate": fit_e.rate,
+            "ks_bob": ks_full(gains.g_bob, lambda g: gamma_cdf(g, fit_b)),
+            "ks_eve": ks_full(gains.g_eve, lambda g: exp_cdf(g, fit_e)),
+            "sop_bound_ok": int(sop.point >= sop_bound - 2.0 * sop.std_error),
+            "asc_bound_ok": int(asc_bound >= asc.point),
+        }
+
+    @pytest.mark.parametrize("table, policy", [
+        ("sweep-sop", "greedy"), ("sweep-sop", "fixed-random"),
+        ("sweep-size", "greedy"), ("sweep-size", "fixed-uniform"),
+        ("validate-bounds", "greedy")])
+    def test_rows_equal_a_recomputation_bit_for_bit(self, table, policy):
+        # a point reuses its eavesdropper's rate and S of it across budgets and
+        # its gains across rows; every row must equal, bit for bit, the cells
+        # recomputed from its own stream and budget
+        cfg = small_config(policy=policy, size_sweep=(4, 9))
+        snr_budgets = [cfg.budget().with_avg_snr_bob(db_to_linear(db))
+                       for db in cfg.snr_sweep_db]
+        fris = (cfg.fris_geometry(), cfg.policy, cfg.m_on)
+        conventional = (cfg.conventional_geometry(), "conventional", cfg.conventional_m)
+        # each row's (geometry, policy, m_on, stream, budget), in row order
+        if table == "sweep-sop":
+            rows = sweep_snr(cfg)
+            sources = [(*point, stream, budget) for budget in snr_budgets
+                       for point, stream in ((fris, harness.STREAM_FRIS_SNR),
+                                             (conventional, harness.STREAM_CONV_SNR))]
+        elif table == "sweep-size":
+            rows = sweep_size(cfg)
+            sources = [(*point, harness.STREAM_SIZE_BASE + 2 * index + k, cfg.budget())
+                       for index, m_total in enumerate(cfg.size_sweep)
+                       for k, point in enumerate((
+                           (cfg.size_geometry(m_total), cfg.policy, cfg.m_on), conventional))]
+        else:
+            rows = validate_bounds(cfg)
+            sources = [(fris[0], "fixed-uniform", cfg.m_on, harness.STREAM_BOUNDS, budget)
+                       for budget in snr_budgets]
+        assert len(rows) == len(sources)
+        assert all(row["status"] == "ok" for row in rows)
+        for row, source in zip(rows, sources):
+            expected = self.recomputed(cfg, *source)
+            compared = [name for name in expected if name in row]
+            assert len(compared) >= 12
+            assert {name: row[name] for name in compared} == {
+                name: expected[name] for name in compared}
 
     def test_snr_sweep_drops_a_point_before_simulating_the_next(self, monkeypatch):
         # each point is reduced to its rows first, so no point's gains are
