@@ -76,15 +76,15 @@ phases.""")
 # isolate the mechanism: eavesdropper gain with the true shared feed vs an
 # independent feed draw, same selection and phases; a second stream's two
 # links give the independent feed and the eavesdropper's own link
-from frisec.channel import correlated_images_batch
+from frisec.channel import TRIALS_PER_BLOCK, correlated_images_batch
 
 st, st2 = ChannelStream(42, 0), ChannelStream(42, 900)
 blocks = 10
 shared, independent = [], []
-r = fris_corr.rank
+draws = np.empty((2, TRIALS_PER_BLOCK, fris_corr.rank), complex)  # two links of r normals
 for blk in range(blocks):
-    v, ub = correlated_images_batch(st.draw_block(r, blk)[:, :, :r], fris_corr.factor)
-    v_indep, ue = correlated_images_batch(st2.draw_block(r, blk)[:, :, :r], fris_corr.factor)
+    v, ub = correlated_images_batch(st.draw_block(blk, draws), fris_corr.factor)
+    v_indep, ue = correlated_images_batch(st2.draw_block(blk, draws), fris_corr.factor)
     c = np.conj(ub) * v
     mags = np.abs(c)
     sel = np.sort(np.argpartition(-mags, cfg.m_on - 1, axis=1)[:, :cfg.m_on], axis=1)

@@ -7,20 +7,10 @@ image is their product with the real M x r eigen-factor F = U_r Lambda_r^{1/2}.
 Since F F^T = J up to the dropped rounding-noise eigenvalues, the image has
 exactly the law of J^{1/2} h with h of length M, at r/M of the draws and of
 the coloring work (Karhunen-Loeve expansion).  F is real, so the engine
-colors the real and imaginary planes of the draws by one real product.  No
-policy looks at the eavesdropper's link, so given the other two its channel
-is one circular normal of a variance the trial fixes, and no policy colors it.
-`draw_block` lays out `m` draws per link and trial: the adaptive policy
-draws the feed's and the legitimate link's r complex normals and one more
-complex normal per trial, whose power is the eavesdropper's unit
-exponential; the frozen-configuration policies, with `power`, draw one link
-of k + 2 real unit exponentials, the powers |w|^2 of the feed's normals
-along the k = min(m_on, r) singular vectors of the configuration's cascade
-that its rank allows, and of one normal per receiver (see
-`harness.simulate_gains`).
-Randomness is counter-based (Philox): a draw depends only on (seed, stream,
-trial index), never on how trials are batched across threads, on which
-thread draws them or on the buffer they are drawn into.
+colors the real and imaginary planes of the draws by one real product.
+Randomness is counter-based (Philox): a block's draws depend only on (seed,
+stream, block) and fill the caller's buffer in memory order: the thread that
+draws them changes no bit, and neither does the shape of a buffer.
 The engine runs its matrix products inside `one_blas_thread`, so each runs
 on the thread that calls it: the engine's threads are the ones that run its
 blocks.
@@ -47,39 +37,32 @@ TRIALS_PER_BLOCK = 1024
 class ChannelStream:
     """Addressable source of channel randomness.
 
-    `seed` is the experiment seed (64-bit); `stream` distinguishes independent
-    uses (one per policy/geometry/sweep-point as the caller sees fit).
+    `seed` (the experiment seed) and `stream` (one per independent use) are
+    the Philox key, each an integer in [0, 2**64), so no two pairs alias.
     """
 
     seed: int
     stream: int = 0
 
-    def draw_block(self, m: int, block: int, power: bool = False,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """(2, TRIALS_PER_BLOCK, m + 1) complex fading draws, or (TRIALS_PER_BLOCK, 1, m) powers.
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if not (isinstance(value, (int, np.integer)) and 0 <= value < 2 ** 64):
+                raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
-        `block` is the Philox counter block and `m` the draws per link.  Axis 0
-        orders the two colored links as (feed, bob), link-major, and their
-        first `m` columns are the normals that the rank-`m` factor colors.
-        Column `m` of the feed holds one more unit complex normal w per trial,
-        the eavesdropper's whitened channel, whose power |w|^2 is a unit
-        exponential; column `m` of bob is not used.  With `power` the one
-        link holds float64 unit exponentials, the law of |w|^2 of such a w.
-        The draws go into `out`, a C-contiguous array of the returned shape
-        and dtype, when it is given, and are the same bits either way.
+    def draw_block(self, block: int, out: np.ndarray) -> np.ndarray:
+        """Fill the C-contiguous `out` with Philox block `block`'s draws in memory order.
+
+        complex128 takes unit circular normals (channel amplitudes), float64 unit
+        exponentials (channel powers), the law of |w|^2 of such a w.  Returns `out`.
         """
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-                       dtype=np.uint64)
+        if not out.flags.c_contiguous or out.dtype not in (np.complex128, np.float64):
+            raise DomainError("draw_block fills a C-contiguous complex128 or float64 array, "
+                              f"got {out.dtype}, C-contiguous {out.flags.c_contiguous}")
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         bitgen = np.random.Philox(key=key, counter=np.array([0, 0, block, 0], dtype=np.uint64))
-        shape = (TRIALS_PER_BLOCK, 1, m) if power else (2, TRIALS_PER_BLOCK, m + 1)
-        dtype = np.dtype(float if power else np.complex128)
-        if out is None:
-            out = np.empty(shape, dtype)
-        elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
-            raise DomainError(f"draw_block writes a C-contiguous {dtype} array of shape "
-                              f"{shape}, got {out.dtype} {out.shape}")
-        if power:
-            return np.random.Generator(bitgen).standard_exponential(out=out)
+        if out.dtype == np.float64:
+            np.random.Generator(bitgen).standard_exponential(out=out.reshape(-1))
+            return out
         raw = np.random.Generator(bitgen).standard_normal(out=out.view(float).reshape(-1))
         raw /= math.sqrt(2.0)
         return out
@@ -87,14 +70,10 @@ class ChannelStream:
 
 def correlated_images_batch(draws: np.ndarray, rows: np.ndarray,
                             out: np.ndarray | None = None) -> np.ndarray:
-    """Batched F @ w for a 3-D block of r-vectors and an (outputs, r) matrix.
+    """Batched F @ w for a 3-D block of r-vectors w and an (outputs, r) matrix F.
 
-    Each row of `rows` gives one output: the real M x r eigen-factor colors
-    greedy's (4, n, r) real planes (feed re, feed im, bob re, bob im) of
-    complex normals into (4, n, M) planes of element images, a frozen
-    configuration's one row mu weights real unit exponentials into its
-    channel variance sum mu_i E_i.  Returns the block's two leading axes by
-    len(rows), by one product, written into `out` when it is given.
+    Returns the block's two leading axes by len(rows), one output per row of
+    `rows`, by one product, written into `out` when it is given.
     """
     a, b, r = draws.shape
     flat = None if out is None else out.reshape(a * b, rows.shape[0])

@@ -20,7 +20,6 @@ columns are reference curves, not bounds on the simulated metrics.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -46,6 +45,7 @@ from .surface import EIGEN_CLAMP, CorrelationMatrix, SurfaceGeometry, _gather, b
 _Z95 = 1.959963984540054
 _LN2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # float64 values one array can address
 
 #: fixed stream-id registry so every statistical computation is addressable.
 STREAM_FRIS_SNR = 0
@@ -126,8 +126,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
         if self.trials < 2:
             raise ConfigError("trials must be >= 2: a mean estimate needs two samples")
-        if self.trials > np.iinfo(np.intp).max // 8:  # float64 samples numpy can address
-            raise ConfigError(f"trials must be <= {np.iinfo(np.intp).max // 8}, numpy's limit")
+        if self.trials > _MAX_ELEMENTS:
+            raise ConfigError(f"trials must be <= {_MAX_ELEMENTS}, numpy's limit")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned value")
         if self.workers < 1:
@@ -166,6 +166,11 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         except OverflowError as exc:  # from a dB to linear conversion
             raise ConfigError(f"a dB or dBm value is out of floating-point range: {exc}") from exc
+        # the J0 cap keeps the half-wavelength baseline under 2252**2 elements
+        for name, count in (("m_x * m_z", self.m_x * self.m_z),
+                            ("size_sweep", self.size_sweep[-1])):
+            if count > _MAX_ELEMENTS:  # a pool whose table numpy could not address
+                raise ConfigError(f"{name} gives a pool of {count} elements, past {_MAX_ELEMENTS}")
 
     def fris_geometry(self) -> SurfaceGeometry:
         return SurfaceGeometry(m_x=self.m_x, m_z=self.m_z, width_x=self.aperture_x,
@@ -453,8 +458,7 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
     r = corr.rank
     samples = np.empty(trials), np.empty(trials), np.empty(trials)
     local = threading.local()  # each thread's draw buffer and workspace, for every block it runs
-    if policy == "greedy":
-        draw = functools.partial(stream.draw_block, r)
+    if policy == "greedy":  # feed and bob, link-major; the feed's column r is eve's normal
         buffer = (2, TRIALS_PER_BLOCK, r + 1), np.complex128
         step = max(1, min(CHUNK_TRIALS, CHUNK_ELEMENTS // m))
 
@@ -463,8 +467,7 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
 
     else:
         mu = frozen_spectrum(corr, policy, m_on, stream.seed)
-        k = mu.size
-        draw = functools.partial(stream.draw_block, k + 2, power=True)
+        k = mu.size  # the feed's k exponentials, then bob's and eve's
         buffer = (TRIALS_PER_BLOCK, 1, k + 2), float
         step = TRIALS_PER_BLOCK
 
@@ -476,7 +479,7 @@ def simulate_gains(corr: CorrelationMatrix, policy: str, m_on: int, trials: int,
         if not hasattr(local, "draws"):  # this thread's first block
             local.draws = np.empty(*buffer)
             local.work = _GreedyWorkspace(m, r, step) if policy == "greedy" else None
-        draws = draw(block, out=local.draws)
+        draws = stream.draw_block(block, local.draws)
         # each chunk's first trial; the last block's stop early
         for start in range(0, min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK), step):
             gains = kernel(draws, slice(start, start + step))

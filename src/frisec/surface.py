@@ -143,8 +143,10 @@ def build_correlation(geometry: SurfaceGeometry) -> CorrelationMatrix:
     after which a multithreaded OpenBLAS would spin its idle threads.
     """
     m = geometry.n_elements
-    dist = np.array([[math.hypot(geometry.spacing_x * c, geometry.spacing_z * z)
-                      for c in range(geometry.m_x)] for z in range(geometry.m_z)])
+    dist = np.empty((geometry.m_z, geometry.m_x))  # a table the OS refuses fails here
+    for z in range(geometry.m_z):
+        dist[z] = [math.hypot(geometry.spacing_x * c, geometry.spacing_z * z)
+                   for c in range(geometry.m_x)]
     args = 2.0 * math.pi * dist / geometry.wavelength
     flat, inverse = np.unique(args, return_inverse=True)
     table = bessel_j0(flat)[inverse].reshape(args.shape)

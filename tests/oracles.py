@@ -426,6 +426,18 @@ def three_link_draws(seed: int, r: int, trials: int = TRIALS_PER_BLOCK) -> np.nd
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
+def engine_block(stream, m: int, block: int, power: bool = False) -> np.ndarray:
+    """Philox block `block` of `stream` in the layout the engine draws it into.
+
+    Greedy's (2, TRIALS_PER_BLOCK, m + 1) complex normals of the feed and the
+    legitimate link, link-major, with the eavesdropper's normal in the
+    feed's column m, and column m of the legitimate link unread; or, with
+    `power`, a fixed policy's (TRIALS_PER_BLOCK, 1, m) unit exponentials.
+    """
+    shape = (TRIALS_PER_BLOCK, 1, m) if power else (2, TRIALS_PER_BLOCK, m + 1)
+    return stream.draw_block(block, np.empty(shape, float if power else complex))
+
+
 def adaptive_block(images: np.ndarray, m_on: int) -> tuple:
     """Both equivalent channels of greedy co-phasing on a (trials, 3, elements) image block.
 
@@ -641,7 +653,7 @@ def _whole_block_gains(corr, policy, m_on, trials, stream):
         work = _GreedyWorkspace(corr.n_elements, r, TRIALS_PER_BLOCK)
 
         def block_gains(block):
-            return _greedy_chunk(stream.draw_block(r, block), corr.factor, m_on, work)
+            return _greedy_chunk(engine_block(stream, r, block), corr.factor, m_on, work)
     else:
         indices, phases = _fixed_selection(corr.n_elements, m_on, policy, stream.seed)
         rows = corr.factor[indices]
@@ -649,7 +661,7 @@ def _whole_block_gains(corr, policy, m_on, trials, stream):
         mu = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False)[:k] ** 2
 
         def block_gains(block):
-            powers = stream.draw_block(k + 2, block, power=True)
+            powers = engine_block(stream, k + 2, block, power=True)
             variance = correlated_images_batch(powers[:, :, :k], mu[None, :])[:, 0, 0]
             return variance * powers[:, 0, k], variance * powers[:, 0, k + 1], variance
     blocks = zip(*(block_gains(b) for b in range(-(-trials // TRIALS_PER_BLOCK))))

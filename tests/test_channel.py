@@ -11,8 +11,8 @@ from frisec.harness import (POLICIES, GainSamples, _fixed_selection, _greedy_blo
                             records_for_budget, simulate_gains)
 from frisec.surface import SurfaceGeometry, build_correlation
 
-from oracles import (adaptive_block, block_matrix_images, correlation_block, fixed_block,
-                     full_root_gains, greedy_kernel, ks_two_sample, real_planes,
+from oracles import (adaptive_block, block_matrix_images, correlation_block, engine_block,
+                     fixed_block, full_root_gains, greedy_kernel, ks_two_sample, real_planes,
                      three_link_draws)
 
 
@@ -35,37 +35,58 @@ class TestDraws:
     def test_deterministic(self):
         corr = small_corr()
         st = ChannelStream(seed=42, stream=3)
-        d1, d2 = st.draw_block(corr.rank, 17), st.draw_block(corr.rank, 17)
+        d1, d2 = engine_block(st, corr.rank, 17), engine_block(st, corr.rank, 17)
         assert np.array_equal(d1, d2)
         assert np.array_equal(colored(d1, corr), colored(d2, corr))
 
-    @pytest.mark.parametrize("power", [False, True])
-    def test_out_holds_the_same_bits(self, power):
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_fill_is_in_memory_order(self, dtype):
+        # a block drawn into the engine's (2, 1024, r + 1) layout and into a
+        # flat buffer of the same size holds the same bits, normals or powers
         st = ChannelStream(seed=42, stream=3)
-        want = st.draw_block(6, 17, power=power)
-        out = np.full_like(want, np.nan)
-        assert st.draw_block(6, 17, power=power, out=out) is out
-        assert np.array_equal(out, want)
-        # a reused buffer holds the next block's draws, not a mix
-        st.draw_block(6, 18, power=power, out=out)
-        assert np.array_equal(out, st.draw_block(6, 18, power=power))
+        shaped = np.full((2, TRIALS_PER_BLOCK, 7), np.nan, dtype)
+        assert st.draw_block(17, shaped) is shaped
+        flat = np.full(shaped.size, np.nan, dtype)
+        assert np.array_equal(st.draw_block(17, flat), shaped.reshape(-1))
 
-    def test_out_must_match_the_block(self):
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_reused_buffer_gets_fresh_bits(self, dtype):
+        # a buffer holding block 17 gets block 18's draws, not a mix
         st = ChannelStream(seed=42, stream=3)
-        strided = np.empty((2, 2 * TRIALS_PER_BLOCK, 7), np.complex128)[:, ::2]
-        for out in (np.empty((2, TRIALS_PER_BLOCK, 6), np.complex128), strided,
-                    np.empty((2, TRIALS_PER_BLOCK, 7))):
-            with pytest.raises(DomainError, match="C-contiguous"):
-                st.draw_block(6, 17, out=out)
+        reused = st.draw_block(17, np.empty((TRIALS_PER_BLOCK, 1, 6), dtype))
+        st.draw_block(18, reused)
+        assert np.array_equal(reused, st.draw_block(18, np.empty_like(reused)))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((2, TRIALS_PER_BLOCK, 7), np.complex64),
+        np.empty((2, TRIALS_PER_BLOCK, 7), np.float32),
+        np.empty((2, TRIALS_PER_BLOCK, 7), np.int64),
+        np.empty((2, 2 * TRIALS_PER_BLOCK, 7), np.complex128)[:, ::2],
+        np.empty((2, TRIALS_PER_BLOCK, 7), np.float64, order="F"),
+    ], ids=["complex64", "float32", "int64", "strided", "fortran-order"])
+    def test_buffer_must_be_contiguous_complex128_or_float64(self, out):
+        with pytest.raises(DomainError, match="C-contiguous complex128 or float64"):
+            ChannelStream(seed=42, stream=3).draw_block(17, out)
+
+    @pytest.mark.parametrize("seed, stream", [(2 ** 64, 0), (1, -1), (-1, 0), (0, 2 ** 64),
+                                              (1.0, 0), (1, "0")])
+    def test_key_off_64_bits_is_domain_error(self, seed, stream):
+        # masked to 64 bits, (2**64, 0) drew (0, 0)'s blocks and stream -1
+        # stream 2**64 - 1's
+        with pytest.raises(DomainError, match=r"must be an integer in \[0, 2\*\*64\)"):
+            ChannelStream(seed, stream)
+        # the largest key is valid and draws its own block
+        top = engine_block(ChannelStream(2 ** 64 - 1, 2 ** 64 - 1), 2, 0)
+        assert not np.array_equal(top, engine_block(ChannelStream(0, 0), 2, 0))
 
     def test_different_trials_differ(self):
         corr = small_corr()
-        blk = ChannelStream(seed=42, stream=3).draw_block(corr.rank, 0)
+        blk = engine_block(ChannelStream(seed=42, stream=3), corr.rank, 0)
         assert not np.array_equal(blk[0, 0], blk[0, 1])
 
     def test_identity_passthrough(self):
         corr = build_correlation(SurfaceGeometry(1, 1, 0.5, 0.5, 0.1))
-        blk = ChannelStream(1, 0).draw_block(1, 0)
+        blk = engine_block(ChannelStream(1, 0), 1, 0)
         images = colored(blk, corr)
         assert images[1, 5, 0] == blk[1, 5, 0]
         assert images[0, 5, 0] == blk[0, 5, 0]
@@ -76,7 +97,7 @@ class TestDraws:
         n_blocks = 100_000 // TRIALS_PER_BLOCK + 1
         acc, count = 0.0, 0
         for b in range(n_blocks):
-            blk = st.draw_block(4, b)
+            blk = engine_block(st, 4, b)
             acc += float(np.sum(np.abs(blk) ** 2))
             count += blk.size
         assert acc / count == pytest.approx(1.0, abs=0.02)
@@ -86,12 +107,12 @@ class TestDraws:
         # powers come as one link; complex normals link-major as the two
         # colored links (feed, bob), with the eavesdropper's one normal after
         # the feed's
-        first = st.draw_block(6, 17, power=True)
+        first = engine_block(st, 6, 17, power=True)
         assert first.dtype == np.float64
         assert first.shape == (TRIALS_PER_BLOCK, 1, 6)
-        assert np.array_equal(first, st.draw_block(6, 17, power=True))
-        assert not np.array_equal(first, st.draw_block(6, 18, power=True))
-        normals = st.draw_block(6, 17)
+        assert np.array_equal(first, engine_block(st, 6, 17, power=True))
+        assert not np.array_equal(first, engine_block(st, 6, 18, power=True))
+        normals = engine_block(st, 6, 17)
         assert normals.dtype == np.complex128
         assert normals.shape == (2, TRIALS_PER_BLOCK, 7)
 
@@ -100,7 +121,7 @@ class TestDraws:
         # 1 - exp(-x) at level 0.001 (1.949 / sqrt(n)) and the mean to
         # law-of-large-numbers precision, on 102400 draws
         st = ChannelStream(seed=9, stream=0)
-        powers = np.concatenate([st.draw_block(4, b, power=True).ravel()
+        powers = np.concatenate([engine_block(st, 4, b, power=True).ravel()
                                  for b in range(25)])
         assert powers.size == 102_400
         assert ks_statistic(powers, lambda x: -np.expm1(-x)) <= 1.949 / math.sqrt(powers.size)
@@ -127,7 +148,7 @@ class TestDraws:
         acc = np.zeros((m, m), dtype=complex)
         n = 0
         for b in range(n_blocks):
-            u = colored(st.draw_block(corr.rank, b), corr)[1]
+            u = colored(engine_block(st, corr.rank, b), corr)[1]
             acc += u.T @ u.conj()
             n += u.shape[0]
         emp = (acc / n).real
@@ -145,7 +166,7 @@ class TestColoring:
                                                 (40, 3.0)])
     def test_matches_block_matrix_gemm(self, side, aperture):
         corr = small_corr(side=side, aperture=aperture)
-        draws = ChannelStream(3, 1).draw_block(corr.rank, 0)[:, :200, :corr.rank]
+        draws = engine_block(ChannelStream(3, 1), corr.rank, 0)[:, :200, :corr.rank]
         images = correlated_images_batch(draws, corr.factor)
         assert images.shape == (2, 200, corr.n_elements)
         back_draws = images[:1]
@@ -325,13 +346,13 @@ class TestGainAndSnr:
         for policy in ("greedy", "fixed-uniform", "fixed-random"):
             gains = simulate_gains(corr, policy, 5, 100, ChannelStream(6, 0))
             if policy == "greedy":
-                draws = ChannelStream(6, 0).draw_block(r, 0)
+                draws = engine_block(ChannelStream(6, 0), r, 0)
                 images = correlated_images_batch(real_planes(draws[:, :, :r]), corr.factor)
                 g_bob, variance = _greedy_block(images, corr.factor, 5,
                                                 _GreedyWorkspace(corr.n_elements, r, 1024))
                 g_eve = variance * np.abs(draws[0, :, r]) ** 2
             else:
-                powers = ChannelStream(6, 0).draw_block(k + 2, 0, power=True)
+                powers = engine_block(ChannelStream(6, 0), k + 2, 0, power=True)
                 indices, phases = _fixed_selection(corr.n_elements, 5, policy, seed=6)
                 rows = corr.factor[indices]
                 cascade = (rows.T * np.exp(1j * phases)) @ rows
@@ -356,7 +377,7 @@ class TestGainAndSnr:
         k = min(7, corr.rank)
         for policy in ("fixed-uniform", "fixed-random"):
             gains = simulate_gains(corr, policy, 7, 50, ChannelStream(8, 4))
-            powers = ChannelStream(8, 4).draw_block(k + 2, 0, power=True)[:50, 0]
+            powers = engine_block(ChannelStream(8, 4), k + 2, 0, power=True)[:50, 0]
             indices, phases = _fixed_selection(corr.n_elements, 7, policy, seed=8)
             rows = corr.factor[indices].astype(complex)
             cascade = rows.T @ np.diag(np.exp(1j * phases)) @ rows

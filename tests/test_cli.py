@@ -172,9 +172,15 @@ def test_validate_bounds_names_flagged_points_on_one_line(tmp_path, tiny_config,
     ({"snr_sweep_db": [80, 10 ** 400]},
      "snr_sweep_db holds an integer past the floating-point range"),
     ({"trials": 10 ** 20}, f"trials must be <= {np.iinfo(np.intp).max // 8}, numpy's limit"),
+    # pools whose geometry passes but whose offset table numpy could not address
+    ({"m_x": 10 ** 20},
+     f"m_x * m_z gives a pool of {4 * 10 ** 20} elements, past {np.iinfo(np.intp).max // 8}"),
+    ({"size_sweep": [4, 10 ** 20]},
+     f"size_sweep gives a pool of {10 ** 20} elements, past {np.iinfo(np.intp).max // 8}"),
 ], ids=["no-trials", "one-trial", "count-past-float-range", "conventional-policy",
         "baseline-count-past-float-range", "real-past-float-range",
-        "grid-entry-past-float-range", "trials-past-array-limit"])
+        "grid-entry-past-float-range", "trials-past-array-limit", "pool-past-array-limit",
+        "size-past-array-limit"])
 def test_config_error_is_one_line_naming_its_cause(tmp_path, tiny_config, capsys,
                                                    override, message):
     bad = tmp_path / "bad.json"
@@ -363,6 +369,10 @@ def test_legitimate_snr_past_the_float_range_writes_error_rows(tmp_path, capsys,
     # whose sample array numpy cannot address: each fails before any allocation
     {"aperture_x": 10 ** 400}, {"target_rate_bits": 10 ** 400}, {"dist_feed_m": 10 ** 400},
     {"snr_sweep_db": [80, 10 ** 400]}, {"trials": 10 ** 20}, {"trials": 10 ** 400},
+    # pools past numpy's array limit, whose geometry passes: each fails at config
+    # time, before the offset table is built; a baseline that large is past the J0 cap
+    {"m_x": 10 ** 20}, {"m_z": 10 ** 20}, {"size_sweep": [4, 10 ** 20]},
+    {"size_sweep": [4, 10 ** 400]}, {"conventional_m": 10 ** 20},
 ])
 def test_bad_config_value_exits_1(tmp_path, tiny_config, capsys, override):
     cfgmap = json.loads(tiny_config.read_text()) | override
@@ -452,13 +462,11 @@ def test_fuzzed_configs_exit_cleanly(tmp_path):
     bad = st.one_of(edges, st.floats(), st.integers(-2, 2),
                     st.lists(st.one_of(edges, st.floats()), max_size=3))
     keys = sorted(valid) + list(harness._FLOAT_FIELDS)
-    # integers past the float and array-index ranges; a huge m_x, m_z or
-    # size_sweep entry is a valid pool whose build would exhaust memory before
-    # failing, so those keys get none
+    # integers past the float and array-index ranges, in every key
     huge = st.sampled_from([10 ** 20, 10 ** 400])
     overrides = st.one_of(
         st.dictionaries(st.sampled_from(keys), bad, min_size=1, max_size=2),
-        st.dictionaries(st.sampled_from([k for k in keys if k not in ("m_x", "m_z", "size_sweep")]),
+        st.dictionaries(st.sampled_from(keys),
                         st.one_of(huge, st.lists(huge, min_size=1, max_size=2)),
                         min_size=1, max_size=2))
     commands = ("sweep-sop", "sweep-size", "validate-fits", "validate-bounds",

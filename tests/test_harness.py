@@ -36,9 +36,9 @@ from frisec.secrecy import (ExpFit, GammaFit, SecrecyTarget, asc_oracle, asc_upp
 from frisec.specfun import reg_lower_inc_gamma
 from frisec.surface import build_correlation
 
-from oracles import (complex_greedy_block, correlation_block, ks_full, plain_estimates,
-                     plain_gains, secrecy_capacity, trace_power_direct, whole_block_gains,
-                     wilson_estimate)
+from oracles import (complex_greedy_block, correlation_block, engine_block, ks_full,
+                     plain_estimates, plain_gains, secrecy_capacity, trace_power_direct,
+                     whole_block_gains, wilson_estimate)
 
 
 def small_config(**overrides):
@@ -191,7 +191,7 @@ class TestChunkedEngine:
         # ON, and the gain and variance to rounding
         corr = aperture_pools[m_total]
         m, r = corr.n_elements, corr.rank
-        draws = ChannelStream(7, 2).draw_block(r, 3)[:, :CHUNK_TRIALS]
+        draws = engine_block(ChannelStream(7, 2), r, 3)[:, :CHUNK_TRIALS]
         work = harness._GreedyWorkspace(m, r, CHUNK_TRIALS)
         g_bob, g_eve, var_eve = harness._greedy_chunk(draws, corr.factor, m_on, work)
         want_bob, want_var, want_on = complex_greedy_block(
@@ -207,7 +207,7 @@ class TestChunkedEngine:
         # every element of a rank-one pool has the same image, so every term
         # ties; both kernels keep the lowest m_on indices
         factor = np.ones((16, 1))
-        draws = ChannelStream(5, 0).draw_block(1, 0)[:, :CHUNK_TRIALS]
+        draws = engine_block(ChannelStream(5, 0), 1, 0)[:, :CHUNK_TRIALS]
         work = harness._GreedyWorkspace(16, 1, CHUNK_TRIALS)
         g_bob, _, var_eve = harness._greedy_chunk(draws, factor, m_on, work)
         want_bob, want_var, want_on = complex_greedy_block(
@@ -281,14 +281,14 @@ class TestChunkedEngine:
         asked = []
         draw_block = ChannelStream.draw_block
 
-        def recording_draw(self, m, block, power=False, out=None):
-            asked.append((m, power))
-            return draw_block(self, m, block, power=power, out=out)
+        def recording_draw(self, block, out):
+            asked.append((out.shape, out.dtype))
+            return draw_block(self, block, out)
 
         monkeypatch.setattr(ChannelStream, "draw_block", recording_draw)
         stream = ChannelStream(5, 1)
         gains = simulate_gains(corr, policy, m_on, 1500, stream)
-        assert asked == [(k + 2, True)] * 2
+        assert asked == [((1024, 1, k + 2), np.dtype(float))] * 2
         monkeypatch.undo()
 
         indices, phases = harness._fixed_selection(corr.n_elements, m_on, policy, stream.seed)
@@ -296,7 +296,7 @@ class TestChunkedEngine:
         singular = np.linalg.svd((rows.T * np.exp(1j * phases)) @ rows, compute_uv=False)
         assert np.all(singular[k:] <= 1e-10 * singular[0])
         mu = singular[:k] ** 2
-        powers = np.concatenate([stream.draw_block(k + 2, b, power=True)[:, 0]
+        powers = np.concatenate([engine_block(stream, k + 2, b, power=True)[:, 0]
                                  for b in range(2)])[:1500]
         with channel.one_blas_thread():
             variance = (powers[:, :k] @ mu[:, None])[:, 0]
@@ -389,9 +389,9 @@ def draw_calls(monkeypatch):
     calls = []
     original = ChannelStream.draw_block
 
-    def recording(self, m, block, power=False, out=None):
+    def recording(self, block, out):
         calls.append((threading.get_ident(), block, out))
-        return original(self, m, block, power, out=out)
+        return original(self, block, out)
 
     monkeypatch.setattr(ChannelStream, "draw_block", recording)
     return calls
@@ -510,7 +510,7 @@ class TestDrawAhead:
         out = draw_calls[0][2]
         assert draw_calls == [(threading.get_ident(), block, out) for block in range(4)]
 
-    def test_draw_thread_joined_on_return_and_on_error(self, aperture_pools, monkeypatch):
+    def test_pool_threads_joined_on_return_and_on_error(self, aperture_pools, monkeypatch):
         corr = aperture_pools[100]  # 128-trial chunks: 8 per block
         before = threading.active_count()
         for workers in (1, 2):
@@ -806,7 +806,7 @@ class TestConditionalMonteCarlo:
         r = corr.rank
         stream = ChannelStream(cfg.seed, 0)
         gains = simulate_gains(corr, "greedy", 100, 4, stream)
-        v, u_bob = correlated_images_batch(stream.draw_block(r, 0)[:, :4, :r], corr.factor)
+        v, u_bob = correlated_images_batch(engine_block(stream, r, 0)[:, :4, :r], corr.factor)
         rng = np.random.default_rng(99)
         for t in range(4):
             on = np.argsort(-np.abs(v[t] * u_bob[t]), kind="stable")[:100]
